@@ -57,10 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_grid(spec: str) -> np.ndarray:
-    return dataio.parse_grid(spec)
-
-
 def _problem_from_json(obj: dict) -> tuple[ProblemConfig, np.ndarray | None]:
     if not isinstance(obj, dict):
         raise UsageError("problem config must be a JSON object")
@@ -94,17 +90,17 @@ def _problem_from_json(obj: dict) -> tuple[ProblemConfig, np.ndarray | None]:
     grid = None
     if obj.get("eta_grid") is not None:
         spec = obj["eta_grid"]
-        grid = parse_grid(spec) if isinstance(spec, str) else np.asarray(spec, float)
+        grid = dataio.parse_grid(spec) if isinstance(spec, str) else np.asarray(spec, float)
     return config, grid
 
 
 def _resolve_grid(flag_value, config_grid, fallback=None) -> np.ndarray:
     if flag_value is not None:
-        return parse_grid(flag_value)
+        return dataio.parse_grid(flag_value)
     if config_grid is not None:
         return config_grid
     if fallback is not None:
-        return parse_grid(fallback)
+        return dataio.parse_grid(fallback)
     raise UsageError("an eta grid is required (flag or config)")
 
 
@@ -247,7 +243,7 @@ def _cmd_fit(args, argv):
 
 def _cmd_tune(args, argv):
     data = dataio.dataset_from_json(dataio.load_json(args.data))
-    etas = parse_grid(args.grid)
+    etas = dataio.parse_grid(args.grid)
     if args.method == "gcv":
         result = gcv_select(data, etas)
     else:

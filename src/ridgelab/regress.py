@@ -16,6 +16,7 @@ Normalization conventions, fixed once here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +37,11 @@ _GRAM_COND_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A regression sample Y = X mu0 + xi with optional ground truth."""
+    """A regression sample Y = X mu0 + xi with optional ground truth.
+
+    The arrays are treated as immutable: ``sweep`` factors X once, on
+    first use, and every data-side estimator reads that factorization.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -47,14 +52,16 @@ class Dataset:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if x.ndim != 2:
-            raise InputError(f"design must be a matrix, got ndim {x.ndim}")
+        if x.ndim != 2 or 0 in x.shape:
+            raise InputError(f"design must be a nonempty matrix, got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise InputError(f"response shape {y.shape} != ({x.shape[0]},)")
         if x.shape[1] != self.model.n:
             raise InputError(
                 f"design has {x.shape[1]} columns, model dimension is {self.model.n}"
             )
+        _require_finite("design", x)
+        _require_finite("response", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.mu0 is not None and self.mu0.n != x.shape[1]:
@@ -63,6 +70,7 @@ class Dataset:
             xi = np.asarray(self.xi, dtype=float)
             if xi.shape != y.shape:
                 raise InputError("noise vector has wrong shape")
+            _require_finite("noise vector", xi)
             object.__setattr__(self, "xi", xi)
         if self.mu0 is not None and self.xi is not None:
             recon = x @ self.mu0.coords + self.xi
@@ -81,6 +89,15 @@ class Dataset:
     @property
     def phi(self) -> float:
         return self.x.shape[0] / self.x.shape[1]
+
+    @cached_property
+    def sweep(self) -> "GramSweep":
+        return GramSweep(self.x, self.y)
+
+
+def _require_finite(what: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} holds NaN or inf")
 
 
 @dataclass(frozen=True)
@@ -145,17 +162,12 @@ def ridgeless_fit(data: Dataset) -> RidgeFit:
     m, n = data.m, data.n
     if m >= n:
         raise WrongRegime(f"ridgeless fit requires m < n, got m={m}, n={n}")
-    gram = x @ x.T
-    s, q = np.linalg.eigh(gram)
-    if s[0] <= 0 or s[-1] / s[0] > _GRAM_COND_LIMIT:
-        raise IllConditioned(
-            f"X X^T condition {s[-1] / max(s[0], 0.0):.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
-        )
-    mu = x.T @ (q @ (q.T @ y / s))
-    resid_norm = float(np.linalg.norm(y - x @ mu))
-    if resid_norm > 1e-8 * float(np.linalg.norm(y)):
+    data.sweep.require_invertible()
+    mu = data.sweep.mu_hat(0.0)
+    resid = y - x @ mu
+    if float(np.linalg.norm(resid)) > 1e-8 * float(np.linalg.norm(y)):
         raise IllConditioned("interpolation residual beyond tolerance")
-    return RidgeFit(eta=0.0, mu_hat=mu, r_hat=(y - x @ mu) / np.sqrt(n))
+    return RidgeFit(eta=0.0, mu_hat=mu, r_hat=resid / np.sqrt(n))
 
 
 def empirical_risk(kind: RiskKind, fit: RidgeFit, data: Dataset) -> float:
@@ -174,41 +186,31 @@ def empirical_risk(kind: RiskKind, fit: RidgeFit, data: Dataset) -> float:
     raise InputError(f"unknown risk kind {kind!r}")
 
 
-def _gram_eigs_over_m(data: Dataset) -> np.ndarray:
-    """Eigenvalues of X^T X / m, zeros dropped when m < n (they add nothing)."""
-    x = data.x
-    if data.m <= data.n:
-        s = np.linalg.eigvalsh(x @ x.T)
-    else:
-        s = np.linalg.eigvalsh(x.T @ x)
-    return np.clip(s, 0.0, None) / data.m
-
-
 def df_hat(data: Dataset, eta: float) -> float:
-    """tr((Sigma_hat + (eta/phi) I)^{-1} Sigma_hat) with Sigma_hat = X^T X / m."""
+    """tr((Sigma_hat + (eta/phi) I)^{-1} Sigma_hat) with Sigma_hat = X^T X / m.
+
+    The sweep's spectrum is that of X X^T / n (or X^T X / n), i.e. Sigma_hat's
+    nonzero part times m/n, and eta/phi = eta n/m, so the scale cancels.
+    """
     if eta < 0:
         raise InputError(f"eta must be nonnegative, got {eta}")
-    s = _gram_eigs_over_m(data)
+    s = data.sweep.s
     if eta == 0:
         if data.m >= data.n:
             raise WrongRegime("df at eta = 0 requires m < n")
         tol = s.max(initial=0.0) * max(data.m, data.n) * np.finfo(float).eps
         return float(np.count_nonzero(s > tol))
-    z = eta / data.phi
-    return float(np.sum(s / (s + z)))
+    return float(np.sum(s / (s + eta)))
 
 
 def tau_hat(data: Dataset, eta: float) -> float:
     """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
     if eta < 0:
         raise InputError(f"eta must be nonnegative, got {eta}")
-    g = _gram_eigs_over_m(data) * data.m
-    if data.m > data.n:
-        g = np.concatenate([g, np.zeros(data.m - data.n)])
-    shifted = g + eta * data.n
-    if shifted.min(initial=np.inf) <= g.max(initial=1.0) * data.m * np.finfo(float).eps:
-        raise IllConditioned("X X^T singular at eta = 0")
-    return float(1.0 / np.sum(1.0 / shifted))
+    if eta == 0:
+        # covers m > n too, where the sweep itself would raise InputError
+        data.sweep.require_invertible()
+    return data.sweep.tau_hat(eta)
 
 
 def gamma_hat(data: Dataset, fit: RidgeFit, eta: float) -> float:
@@ -222,11 +224,10 @@ def gamma_hat(data: Dataset, fit: RidgeFit, eta: float) -> float:
         raise InputError("underparametrized gamma estimator requires eta > 0")
     t = tau_hat(data, eta)
     if data.m <= n:
-        gram = x @ x.T / n
-        s, q = np.linalg.eigh(gram)
-        if s[0] <= 0 or s[-1] / s[0] > _GRAM_COND_LIMIT:
-            raise IllConditioned("X X^T too ill-conditioned for the gamma estimator")
-        v = q @ (q.T @ (x @ fit.mu_hat) / s)
+        sweep = data.sweep
+        sweep.require_invertible()
+        # Q is orthogonal, so ||Q S^{-1} Q^T v|| = ||S^{-1} Q^T v||
+        v = sweep.q.T @ (x @ fit.mu_hat) / sweep.s
         return t / np.sqrt(n) * float(np.linalg.norm(v))
     resid = data.y - x @ fit.mu_hat
     return t / np.sqrt(n) * float(np.linalg.norm(resid)) / eta
@@ -257,7 +258,8 @@ class GramSweep:
 
     Dual route (m <= n): X X^T / n = Q S Q^T, fits and residuals come from
     rescaling Q^T Y. Primal route (m > n): X^T X / n = V W V^T. Both reuse
-    one O(min(m,n)^3) factorization across the whole grid.
+    one O(min(m,n)^3) factorization across the whole grid; ``Dataset.sweep``
+    is the one instance behind every data-side estimator of a sample.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -275,6 +277,18 @@ class GramSweep:
             self.s = np.clip(w, 0.0, None)
             self.v = v
             self.b = v.T @ (x.T @ y) / self.n
+
+    def require_invertible(self) -> None:
+        """Raise IllConditioned unless X X^T is safely invertible, as eta = 0 needs."""
+        if not self.dual:
+            raise IllConditioned(
+                f"X X^T is singular when m > n (m={self.m}, n={self.n})"
+            )
+        cond = self.s[-1] / self.s[0] if self.s[0] > 0 else np.inf
+        if cond > _GRAM_COND_LIMIT:
+            raise IllConditioned(
+                f"X X^T condition {cond:.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
+            )
 
     def mu_hat(self, eta: float) -> np.ndarray:
         if self.dual:
@@ -294,6 +308,10 @@ class GramSweep:
         )
 
     def tau_hat(self, eta: float) -> float:
+        if self.dual and eta == 0:
+            # a singular X X^T would give tau = 0 and gamma = 0 * inf = NaN,
+            # which a grid search's argmin would then select
+            self.require_invertible()
         inv_sum = float(np.sum(1.0 / (self.s + eta)))
         if not self.dual:
             if eta <= 0:
@@ -315,8 +333,7 @@ class GramSweep:
 def gcv_select(data: Dataset, grid) -> TuningResult:
     """Pick eta minimizing the estimated effective noise gamma_hat(eta)."""
     etas = _check_grid(grid)
-    sweep = GramSweep(data.x, data.y)
-    objective = np.array([sweep.gamma_hat(float(e)) for e in etas])
+    objective = np.array([data.sweep.gamma_hat(float(e)) for e in etas])
     idx = int(np.argmin(objective))
     return TuningResult(
         etas=etas, objective=objective, eta_hat=float(etas[idx]), method="gcv"

@@ -130,8 +130,11 @@ class ExperimentConfig:
             if key not in obj:
                 raise InputError(f"experiment config is missing {key!r}")
         signal = obj.get("signal", {"mode": "sphere", "radius": 1.0})
-        if set(signal) - {"mode", "radius"}:
-            raise InputError(f"unknown signal keys: {sorted(set(signal))}")
+        if not isinstance(signal, dict):
+            raise InputError("signal must be a JSON object with keys mode and radius")
+        unknown = set(signal) - {"mode", "radius"}
+        if unknown:
+            raise InputError(f"unknown signal keys: {sorted(unknown)}")
         grid = obj["eta_grid"]
         etas = tuple(parse_grid(grid)) if isinstance(grid, str) else tuple(grid)
         kwargs = dict(
@@ -489,8 +492,7 @@ def _guard_interpolation(sweep: GramSweep, etas: np.ndarray) -> None:
     # grids that touch eta = 0 need an invertible X X^T, same bar as the
     # standalone ridgeless fit
     if etas[0] == 0:
-        if not sweep.dual or sweep.s[0] <= 0 or sweep.s[-1] / sweep.s[0] > 1e12:
-            raise IllConditioned("X X^T too ill-conditioned for eta = 0")
+        sweep.require_invertible()
 
 
 def _theory_curves(

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ridgelab import (
     Dataset,
@@ -19,7 +20,7 @@ from ridgelab import (
     theoretical_risk,
 )
 from ridgelab.cli import run
-from ridgelab.dataio import dataset_to_json, read_csv
+from ridgelab.dataio import dataset_to_json, encode_array, read_csv
 from ridgelab.riskengine import RiskKind
 
 
@@ -178,6 +179,57 @@ def test_fit_prints_estimates(tmp_path, capsys):
     )
     assert float(lines["resid_norm"]) < 1e-10
     assert float(lines["df"]) == pytest.approx(8.0, abs=1e-9)
+
+
+def test_fit_factors_the_gram_matrix_once(tmp_path, monkeypatch):
+    # every data-side estimator reads the dataset's one eigendecomposition;
+    # eta > 0 adds the Cholesky solve of ridge_fit, nothing else
+    data_path, _ = write_dataset(tmp_path, m=8, n=12, seed=4)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(
+        scipy.linalg, "cho_factor", counted("cho_factor", scipy.linalg.cho_factor)
+    )
+    assert run(["fit", "--data", str(data_path), "--eta", "0"]) == 0
+    assert sorted(calls) == ["eigh"]
+    calls.clear()
+    assert run(["fit", "--data", str(data_path), "--eta", "0.5"]) == 0
+    assert sorted(calls) == ["cho_factor", "eigh"]
+
+
+def test_non_finite_dataset_is_an_input_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6, 9))
+    y = rng.standard_normal(6)
+    y[2] = np.nan
+    path = tmp_path / "nan.json"
+    path.write_text(
+        json.dumps(
+            {
+                "x": encode_array(x),
+                "y": encode_array(y),
+                "model": Isotropic(1.0, 9).to_json(),
+            }
+        )
+    )
+    out = tmp_path / "tune.csv"
+    for argv in (
+        ["fit", "--data", str(path), "--eta", "0.5"],
+        ["tune", "--data", str(path), "--method", "gcv", "--grid", "0.1:1:4",
+         "--out", str(out)],
+    ):
+        assert run(argv) == 1
+        assert "input error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tune_gcv_and_cv(tmp_path, capsys):

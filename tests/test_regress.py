@@ -7,6 +7,7 @@ from ridgelab import (
     CIReport,
     Dataset,
     GramSweep,
+    IllConditioned,
     InputError,
     Isotropic,
     MissingGroundTruth,
@@ -129,6 +130,14 @@ def test_df_hat_examples():
     with pytest.raises(InputError):
         df_hat(over, -0.5)
 
+    # dense reference tr((X^T X/m + (eta/phi) I)^{-1} X^T X/m) on both routes
+    for m, n in [(11, 27), (27, 11)]:
+        data = toy_dataset(m, n, seed=m)
+        cov = data.x.T @ data.x / m
+        for eta in (0.05, 0.6):
+            dense = np.trace(np.linalg.solve(cov + eta / data.phi * np.eye(n), cov))
+            assert df_hat(data, eta) == pytest.approx(dense, rel=1e-11)
+
 
 def test_tau_hat_examples():
     data = Dataset(
@@ -140,12 +149,28 @@ def test_tau_hat_examples():
     zero = Dataset(x=np.zeros((3, 6)), y=np.zeros(3), model=Isotropic(1.0, 6))
     assert tau_hat(zero, 0.9) == pytest.approx(0.9 * 6 / 3, rel=1e-14)
 
-    data = toy_dataset(13, 29, seed=4)
+    # dual (m < n) and primal (m > n) routes against dense algebra
     eta = 0.37
-    direct = 1.0 / np.trace(
-        np.linalg.inv(data.x @ data.x.T + eta * data.n * np.eye(data.m))
-    )
-    assert tau_hat(data, eta) == pytest.approx(direct, rel=1e-12)
+    for m, n in [(13, 29), (29, 13)]:
+        data = toy_dataset(m, n, seed=4)
+        direct = 1.0 / np.trace(
+            np.linalg.inv(data.x @ data.x.T + eta * data.n * np.eye(data.m))
+        )
+        assert tau_hat(data, eta) == pytest.approx(direct, rel=1e-12)
+
+
+def test_tau_hat_at_zero_needs_invertible_gram():
+    # m > n: X X^T is singular, so tau_hat(0) has no finite value
+    with pytest.raises(IllConditioned):
+        tau_hat(toy_dataset(29, 13), 0.0)
+    rank_one = Dataset(x=np.ones((3, 6)), y=np.ones(3), model=Isotropic(1.0, 6))
+    with pytest.raises(IllConditioned):
+        tau_hat(rank_one, 0.0)
+    with pytest.raises(IllConditioned):
+        ridgeless_fit(rank_one)
+    data = toy_dataset(13, 29, seed=4)
+    direct = 1.0 / np.trace(np.linalg.inv(data.x @ data.x.T))
+    assert tau_hat(data, 0.0) == pytest.approx(direct, rel=1e-11)
 
 
 def test_gamma_hat_branches():
@@ -227,6 +252,15 @@ def test_gcv_select_flat_objective_takes_smallest_eta():
 
     single = gcv_select(data, [0.7])
     assert single.eta_hat == 0.7
+
+    # rank-deficient X X^T: gamma_hat(0) does not exist, so a grid through 0
+    # is refused instead of selecting eta = 0 from a NaN objective
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 10))
+    low_rank = Dataset(x=x, y=rng.standard_normal(6), model=Isotropic(1.0, 10))
+    with pytest.raises(IllConditioned):
+        gcv_select(low_rank, [0.0, 0.5, 1.0])
+    assert np.all(np.isfinite(gcv_select(low_rank, [0.5, 1.0]).objective))
 
 
 def test_grid_validation():
@@ -339,6 +373,8 @@ def test_dataset_validation():
     with pytest.raises(InputError):
         Dataset(x=np.ones(3), y=np.ones(3), model=Isotropic(1.0, 3))
     with pytest.raises(InputError):
+        Dataset(x=np.ones((0, 3)), y=np.ones(0), model=Isotropic(1.0, 3))
+    with pytest.raises(InputError):
         Dataset(x=np.ones((3, 2)), y=np.ones(2), model=Isotropic(1.0, 2))
     with pytest.raises(InputError):
         Dataset(x=np.ones((3, 2)), y=np.ones(3), model=Isotropic(1.0, 4))
@@ -348,6 +384,23 @@ def test_dataset_validation():
         Dataset(
             x=x, y=np.zeros(3), model=Isotropic(1.0, 2), mu0=mu0, xi=np.zeros(3)
         )
+
+
+def test_dataset_rejects_non_finite_values():
+    base = toy_dataset(4, 6)
+    bad_y = base.y.copy()
+    bad_y[1] = np.nan
+    bad_x = base.x.copy()
+    bad_x[2, 3] = np.inf
+    bad_xi = base.xi.copy()
+    bad_xi[0] = -np.inf
+    for kwargs in (
+        dict(x=base.x, y=bad_y),
+        dict(x=bad_x, y=base.y),
+        dict(x=base.x, y=base.y, xi=bad_xi),
+    ):
+        with pytest.raises(InputError, match="NaN or inf"):
+            Dataset(model=base.model, **kwargs)
 
 
 def test_sigma_hat_sq_mc_consistency():

@@ -250,6 +250,16 @@ def test_experiment_config_json_round_trip():
                 "signal": {"mode": "sphere", "spin": 3},
             }
         )
+    base = {
+        "m": 4,
+        "n": 8,
+        "model": {"kind": "isotropic", "scale": 1.0},
+        "eta_grid": [0.5],
+    }
+    with pytest.raises(InputError, match=r"unknown signal keys: \['radiuss'\]$"):
+        ExperimentConfig.from_json({**base, "signal": {"mode": "sphere", "radiuss": 1}})
+    with pytest.raises(InputError, match="signal must be a JSON object"):
+        ExperimentConfig.from_json({**base, "signal": "sphere"})
 
 
 def test_build_model_fills_dimension():
