@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataio
 from ._version import __version__
-from .errors import InputError, NumericalError, UsageError
+from .errors import InputError, NumericalError, UsageError, coerce
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -57,6 +57,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _float_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
 def _problem_from_json(obj: dict) -> tuple[ProblemConfig, np.ndarray | None]:
     if not isinstance(obj, dict):
         raise UsageError("problem config must be a JSON object")
@@ -75,22 +79,25 @@ def _problem_from_json(obj: dict) -> tuple[ProblemConfig, np.ndarray | None]:
         mu0 = sample_signal(
             mu0_spec.get("mode", "sphere"),
             model.n,
-            int(mu0_spec.get("seed", 0)),
-            float(mu0_spec.get("radius", 1.0)),
+            coerce(int, mu0_spec.get("seed", 0), "mu0 seed", UsageError),
+            coerce(float, mu0_spec.get("radius", 1.0), "mu0 radius", UsageError),
         )
     else:
-        mu0 = SignalVector(np.asarray(mu0_spec, dtype=float))
+        mu0 = SignalVector(coerce(_float_array, mu0_spec, "'mu0'", UsageError))
     config = ProblemConfig(
-        phi=float(obj["phi"]),
-        eta=float(obj.get("eta", 0.0)),
-        sigma_sq=float(obj["sigma_sq"]),
+        phi=coerce(float, obj["phi"], "'phi'", UsageError),
+        eta=coerce(float, obj.get("eta", 0.0), "'eta'", UsageError),
+        sigma_sq=coerce(float, obj["sigma_sq"], "'sigma_sq'", UsageError),
         model=model,
         mu0=mu0,
     )
     grid = None
     if obj.get("eta_grid") is not None:
         spec = obj["eta_grid"]
-        grid = dataio.parse_grid(spec) if isinstance(spec, str) else np.asarray(spec, float)
+        grid = (
+            dataio.parse_grid(spec) if isinstance(spec, str)
+            else coerce(_float_array, spec, "'eta_grid'", UsageError)
+        )
     return config, grid
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes: usage and input problems exit 1,
-numerical failures exit 2.
+numerical failures exit 2. `coerce` turns a malformed configuration value
+into one of these instead of a raw ValueError or TypeError.
 """
 
 
@@ -47,3 +48,11 @@ class WrongRegime(NumericalError):
 
 class IllConditioned(NumericalError):
     """A linear system exceeded the condition-number guard."""
+
+
+def coerce(cast, value, name: str, error: type[RidgelabError] = InputError):
+    """Return cast(value); a malformed value raises `error` naming `name`."""
+    try:
+        return cast(value)
+    except (ValueError, TypeError) as exc:
+        raise error(f"malformed {name}: {exc}") from exc

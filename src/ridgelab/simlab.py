@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
+from .errors import IllConditioned, InputError, NonConvergence, WrongRegime, coerce
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -50,6 +50,10 @@ _DISTS = ("gaussian", "scaled_t10")
 _SIGNAL_MODES = ("sphere", "ball_radial")
 _ALL_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS, RiskKind.RES)
 _TUNE_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS)
+
+
+def _float_tuple(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,36 +133,42 @@ class ExperimentConfig:
         for key in ("m", "model", "eta_grid"):
             if key not in obj:
                 raise InputError(f"experiment config is missing {key!r}")
+        if not isinstance(obj["model"], dict):
+            raise InputError("model must be a JSON object with a 'kind'")
         signal = obj.get("signal", {"mode": "sphere", "radius": 1.0})
         if not isinstance(signal, dict):
             raise InputError("signal must be a JSON object with keys mode and radius")
         unknown = set(signal) - {"mode", "radius"}
         if unknown:
             raise InputError(f"unknown signal keys: {sorted(unknown)}")
+
+        def field(key, cast, default=None):
+            return coerce(cast, obj.get(key, default), repr(key))
+
         grid = obj["eta_grid"]
-        etas = tuple(parse_grid(grid)) if isinstance(grid, str) else tuple(grid)
         kwargs = dict(
-            m=int(obj["m"]),
+            m=field("m", int),
             model_spec=dict(obj["model"]),
-            etas=etas,
+            etas=tuple(parse_grid(grid)) if isinstance(grid, str)
+            else field("eta_grid", _float_tuple),
             design_dist=obj.get("design_dist", "scaled_t10"),
             noise_dist=obj.get("noise_dist", "scaled_t10"),
-            sigma_sq=float(obj.get("sigma_sq", 1.0)),
+            sigma_sq=field("sigma_sq", float, 1.0),
             signal_mode=signal.get("mode", "sphere"),
-            signal_radius=float(signal.get("radius", 1.0)),
-            reps=int(obj.get("reps", 200)),
-            k=int(obj.get("k", 5)),
-            alpha=float(obj.get("alpha", 0.05)),
-            master_seed=int(obj.get("seed", 0)),
+            signal_radius=coerce(float, signal.get("radius", 1.0), "signal radius"),
+            reps=field("reps", int, 200),
+            k=field("k", int, 5),
+            alpha=field("alpha", float, 0.05),
+            master_seed=field("seed", int, 0),
             redraw_signal=bool(obj.get("redraw_signal", False)),
-            threads=int(obj.get("threads", 1)),
+            threads=field("threads", int, 1),
         )
         if obj.get("argmin_reps") is not None:
-            kwargs["argmin_reps"] = int(obj["argmin_reps"])
+            kwargs["argmin_reps"] = field("argmin_reps", int)
         if obj.get("n") is not None:
-            kwargs["n"] = int(obj["n"])
+            kwargs["n"] = field("n", int)
         if obj.get("phi_grid") is not None:
-            kwargs["phi_grid"] = tuple(float(p) for p in obj["phi_grid"])
+            kwargs["phi_grid"] = field("phi_grid", _float_tuple)
         return cls(**kwargs)
 
     def to_json(self) -> dict:

@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, coerce
 
 _DENSE_GUARD = 20000
 
@@ -253,23 +253,32 @@ def model_from_json(obj: dict) -> CovarianceModel:
         raise InputError("covariance model JSON must be an object with a 'kind'")
     kind = obj["kind"]
     keys = set(obj)
+
+    def field(key, cast):
+        return coerce(cast, obj[key], f"{key!r} of {kind} model")
+
+    def array(key):
+        return field(key, lambda v: np.asarray(v, dtype=np.float64))
+
     if kind == "isotropic":
         if keys != {"kind", "n", "scale"}:
             raise InputError(f"unexpected keys for isotropic model: {sorted(keys)}")
-        return Isotropic(float(obj["scale"]), int(obj["n"]))
+        return Isotropic(field("scale", float), field("n", int))
     if kind == "spiked_uniform":
         if keys != {"kind", "n", "a", "b"}:
             raise InputError(f"unexpected keys for spiked_uniform model: {sorted(keys)}")
-        return spiked_uniform(float(obj["a"]), float(obj["b"]), int(obj["n"]))
+        return spiked_uniform(field("a", float), field("b", float), field("n", int))
     if kind == "explicit":
         if not keys <= {"kind", "n", "eigenvalues", "basis"}:
             raise InputError(f"unexpected keys for explicit model: {sorted(keys)}")
-        lam = np.asarray(obj["eigenvalues"], dtype=np.float64)
-        if "n" in obj and int(obj["n"]) != lam.size:
+        if "eigenvalues" not in keys:
+            raise InputError("explicit model is missing 'eigenvalues'")
+        lam = array("eigenvalues")
+        if "n" in obj and field("n", int) != lam.size:
             raise InputError("explicit model 'n' disagrees with eigenvalue count")
         basis = None
         if obj.get("basis") is not None:
-            basis = np.asarray(obj["basis"], dtype=np.float64)
+            basis = array("basis")
         return Explicit(lam, basis)
     raise InputError(f"unknown covariance kind {kind!r}")
 

@@ -1,8 +1,9 @@
 """Scalar distribution utilities: normal CDF/quantile and t(10) inversion.
 
-Quantiles are computed by bracketed bisection on the CDF rather than by
-quantile tables or rational approximations, so results are bit-stable
-across platforms.
+Quantiles come from scipy's exact inverses (`special.ndtri` for the normal,
+`special.stdtrit` for Student t), not from table lookups or CDF searches.
+`normal_cdf` is computed independently through `math.erf`, so the round
+trip between the two is a real check.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from scipy import special
 from .errors import InputError
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 T_DF = 10.0
-# CDF mass outside [-64, 64] for t(10) is below 1e-15; uniforms are clipped
-# into the invertible range so the bisection bracket never needs to grow.
-_T_U_MIN = float(special.stdtr(T_DF, -64.0))
+# t(10) tail mass beyond 64 (about 1e-14). Uniforms are clipped into
+# [_T_U_MIN, 1 - _T_U_MIN] only so that u = 0 or 1 gives a finite draw.
+# Taken as 1 - F(64) so that 1 - _T_U_MIN is exact and the clip keeps
+# t10_ppf(1 - u) == -t10_ppf(u).
+_T_U_MIN = 1.0 - float(special.stdtr(T_DF, 64.0))
 
 
 def normal_cdf(x: float) -> float:
@@ -29,25 +31,10 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF.
-
-    Bisection on [-40, 40] to interval width 1e-12, then a single Newton
-    polish. Accurate to well below 1e-10 for p away from the extreme tails.
-    """
+    """Inverse standard normal CDF."""
     if not 0.0 < p < 1.0:
         raise InputError(f"quantile level must lie in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    pdf = math.exp(-0.5 * z * z) / _SQRT2PI
-    if pdf > 0.0:
-        z -= (normal_cdf(z) - p) / pdf
-    return z
+    return float(special.ndtri(p))
 
 
 def z_two_sided(alpha: float) -> float:
@@ -60,22 +47,11 @@ def z_two_sided(alpha: float) -> float:
 def t10_ppf(u: np.ndarray) -> np.ndarray:
     """Inverse CDF of the t distribution with 10 degrees of freedom.
 
-    Vectorized bisection on the CDF to absolute width 1e-12. Uniforms are
-    clipped to the CDF range of [-64, 64] (excess mass below 1e-15), which
-    keeps the bracket fixed and the draw count deterministic.
+    Uniforms are clipped to the CDF range of [-64, 64] so that the
+    endpoints 0 and 1 map to finite draws (about +-64).
     """
-    u = np.asarray(u, dtype=np.float64)
-    u = np.clip(u, _T_U_MIN, 1.0 - _T_U_MIN)
-    lo = np.full(u.shape, -64.0)
-    hi = np.full(u.shape, 64.0)
-    width = 128.0
-    while width > 1e-12:
-        mid = 0.5 * (lo + hi)
-        below = special.stdtr(T_DF, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        width *= 0.5
-    return 0.5 * (lo + hi)
+    u = np.clip(np.asarray(u, dtype=np.float64), _T_U_MIN, 1.0 - _T_U_MIN)
+    return special.stdtrit(T_DF, u)
 
 
 def scaled_t10(u: np.ndarray) -> np.ndarray:

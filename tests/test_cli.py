@@ -309,6 +309,38 @@ def test_exit_codes(tmp_path, capsys):
     assert __version__ in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"phi": "abc"}, "usage error: malformed 'phi'"),
+        ({"sigma_sq": None}, "usage error: malformed 'sigma_sq'"),
+        ({"mu0": {"mode": "sphere", "seed": "x"}}, "usage error: malformed mu0 seed"),
+        ({"mu0": ["a", "b"]}, "usage error: malformed 'mu0'"),
+        ({"eta_grid": ["a"]}, "usage error: malformed 'eta_grid'"),
+        (
+            {"model": {"kind": "isotropic", "scale": "abc", "n": 16}},
+            "input error: malformed 'scale' of isotropic model",
+        ),
+        (
+            {"model": {"kind": "isotropic", "scale": 1.0, "n": "x"}},
+            "input error: malformed 'n' of isotropic model",
+        ),
+        (
+            {"model": {"kind": "explicit", "eigenvalues": "abc"}},
+            "input error: malformed 'eigenvalues' of explicit model",
+        ),
+        ({"model": {"kind": "explicit"}}, "input error: explicit model is missing"),
+    ],
+)
+def test_malformed_problem_config_is_a_typed_error(tmp_path, capsys, overrides, message):
+    config = write_problem(tmp_path, **overrides)
+    out = tmp_path / "never.csv"
+    code = run(["fpe", "--config", str(config), "--eta-grid", "0:1:3", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def write_fig1_config(tmp_path, **overrides):
     obj = {
         "m": 10,
@@ -426,3 +458,24 @@ def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
     config.write_text(json.dumps(obj))
     assert run(["sim", "fig1", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"model": "abc"}, "model"),
+        ({"model": 5}, "model"),
+        ({"m": "x"}, "'m'"),
+        ({"reps": None}, "'reps'"),
+        ({"eta_grid": ["a"]}, "'eta_grid'"),
+        ({"sigma_sq": "x"}, "'sigma_sq'"),
+        ({"model": {"kind": "isotropic", "scale": "abc"}}, "'scale'"),
+    ],
+)
+def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key):
+    config = write_fig1_config(tmp_path, **overrides)
+    out_dir = tmp_path / "o"
+    assert run(["sim", "fig1", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and key in err
+    assert not out_dir.exists()

@@ -39,6 +39,32 @@ def test_t10_ppf_matches_scipy():
     np.testing.assert_allclose(t10_ppf(u), scipy.stats.t.ppf(u, 10), atol=1e-9)
 
 
+def _t10_cdf_closed_form(t):
+    # even degrees of freedom (Abramowitz & Stegun 26.7.3), independent of scipy
+    r = t * t + 10.0
+    sin_theta = t / np.sqrt(r)
+    c = 10.0 / r
+    series = 1.0 + c / 2 + 3 * c**2 / 8 + 5 * c**3 / 16 + 35 * c**4 / 128
+    return 0.5 + 0.5 * sin_theta * series
+
+
+def test_t10_ppf_round_trips_through_closed_form_cdf():
+    u = np.concatenate(
+        [
+            np.linspace(1e-6, 1.0 - 1e-6, 2001),
+            np.geomspace(1e-6, 0.5, 400),
+            1.0 - np.geomspace(1e-6, 0.5, 400),
+        ]
+    )
+    np.testing.assert_allclose(_t10_cdf_closed_form(t10_ppf(u)), u, rtol=0, atol=1e-14)
+
+
+def test_t10_ppf_upper_tail_antisymmetry():
+    # 1 - w is exact for w in [0.5, 1], so the two arguments are true complements
+    w = 1.0 - np.geomspace(1e-14, 1e-2, 200)
+    np.testing.assert_allclose(t10_ppf(w), -t10_ppf(1.0 - w), rtol=1e-12, atol=0)
+
+
 def test_t10_symmetry_and_monotonicity():
     u = np.linspace(0.05, 0.95, 19)
     vals = t10_ppf(u)
