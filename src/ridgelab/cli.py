@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataio
 from ._version import __version__
-from .errors import InputError, NumericalError, UsageError, coerce
+from .errors import InputError, NumericalError, UsageError, coerce, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -79,7 +79,7 @@ def _problem_from_json(obj: dict) -> tuple[ProblemConfig, np.ndarray | None]:
         mu0 = sample_signal(
             mu0_spec.get("mode", "sphere"),
             model.n,
-            coerce(int, mu0_spec.get("seed", 0), "mu0 seed", UsageError),
+            coerce(integer, mu0_spec.get("seed", 0), "mu0 seed", UsageError),
             coerce(float, mu0_spec.get("radius", 1.0), "mu0 radius", UsageError),
         )
     else:
@@ -319,12 +319,25 @@ def _experiment_config(args) -> ExperimentConfig:
     return config
 
 
+def _note_skipped(experiment: str, attempted: int, failed) -> None:
+    if failed:
+        print(
+            f"note: {experiment} skipped {len(failed)} of {attempted} replications "
+            f"(rep indices {', '.join(str(rep) for rep in failed)})",
+            file=sys.stderr,
+        )
+
+
 def _cmd_sim_fig1(args, argv):
     config = _experiment_config(args)
     if config.n is None:
         raise UsageError("fig1 config must fix n")
     summary = run_risk_experiment(config, ctx=0)
     argmin = run_argmin_experiment(config, ctx=1)
+    _note_skipped("risk experiment", summary.reps, summary.failed)
+    _note_skipped(
+        "argmin experiment", len(argmin.rep_indices) + len(argmin.failed), argmin.failed
+    )
     os.makedirs(args.out_dir, exist_ok=True)
 
     curve_rows = []
@@ -379,6 +392,7 @@ def _cmd_sim_fig2(args, argv):
     if config.phi_grid is None:
         raise UsageError("fig2 config must provide phi_grid")
     summary = run_tuning_experiment(config)
+    _note_skipped("tuning experiment", summary.reps * len(summary.phis), summary.failed)
     os.makedirs(args.out_dir, exist_ok=True)
 
     methods = ("gcv", f"cv{config.k}", "oracle")

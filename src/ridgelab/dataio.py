@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._version import __version__
-from .errors import InputError, UsageError
+from .errors import InputError, UsageError, coerce, integer
 from .regress import Dataset
 from .spectrum import CovarianceModel, SignalVector, model_from_json
 
@@ -102,6 +102,19 @@ def encode_array(arr: np.ndarray) -> dict:
     }
 
 
+def _shape(dims) -> tuple[int, ...]:
+    if not isinstance(dims, (list, tuple)):
+        raise ValueError(f"expected a list of dimensions, got {dims!r}")
+    shape = tuple(integer(d) for d in dims)
+    if any(d < 0 for d in shape):
+        raise ValueError(f"dimensions must be nonnegative, got {dims}")
+    return shape
+
+
+def _float64_payload(data) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
+
+
 def decode_array(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError("array payload must be a JSON object")
@@ -110,8 +123,8 @@ def decode_array(obj: dict) -> np.ndarray:
         raise InputError(f"array payload missing keys {sorted(missing)}")
     if obj["dtype"] != "float64" or obj["order"] != "F":
         raise InputError("array payload must be column-major float64")
-    flat = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
-    shape = tuple(int(s) for s in obj["shape"])
+    shape = coerce(_shape, obj["shape"], "array shape")
+    flat = coerce(_float64_payload, obj["data"], "array data")
     expected = int(np.prod(shape)) if shape else 1
     if flat.size != expected:
         raise InputError(

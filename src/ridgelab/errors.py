@@ -2,8 +2,11 @@
 
 The CLI maps these onto exit codes: usage and input problems exit 1,
 numerical failures exit 2. `coerce` turns a malformed configuration value
-into one of these instead of a raw ValueError or TypeError.
+into one of these instead of a raw ValueError or TypeError; `integer` is
+the cast for integer fields.
 """
+
+import numbers
 
 
 class RidgelabError(Exception):
@@ -56,3 +59,16 @@ def coerce(cast, value, name: str, error: type[RidgelabError] = InputError):
         return cast(value)
     except (ValueError, TypeError) as exc:
         raise error(f"malformed {name}: {exc}") from exc
+
+
+def integer(value) -> int:
+    """int(value) for an int or an integral float such as 200.0.
+
+    Unlike int(), it never truncates: bools, fractional or non-finite
+    floats and non-numbers raise ValueError.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")

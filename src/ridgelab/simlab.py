@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, InputError, NonConvergence, WrongRegime, coerce
+from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
+from .errors import coerce, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
-    GramSweep,
     confidence_intervals,
     debias,
     kfold_folds,
@@ -38,12 +38,7 @@ from .riskengine import (
     theoretical_risk,
 )
 from .rng import stream
-from .spectrum import (
-    CovarianceModel,
-    SignalVector,
-    model_from_json,
-    sigma_quad,
-)
+from .spectrum import CovarianceModel, SignalVector, model_from_json, sigma_quad
 from .stats import scaled_t10, z_two_sided
 
 _DISTS = ("gaussian", "scaled_t10")
@@ -147,7 +142,7 @@ class ExperimentConfig:
 
         grid = obj["eta_grid"]
         kwargs = dict(
-            m=field("m", int),
+            m=field("m", integer),
             model_spec=dict(obj["model"]),
             etas=tuple(parse_grid(grid)) if isinstance(grid, str)
             else field("eta_grid", _float_tuple),
@@ -156,17 +151,17 @@ class ExperimentConfig:
             sigma_sq=field("sigma_sq", float, 1.0),
             signal_mode=signal.get("mode", "sphere"),
             signal_radius=coerce(float, signal.get("radius", 1.0), "signal radius"),
-            reps=field("reps", int, 200),
-            k=field("k", int, 5),
+            reps=field("reps", integer, 200),
+            k=field("k", integer, 5),
             alpha=field("alpha", float, 0.05),
-            master_seed=field("seed", int, 0),
+            master_seed=field("seed", integer, 0),
             redraw_signal=bool(obj.get("redraw_signal", False)),
-            threads=field("threads", int, 1),
+            threads=field("threads", integer, 1),
         )
         if obj.get("argmin_reps") is not None:
-            kwargs["argmin_reps"] = field("argmin_reps", int)
+            kwargs["argmin_reps"] = field("argmin_reps", integer)
         if obj.get("n") is not None:
-            kwargs["n"] = field("n", int)
+            kwargs["n"] = field("n", integer)
         if obj.get("phi_grid") is not None:
             kwargs["phi_grid"] = field("phi_grid", _float_tuple)
         return cls(**kwargs)
@@ -197,36 +192,49 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class MCSummary:
-    """Aggregated Monte Carlo output; unused sections stay None.
+class RiskSummary:
+    """Mean empirical risk curves over the eta grid with their overlays.
 
-    Risk-curve runs fill etas, per-kind emp_mean/emp_sd/theoretical/rmt and
-    the per-rep curves. Tuning sweeps fill phis, per-(method, kind) risk
-    means, per-method coverage and interval-length statistics, and per-rep
-    selections. Keys are plain strings (risk kinds by value, methods by
-    tag) so summaries serialize directly.
+    Dicts are keyed by risk kind value ("pred", "est", "ins", "res");
+    rep_curves holds one row per successful replication.
     """
 
     master_seed: int
     reps: int
     failed: tuple[int, ...]
-    etas: np.ndarray | None = None
-    eta_star: float | None = None
-    emp_mean: dict | None = None
-    emp_sd: dict | None = None
-    theoretical: dict | None = None
-    rmt: dict | None = None
-    rep_curves: dict | None = None
-    phis: np.ndarray | None = None
-    shapes: tuple | None = None
-    risk_mean: dict | None = None
-    risk_sd: dict | None = None
-    coverage_mean: dict | None = None
-    ci_len_mean: dict | None = None
-    oracle_len: np.ndarray | None = None
-    eta_selected: dict | None = None
-    rep_risk: dict | None = None
-    rep_grid_min: dict | None = None
+    etas: np.ndarray
+    eta_star: float
+    emp_mean: dict
+    emp_sd: dict
+    theoretical: dict
+    rmt: dict
+    rep_curves: dict
+
+
+@dataclass(frozen=True, eq=False)
+class TuningSummary:
+    """GCV / k-fold / oracle tuning outcomes, one entry per sweep point phi.
+
+    risk_mean and risk_sd are keyed by (method, kind value) and hold one
+    value per phi; coverage_mean and ci_len_mean are keyed by method.
+    eta_selected, rep_risk and rep_grid_min hold one per-rep array per phi.
+    failed lists the skipped rep indices of every phi in turn.
+    """
+
+    master_seed: int
+    reps: int
+    failed: tuple[int, ...]
+    eta_star: float
+    phis: np.ndarray
+    shapes: tuple
+    risk_mean: dict
+    risk_sd: dict
+    coverage_mean: dict
+    ci_len_mean: dict
+    oracle_len: np.ndarray
+    eta_selected: dict
+    rep_risk: dict
+    rep_grid_min: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,34 +294,32 @@ def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
     return SignalVector(g * scale)
 
 
+def _unit_sampler(dist: str, role: str):
+    """draw(rng, shape): i.i.d. mean-zero, unit-variance entries of dist."""
+    if dist not in _DISTS:
+        raise InputError(f"{role} distribution must be one of {_DISTS}")
+    if dist == "gaussian":
+        return lambda rng, shape: rng.standard_normal(shape)
+    return lambda rng, shape: scaled_t10(rng.random(shape))
+
+
 def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np.ndarray:
     """X = Z Sigma^{1/2} with Z entries i.i.d. mean zero, unit variance."""
-    if dist not in _DISTS:
-        raise InputError(f"design distribution must be one of {_DISTS}")
+    draw = _unit_sampler(dist, "design")
     if model.n != n:
         raise InputError(f"model dimension {model.n} != n = {n}")
-    rng = _as_rng(seed, "design")
-    if dist == "gaussian":
-        z = rng.standard_normal((m, n))
-    else:
-        z = scaled_t10(rng.random((m, n)))
+    z = draw(_as_rng(seed, "design"), (m, n))
     return model.apply(np.sqrt, z.T).T
 
 
 def sample_noise(dist: str, m: int, sigma_sq: float, seed) -> np.ndarray:
     """sigma * xi0 with unit-variance xi0; exactly zero (no draws) at sigma_sq = 0."""
-    if dist not in _DISTS:
-        raise InputError(f"noise distribution must be one of {_DISTS}")
+    draw = _unit_sampler(dist, "noise")
     if sigma_sq < 0:
         raise InputError("sigma_sq must be nonnegative")
     if sigma_sq == 0:
         return np.zeros(m)
-    rng = _as_rng(seed, "noise")
-    if dist == "gaussian":
-        base = rng.standard_normal(m)
-    else:
-        base = scaled_t10(rng.random(m))
-    return np.sqrt(sigma_sq) * base
+    return np.sqrt(sigma_sq) * draw(_as_rng(seed, "noise"), m)
 
 
 def seq_model_sample(
@@ -448,61 +454,58 @@ def _map_reps(reps: int, threads: int, worker):
     return results, tuple(failed)
 
 
-def _draw_dataset(
+def _draw_rep(
     config: ExperimentConfig,
     model: CovarianceModel,
-    mu0: SignalVector,
+    etas: np.ndarray,
     rep: int,
     ctx: int,
-):
+    mu0: SignalVector | None = None,
+) -> Dataset:
+    """One replication's sample Y = X mu0 + xi from its (rep, role, ctx) streams.
+
+    The signal is drawn unless one is passed in. A grid that starts at
+    eta = 0 needs an invertible X X^T, the same bar as the standalone
+    ridgeless fit.
+    """
+    seed = config.master_seed
+    if mu0 is None:
+        mu0 = sample_signal(
+            config.signal_mode,
+            model.n,
+            stream(seed, rep, "signal", ctx),
+            config.signal_radius,
+        )
     x = sample_design(
-        config.design_dist,
-        config.m,
-        model.n,
-        model,
-        stream(config.master_seed, rep, "design", ctx),
+        config.design_dist, config.m, model.n, model, stream(seed, rep, "design", ctx)
     )
     xi = sample_noise(
-        config.noise_dist,
-        config.m,
-        config.sigma_sq,
-        stream(config.master_seed, rep, "noise", ctx),
+        config.noise_dist, config.m, config.sigma_sq, stream(seed, rep, "noise", ctx)
     )
-    return x, x @ mu0.coords + xi
+    data = Dataset(x, x @ mu0.coords + xi, model, mu0)
+    if etas[0] == 0:
+        data.sweep.require_invertible()
+    return data
 
 
-def _empirical_curves(
-    sweep: GramSweep,
-    x: np.ndarray,
-    model: CovarianceModel,
-    mu0: SignalVector,
-    etas: np.ndarray,
-    kinds,
-) -> dict:
+def _empirical_curves(data: Dataset, etas: np.ndarray, kinds) -> dict:
+    """Empirical risks along the sample's ridge path, one array per kind."""
     out = {kind: np.empty(etas.size) for kind in kinds}
-    n = x.shape[1]
+    sweep, n = data.sweep, data.n
     for i, eta in enumerate(etas):
-        mu_hat = sweep.mu_hat(float(eta))
-        diff = mu_hat - mu0.coords
+        diff = sweep.mu_hat(float(eta)) - data.mu0.coords
         for kind in kinds:
             if kind == RiskKind.EST:
                 out[kind][i] = float(diff @ diff)
             elif kind == RiskKind.PRED:
-                out[kind][i] = sigma_quad(model, diff)
+                out[kind][i] = sigma_quad(data.model, diff)
             elif kind == RiskKind.INS:
-                xd = x @ diff
+                xd = data.x @ diff
                 out[kind][i] = float(xd @ xd) / n
             else:
                 r = sweep.resid(float(eta)) / np.sqrt(n)
                 out[kind][i] = float(r @ r)
     return out
-
-
-def _guard_interpolation(sweep: GramSweep, etas: np.ndarray) -> None:
-    # grids that touch eta = 0 need an invertible X X^T, same bar as the
-    # standalone ridgeless fit
-    if etas[0] == 0:
-        sweep.require_invertible()
 
 
 def _theory_curves(
@@ -525,7 +528,7 @@ def _theory_curves(
     return theo, rmt
 
 
-def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> MCSummary:
+def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
     """Mean empirical risk curves with theoretical and RMT overlays.
 
     One signal is drawn up front and shared by every replication unless
@@ -544,18 +547,9 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> MCSummary:
     mu0_shared.precompute(model)
 
     def worker(rep: int) -> dict:
-        mu0 = mu0_shared
-        if config.redraw_signal and rep > 0:
-            mu0 = sample_signal(
-                config.signal_mode,
-                config.n,
-                stream(config.master_seed, rep, "signal", ctx),
-                config.signal_radius,
-            )
-        x, y = _draw_dataset(config, model, mu0, rep, ctx)
-        sweep = GramSweep(x, y)
-        _guard_interpolation(sweep, etas)
-        return _empirical_curves(sweep, x, model, mu0, etas, _ALL_KINDS)
+        mu0 = None if config.redraw_signal and rep > 0 else mu0_shared
+        data = _draw_rep(config, model, etas, rep, ctx, mu0)
+        return _empirical_curves(data, etas, _ALL_KINDS)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
     curves = {
@@ -565,7 +559,7 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> MCSummary:
         model, mu0_shared, config.m / config.n, config.sigma_sq, etas, _ALL_KINDS
     )
     ddof = 1 if len(results) > 1 else 0
-    return MCSummary(
+    return RiskSummary(
         master_seed=config.master_seed,
         reps=config.reps,
         failed=failed,
@@ -589,16 +583,8 @@ def run_argmin_experiment(config: ExperimentConfig, ctx: int = 1) -> ArgminResul
     reps = config.argmin_reps if config.argmin_reps is not None else config.reps
 
     def worker(rep: int) -> dict:
-        mu0 = sample_signal(
-            config.signal_mode,
-            config.n,
-            stream(config.master_seed, rep, "signal", ctx),
-            config.signal_radius,
-        )
-        x, y = _draw_dataset(config, model, mu0, rep, ctx)
-        sweep = GramSweep(x, y)
-        _guard_interpolation(sweep, etas)
-        curves = _empirical_curves(sweep, x, model, mu0, etas, _TUNE_KINDS)
+        data = _draw_rep(config, model, etas, rep, ctx)
+        curves = _empirical_curves(data, etas, _TUNE_KINDS)
         return {
             kind: float(etas[int(np.argmin(curves[kind]))]) - eta_star
             for kind in _TUNE_KINDS
@@ -633,7 +619,7 @@ def _sweep_grid(config: ExperimentConfig, n: int) -> np.ndarray:
     return etas
 
 
-def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> MCSummary:
+def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> TuningSummary:
     """GCV / k-fold CV / oracle tuning across an aspect-ratio sweep.
 
     Per sweep point phi, n = round(m/phi) and theory uses the realized
@@ -647,36 +633,18 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> MCSumm
         raise InputError("tuning experiment needs sigma_sq > 0")
     eta_star = optimal_eta(config.sigma_sq, config.signal_radius**2)
     cv_tag = f"cv{config.k}"
-    methods = ("gcv", cv_tag, "oracle")
-    n_phi = len(config.phi_grid)
+    selectors = ("gcv", cv_tag)
+    methods = selectors + ("oracle",)
+    z_val = z_two_sided(config.alpha)
 
-    phis = np.empty(n_phi)
-    shapes = []
-    risk_mean: dict = {}
-    risk_sd: dict = {}
-    coverage_mean = {meth: np.empty(n_phi) for meth in methods}
-    ci_len_mean = {meth: np.empty(n_phi) for meth in methods}
-    oracle_len = np.empty(n_phi)
-    eta_selected = {meth: [] for meth in ("gcv", cv_tag)}
-    rep_risk: dict = {}
-    rep_grid_min: dict = {}
+    phis, shapes, oracle_len, oracle_risk = [], [], [], []
+    records = []  # per phi: one dict per successful replication
     failed_all: list[int] = []
-
-    for kind in _TUNE_KINDS:
-        for meth in methods:
-            risk_mean[(meth, kind.value)] = np.empty(n_phi)
-            risk_sd[(meth, kind.value)] = np.empty(n_phi)
-        for meth in ("gcv", cv_tag):
-            rep_risk[(meth, kind.value)] = []
-        rep_grid_min[kind.value] = []
-
     for pi, phi_req in enumerate(config.phi_grid):
         n = round(config.m / phi_req)
         if n < 1:
             raise InputError(f"phi = {phi_req} leaves no signal dimension")
         phi = config.m / n
-        phis[pi] = phi
-        shapes.append((config.m, n))
         model = build_model(config.model_spec, n)
         etas = _sweep_grid(config, n)
         ctx = ctx_base + pi
@@ -696,113 +664,88 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> MCSumm
             )
         )
         inv_diag_1 = float(model.diag_fn(lambda lam: 1.0 / lam)[0])
-        z_val = z_two_sided(config.alpha)
-        oracle_len[pi] = (
-            2.0
-            * np.sqrt(params_star.gamma_star_sq)
-            * np.sqrt(inv_diag_1)
-            * z_val
-            / np.sqrt(n)
-        )
-        for kind in _TUNE_KINDS:
-            risk_mean[("oracle", kind.value)][pi] = rmt_risk(
-                kind,
-                params_star,
-                config.sigma_sq,
-                config.signal_radius**2,
-                phi,
+        phis.append(phi)
+        shapes.append((config.m, n))
+        gamma_star = np.sqrt(params_star.gamma_star_sq)
+        oracle_len.append(2.0 * gamma_star * np.sqrt(inv_diag_1) * z_val / np.sqrt(n))
+        oracle_risk.append({
+            kind.value: rmt_risk(
+                kind, params_star, config.sigma_sq, config.signal_radius**2, phi
             )
-            risk_sd[("oracle", kind.value)][pi] = 0.0
+            for kind in _TUNE_KINDS
+        })
 
-        def worker(rep: int, n=n, model=model, etas=etas, ctx=ctx):
-            mu0 = sample_signal(
-                config.signal_mode,
-                n,
-                stream(config.master_seed, rep, "signal", ctx),
-                config.signal_radius,
-            )
-            x, y = _draw_dataset(config, model, mu0, rep, ctx)
-            sweep = GramSweep(x, y)
-            _guard_interpolation(sweep, etas)
-            curves = _empirical_curves(sweep, x, model, mu0, etas, _TUNE_KINDS)
-
-            gcv_obj = np.array([sweep.gamma_hat(float(e)) for e in etas])
+        def worker(rep: int, model=model, etas=etas, ctx=ctx) -> dict:
+            data = _draw_rep(config, model, etas, rep, ctx)
+            sweep = data.sweep
+            curves = _empirical_curves(data, etas, _TUNE_KINDS)
             folds = kfold_folds(
                 config.m, config.k, stream(config.master_seed, rep, "fold", ctx)
             )
-            cv_obj = kfold_objective(Dataset(x=x, y=y, model=model), etas, folds)
             sel = {
-                "gcv": int(np.argmin(gcv_obj)),
-                cv_tag: int(np.argmin(cv_obj)),
+                "gcv": int(np.argmin([sweep.gamma_hat(float(e)) for e in etas])),
+                cv_tag: int(np.argmin(kfold_objective(data, etas, folds))),
             }
-            out = {
-                "eta": {meth: float(etas[idx]) for meth, idx in sel.items()},
-                "risk": {
-                    (meth, kind.value): curves[kind][idx]
-                    for meth, idx in sel.items()
-                    for kind in _TUNE_KINDS
-                },
-                "grid_min": {
-                    kind.value: float(curves[kind].min()) for kind in _TUNE_KINDS
-                },
-                "coverage": {},
-                "ci_len": {},
-            }
+            rec = {}
+            for kind in _TUNE_KINDS:
+                rec["grid_min", kind.value] = float(curves[kind].min())
+                for meth, idx in sel.items():
+                    rec["risk", meth, kind.value] = curves[kind][idx]
             for meth in methods:
-                eta_m = eta_star if meth == "oracle" else out["eta"][meth]
-                mu_hat = sweep.mu_hat(eta_m)
-                tau_d = sweep.tau_hat(eta_m)
-                gamma_d = sweep.gamma_hat(eta_m)
+                eta_m = eta_star if meth == "oracle" else float(etas[sel[meth]])
                 report = confidence_intervals(
-                    debias(mu_hat, tau_d, model),
-                    gamma_d,
+                    debias(sweep.mu_hat(eta_m), sweep.tau_hat(eta_m), model),
+                    sweep.gamma_hat(eta_m),
                     model,
                     config.alpha,
-                    mu0,
+                    data.mu0,
                 )
-                out["coverage"][meth] = report.coverage
-                out["ci_len"][meth] = float(report.lengths[0])
-            return out
+                rec["eta", meth] = eta_m
+                rec["coverage", meth] = report.coverage
+                rec["ci_len", meth] = float(report.lengths[0])
+            return rec
 
         results, failed = _map_reps(config.reps, config.threads, worker)
         failed_all.extend(failed)
-        for meth in ("gcv", cv_tag):
-            eta_selected[meth].append(
-                np.array([res["eta"][meth] for _, res in results])
-            )
-        ddof = 1 if len(results) > 1 else 0
-        for kind in _TUNE_KINDS:
-            for meth in ("gcv", cv_tag):
-                vals = np.array([res["risk"][(meth, kind.value)] for _, res in results])
-                risk_mean[(meth, kind.value)][pi] = vals.mean()
-                risk_sd[(meth, kind.value)][pi] = vals.std(ddof=ddof)
-                rep_risk[(meth, kind.value)].append(vals)
-            rep_grid_min[kind.value].append(
-                np.array([res["grid_min"][kind.value] for _, res in results])
-            )
-        for meth in methods:
-            coverage_mean[meth][pi] = float(
-                np.mean([res["coverage"][meth] for _, res in results])
-            )
-            ci_len_mean[meth][pi] = float(
-                np.mean([res["ci_len"][meth] for _, res in results])
-            )
+        records.append([rec for _, rec in results])
 
-    return MCSummary(
+    def per_phi(*key) -> list[np.ndarray]:
+        return [np.array([rec[key] for rec in recs]) for recs in records]
+
+    rep_risk = {
+        (meth, kind.value): per_phi("risk", meth, kind.value)
+        for kind in _TUNE_KINDS
+        for meth in selectors
+    }
+    risk_mean = {key: np.array([v.mean() for v in vals]) for key, vals in rep_risk.items()}
+    risk_sd = {
+        key: np.array([v.std(ddof=1 if v.size > 1 else 0) for v in vals])
+        for key, vals in rep_risk.items()
+    }
+    for kind in _TUNE_KINDS:
+        risk_mean["oracle", kind.value] = np.array([r[kind.value] for r in oracle_risk])
+        risk_sd["oracle", kind.value] = np.zeros(len(phis))
+    return TuningSummary(
         master_seed=config.master_seed,
         reps=config.reps,
         failed=tuple(failed_all),
         eta_star=eta_star,
-        phis=phis,
+        phis=np.array(phis),
         shapes=tuple(shapes),
         risk_mean=risk_mean,
         risk_sd=risk_sd,
-        coverage_mean=coverage_mean,
-        ci_len_mean=ci_len_mean,
-        oracle_len=oracle_len,
-        eta_selected={meth: vals for meth, vals in eta_selected.items()},
+        coverage_mean={
+            meth: np.array([v.mean() for v in per_phi("coverage", meth)])
+            for meth in methods
+        },
+        ci_len_mean={
+            meth: np.array([v.mean() for v in per_phi("ci_len", meth)])
+            for meth in methods
+        },
+        oracle_len=np.array(oracle_len),
+        eta_selected={meth: per_phi("eta", meth) for meth in selectors},
         rep_risk=rep_risk,
-        rep_grid_min=rep_grid_min,
+        rep_grid_min={kind.value: per_phi("grid_min", kind.value) for kind in _TUNE_KINDS},
     )
 
 
@@ -857,18 +800,20 @@ def distributional_check(
     )
     params = [solve_effective(base.with_eta(float(e))) for e in etas]
 
-    def seq_stats(rep_index: int) -> dict:
-        rng = stream(config.master_seed, rep_index, "seq", ctx)
-        g = rng.standard_normal(n)
+    def stat_rows(estimates) -> dict:
         vals = {name: np.empty(etas.size) for name in names}
-        for i, p in enumerate(params):
-            y = model.apply(np.sqrt, mu0.coords) + np.sqrt(
-                p.gamma_star_sq
-            ) * g / np.sqrt(n)
-            mu_seq = model.apply(lambda lam: np.sqrt(lam) / (lam + p.tau_star), y)
+        for i, mu_hat in enumerate(estimates):
             for name in names:
-                vals[name][i] = stats[name](mu_seq)
+                vals[name][i] = stats[name](mu_hat)
         return vals
+
+    def seq_stats(rep_index: int) -> dict:
+        # a fresh stream per eta redraws the same g: common random numbers
+        return stat_rows(
+            seq_model_sample(model, mu0, np.sqrt(p.gamma_star_sq), p.tau_star,
+                             stream(config.master_seed, rep_index, "seq", ctx))[1]
+            for p in params
+        )
 
     bank = [seq_stats(s) for s in range(seq_reps)]
     seq_mean = {
@@ -882,15 +827,8 @@ def distributional_check(
     def worker(rep: int) -> dict:
         if data_side == "seq":
             return seq_stats(seq_reps + rep)
-        x, y = _draw_dataset(config, model, mu0, rep, ctx)
-        sweep = GramSweep(x, y)
-        _guard_interpolation(sweep, etas)
-        vals = {name: np.empty(etas.size) for name in names}
-        for i, eta in enumerate(etas):
-            mu_hat = sweep.mu_hat(float(eta))
-            for name in names:
-                vals[name][i] = stats[name](mu_hat)
-        return vals
+        sweep = _draw_rep(config, model, etas, rep, ctx, mu0).sweep
+        return stat_rows(sweep.mu_hat(float(eta)) for eta in etas)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
     data_vals = {

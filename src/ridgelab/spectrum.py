@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InputError, coerce
+from .errors import InputError, coerce, integer
 
 _DENSE_GUARD = 20000
 
@@ -263,18 +263,18 @@ def model_from_json(obj: dict) -> CovarianceModel:
     if kind == "isotropic":
         if keys != {"kind", "n", "scale"}:
             raise InputError(f"unexpected keys for isotropic model: {sorted(keys)}")
-        return Isotropic(field("scale", float), field("n", int))
+        return Isotropic(field("scale", float), field("n", integer))
     if kind == "spiked_uniform":
         if keys != {"kind", "n", "a", "b"}:
             raise InputError(f"unexpected keys for spiked_uniform model: {sorted(keys)}")
-        return spiked_uniform(field("a", float), field("b", float), field("n", int))
+        return spiked_uniform(field("a", float), field("b", float), field("n", integer))
     if kind == "explicit":
         if not keys <= {"kind", "n", "eigenvalues", "basis"}:
             raise InputError(f"unexpected keys for explicit model: {sorted(keys)}")
         if "eigenvalues" not in keys:
             raise InputError("explicit model is missing 'eigenvalues'")
         lam = array("eigenvalues")
-        if "n" in obj and field("n", int) != lam.size:
+        if "n" in obj and field("n", integer) != lam.size:
             raise InputError("explicit model 'n' disagrees with eigenvalue count")
         basis = None
         if obj.get("basis") is not None:

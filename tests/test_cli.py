@@ -1,5 +1,6 @@
 """End-to-end CLI checks: schemas, exit codes, reproducible pipelines."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from ridgelab import (
     tau_hat,
     theoretical_risk,
 )
+from ridgelab import cli
 from ridgelab.cli import run
 from ridgelab.dataio import dataset_to_json, encode_array, read_csv
 from ridgelab.riskengine import RiskKind
@@ -232,6 +234,15 @@ def test_non_finite_dataset_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_malformed_array_payload_is_an_input_error(tmp_path, capsys):
+    data_path, _ = write_dataset(tmp_path)
+    obj = json.loads(data_path.read_text())
+    obj["x"]["shape"] = [8.9, 12]
+    data_path.write_text(json.dumps(obj))
+    assert run(["fit", "--data", str(data_path), "--eta", "0.5"]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
 def test_tune_gcv_and_cv(tmp_path, capsys):
     data_path, _ = write_dataset(tmp_path, m=12, n=9, seed=2)
     out = tmp_path / "tune.csv"
@@ -330,6 +341,15 @@ def test_exit_codes(tmp_path, capsys):
             "input error: malformed 'eigenvalues' of explicit model",
         ),
         ({"model": {"kind": "explicit"}}, "input error: explicit model is missing"),
+        (
+            {"model": {"kind": "isotropic", "scale": 1.0, "n": 16.9}},
+            "input error: malformed 'n' of isotropic model",
+        ),
+        (
+            {"model": {"kind": "spiked_uniform", "a": 1.5, "b": 0.5, "n": True}},
+            "input error: malformed 'n' of spiked_uniform model",
+        ),
+        ({"mu0": {"mode": "sphere", "seed": 1.5}}, "usage error: malformed mu0 seed"),
     ],
 )
 def test_malformed_problem_config_is_a_typed_error(tmp_path, capsys, overrides, message):
@@ -450,6 +470,32 @@ def test_sim_fig2_pipeline(tmp_path):
     ).read_bytes()
 
 
+def test_sim_reports_skipped_replications(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
+    config = write_fig1_config(tmp_path)
+    out_dir = tmp_path / "out"
+    argv = ["sim", "fig1", "--config", str(config), "--out-dir", str(out_dir)]
+    names = ("risk_curves.csv", "argmin.csv", "run_meta.json")
+    assert run(argv) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    before = [(out_dir / name).read_bytes() for name in names]
+
+    risk = cli.run_risk_experiment
+    monkeypatch.setattr(
+        cli,
+        "run_risk_experiment",
+        lambda *a, **kw: dataclasses.replace(risk(*a, **kw), failed=(3,)),
+    )
+    assert run(argv) == 0
+    noted = capsys.readouterr()
+    assert noted.out == clean.out
+    assert noted.err == (
+        "note: risk experiment skipped 1 of 3 replications (rep indices 3)\n"
+    )
+    assert [(out_dir / name).read_bytes() for name in names] == before
+
+
 def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
     config = write_fig1_config(tmp_path)
     obj = json.loads(config.read_text())
@@ -470,6 +516,14 @@ def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
         ({"eta_grid": ["a"]}, "'eta_grid'"),
         ({"sigma_sq": "x"}, "'sigma_sq'"),
         ({"model": {"kind": "isotropic", "scale": "abc"}}, "'scale'"),
+        ({"m": 10.7}, "'m'"),
+        ({"m": True}, "'m'"),
+        ({"n": 20.5}, "'n'"),
+        ({"reps": 2.9}, "'reps'"),
+        ({"argmin_reps": 1.5}, "'argmin_reps'"),
+        ({"k": 2.5}, "'k'"),
+        ({"seed": 5.5}, "'seed'"),
+        ({"threads": False}, "'threads'"),
     ],
 )
 def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key):

@@ -91,6 +91,16 @@ def test_decode_array_rejects_bad_payloads():
         decode_array({**obj, "dtype": "float32"})
     with pytest.raises(InputError):
         decode_array({**obj, "shape": [4]})
+    obj = encode_array(np.ones((4, 8)))
+    for bad in (
+        {"data": "abc"},  # not base64
+        {"shape": [-4, -8]},  # 32 values, negative dimensions
+        {"shape": None},
+        {"shape": [4.9, 8]},  # would truncate to 4 x 8
+    ):
+        with pytest.raises(InputError):
+            decode_array({**obj, **bad})
+    assert decode_array({**obj, "shape": [4.0, 8]}).shape == (4, 8)
 
 
 def test_dataset_json_round_trip(rng):

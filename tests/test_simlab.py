@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from ridgelab import (
+    Dataset,
     ExperimentConfig,
     InputError,
     Isotropic,
     ProblemConfig,
+    RiskKind,
     SignalVector,
     SpikedUniform,
     build_model,
     distributional_check,
+    empirical_risk,
     quad_form,
     residual_law_sample,
+    ridge_fit,
+    ridgeless_fit,
     run_argmin_experiment,
     run_risk_experiment,
+    run_tuning_experiment,
     sample_design,
     sample_noise,
     sample_signal,
@@ -25,6 +31,7 @@ from ridgelab import (
     stream,
     trace_functional,
 )
+from ridgelab import simlab
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -281,3 +288,55 @@ def test_distributional_check_self_test_is_pure_noise():
         distributional_check(config, test_fns=("l1_scaled", "mystery"))
     with pytest.raises(InputError):
         distributional_check(config, data_side="both")
+
+
+@pytest.mark.parametrize(
+    "m, n, etas",
+    [
+        (20, 40, (0.0, 0.05, 0.4, 1.5)),  # dual shape, grid through 0
+        (40, 20, (0.05, 0.4, 1.5)),  # primal shape
+    ],
+)
+def test_empirical_curves_match_standalone_fits(m, n, etas):
+    model = SpikedUniform(1.99, 0.01, n)
+    mu0 = sample_signal("sphere", n, 21)
+    x = sample_design("scaled_t10", m, n, model, 22)
+    y = x @ mu0.coords + sample_noise("scaled_t10", m, 1.0, 23)
+    etas = np.asarray(etas)
+    kinds = (RiskKind.PRED, RiskKind.EST, RiskKind.INS, RiskKind.RES)
+    curves = simlab._empirical_curves(Dataset(x, y, model, mu0), etas, kinds)
+
+    # a separate Dataset, so the reference fits share no factorization
+    ref = Dataset(x, y, model, mu0)
+    fits = [ridgeless_fit(ref) if eta == 0 else ridge_fit(ref, eta) for eta in etas]
+    for kind in kinds:
+        expected = np.array([empirical_risk(kind, fit, ref) for fit in fits])
+        np.testing.assert_allclose(
+            curves[kind], expected, rtol=1e-10, atol=1e-10 * expected.max()
+        )
+
+
+def test_tuning_reps_build_one_dataset_that_kfold_reads(monkeypatch):
+    built, kfold_data = [], []
+    kfold_objective = simlab.kfold_objective
+
+    class CountedDataset(Dataset):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    def recording_kfold(data, grid, folds):
+        # the replication's own sample: ground truth attached, X factored
+        assert data.mu0 is not None and "sweep" in vars(data)
+        kfold_data.append(data)
+        return kfold_objective(data, grid, folds)
+
+    monkeypatch.setattr(simlab, "Dataset", CountedDataset)
+    monkeypatch.setattr(simlab, "kfold_objective", recording_kfold)
+    config = small_config(
+        n=None, phi_grid=(0.5, 1.5), etas=(0.0, 0.5, 1.0), reps=3, k=3
+    )
+    summary = run_tuning_experiment(config)
+    assert summary.failed == ()
+    assert len(built) == 2 * 3
+    assert [id(d) for d in kfold_data] == [id(d) for d in built]
