@@ -319,11 +319,16 @@ def _experiment_config(args) -> ExperimentConfig:
     return config
 
 
-def _note_skipped(experiment: str, attempted: int, failed) -> None:
+def _note_skipped(experiment: str, attempted: int, failed, which: str = "") -> None:
+    """One stderr line naming the skipped replications, if any were.
+
+    which names them; by default the entries of failed are rep indices.
+    """
     if failed:
+        which = which or f"rep indices {', '.join(str(rep) for rep in failed)}"
         print(
             f"note: {experiment} skipped {len(failed)} of {attempted} replications "
-            f"(rep indices {', '.join(str(rep) for rep in failed)})",
+            f"({which})",
             file=sys.stderr,
         )
 
@@ -392,7 +397,15 @@ def _cmd_sim_fig2(args, argv):
     if config.phi_grid is None:
         raise UsageError("fig2 config must provide phi_grid")
     summary = run_tuning_experiment(config)
-    _note_skipped("tuning experiment", summary.reps * len(summary.phis), summary.failed)
+    _note_skipped(
+        "tuning experiment",
+        summary.reps * len(summary.phis),
+        summary.failed,
+        ", ".join(
+            f"phi={dataio.format_cell(summary.phis[pi])} rep {rep}"
+            for pi, rep in summary.failed
+        ),
+    )
     os.makedirs(args.out_dir, exist_ok=True)
 
     methods = ("gcv", f"cv{config.k}", "oracle")

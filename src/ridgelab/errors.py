@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: usage and input problems exit 1,
 numerical failures exit 2. `coerce` turns a malformed configuration value
-into one of these instead of a raw ValueError or TypeError; `integer` is
-the cast for integer fields.
+into one of these instead of a raw ValueError or TypeError; `integer` and
+`boolean` are the casts for integer and boolean fields.
 """
 
 import numbers
@@ -72,3 +72,14 @@ def integer(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def boolean(value) -> bool:
+    """value itself when it is True or False.
+
+    Unlike bool(), it never guesses: strings such as "false", numbers and
+    lists raise ValueError.
+    """
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"expected true or false, got {value!r}")

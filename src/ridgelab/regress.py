@@ -356,8 +356,45 @@ def kfold_folds(m: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
-    """Mean over folds of the per-row held-out squared error, per grid point."""
+    """Mean over folds of the per-row held-out squared error, per grid point.
+
+    Every fold's held-out residuals come from the sample's one factorization
+    through the block-deletion identity. With the full-sample fit mu_hat and
+    hat matrix H = X (X^T X / n + eta I)^{-1} X^T / n, the fit to the rows
+    outside fold B leaves e_B = (I - H_BB)^{-1} (y_B - X_B mu_hat) on B; in
+    the dual route that reads e_B = ((A^{-1})_BB)^{-1} (A^{-1} y)_B with
+    A = X X^T / n + eta I. eta = 0 on a primal sample is refit fold by fold:
+    a training fold with fewer than n rows makes I - H_BB singular there.
+    """
     etas = _check_grid(grid)
+    sweep = data.sweep
+    refit_zero = etas[0] == 0 and not sweep.dual
+    if etas[0] == 0 and sweep.dual:
+        sweep.require_invertible()
+    # A^{-1} = Q diag(d) Q^T in the dual route, H = P diag(d) P^T / n with
+    # P = X V in the primal one, where d = 1 / (s + eta)
+    basis = sweep.q if sweep.dual else data.x @ sweep.v
+    total = np.zeros_like(etas)
+    for fold in folds:
+        p = basis[fold]
+        for i in range(1 if refit_zero else 0, etas.size):
+            d = 1.0 / (sweep.s + etas[i])
+            if sweep.dual:
+                lhs = (p * d) @ p.T
+                rhs = p @ (sweep.c * d)
+            else:
+                lhs = np.eye(len(fold)) - (p * d) @ p.T / data.n
+                rhs = data.y[fold] - p @ (sweep.b * d)
+            err = np.linalg.solve(lhs, rhs)
+            total[i] += float(err @ err) / len(fold)
+    objective = total / len(folds)
+    if refit_zero:
+        objective[0] = _kfold_refit(data, etas[:1], folds)[0]
+    return objective
+
+
+def _kfold_refit(data: Dataset, etas: np.ndarray, folds: list[np.ndarray]) -> np.ndarray:
+    """kfold_objective by one GramSweep per training fold (the reference route)."""
     total = np.zeros_like(etas)
     mask = np.ones(data.m, dtype=bool)
     for fold in folds:

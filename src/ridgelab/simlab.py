@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
-from .errors import coerce, integer
+from .errors import boolean, coerce, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -155,7 +155,7 @@ class ExperimentConfig:
             k=field("k", integer, 5),
             alpha=field("alpha", float, 0.05),
             master_seed=field("seed", integer, 0),
-            redraw_signal=bool(obj.get("redraw_signal", False)),
+            redraw_signal=field("redraw_signal", boolean, False),
             threads=field("threads", integer, 1),
         )
         if obj.get("argmin_reps") is not None:
@@ -218,12 +218,12 @@ class TuningSummary:
     risk_mean and risk_sd are keyed by (method, kind value) and hold one
     value per phi; coverage_mean and ci_len_mean are keyed by method.
     eta_selected, rep_risk and rep_grid_min hold one per-rep array per phi.
-    failed lists the skipped rep indices of every phi in turn.
+    failed holds one (phi index, rep index) pair per skipped replication.
     """
 
     master_seed: int
     reps: int
-    failed: tuple[int, ...]
+    failed: tuple[tuple[int, int], ...]
     eta_star: float
     phis: np.ndarray
     shapes: tuple
@@ -639,7 +639,7 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
 
     phis, shapes, oracle_len, oracle_risk = [], [], [], []
     records = []  # per phi: one dict per successful replication
-    failed_all: list[int] = []
+    failed_all: list[tuple[int, int]] = []
     for pi, phi_req in enumerate(config.phi_grid):
         n = round(config.m / phi_req)
         if n < 1:
@@ -706,7 +706,7 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
             return rec
 
         results, failed = _map_reps(config.reps, config.threads, worker)
-        failed_all.extend(failed)
+        failed_all.extend((pi, rep) for rep in failed)
         records.append([rec for _, rec in results])
 
     def per_phi(*key) -> list[np.ndarray]:

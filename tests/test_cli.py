@@ -278,6 +278,28 @@ def test_tune_gcv_and_cv(tmp_path, capsys):
     assert "method=cv3" in capsys.readouterr().out
 
 
+def test_tune_refuses_singular_gram_at_zero(tmp_path, capsys):
+    # equal rows make X X^T singular: both methods refuse eta = 0 alike
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 90))
+    x[1] = x[0]
+    data = Dataset(x=x, y=rng.standard_normal(40), model=Isotropic(1.0, 90))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(dataset_to_json(data)))
+    out = tmp_path / "tune.csv"
+    errors = []
+    for method in ("gcv", "cv"):
+        argv = ["tune", "--data", str(path), "--method", method, "--k", "4",
+                "--grid", "0:1.5:7", "--seed", "1", "--out", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("numerical error: X X^T condition")
+    assert not out.exists()
+
+
 def test_ci_reports_coverage(tmp_path, capsys):
     data_path, data = write_dataset(tmp_path, m=30, n=20, seed=5)
     out = tmp_path / "ci.csv"
@@ -495,6 +517,28 @@ def test_sim_reports_skipped_replications(tmp_path, monkeypatch, capsys):
     )
     assert [(out_dir / name).read_bytes() for name in names] == before
 
+    # fig2 names the phi of each skipped rep, whose stream depends on it
+    fig2 = tmp_path / "fig2.json"
+    fig2.write_text(json.dumps({
+        "m": 12, "phi_grid": [0.5, 1.5], "model": {"kind": "isotropic", "scale": 1.0},
+        "design_dist": "gaussian", "noise_dist": "gaussian",
+        "eta_grid": [0.3, 0.6, 0.9], "reps": 4, "k": 3, "seed": 2, "threads": 1,
+    }))
+    argv = ["sim", "fig2", "--config", str(fig2), "--out-dir", str(tmp_path / "fig2")]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    tuning = cli.run_tuning_experiment
+    monkeypatch.setattr(
+        cli,
+        "run_tuning_experiment",
+        lambda *a, **kw: dataclasses.replace(tuning(*a, **kw), failed=((0, 3), (1, 3))),
+    )
+    assert run(argv) == 0
+    assert capsys.readouterr().err == (
+        "note: tuning experiment skipped 2 of 8 replications "
+        "(phi=0.5 rep 3, phi=1.5 rep 3)\n"
+    )
+
 
 def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
     config = write_fig1_config(tmp_path)
@@ -524,6 +568,9 @@ def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
         ({"k": 2.5}, "'k'"),
         ({"seed": 5.5}, "'seed'"),
         ({"threads": False}, "'threads'"),
+        ({"redraw_signal": "false"}, "'redraw_signal'"),
+        ({"redraw_signal": "no"}, "'redraw_signal'"),
+        ({"redraw_signal": [0]}, "'redraw_signal'"),
     ],
 )
 def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ridgelab import regress
 from ridgelab import (
     CIReport,
     Dataset,
@@ -321,6 +324,91 @@ def test_kfold_duplicate_blocks_objective():
         assert objective[i] == pytest.approx(expected, rel=1e-10)
     reordered = kfold_objective(data, grid, folds[::-1])
     np.testing.assert_allclose(reordered, objective, rtol=1e-12)
+
+
+def assert_kfold_matches_refit(data, grid, folds):
+    """The block-deletion objective against one refit per training fold."""
+    objective = kfold_objective(data, grid, folds)
+    refit = regress._kfold_refit(data, np.asarray(grid, dtype=float), folds)
+    assert np.all(np.isfinite(refit))
+    rel = np.max(np.abs(objective - refit) / np.abs(refit))
+    assert rel <= 1e-12, f"relative gap {rel:.2e}"
+    assert np.argmin(objective) == np.argmin(refit)
+
+
+@pytest.mark.parametrize(
+    "m, n, k, grid",
+    [
+        (40, 90, 4, np.linspace(0.0, 1.5, 16)),  # dual, grid through 0
+        (36, 20, 3, np.linspace(0.05, 1.5, 16)),  # primal
+        (37, 90, 4, np.linspace(0.0, 1.5, 16)),  # dual, uneven folds
+        (53, 20, 3, np.linspace(0.05, 1.5, 16)),  # primal, uneven folds
+        (60, 20, 5, np.linspace(0.0, 1.5, 16)),  # primal at 0, m - |B| > n
+        (50, 45, 5, np.linspace(0.0, 1.5, 16)),  # primal at 0, m - |B| <= n
+    ],
+)
+def test_kfold_objective_matches_refit(m, n, k, grid):
+    data = toy_dataset(m, n, seed=m + n)
+    assert_kfold_matches_refit(data, grid, kfold_folds(m, k, stream(m, n, "fold")))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.integers(4, 40),
+    n=st.integers(1, 60),
+    k=st.integers(2, 8),
+    with_zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kfold_objective_matches_refit_on_random_shapes(m, n, k, with_zero, seed):
+    # eta = 0 takes the identity only on a dual sample, which must be
+    # invertible; m = n leaves X X^T too close to singular for 1e-12
+    with_zero = with_zero and m != n
+    data = toy_dataset(m, n, seed=seed)
+    grid = np.linspace(0.0 if with_zero else 0.1, 2.0, 8)
+    folds = kfold_folds(m, min(k, m), np.random.default_rng(seed))
+    assert_kfold_matches_refit(data, grid, folds)
+
+
+def test_kfold_factors_the_sample_once(monkeypatch):
+    built = []
+
+    class CountedSweep(GramSweep):
+        def __init__(self, x, y):
+            built.append(x.shape)
+            super().__init__(x, y)
+
+    monkeypatch.setattr(regress, "GramSweep", CountedSweep)
+    for m, n, grid, sweeps in [
+        (40, 90, np.linspace(0.0, 1.5, 8), 1),
+        (60, 20, np.linspace(0.1, 1.5, 8), 1),
+        (60, 20, np.linspace(0.0, 1.5, 8), 1 + 5),  # eta = 0 refit per fold
+    ]:
+        built.clear()
+        data = toy_dataset(m, n, seed=4)
+        kfold_objective(data, grid, kfold_folds(m, 5, stream(4, 0, "fold")))
+        assert len(built) == sweeps
+        assert built[0] == (m, n)
+
+
+def test_kfold_refuses_singular_gram_at_zero():
+    # equal rows 0 and 1 make X X^T singular; at eta = 0 the per-fold refit
+    # used to divide by zero on a training fold holding both rows and pick
+    # eta = 0 from the NaN objective, where GCV raises
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 90))
+    x[1] = x[0]
+    data = Dataset(x=x, y=rng.standard_normal(40), model=Isotropic(1.0, 90))
+    grid = np.linspace(0.0, 1.5, 7)
+    with pytest.raises(IllConditioned):
+        gcv_select(data, grid)
+    for seed in (0, 1):
+        with pytest.raises(IllConditioned):
+            kfold_select(data, grid, 4, seed)
+    # eta > 0 keeps A = X X^T / n + eta I invertible
+    assert_kfold_matches_refit(
+        data, grid[1:], kfold_folds(40, 4, stream(1, 0, "fold"))
+    )
 
 
 def test_debias_closed_forms():

@@ -267,6 +267,9 @@ def test_experiment_config_json_round_trip():
         ExperimentConfig.from_json({**base, "signal": {"mode": "sphere", "radiuss": 1}})
     with pytest.raises(InputError, match="signal must be a JSON object"):
         ExperimentConfig.from_json({**base, "signal": "sphere"})
+    for flag in (True, False):
+        assert ExperimentConfig.from_json({**base, "redraw_signal": flag}).redraw_signal is flag
+    assert ExperimentConfig.from_json(base).redraw_signal is False
 
 
 def test_build_model_fills_dimension():
@@ -340,3 +343,20 @@ def test_tuning_reps_build_one_dataset_that_kfold_reads(monkeypatch):
     assert summary.failed == ()
     assert len(built) == 2 * 3
     assert [id(d) for d in kfold_data] == [id(d) for d in built]
+
+
+def test_tuning_summary_pairs_each_skipped_rep_with_its_phi(monkeypatch):
+    map_reps, calls = simlab._map_reps, []
+
+    def skip_rep_1_at_second_phi(reps, threads, worker):
+        results, failed = map_reps(reps, threads, worker)
+        calls.append(reps)
+        if len(calls) == 2:
+            return [r for r in results if r[0] != 1], failed + (1,)
+        return results, failed
+
+    monkeypatch.setattr(simlab, "_map_reps", skip_rep_1_at_second_phi)
+    config = small_config(n=None, phi_grid=(0.5, 1.5), etas=(0.5, 1.0), reps=3, k=3)
+    summary = run_tuning_experiment(config)
+    assert summary.failed == ((1, 1),)
+    assert [len(v) for v in summary.eta_selected["gcv"]] == [3, 2]
