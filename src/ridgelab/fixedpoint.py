@@ -6,19 +6,24 @@ and signal mu0, the pair (tau_star, gamma_star_sq) solves the system
     phi * gamma^2          = sigma_sq + E_err(gamma; tau)
     (phi - eta/tau) * gamma^2 = E_dof(gamma; tau)
 
-which reduces to a scalar root problem for tau,
+which reduces to a scalar root problem for tau, followed by a closed form
+for gamma^2. In u = 1/tau the root problem reads
 
-    f(tau) = T_{-1,1}(tau) + eta / tau = phi,
+    F(u) = T_{-1,1}(1/u) + eta u - phi = 0,
 
-with f strictly decreasing on (0, inf), followed by a closed form for
-gamma^2. A solution exists for eta > 0 with any shapes, and for eta = 0
-only in the overparametrized regime phi < 1. The noiseless case
-sigma_sq = 0 runs through the same code path and is well posed under the
-same regime condition.
+and every term of F is increasing and concave in u (each eigenvalue
+contributes lambda u / (lambda u + 1)). Newton's method started left of the
+root, at u = 1/hi from tau_bounds where F <= 0, therefore climbs to the root
+monotonically and never overshoots it; each step is one pass over the
+spectrum for T_{-1,1} and F'(u) = tau^2 T_{-2,1} + eta. A solution exists
+for eta > 0 with any shapes, and for eta = 0 only in the overparametrized
+regime phi < 1. The noiseless case sigma_sq = 0 runs through the same code
+path and is well posed under the same regime condition.
 
 All derivative quantities (tau', tau'', Stieltjes values) are closed
 forms, never finite differences; finite differences appear only as test
-oracles.
+oracles. The closed forms read the spectral sums at tau_star, which
+solve_effective gathers in one more pass (spectrum.fixed_point_sums).
 """
 
 from __future__ import annotations
@@ -36,15 +41,18 @@ from .errors import (
 )
 from .spectrum import (
     CovarianceModel,
+    FixedPointSums,
     SignalVector,
-    eigenvalues,
+    fixed_point_sums,
     harmonic_mean,
     quad_form,
+    resolvent_sums,
     trace_functional,
 )
 
-_MAX_BISECT = 500
-_MAX_NEWTON = 50
+# doubling steps allowed when rounding puts tau_bounds' hi below the root
+_MAX_WIDEN = 60
+_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,12 @@ def expected_err(model: CovarianceModel, mu0, gamma_sq: float, tau: float) -> fl
     """
     if tau <= 0:
         raise InputError(f"tau must be positive, got {tau}")
-    bias = tau * tau * quad_form(model, mu0, tau, 1, 1)
-    return bias + gamma_sq * trace_functional(model, tau, 2, 2)
+    signal = quad_form(model, mu0, tau, 1, 1)
+    return _err(gamma_sq, tau, signal, trace_functional(model, tau, 2, 2))
+
+
+def _err(gamma_sq: float, tau: float, signal: float, t22: float) -> float:
+    return tau * tau * signal + gamma_sq * t22
 
 
 def expected_dof(model: CovarianceModel, gamma_sq: float, tau: float) -> float:
@@ -123,7 +135,8 @@ def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
     lo = (1 - phi + sqrt((1-phi)^2 + 4 H eta)) / (2 H) with H the reciprocal
     harmonic mean; hi minimizes (sum_{j>k} lambda_j + n eta) / (m - k) over
     admissible k. The sample count m = phi * n may be non-integral, in which
-    case k ranges over integers with m - k > 0.
+    case k ranges over integers with m - k > 0. H and the tail sums are
+    cached on the model, so a call costs O(min(m, n)).
     """
     if config.eta == 0 and config.phi >= 1:
         raise NoSolution(
@@ -136,79 +149,78 @@ def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
 
     n = config.model.n
     m = config.phi * n
-    lam = eigenvalues(config.model)
     k_max = min(int(np.ceil(m)) - 1, n)
-    k = np.arange(0, k_max + 1)
-    tail = float(lam.sum()) - np.concatenate(([0.0], np.cumsum(lam)))[k]
-    denom = m - k
+    tail = config.model.tail_sums[: k_max + 1]
+    denom = m - np.arange(0, k_max + 1)
     valid = denom > 0
     hi = float(np.min((tail[valid] + n * config.eta) / denom[valid]))
     return lo, hi
 
 
-def _f_and_slope(config: ProblemConfig, tau: float) -> tuple[float, float]:
-    t11 = trace_functional(config.model, tau, 1, 1)
-    t21 = trace_functional(config.model, tau, 2, 1)
-    f = t11 + config.eta / tau - config.phi
-    slope = -t21 - config.eta / (tau * tau)
-    return f, slope
+def _f_and_slope(config: ProblemConfig, u: float) -> tuple[float, float]:
+    """F(u) and F'(u) for the root problem in u = 1/tau.
+
+    T_{-1,1} = 1 - tau T_{-1,0} exactly, and F is summed from the smaller of
+    the two: near phi = 1 at eta = 0, where T_{-1,1} -> 1, the terms that
+    cancel at the root are then 1 - phi and tau T_{-1,0}, both small, and
+    tau keeps full relative accuracy.
+    """
+    tau = 1.0 / u
+    t10, t11, t21 = resolvent_sums(config.model, tau)
+    if t11 <= 0.5:
+        f = t11 - config.phi
+    else:
+        f = (1.0 - config.phi) - tau * t10
+    return f + config.eta * u, tau * tau * t21 + config.eta
 
 
 def solve_tau(config: ProblemConfig, tol: float = 1e-12) -> float:
-    """Root of f(tau) = T_{-1,1}(tau) + eta/tau - phi.
+    """Root of T_{-1,1}(tau) + eta/tau = phi, by monotone Newton in u = 1/tau.
 
-    Bracketed bisection starting from tau_bounds, refined by safeguarded
-    Newton steps (the slope is -T_{-2,1} - eta/tau^2); any Newton iterate
-    leaving the bracket falls back to bisection. Monotonicity of f makes
-    this globally convergent.
+    Starts at u = 1/hi from tau_bounds, halving u in the rare case rounding
+    leaves F(1/hi) above zero, and stops once a Newton step moves u by at
+    most tol * u. F is concave, so the iterates increase to the root and the
+    error after that step is of order tol^2. Exact iterates keep F <= 0; a
+    computed F >= 0 means rounding has reached the root, which also stops.
     """
-    lo, hi = tau_bounds(config)
-    a, b = lo, hi
-    fa, _ = _f_and_slope(config, a)
-    fb, _ = _f_and_slope(config, b)
-    # the bracket comes from exact inequalities; widen a touch if rounding
-    # pushed an endpoint across the root
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be a positive finite real, got {tol}")
+    _, hi = tau_bounds(config)
+    u = 1.0 / hi
+    f, slope = _f_and_slope(config, u)
     widen = 0
-    while fa < 0 and widen < 60:
-        a *= 0.5
-        fa, _ = _f_and_slope(config, a)
+    while f > 0:
+        if widen == _MAX_WIDEN:
+            raise NonConvergence("could not start the fixed-point solver below the root")
+        u *= 0.5
+        f, slope = _f_and_slope(config, u)
         widen += 1
-    while fb > 0 and widen < 120:
-        b *= 2.0
-        fb, _ = _f_and_slope(config, b)
-        widen += 1
-    if fa < 0 or fb > 0:
-        raise NonConvergence("could not bracket the fixed-point root")
+    for _ in range(_MAX_NEWTON):
+        if f >= 0:
+            return 1.0 / u
+        step = -f / slope
+        u += step
+        if step <= tol * u:
+            return 1.0 / u
+        f, slope = _f_and_slope(config, u)
+    raise NonConvergence(f"fixed-point solver exhausted {_MAX_NEWTON} Newton steps")
 
-    f_tol = tol * max(1.0, config.phi)
-    x = 0.5 * (a + b)
-    bisections = 0
-    newtons = 0
-    while True:
-        fx, slope = _f_and_slope(config, x)
-        if abs(fx) <= f_tol:
-            return x
-        if fx >= 0:
-            a = x
-        else:
-            b = x
-        if b - a <= 1e-15 * max(1.0, b):
-            # bracket collapsed to adjacent doubles; x is as good as it gets
-            return x
-        took_newton = False
-        if slope < 0 and newtons < _MAX_NEWTON:
-            x_n = x - fx / slope
-            if a < x_n < b:
-                x = x_n
-                newtons += 1
-                took_newton = True
-        if not took_newton:
-            if bisections >= _MAX_BISECT:
-                raise NonConvergence(
-                    f"fixed-point solver exhausted {_MAX_BISECT} bisections"
-                )
-            x = 0.5 * (a + b)
-            bisections += 1
+
+def _gamma_sq(config: ProblemConfig, tau: float, sums: FixedPointSums) -> float:
+    num = config.sigma_sq + tau * tau * sums.signal
+    den = config.eta / tau + tau * sums.t21
+    if den <= 1e-14:
+        raise DegenerateDenominator(
+            f"gamma^2 denominator {den} is not positive; inconsistent inputs"
+        )
+    return num / den
+
+
+def _derivatives(eta: float, tau: float, sums: FixedPointSums) -> tuple[float, float]:
+    g0 = eta + tau * tau * sums.t21
+    tau_prime = tau / g0
+    tau_second = -2.0 * tau * tau * tau_prime * sums.t32 / (g0 * g0)
+    return tau_prime, tau_second
 
 
 def solve_gamma_sq(config: ProblemConfig, tau_star: float) -> float:
@@ -219,17 +231,8 @@ def solve_gamma_sq(config: ProblemConfig, tau_star: float) -> float:
     the denominator equals phi - T_{-2,2}(tau) at the root but does not
     suffer its cancellation.
     """
-    num = config.sigma_sq + tau_star * tau_star * quad_form(
-        config.model, config.mu0, tau_star, 1, 1
-    )
-    den = config.eta / tau_star + tau_star * trace_functional(
-        config.model, tau_star, 2, 1
-    )
-    if den <= 1e-14:
-        raise DegenerateDenominator(
-            f"gamma^2 denominator {den} is not positive; inconsistent inputs"
-        )
-    return num / den
+    sums = fixed_point_sums(config.model, config.mu0, tau_star)
+    return _gamma_sq(config, tau_star, sums)
 
 
 def tau_derivatives(config: ProblemConfig, tau_star: float) -> tuple[float, float]:
@@ -238,12 +241,8 @@ def tau_derivatives(config: ProblemConfig, tau_star: float) -> tuple[float, floa
     tau' = tau / G0 with G0 = eta + tau^2 T_{-2,1}(tau);
     tau'' = -2 tau^2 tau' T_{-3,2}(tau) / G0^2.
     """
-    t21 = trace_functional(config.model, tau_star, 2, 1)
-    t32 = trace_functional(config.model, tau_star, 3, 2)
-    g0 = config.eta + tau_star * tau_star * t21
-    tau_prime = tau_star / g0
-    tau_second = -2.0 * tau_star * tau_star * tau_prime * t32 / (g0 * g0)
-    return tau_prime, tau_second
+    sums = fixed_point_sums(config.model, config.mu0, tau_star)
+    return _derivatives(config.eta, tau_star, sums)
 
 
 def gamma_tilde_sq(
@@ -280,18 +279,17 @@ def stieltjes_at(
 def solve_effective(config: ProblemConfig, tol: float = 1e-12) -> EffectiveParams:
     """Solve the full fixed-point system and derived scalars at one eta."""
     tau = solve_tau(config, tol)
-    gamma_sq = solve_gamma_sq(config, tau)
-    tau_p, tau_s = tau_derivatives(config, tau)
+    sums = fixed_point_sums(config.model, config.mu0, tau)
+    gamma_sq = _gamma_sq(config, tau, sums)
+    tau_p, tau_s = _derivatives(config.eta, tau, sums)
     gt_sq = gamma_tilde_sq(config.sigma_sq, config.mu0.norm_sq, config.eta, tau, tau_p)
     m_val, m_prime, m_second = stieltjes_at(config.phi, tau, tau_p, tau_s)
 
     scale = max(1.0, config.phi * gamma_sq)
-    res1 = config.phi * gamma_sq - config.sigma_sq - expected_err(
-        config.model, config.mu0, gamma_sq, tau
-    )
-    res2 = (config.phi - config.eta / tau) * gamma_sq - expected_dof(
-        config.model, gamma_sq, tau
-    )
+    # expected_err and expected_dof at the root, read from the same sums
+    err = _err(gamma_sq, tau, sums.signal, sums.t22)
+    res1 = config.phi * gamma_sq - config.sigma_sq - err
+    res2 = (config.phi - config.eta / tau) * gamma_sq - gamma_sq * sums.t11
     if abs(res1) > 1e-10 * scale or abs(res2) > 1e-10 * scale:
         raise NonConvergence(
             f"fixed-point residuals ({res1:.3e}, {res2:.3e}) exceed 1e-10 relative"

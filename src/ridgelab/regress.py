@@ -284,10 +284,19 @@ class GramSweep:
             raise IllConditioned(
                 f"X X^T is singular when m > n (m={self.m}, n={self.n})"
             )
+        self.require_factor_invertible()
+
+    def require_factor_invertible(self) -> None:
+        """Raise IllConditioned unless the factored Gram matrix is safely invertible.
+
+        That is X X^T in the dual route and X^T X in the primal one: the
+        matrix an eta = 0 fit inverts.
+        """
         cond = self.s[-1] / self.s[0] if self.s[0] > 0 else np.inf
         if cond > _GRAM_COND_LIMIT:
+            gram = "X X^T" if self.dual else "X^T X"
             raise IllConditioned(
-                f"X X^T condition {cond:.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
+                f"{gram} condition {cond:.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
             )
 
     def mu_hat(self, eta: float) -> np.ndarray:
@@ -364,7 +373,8 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     outside fold B leaves e_B = (I - H_BB)^{-1} (y_B - X_B mu_hat) on B; in
     the dual route that reads e_B = ((A^{-1})_BB)^{-1} (A^{-1} y)_B with
     A = X X^T / n + eta I. eta = 0 on a primal sample is refit fold by fold:
-    a training fold with fewer than n rows makes I - H_BB singular there.
+    a training fold with fewer than n rows makes I - H_BB singular there,
+    and each training fold's Gram matrix must then be safely invertible.
     """
     etas = _check_grid(grid)
     sweep = data.sweep
@@ -394,13 +404,19 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
 
 
 def _kfold_refit(data: Dataset, etas: np.ndarray, folds: list[np.ndarray]) -> np.ndarray:
-    """kfold_objective by one GramSweep per training fold (the reference route)."""
+    """kfold_objective by one GramSweep per training fold (the reference route).
+
+    At eta = 0 a training fold whose Gram matrix is singular or worse
+    conditioned than _GRAM_COND_LIMIT raises IllConditioned.
+    """
     total = np.zeros_like(etas)
     mask = np.ones(data.m, dtype=bool)
     for fold in folds:
         mask[:] = True
         mask[fold] = False
         sweep = GramSweep(data.x[mask], data.y[mask])
+        if etas[0] == 0:
+            sweep.require_factor_invertible()
         x_test, y_test = data.x[fold], data.y[fold]
         for i, eta in enumerate(etas):
             err = y_test - x_test @ sweep.mu_hat(float(eta))

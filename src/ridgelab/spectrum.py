@@ -11,15 +11,17 @@ two distinct eigenvalues, which keeps tight Monte Carlo loops cheap;
 explicit models iterate the eigenvalue list.
 
 All models are immutable after construction and safe to share across
-threads. The only interior mutation anywhere is the signal vector's
-eigen-coordinate cache, which should be warmed with precompute() before
-sharing a SignalVector between workers.
+threads. The only interior mutations are write-once caches: each model's
+eta-independent spectral sums (_SpectralSums), filled on first use, and the
+signal vector's eigen-coordinate cache, which should be warmed with
+precompute() before sharing a SignalVector between workers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -28,13 +30,39 @@ from .errors import InputError, coerce, integer
 _DENSE_GUARD = 20000
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _SpectralSums:
+    """Eta-independent sums over a model's spectrum, computed once per instance.
+
+    fixedpoint.tau_bounds reads them on every solve; caching them on the
+    model ties their lifetime to the model's.
+    """
+
+    @functools.cached_property
+    def inv_harmonic_mean(self) -> float:
+        """tr(Sigma^{-1}) / n."""
+        return trace_functional(self, 0.0, 1, 0)
+
+    @functools.cached_property
+    def tail_sums(self) -> np.ndarray:
+        """tail_sums[k] = sum of all but the k largest eigenvalues, k = 0..n."""
+        # summed from the smallest eigenvalue up, so tail_sums[n] is exactly 0
+        # and no tail suffers cancellation against the total
+        suffix = np.cumsum(eigenvalues(self)[::-1])[::-1]
+        return _read_only(np.concatenate((suffix, [0.0])))
+
+
 def _check_positive(name: str, value: float) -> None:
     if not (np.isfinite(value) and value > 0):
         raise InputError(f"{name} must be a positive finite real, got {value}")
 
 
 @dataclass(frozen=True)
-class Isotropic:
+class Isotropic(_SpectralSums):
     """Sigma = scale * I_n."""
 
     scale: float
@@ -76,7 +104,7 @@ class Isotropic:
 
 
 @dataclass(frozen=True)
-class SpikedUniform:
+class SpikedUniform(_SpectralSums):
     """Sigma = a * I_n + b * ones ones^T, b > 0.
 
     Eigenvalues: a + b*n with eigenvector ones/sqrt(n), and a with
@@ -159,7 +187,7 @@ class SpikedUniform:
 
 
 @dataclass(frozen=True, eq=False)
-class Explicit:
+class Explicit(_SpectralSums):
     """Sigma with an explicit descending spectrum and optional eigenbasis."""
 
     eigenvalues: np.ndarray
@@ -195,8 +223,12 @@ class Explicit:
     def n(self) -> int:
         return self.eigenvalues.size
 
+    @functools.cached_property
+    def _ones(self) -> np.ndarray:
+        return _read_only(np.ones(self.n))
+
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.eigenvalues, np.ones(self.n)
+        return self.eigenvalues, self._ones
 
     def signal_masses(self, coords: np.ndarray) -> np.ndarray:
         tilde = coords if self.basis is None else self.basis.T @ coords
@@ -347,18 +379,36 @@ def eigenvalues(model: CovarianceModel) -> np.ndarray:
     return np.repeat(lam, counts.astype(np.int64))
 
 
+def _reciprocal_shift(lam: np.ndarray, tau: float) -> np.ndarray:
+    """r = 1/(lam + tau), computed in one fresh buffer."""
+    r = lam + tau
+    np.reciprocal(r, out=r)
+    return r
+
+
+def _power_sum(weights, lam: np.ndarray, tau: float, p: int, q: int) -> float:
+    """sum weights * lam^q * r^p with r = 1/(lam + tau), powers by multiplication."""
+    r = _reciprocal_shift(lam, tau)
+    terms = np.array(weights, dtype=np.float64)
+    for _ in range(q):
+        terms *= lam
+    for _ in range(p):
+        terms *= r
+    return float(np.sum(terms))
+
+
 def trace_functional(model: CovarianceModel, tau: float, p: int, q: int) -> float:
     """T_{-p,q}(tau) = n^{-1} tr((Sigma + tau I)^{-p} Sigma^q)."""
     _validate_pq(p, q)
     if tau < 0:
         raise InputError(f"tau must be nonnegative, got {tau}")
     lam, counts = model.pairs()
-    return float(np.sum(counts * lam**q / (lam + tau) ** p) / model.n)
+    return _power_sum(counts, lam, tau, p, q) / model.n
 
 
 def harmonic_mean(model: CovarianceModel) -> float:
     """tr(Sigma^{-1}) / n, the reciprocal harmonic mean of the spectrum."""
-    return trace_functional(model, 0.0, 1, 0)
+    return model.inv_harmonic_mean
 
 
 def quad_form(model: CovarianceModel, mu0, tau: float, p: int, q: int) -> float:
@@ -368,9 +418,54 @@ def quad_form(model: CovarianceModel, mu0, tau: float, p: int, q: int) -> float:
         raise InputError(f"tau must be nonnegative, got {tau}")
     if not isinstance(mu0, SignalVector):
         mu0 = SignalVector(mu0)
-    masses = mu0.masses(model)
     lam, _ = model.pairs()
-    return float(np.sum(masses * lam**q / (lam + tau) ** (2 * p)))
+    return _power_sum(mu0.masses(model), lam, tau, 2 * p, q)
+
+
+def resolvent_sums(model: CovarianceModel, tau: float) -> tuple[float, float, float]:
+    """(T_{-1,0}(tau), T_{-1,1}(tau), T_{-2,1}(tau)) from one pass over the spectrum.
+
+    The fixed-point solver's Newton step reads exactly these sums.
+    """
+    lam, counts = model.pairs()
+    r = _reciprocal_shift(lam, tau)
+    terms = counts * r
+    t10 = float(np.sum(terms))
+    terms *= lam
+    t11 = float(np.sum(terms))
+    terms *= r
+    n = model.n
+    return t10 / n, t11 / n, float(np.sum(terms)) / n
+
+
+class FixedPointSums(NamedTuple):
+    """The spectral sums at one tau that the fixed-point closed forms read.
+
+    t11, t21, t22, t32 are T_{-1,1}, T_{-2,1}, T_{-2,2}, T_{-3,2}; signal is
+    ||(Sigma + tau I)^{-1} Sigma^{1/2} mu0||^2.
+    """
+
+    t11: float
+    t21: float
+    t22: float
+    t32: float
+    signal: float
+
+
+def fixed_point_sums(
+    model: CovarianceModel, mu0: SignalVector, tau: float
+) -> FixedPointSums:
+    """Every FixedPointSums field from one pass over r = 1/(lambda + tau)."""
+    lam, counts = model.pairs()
+    r = _reciprocal_shift(lam, tau)
+    lr2 = lam * r
+    lr2 *= r
+    sums = []
+    terms = counts * lam
+    for factor in (r, r, lam, r):  # c lam r, c lam r^2, c lam^2 r^2, c lam^2 r^3
+        terms *= factor
+        sums.append(float(np.sum(terms)) / model.n)
+    return FixedPointSums(*sums, signal=float(np.sum(mu0.masses(model) * lr2)))
 
 
 def sigma_quad(model: CovarianceModel, v: np.ndarray) -> float:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,7 +24,7 @@ from ridgelab import (
 )
 from ridgelab import cli
 from ridgelab.cli import run
-from ridgelab.dataio import dataset_to_json, encode_array, read_csv
+from ridgelab.dataio import dataset_to_json, encode_array, load_json, read_csv
 from ridgelab.riskengine import RiskKind
 
 
@@ -83,6 +85,66 @@ def test_fpe_csv_matches_solver(tmp_path):
     before = out.read_bytes()
     assert run(meta["rerun_argv"]) == 0
     assert out.read_bytes() == before
+
+
+def fpe_columns_40_digits(config, eta: float, tau: float) -> list:
+    """fpe's columns after eta, in 40-digit arithmetic on the exact float inputs.
+
+    tau is refined from the CLI's value by Newton steps on the fixed point;
+    the other columns follow from their closed forms at that root.
+    """
+    with mpmath.workdps(40):
+        lam, counts = (list(map(mpmath.mpf, a)) for a in config.model.pairs())
+        masses = list(map(mpmath.mpf, config.mu0.masses(config.model)))
+        n, phi = config.model.n, mpmath.mpf(config.phi)
+        eta, sigma_sq = mpmath.mpf(eta), mpmath.mpf(config.sigma_sq)
+
+        def trace(t, p, q):
+            return mpmath.fsum(c * v**q / (v + t) ** p for c, v in zip(counts, lam)) / n
+
+        t = mpmath.mpf(tau)
+        for _ in range(4):
+            f = trace(t, 1, 1) + eta / t - phi
+            t += f / (trace(t, 2, 1) + eta / t**2)
+        signal = mpmath.fsum(w * v / (v + t) ** 2 for w, v in zip(masses, lam))
+        gamma_sq = (sigma_sq + t * t * signal) / (eta / t + t * trace(t, 2, 1))
+        g0 = eta + t * t * trace(t, 2, 1)
+        tp = t / g0
+        ts = -2 * t * t * tp * trace(t, 3, 2) / g0**2
+        gt = sigma_sq * tp + mpmath.fsum(masses) * (t - eta * tp)
+        m_second = -phi * phi * (ts * t - 2 * tp * tp) / t**3
+        return [t, gamma_sq, tp, ts, gt, 1 / t, phi * tp / t**2, m_second]
+
+
+def test_fpe_on_shipped_problem_matches_40_digit_evaluation(tmp_path):
+    # every theory-derived fpe cell lies within 1e-13 relative of its exact
+    # value; the solver before monotone Newton stopped on |F| <= 1e-12 and
+    # left these cells up to 2.7e-12 off
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "problem.json"
+    config, _ = cli._problem_from_json(load_json(str(shipped)))
+    out = tmp_path / "fpe.csv"
+    assert run(["fpe", "--config", str(shipped), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 31
+    for row in rows:
+        exact = fpe_columns_40_digits(config, row[0], row[1])
+        for got, want in zip(row[1:], exact):
+            assert abs((got - want) / want) <= 1e-13, (row[0], got, want)
+
+
+def test_fpe_tol(tmp_path, capsys):
+    # the stop rule bounds the last Newton step relative to 1/tau, and the
+    # error left after it is of order tol^2
+    config = write_problem(tmp_path)
+    tight, loose = tmp_path / "tight.csv", tmp_path / "loose.csv"
+    base = ["fpe", "--config", str(config), "--eta-grid", "0:1.5:7"]
+    assert run(base + ["--out", str(tight)]) == 0
+    assert run(base + ["--tol", "1e-6", "--out", str(loose)]) == 0
+    for a, b in zip(read_csv(tight)[1], read_csv(loose)[1]):
+        assert b[1] == pytest.approx(a[1], rel=1e-10)
+    for bad in ("-1", "0", "nan", "inf"):
+        assert run(base + ["--tol", bad, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "tol must be a positive finite real" in capsys.readouterr().err
 
 
 def test_fpe_grid_from_config(tmp_path):
@@ -297,6 +359,25 @@ def test_tune_refuses_singular_gram_at_zero(tmp_path, capsys):
         errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("numerical error: X X^T condition")
+    assert not out.exists()
+
+
+def test_tune_cv_refuses_singular_primal_gram_at_zero(tmp_path, capsys):
+    # equal columns on an m > n sample: the eta = 0 refit of each training
+    # fold inverts a singular X^T X
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((60, 20))
+    x[:, 1] = x[:, 0]
+    data = Dataset(x=x, y=rng.standard_normal(60), model=Isotropic(1.0, 20))
+    path = tmp_path / "dup_cols.json"
+    path.write_text(json.dumps(dataset_to_json(data)))
+    out = tmp_path / "tune.csv"
+    argv = ["tune", "--data", str(path), "--method", "cv", "--k", "5",
+            "--grid", "0:1.5:7", "--seed", "1", "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: X^T X condition")
     assert not out.exists()
 
 

@@ -1,12 +1,18 @@
 """Fixed-point solver: closed forms, finite differences, residual invariants."""
 
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import iso_problem, random_problem
+from ridgelab import fixedpoint
 from ridgelab import (
+    Explicit,
     InputError,
     NoSolution,
     ProblemConfig,
@@ -17,9 +23,13 @@ from ridgelab import (
     solve_effective,
     solve_grid,
     solve_tau,
+    quad_form,
+    solve_gamma_sq,
     tau_bounds,
+    tau_derivatives,
     trace_functional,
 )
+from ridgelab.spectrum import fixed_point_sums
 
 # 50-digit evaluations of the isotropic phi=1/2, sigma^2=1, ||mu0||=1 system
 TAU_AT_ONE = 3.5615528128088303
@@ -188,3 +198,153 @@ def test_with_eta_preserves_everything_else():
     assert moved.sigma_sq == config.sigma_sq
     assert moved.model is config.model
     assert moved.mu0 is config.mu0
+
+
+# -- the Newton solver against high-precision roots --------------------------
+
+
+def refined_tau(config: ProblemConfig, tau: float) -> mpmath.mpf:
+    """The root of T_{-1,1}(tau) + eta/tau = phi in 40-digit arithmetic.
+
+    Three Newton steps from a double-precision root, on the exact float
+    inputs; each step squares a relative error that starts below 1e-10.
+    """
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(float(v)) for v in config.model.eigenvalues]
+        phi, eta, t = mpmath.mpf(config.phi), mpmath.mpf(config.eta), mpmath.mpf(tau)
+        for _ in range(3):
+            f = mpmath.fsum(v / (v + t) for v in lam) / len(lam) + eta / t - phi
+            slope = -mpmath.fsum(v / (v + t) ** 2 for v in lam) / len(lam) - eta / t**2
+            t -= f / slope
+        return t
+
+
+def rel_gap(tau: float, ref) -> float:
+    return float(abs((mpmath.mpf(tau) - ref) / ref))
+
+
+def spectrum_problem(lam, phi: float, eta: float, seed: int = 0) -> ProblemConfig:
+    rng = np.random.default_rng(seed)
+    lam = np.sort(np.asarray(lam, dtype=float))[::-1]
+    mu0 = rng.standard_normal(lam.size)
+    return ProblemConfig(
+        phi=phi, eta=eta, sigma_sq=1.0, model=Explicit(lam), mu0=SignalVector(mu0)
+    )
+
+
+@st.composite
+def spectra(draw):
+    """Log-uniform spectra of 1 to 40 eigenvalues, condition number 1 to 1e8."""
+    n = draw(st.integers(1, 40))
+    log_cond = draw(st.floats(0.0, 8.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return scale * 10.0 ** (log_cond * rng.uniform(0.0, 1.0, n))
+
+
+@st.composite
+def problems(draw):
+    lam = draw(spectra())
+    if draw(st.booleans()):
+        phi, eta = draw(st.floats(0.01, 0.999)), 0.0
+    else:
+        phi, eta = draw(st.floats(0.05, 10.0)), 10.0 ** draw(st.floats(-6.0, 6.0))
+    return spectrum_problem(lam, phi, eta, seed=lam.size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=problems())
+def test_solve_tau_matches_refined_root(config):
+    tau = solve_tau(config)
+    assert rel_gap(tau, refined_tau(config, tau)) <= 1e-13
+
+
+@pytest.mark.parametrize("phi", [0.99, 0.999, 0.9999])
+def test_solve_tau_near_interpolation_threshold(phi):
+    # at eta = 0, tau_star -> 0 as phi -> 1 and T_{-1,1} -> 1; the solver sums
+    # F from 1 - phi and tau T_{-1,0} there, so tau keeps full relative accuracy
+    config = spectrum_problem(np.geomspace(1e-2, 1e2, 30), phi, 0.0)
+    tau = solve_tau(config)
+    assert 0.0 < tau < 1.0
+    assert rel_gap(tau, refined_tau(config, tau)) <= 1e-13
+
+
+@pytest.mark.parametrize("eta", [1e3, 1e6, 1e9])
+def test_solve_tau_large_eta(eta):
+    # tau_star ~ eta / phi when eta dominates the spectrum
+    config = spectrum_problem(np.geomspace(0.1, 10.0, 25), 0.7, eta)
+    tau = solve_tau(config)
+    assert tau == pytest.approx(eta / 0.7, rel=1e-2)
+    assert rel_gap(tau, refined_tau(config, tau)) <= 1e-13
+
+
+@pytest.mark.parametrize("phi, eta", [(0.3, 0.0), (0.9, 0.0), (0.5, 0.4), (2.5, 1e-3)])
+def test_solve_tau_single_eigenvalue(phi, eta):
+    # n = 1: lam/(lam + tau) + eta/tau = phi is a quadratic in tau
+    lam = 2.5
+    b = phi * lam - lam - eta
+    closed = (-b + math.sqrt(b * b + 4.0 * phi * eta * lam)) / (2.0 * phi)
+    config = spectrum_problem([lam], phi, eta)
+    tau = solve_tau(config)
+    assert tau == pytest.approx(closed, rel=1e-13)
+    assert rel_gap(tau, refined_tau(config, tau)) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=spectra(), phi=st.floats(1.0, 10.0))
+def test_interpolation_has_no_solution_above_threshold(lam, phi):
+    with pytest.raises(NoSolution):
+        solve_tau(spectrum_problem(lam, phi, 0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=problems())
+def test_newton_iterates_climb_to_the_root(config):
+    # F is concave and increasing in u = 1/tau: once F(u) <= 0 (at 1/hi, or
+    # after halving u where rounding put hi below the root) every Newton
+    # iterate stays left of the root, so u increases and F stays <= 0 up to
+    # rounding, with no bracketing fallback
+    seen = []
+    f_and_slope = fixedpoint._f_and_slope
+
+    def recorded(cfg, u):
+        f, slope = f_and_slope(cfg, u)
+        seen.append((u, f))
+        return f, slope
+
+    with mock.patch.object(fixedpoint, "_f_and_slope", recorded):
+        tau = solve_tau(config)
+    start = next(i for i, (_, f) in enumerate(seen) if f <= 0)
+    assert start <= 2
+    us = [u for u, _ in seen[start:]]
+    assert all(b > a for a, b in zip(us, us[1:]))
+    assert all(f <= 1e-13 * max(1.0, config.phi) for _, f in seen[start:])
+    assert len(us) <= 40
+    assert us[-1] <= 1.0 / tau * (1 + 1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=problems())
+def test_fused_sums_match_separate_functionals(config):
+    tau = solve_tau(config)
+    model, mu0 = config.model, config.mu0
+    sums = fixed_point_sums(model, mu0, tau)
+    separate = {
+        "t11": trace_functional(model, tau, 1, 1),
+        "t21": trace_functional(model, tau, 2, 1),
+        "t22": trace_functional(model, tau, 2, 2),
+        "t32": trace_functional(model, tau, 3, 2),
+        "signal": quad_form(model, mu0, tau, 1, 1),
+    }
+    for name, value in separate.items():
+        assert getattr(sums, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+    # the public closed forms and solve_effective read the same sums
+    params = solve_effective(config)
+    assert params.tau_star == tau
+    assert params.gamma_star_sq == solve_gamma_sq(config, tau)
+    assert (params.tau_prime, params.tau_second) == tau_derivatives(config, tau)
+    gamma_sq = (config.sigma_sq + tau * tau * separate["signal"]) / (
+        config.eta / tau + tau * separate["t21"]
+    )
+    assert params.gamma_star_sq == pytest.approx(gamma_sq, rel=1e-13)

@@ -411,6 +411,24 @@ def test_kfold_refuses_singular_gram_at_zero():
     )
 
 
+def test_kfold_refuses_singular_primal_gram_at_zero():
+    # equal columns 0 and 1 make every training fold's X^T X singular; at
+    # eta = 0 the per-fold least-squares refit used to divide by its zero
+    # eigenvalue and pick eta = 0 from the NaN objective
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((60, 20))
+    x[:, 1] = x[:, 0]
+    data = Dataset(x=x, y=rng.standard_normal(60), model=Isotropic(1.0, 20))
+    grid = np.linspace(0.0, 1.5, 7)
+    with pytest.raises(IllConditioned, match="X\\^T X condition"):
+        kfold_select(data, grid, 5, 1)
+    with pytest.raises(IllConditioned):
+        regress._kfold_refit(data, grid, kfold_folds(60, 5, stream(1, 0, "fold")))
+    # eta > 0 keeps every training fold's ridge system invertible
+    result = kfold_select(data, grid[1:], 5, 1)
+    assert np.all(np.isfinite(result.objective))
+
+
 def test_debias_closed_forms():
     mu = np.array([0.3, -0.7])
     np.testing.assert_allclose(

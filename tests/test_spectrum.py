@@ -1,5 +1,8 @@
 """Covariance models: spectral functionals against dense linear algebra."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from ridgelab import (
     Explicit,
     InputError,
     Isotropic,
+    ProblemConfig,
     SignalVector,
     SpikedUniform,
     eigenvalues,
@@ -15,6 +19,7 @@ from ridgelab import (
     model_from_json,
     quad_form,
     sigma_quad,
+    solve_effective,
     spiked_uniform,
     trace_functional,
 )
@@ -92,6 +97,54 @@ def test_quad_and_trace_match_dense(rng):
     assert trace_functional(model, tau, 2, 1) == pytest.approx(dense_t21, rel=1e-12)
     dense_qf = float(mu0.coords @ inv @ sigma @ inv @ mu0.coords)
     assert quad_form(model, mu0, tau, 1, 1) == pytest.approx(dense_qf, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    Isotropic(1.7, 5),
+    SpikedUniform(0.9, 0.3, 7),
+    Explicit(np.geomspace(30.0, 1e-3, 40)),
+])
+def test_powers_by_multiplication_match_float_pow(model):
+    # the reference is the float-pow form; the two differ only in rounding,
+    # a few ulps per positive term
+    lam, counts = model.pairs()
+    mu0 = SignalVector(np.linspace(-1.0, 2.0, model.n))
+    masses = mu0.masses(model)
+    for tau in (0.0, 0.37, 250.0):
+        for p in range(4):
+            for q in range(4):
+                if p == q == 0:
+                    continue
+                ref = np.sum(counts * lam**q / (lam + tau) ** p) / model.n
+                got = trace_functional(model, tau, p, q)
+                assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+                ref = np.sum(masses * lam**q / (lam + tau) ** (2 * p))
+                assert quad_form(model, mu0, tau, p, q) == pytest.approx(
+                    ref, rel=1e-14, abs=0.0
+                )
+
+
+def test_spectral_sums_are_cached_on_the_model():
+    model = Explicit(np.array([4.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(model.tail_sums, [7.0, 3.0, 1.0, 0.0])
+    assert model.tail_sums is model.tail_sums
+    assert harmonic_mean(model) == pytest.approx(1.75 / 3.0, rel=1e-15)
+    ones = model.pairs()[1]
+    assert ones is model.pairs()[1]
+    for arr in (model.tail_sums, ones):
+        assert not arr.flags.writeable
+    np.testing.assert_array_equal(
+        SpikedUniform(1.0, 0.5, 3).tail_sums, [4.5, 2.0, 1.0, 0.0]
+    )
+    # the cache lives and dies with its model: nothing else holds the model
+    config = ProblemConfig(
+        phi=0.5, eta=0.3, sigma_sq=1.0, model=model, mu0=SignalVector([1.0, 0.0, 0.0])
+    )
+    solve_effective(config)
+    ref = weakref.ref(model)
+    del model, config, ones
+    gc.collect()
+    assert ref() is None
 
 
 def test_sigma_quad_matches_dense(rng):
