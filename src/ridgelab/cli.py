@@ -111,6 +111,24 @@ def _resolve_grid(flag_value, config_grid, fallback=None) -> np.ndarray:
     raise UsageError("an eta grid is required (flag or config)")
 
 
+def _resolved_problem(cfg_obj: dict, config: ProblemConfig) -> dict:
+    """cfg_obj with the fields that grow with n stored as array payloads.
+
+    Those are an explicit model's eigenvalues and basis and an explicit mu0
+    list, recorded from the parsed arrays in dataio.encode_array form.
+    """
+    resolved = dict(cfg_obj)
+    model = config.model
+    if model.kind == "explicit":
+        resolved["model"] = dict(cfg_obj["model"])
+        resolved["model"]["eigenvalues"] = dataio.encode_array(model.eigenvalues)
+        if model.basis is not None:
+            resolved["model"]["basis"] = dataio.encode_array(model.basis)
+    if not isinstance(cfg_obj["mu0"], dict):
+        resolved["mu0"] = dataio.encode_array(config.mu0.coords)
+    return resolved
+
+
 def _write_meta(out_path: str, argv: list[str], config: dict, outputs: list[str]):
     dataio.write_run_meta(
         os.path.dirname(os.path.abspath(out_path)) if not os.path.isdir(out_path)
@@ -146,7 +164,7 @@ def _cmd_fpe(args, argv):
         "gamma_tilde_sq", "m", "m_prime", "m_second",
     ]
     dataio.write_csv(args.out, header, rows)
-    resolved = dict(cfg_obj)
+    resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
     _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
 
@@ -168,18 +186,16 @@ def _cmd_risk(args, argv):
         p = solve_effective(config.with_eta(float(eta)))
         for name in kinds:
             kind = RiskKind(name)
-            theo = theoretical_risk(
-                kind, p, config.model, config.mu0, config.sigma_sq, config.phi
-            )
+            theo = theoretical_risk(kind, p, config.sigma_sq, config.phi)
             rmt = rmt_risk(kind, p, config.sigma_sq, s0, config.phi)
             deriv = (
                 None
                 if kind == RiskKind.RES
-                else risk_derivative(kind, p, config.model, config.sigma_sq, s0)
+                else risk_derivative(kind, p, config.sigma_sq, s0)
             )
             rows.append((p.eta, name, theo, rmt, deriv))
     dataio.write_csv(args.out, ["eta", "kind", "theoretical", "rmt", "derivative"], rows)
-    resolved = dict(cfg_obj)
+    resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
     resolved["kinds"] = kinds
     _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
@@ -219,7 +235,7 @@ def _cmd_lq(args, argv):
             row += [mean, se]
         rows.append(tuple(row))
     dataio.write_csv(args.out, header, rows)
-    resolved = dict(cfg_obj)
+    resolved = _resolved_problem(cfg_obj, config)
     resolved.update({"eta": args.eta, "q": qs, "mc_reps": args.mc_reps, "seed": args.seed})
     _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
 

@@ -93,7 +93,9 @@ class EffectiveParams:
     """Solved effective quantities at one regularization level.
 
     m_val, m_prime, m_second are the companion Stieltjes transform and its
-    first two derivatives at z = -eta/phi; m_val * tau_star = 1.
+    first two derivatives at z = -eta/phi; m_val * tau_star = 1. sums holds
+    the spectral sums at tau_star the solve gathered, from which every risk
+    formula is read without another pass over the spectrum.
     """
 
     eta: float
@@ -105,6 +107,7 @@ class EffectiveParams:
     m_val: float
     m_prime: float
     m_second: float
+    sums: FixedPointSums
 
 
 def expected_err(model: CovarianceModel, mu0, gamma_sq: float, tau: float) -> float:
@@ -115,11 +118,16 @@ def expected_err(model: CovarianceModel, mu0, gamma_sq: float, tau: float) -> fl
     if tau <= 0:
         raise InputError(f"tau must be positive, got {tau}")
     signal = quad_form(model, mu0, tau, 1, 1)
-    return _err(gamma_sq, tau, signal, trace_functional(model, tau, 2, 2))
+    return bias_variance(gamma_sq, tau, signal, trace_functional(model, tau, 2, 2))
 
 
-def _err(gamma_sq: float, tau: float, signal: float, t22: float) -> float:
-    return tau * tau * signal + gamma_sq * t22
+def bias_variance(gamma_sq: float, tau: float, signal: float, trace: float) -> float:
+    """tau^2 signal + gamma^2 trace, the sequence-model ridge error.
+
+    With the q = 1 signal form and T_{-2,2} it is the prediction error
+    (expected_err); with the q = 0 form and T_{-2,1}, the estimation error.
+    """
+    return tau * tau * signal + gamma_sq * trace
 
 
 def expected_dof(model: CovarianceModel, gamma_sq: float, tau: float) -> float:
@@ -134,26 +142,34 @@ def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
 
     lo = (1 - phi + sqrt((1-phi)^2 + 4 H eta)) / (2 H) with H the reciprocal
     harmonic mean; hi minimizes (sum_{j>k} lambda_j + n eta) / (m - k) over
-    admissible k. The sample count m = phi * n may be non-integral, in which
-    case k ranges over integers with m - k > 0. H and the tail sums are
-    cached on the model, so a call costs O(min(m, n)).
+    integers 0 <= k <= k_max = min(ceil(m) - 1, n), so m - k > 0 also when
+    the sample count m = phi * n is non-integral. Only the block boundaries
+    of model.pairs() up to k_max are evaluated: across a block of c equal
+    eigenvalues lambda from k = s to s + c the ratio is (C - lambda k)/(m - k),
+    monotone with the sign of C - lambda m >= lambda (s + c - m) + n eta, so
+    its minimum over the block is at a boundary; and if k_max falls inside
+    the block then s + c >= ceil(m) >= m, the ratio is nondecreasing up to
+    k_max and its minimum is at s. H and the per-block sums are cached on
+    the model, so a call costs O(number of distinct eigenvalues).
     """
     if config.eta == 0 and config.phi >= 1:
         raise NoSolution(
             "eta = 0 requires phi < 1: the interpolating solution exists "
             "only in the overparametrized regime m < n"
         )
-    h = harmonic_mean(config.model)
+    model = config.model
+    h = harmonic_mean(model)
     one_minus = 1.0 - config.phi
     lo = (one_minus + math.sqrt(one_minus * one_minus + 4.0 * h * config.eta)) / (2.0 * h)
 
-    n = config.model.n
+    n = model.n
     m = config.phi * n
     k_max = min(int(np.ceil(m)) - 1, n)
-    tail = config.model.tail_sums[: k_max + 1]
-    denom = m - np.arange(0, k_max + 1)
-    valid = denom > 0
-    hi = float(np.min((tail[valid] + n * config.eta) / denom[valid]))
+    starts = model.block_starts
+    blocks = int(np.searchsorted(starts, k_max, side="right"))
+    hi = float(np.min(
+        (model.tail_sums[:blocks] + n * config.eta) / (m - starts[:blocks])
+    ))
     return lo, hi
 
 
@@ -287,7 +303,7 @@ def solve_effective(config: ProblemConfig, tol: float = 1e-12) -> EffectiveParam
 
     scale = max(1.0, config.phi * gamma_sq)
     # expected_err and expected_dof at the root, read from the same sums
-    err = _err(gamma_sq, tau, sums.signal, sums.t22)
+    err = bias_variance(gamma_sq, tau, sums.signal, sums.t22)
     res1 = config.phi * gamma_sq - config.sigma_sq - err
     res2 = (config.phi - config.eta / tau) * gamma_sq - gamma_sq * sums.t11
     if abs(res1) > 1e-10 * scale or abs(res2) > 1e-10 * scale:
@@ -304,6 +320,7 @@ def solve_effective(config: ProblemConfig, tol: float = 1e-12) -> EffectiveParam
         m_val=m_val,
         m_prime=m_prime,
         m_second=m_second,
+        sums=sums,
     )
 
 

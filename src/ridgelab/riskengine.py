@@ -9,7 +9,9 @@ coincide exactly for isotropic covariances and agree to o(1) generally.
 Conventions used throughout:
   * signal strength is carried as the pair (sigma_sq, mu_norm_sq), never
     as their ratio, so the noiseless case is exact;
-  * eta is read from the solved EffectiveParams rather than passed twice.
+  * eta is read from the solved EffectiveParams rather than passed twice,
+    and so are the spectral sums at tau_star (params.sums): evaluating a
+    risk after the solve makes no new pass over the spectrum.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .fixedpoint import EffectiveParams, ProblemConfig, solve_effective
-from .spectrum import (
-    CovarianceModel,
-    SignalVector,
-    eigenvalues,
-    quad_form,
-    trace_functional,
-)
+from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
+from .spectrum import CovarianceModel, eigenvalues
+# unused here; ridgebench/tracer.py wraps these names at this module
+from .spectrum import quad_form, trace_functional  # noqa: F401
 
 _DENSE_A_GUARD = 5000
 
@@ -68,22 +66,22 @@ class RiskCurve:
 
 
 def theoretical_risk(
-    kind: RiskKind,
-    params: EffectiveParams,
-    model: CovarianceModel,
-    mu0: SignalVector,
-    sigma_sq: float,
-    phi: float,
+    kind: RiskKind, params: EffectiveParams, sigma_sq: float, phi: float
 ) -> float:
+    """Deterministic risk from the effective pair (tau, gamma).
+
+    PRED = tau^2 ||(Sigma+tau I)^{-1} Sigma^{1/2} mu0||^2 + gamma^2 T_{-2,2},
+    EST = tau^2 ||(Sigma+tau I)^{-1} mu0||^2 + gamma^2 T_{-2,1}, RES =
+    eta^2 gamma^2 / tau^2 and INS = RES + sigma_sq (phi - 2 eta/tau).
+    """
     tau = params.tau_star
     gamma_sq = params.gamma_star_sq
     eta = params.eta
+    sums = params.sums
     if kind == RiskKind.PRED:
-        bias = tau * tau * quad_form(model, mu0, tau, 1, 1)
-        return bias + gamma_sq * trace_functional(model, tau, 2, 2)
+        return bias_variance(gamma_sq, tau, sums.signal, sums.t22)
     if kind == RiskKind.EST:
-        bias = tau * tau * quad_form(model, mu0, tau, 1, 0)
-        return bias + gamma_sq * trace_functional(model, tau, 2, 1)
+        return bias_variance(gamma_sq, tau, sums.signal0, sums.t21)
     res = eta * eta * gamma_sq / (tau * tau)
     if kind == RiskKind.RES:
         return res
@@ -122,9 +120,7 @@ def rmt_risk(
     raise InputError(f"unknown risk kind {kind!r}")
 
 
-def derivative_factor(
-    kind: RiskKind, params: EffectiveParams, model: CovarianceModel
-) -> float:
+def derivative_factor(kind: RiskKind, params: EffectiveParams) -> float:
     """Positive factor M^#(eta) multiplying (eta ||mu0||^2 - sigma_sq).
 
     The aspect ratio is recovered from the stored Stieltjes derivative,
@@ -133,37 +129,29 @@ def derivative_factor(
     """
     tau = params.tau_star
     tau_p = params.tau_prime
+    sums = params.sums
     if kind == RiskKind.PRED:
         phi = params.m_prime * tau * tau / tau_p
         return phi * (-params.tau_second)
     if kind == RiskKind.EST:
-        t31 = trace_functional(model, tau, 3, 1)
-        t21 = trace_functional(model, tau, 2, 1)
-        t32 = trace_functional(model, tau, 3, 2)
-        return 2.0 * tau_p * tau_p * (t31 + tau_p * t21 * t32)
+        return 2.0 * tau_p * tau_p * (sums.t31 + tau_p * sums.t21 * sums.t32)
     if kind == RiskKind.INS:
-        t21 = trace_functional(model, tau, 2, 1)
-        t32 = trace_functional(model, tau, 3, 2)
         eta = params.eta
         return (2.0 * tau_p * tau_p / (tau * tau)) * (
-            eta * eta * tau_p * t32 + tau**3 * t21 * t21
+            eta * eta * tau_p * sums.t32 + tau**3 * sums.t21 * sums.t21
         )
     raise InputError(f"no derivative factor for risk kind {kind!r}")
 
 
 def risk_derivative(
-    kind: RiskKind,
-    params: EffectiveParams,
-    model: CovarianceModel,
-    sigma_sq: float,
-    mu_norm_sq: float,
+    kind: RiskKind, params: EffectiveParams, sigma_sq: float, mu_norm_sq: float
 ) -> float:
     """d/d eta of the RMT risk: (eta ||mu0||^2 - sigma_sq) M^#(eta).
 
     Vanishes exactly at eta = sigma_sq/||mu0||^2 and carries that sign, so
     the three tunable risks share one minimizer.
     """
-    factor = derivative_factor(kind, params, model)
+    factor = derivative_factor(kind, params)
     return (params.eta * mu_norm_sq - sigma_sq) * factor
 
 
@@ -286,10 +274,8 @@ def risk_curve(
     s0 = config.mu0.norm_sq
     for i, eta in enumerate(etas):
         params = solve_effective(config.with_eta(float(eta)), tol)
-        theo[i] = theoretical_risk(
-            kind, params, config.model, config.mu0, config.sigma_sq, config.phi
-        )
+        theo[i] = theoretical_risk(kind, params, config.sigma_sq, config.phi)
         rmt[i] = rmt_risk(kind, params, config.sigma_sq, s0, config.phi)
         if deriv is not None:
-            deriv[i] = risk_derivative(kind, params, config.model, config.sigma_sq, s0)
+            deriv[i] = risk_derivative(kind, params, config.sigma_sq, s0)
     return RiskCurve(etas=etas, kind=kind, theoretical=theo, rmt=rmt, derivative=deriv)

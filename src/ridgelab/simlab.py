@@ -523,7 +523,7 @@ def _theory_curves(
     for i, eta in enumerate(etas):
         params = solve_effective(base.with_eta(float(eta)))
         for kind in kinds:
-            theo[kind][i] = theoretical_risk(kind, params, model, mu0, sigma_sq, phi)
+            theo[kind][i] = theoretical_risk(kind, params, sigma_sq, phi)
             rmt[kind][i] = rmt_risk(kind, params, sigma_sq, s0, phi)
     return theo, rmt
 

@@ -39,7 +39,8 @@ class _SpectralSums:
     """Eta-independent sums over a model's spectrum, computed once per instance.
 
     fixedpoint.tau_bounds reads them on every solve; caching them on the
-    model ties their lifetime to the model's.
+    model ties their lifetime to the model's. The per-block arrays have one
+    entry per distinct eigenvalue of pairs() plus one.
     """
 
     @functools.cached_property
@@ -48,11 +49,18 @@ class _SpectralSums:
         return trace_functional(self, 0.0, 1, 0)
 
     @functools.cached_property
+    def block_starts(self) -> np.ndarray:
+        """block_starts[j] = number of eigenvalues above the j-th block of pairs()."""
+        _, counts = self.pairs()
+        return _read_only(np.concatenate(([0.0], np.cumsum(counts))))
+
+    @functools.cached_property
     def tail_sums(self) -> np.ndarray:
-        """tail_sums[k] = sum of all but the k largest eigenvalues, k = 0..n."""
-        # summed from the smallest eigenvalue up, so tail_sums[n] is exactly 0
+        """tail_sums[j] = sum of the eigenvalues in blocks j, j + 1, ... of pairs()."""
+        # summed from the smallest block up, so the last entry is exactly 0
         # and no tail suffers cancellation against the total
-        suffix = np.cumsum(eigenvalues(self)[::-1])[::-1]
+        lam, counts = self.pairs()
+        suffix = np.cumsum((lam * counts)[::-1])[::-1]
         return _read_only(np.concatenate((suffix, [0.0])))
 
 
@@ -439,17 +447,20 @@ def resolvent_sums(model: CovarianceModel, tau: float) -> tuple[float, float, fl
 
 
 class FixedPointSums(NamedTuple):
-    """The spectral sums at one tau that the fixed-point closed forms read.
+    """The spectral sums at one tau that the fixed-point and risk closed forms read.
 
-    t11, t21, t22, t32 are T_{-1,1}, T_{-2,1}, T_{-2,2}, T_{-3,2}; signal is
-    ||(Sigma + tau I)^{-1} Sigma^{1/2} mu0||^2.
+    t11, t21, t31, t22, t32 are T_{-1,1}, T_{-2,1}, T_{-3,1}, T_{-2,2},
+    T_{-3,2}; signal is ||(Sigma + tau I)^{-1} Sigma^{1/2} mu0||^2 and
+    signal0 is ||(Sigma + tau I)^{-1} mu0||^2.
     """
 
     t11: float
     t21: float
+    t31: float
     t22: float
     t32: float
     signal: float
+    signal0: float
 
 
 def fixed_point_sums(
@@ -457,15 +468,29 @@ def fixed_point_sums(
 ) -> FixedPointSums:
     """Every FixedPointSums field from one pass over r = 1/(lambda + tau)."""
     lam, counts = model.pairs()
+    n = model.n
     r = _reciprocal_shift(lam, tau)
-    lr2 = lam * r
-    lr2 *= r
-    sums = []
     terms = counts * lam
-    for factor in (r, r, lam, r):  # c lam r, c lam r^2, c lam^2 r^2, c lam^2 r^3
-        terms *= factor
-        sums.append(float(np.sum(terms)) / model.n)
-    return FixedPointSums(*sums, signal=float(np.sum(mu0.masses(model) * lr2)))
+    terms *= r
+    t11 = float(np.sum(terms)) / n
+    terms *= r
+    t21 = float(np.sum(terms)) / n
+    scratch = terms * r
+    t31 = float(np.sum(scratch)) / n
+    terms *= lam
+    t22 = float(np.sum(terms)) / n
+    terms *= r
+    t32 = float(np.sum(terms)) / n
+    masses = mu0.masses(model)
+    np.multiply(masses, r, out=scratch)
+    scratch *= r
+    signal0 = float(np.sum(scratch))
+    np.multiply(lam, r, out=scratch)
+    scratch *= r
+    scratch *= masses
+    return FixedPointSums(
+        t11, t21, t31, t22, t32, signal=float(np.sum(scratch)), signal0=signal0
+    )
 
 
 def sigma_quad(model: CovarianceModel, v: np.ndarray) -> float:

@@ -163,7 +163,7 @@ def test_criterion_04_derivative_structure():
                 kind, solve_effective(base.with_eta(eta + h)), 1.0, s0, base.phi
             )
             fd = (hi - lo) / (2.0 * h)
-            exact = risk_derivative(kind, p, base.model, 1.0, s0)
+            exact = risk_derivative(kind, p, 1.0, s0)
             assert exact == pytest.approx(fd, rel=1e-4)
 
     # the common stationary point sits at eta = sigma^2 / ||mu0||^2
@@ -171,7 +171,7 @@ def test_criterion_04_derivative_structure():
         cfg = iso_problem(eta=sigma_sq / radius**2, sigma_sq=sigma_sq, radius=radius)
         p = solve_effective(cfg)
         for kind in (RiskKind.PRED, RiskKind.EST, RiskKind.INS):
-            deriv = risk_derivative(kind, p, cfg.model, sigma_sq, cfg.mu0.norm_sq)
+            deriv = risk_derivative(kind, p, sigma_sq, cfg.mu0.norm_sq)
             assert deriv == pytest.approx(0.0, abs=1e-12)
 
     etas = np.asarray(GRID161)

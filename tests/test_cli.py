@@ -24,7 +24,13 @@ from ridgelab import (
 )
 from ridgelab import cli
 from ridgelab.cli import run
-from ridgelab.dataio import dataset_to_json, encode_array, load_json, read_csv
+from ridgelab.dataio import (
+    dataset_to_json,
+    decode_array,
+    encode_array,
+    load_json,
+    read_csv,
+)
 from ridgelab.riskengine import RiskKind
 
 
@@ -85,6 +91,65 @@ def test_fpe_csv_matches_solver(tmp_path):
     before = out.read_bytes()
     assert run(meta["rerun_argv"]) == 0
     assert out.read_bytes() == before
+
+
+THEORY_COMMANDS = (("fpe", []), ("risk", []), ("lq", ["--eta", "0.5"]))
+
+
+def test_run_meta_stores_the_spectrum_as_an_array_payload(tmp_path):
+    n = 10_000
+    lam = np.geomspace(20.0, 0.05, n)
+    config = write_problem(
+        tmp_path,
+        model={"kind": "explicit", "n": n, "eigenvalues": lam.tolist()},
+        eta_grid="0:1.5:5",
+    )
+    for name, extra in THEORY_COMMANDS:
+        out = tmp_path / name / f"{name}.csv"
+        out.parent.mkdir()
+        assert run([name, "--config", str(config), *extra, "--out", str(out)]) == 0
+        meta_path = out.parent / "run_meta.json"
+        meta = json.loads(meta_path.read_text())
+        recorded = decode_array(meta["config"]["model"]["eigenvalues"])
+        assert recorded.shape == lam.shape
+        assert recorded.tobytes() == lam.tobytes()
+        # base64 spends 4/3 of a byte per byte; 10^4 eigenvalues as
+        # indented text took about 2.5 times this bound
+        assert meta_path.stat().st_size < 2 * 8 * n + 4096
+        before = out.read_bytes()
+        out.unlink()
+        assert run(meta["rerun_argv"]) == 0
+        assert out.read_bytes() == before
+
+
+def test_run_meta_stores_basis_and_explicit_mu0_as_array_payloads(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 6
+    lam = np.sort(rng.uniform(0.5, 3.0, n))[::-1]
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mu0 = rng.standard_normal(n)
+    model = {"kind": "explicit", "eigenvalues": lam.tolist(), "basis": basis.tolist()}
+    config = write_problem(tmp_path, model=model, mu0=mu0.tolist(), eta_grid="0.5:1:2")
+    for name, extra in THEORY_COMMANDS:
+        out = tmp_path / name / f"{name}.csv"
+        out.parent.mkdir()
+        assert run([name, "--config", str(config), *extra, "--out", str(out)]) == 0
+        meta = json.loads((out.parent / "run_meta.json").read_text())
+        recorded = meta["config"]
+        assert recorded["model"]["kind"] == "explicit"
+        for got, want in (
+            (recorded["model"]["eigenvalues"], lam),
+            (recorded["model"]["basis"], basis),
+            (recorded["mu0"], mu0),
+        ):
+            np.testing.assert_array_equal(decode_array(got), want)
+    # a sampled signal keeps its spec, and structured models stay as given
+    config = write_problem(tmp_path)
+    out = tmp_path / "fpe.csv"
+    assert run(["fpe", "--config", str(config), "--eta-grid", "0:1:2", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["config"]["model"] == {"kind": "isotropic", "scale": 1.0, "n": 16}
+    assert meta["config"]["mu0"] == {"mode": "sphere", "radius": 1.0, "seed": 3}
 
 
 def fpe_columns_40_digits(config, eta: float, tau: float) -> list:
@@ -176,9 +241,7 @@ def test_risk_csv_schema(tmp_path):
     base = reference_problem()
     for row in rows:
         p = solve_effective(base.with_eta(row[0]))
-        expected = theoretical_risk(
-            RiskKind(row[1]), p, base.model, base.mu0, 1.0, 0.5
-        )
+        expected = theoretical_risk(RiskKind(row[1]), p, 1.0, 0.5)
         assert row[2] == expected
     # the residual risk has no eta-derivative column entry
     assert rows[1][4] is None and rows[0][4] is not None

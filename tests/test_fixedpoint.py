@@ -14,10 +14,12 @@ from ridgelab import fixedpoint
 from ridgelab import (
     Explicit,
     InputError,
+    Isotropic,
     NoSolution,
     ProblemConfig,
     SignalVector,
     SpikedUniform,
+    eigenvalues,
     expected_dof,
     expected_err,
     solve_effective,
@@ -333,18 +335,68 @@ def test_fused_sums_match_separate_functionals(config):
     separate = {
         "t11": trace_functional(model, tau, 1, 1),
         "t21": trace_functional(model, tau, 2, 1),
+        "t31": trace_functional(model, tau, 3, 1),
         "t22": trace_functional(model, tau, 2, 2),
         "t32": trace_functional(model, tau, 3, 2),
         "signal": quad_form(model, mu0, tau, 1, 1),
+        "signal0": quad_form(model, mu0, tau, 1, 0),
     }
+    assert set(separate) == set(sums._fields)
     for name, value in separate.items():
         assert getattr(sums, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
-    # the public closed forms and solve_effective read the same sums
+    # the public closed forms and solve_effective read the same sums, and
+    # the solved params carry them
     params = solve_effective(config)
     assert params.tau_star == tau
+    assert params.sums == sums
     assert params.gamma_star_sq == solve_gamma_sq(config, tau)
     assert (params.tau_prime, params.tau_second) == tau_derivatives(config, tau)
     gamma_sq = (config.sigma_sq + tau * tau * separate["signal"]) / (
         config.eta / tau + tau * separate["t21"]
     )
     assert params.gamma_star_sq == pytest.approx(gamma_sq, rel=1e-13)
+
+
+class MergedExplicit(Explicit):
+    """Explicit with its repeated eigenvalues merged into blocks of pairs()."""
+
+    def pairs(self):
+        lam, counts = np.unique(self.eigenvalues, return_counts=True)
+        return lam[::-1].copy(), counts[::-1].astype(float)
+
+
+@st.composite
+def block_models(draw):
+    """Models whose pairs() have blocks of equal eigenvalues, and explicit ones."""
+    n = draw(st.integers(1, 150))
+    kind = draw(st.sampled_from(["isotropic", "spiked_uniform", "explicit", "merged"]))
+    level = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    if kind == "isotropic":
+        return Isotropic(draw(level), n)
+    if kind == "spiked_uniform":
+        return SpikedUniform(draw(level), draw(level), n)
+    values = draw(st.lists(level, min_size=1, max_size=5))
+    lam = np.sort(np.repeat(values, draw(st.integers(1, 40))))[::-1][:n]
+    # explicit: every eigenvalue is its own pair, so every k is a boundary
+    return Explicit(lam) if kind == "explicit" else MergedExplicit(lam)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=block_models(), phi=st.floats(0.01, 5.0), log_eta=st.floats(-6.0, 3.0),
+       interpolate=st.booleans())
+def test_tau_bounds_hi_is_the_minimum_over_every_k(model, phi, log_eta, interpolate):
+    # tau_bounds evaluates block boundaries only, which must give the
+    # minimum over every k: blocks of equal eigenvalues leave it no
+    # interior minimum
+    eta = 0.0 if interpolate and phi < 1 else 10.0**log_eta
+    config = ProblemConfig(
+        phi=phi, eta=eta, sigma_sq=1.0, model=model, mu0=SignalVector(np.ones(model.n))
+    )
+    n = model.n
+    m = phi * n
+    lam = [float(v) for v in eigenvalues(model)]
+    brute = min(
+        (math.fsum(lam[k:]) + n * eta) / (m - k)
+        for k in range(min(math.ceil(m) - 1, n) + 1)
+    )
+    assert tau_bounds(config)[1] == pytest.approx(brute, rel=1e-13, abs=0.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ridgelab import regress
@@ -233,6 +233,45 @@ def test_gram_sweep_matches_direct_fits():
     np.testing.assert_allclose(
         sweep.mu_hat(0.0), ridgeless_fit(over).mu_hat, atol=1e-9
     )
+
+
+def rel_gap(got, want) -> float:
+    return float(np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dual=st.booleans(),
+    short=st.one_of(st.just(1), st.integers(2, 12)),
+    extra=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+    log_eta=st.floats(-1.0, 1.0),
+)
+@example(dual=True, short=1, extra=0, seed=0, log_eta=0.0)
+@example(dual=True, short=1, extra=8, seed=1, log_eta=-1.0)
+@example(dual=False, short=1, extra=8, seed=2, log_eta=-1.0)
+def test_dual_and_primal_sweeps_match_a_dense_solve(dual, short, extra, seed, log_eta):
+    # each route is checked on the shapes that select it (m <= n dual, m > n
+    # primal); both within 1e-10 of the dense solve puts them within 2e-10
+    # of each other
+    m, n = (short, short + extra) if dual else (short + extra + 1, short)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    eta = 10.0**log_eta
+    mu = np.linalg.solve(x.T @ x / n + eta * np.eye(n), x.T @ y / n)
+    inv_dual = np.linalg.inv(x @ x.T / n + eta * np.eye(m))
+    tau = n / np.trace(inv_dual)
+    dense = {
+        "mu_hat": mu,
+        "resid": y - x @ mu,
+        "tau_hat": tau,
+        "gamma_hat": tau / np.sqrt(n) * np.linalg.norm(inv_dual @ y),
+    }
+    sweep = GramSweep(x, y)
+    assert sweep.dual is dual
+    for name, want in dense.items():
+        assert rel_gap(getattr(sweep, name)(eta), want) <= 1e-10, name
 
 
 def test_sigma_hat_sq_formula_and_clamp():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import iso_problem, random_problem
 from ridgelab import (
@@ -13,17 +15,21 @@ from ridgelab import (
     Isotropic,
     ProblemConfig,
     RiskKind,
+    SignalVector,
+    SpikedUniform,
     derivative_factor,
     gaussian_abs_moment,
     lq_gamma_diag,
     lq_risk,
     opt_risks,
     optimal_eta,
+    quad_form,
     risk_curve,
     risk_derivative,
     rmt_risk,
     solve_effective,
     theoretical_risk,
+    trace_functional,
 )
 
 KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS, RiskKind.RES)
@@ -44,9 +50,7 @@ def risks_at(config, eta):
     out = {}
     for kind in KINDS:
         out[kind] = (
-            theoretical_risk(
-                kind, params, config.model, config.mu0, config.sigma_sq, config.phi
-            ),
+            theoretical_risk(kind, params, config.sigma_sq, config.phi),
             rmt_risk(kind, params, config.sigma_sq, config.mu0.norm_sq, config.phi),
         )
     return params, out
@@ -87,34 +91,27 @@ def test_pred_identity_random(rng):
 
 def test_derivative_factors_isotropic_interpolation():
     params = solve_effective(iso_problem(eta=0.0))
-    model = Isotropic(1.0, 4)
-    assert derivative_factor(RiskKind.PRED, params, model) == pytest.approx(
-        8.0, rel=1e-9
-    )
-    assert derivative_factor(RiskKind.EST, params, model) == pytest.approx(
-        8.0, rel=1e-9
-    )
-    assert derivative_factor(RiskKind.INS, params, model) == pytest.approx(
-        2.0, rel=1e-9
-    )
+    assert derivative_factor(RiskKind.PRED, params) == pytest.approx(8.0, rel=1e-9)
+    assert derivative_factor(RiskKind.EST, params) == pytest.approx(8.0, rel=1e-9)
+    assert derivative_factor(RiskKind.INS, params) == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(InputError):
-        derivative_factor(RiskKind.RES, params, model)
+        derivative_factor(RiskKind.RES, params)
 
 
 def test_risk_derivative_at_interpolation():
     config = iso_problem(eta=0.0)
     params = solve_effective(config)
     # (eta s0 - sigma^2) M = (0 - 1) * 8
-    assert risk_derivative(
-        RiskKind.PRED, params, config.model, 1.0, 1.0
-    ) == pytest.approx(-8.0, rel=1e-9)
+    assert risk_derivative(RiskKind.PRED, params, 1.0, 1.0) == pytest.approx(
+        -8.0, rel=1e-9
+    )
 
 
 def test_risk_derivative_vanishes_at_noise_to_signal_ratio():
     config = iso_problem(eta=1.0)
     params = solve_effective(config)
     for kind in (RiskKind.PRED, RiskKind.EST, RiskKind.INS):
-        assert risk_derivative(kind, params, config.model, 1.0, 1.0) == pytest.approx(
+        assert risk_derivative(kind, params, 1.0, 1.0) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -140,7 +137,7 @@ def test_risk_derivative_matches_finite_differences(rng):
                     s0,
                     config.phi,
                 )
-                deriv = risk_derivative(kind, params, config.model, config.sigma_sq, s0)
+                deriv = risk_derivative(kind, params, config.sigma_sq, s0)
                 assert deriv == pytest.approx((hi - lo) / (2.0 * h), rel=1e-4)
 
 
@@ -266,3 +263,71 @@ def test_risk_curve_structure():
     res = risk_curve(config, RiskKind.RES, etas)
     assert res.derivative is None
     assert res.theoretical[0] == pytest.approx(0.0, abs=1e-13)
+
+
+@st.composite
+def theory_problems(draw):
+    """Problems on all three model kinds, explicit spectra with condition up to 1e8."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["isotropic", "spiked_uniform", "explicit"]))
+    level = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+    if kind == "isotropic":
+        model = Isotropic(draw(level), n)
+    elif kind == "spiked_uniform":
+        model = SpikedUniform(draw(level), draw(level), n)
+    else:
+        log_cond = draw(st.floats(0.0, 8.0))
+        lam = np.sort(draw(level) * 10.0 ** (log_cond * rng.uniform(0.0, 1.0, n)))
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0] if draw(st.booleans()) else None
+        model = Explicit(lam[::-1], basis)
+    if draw(st.booleans()):
+        phi, eta = draw(st.floats(0.05, 0.95)), 0.0
+    else:
+        phi, eta = draw(st.floats(0.05, 5.0)), 10.0 ** draw(st.floats(-3.0, 2.0))
+    return ProblemConfig(
+        phi=phi,
+        eta=eta,
+        sigma_sq=draw(st.floats(0.0, 2.0)),
+        model=model,
+        mu0=SignalVector(rng.standard_normal(n)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=theory_problems())
+def test_risks_from_solved_sums_match_separate_functionals(config):
+    # theoretical_risk and derivative_factor read params.sums, the solve's
+    # one post-solve pass; the reference rebuilds each closed form from
+    # trace_functional and quad_form at the same tau
+    params = solve_effective(config)
+    model, mu0, phi = config.model, config.mu0, config.phi
+    tau, gamma_sq, eta = params.tau_star, params.gamma_star_sq, params.eta
+
+    def tf(p, q):
+        return trace_functional(model, tau, p, q)
+
+    res = eta * eta * gamma_sq / (tau * tau)
+    risks = {
+        RiskKind.PRED: tau * tau * quad_form(model, mu0, tau, 1, 1) + gamma_sq * tf(2, 2),
+        RiskKind.EST: tau * tau * quad_form(model, mu0, tau, 1, 0) + gamma_sq * tf(2, 1),
+        RiskKind.INS: res + config.sigma_sq * (phi - 2.0 * eta / tau),
+        RiskKind.RES: res,
+    }
+    g0 = eta + tau * tau * tf(2, 1)
+    tau_p = tau / g0
+    tau_s = -2.0 * tau * tau * tau_p * tf(3, 2) / (g0 * g0)
+    factors = {
+        RiskKind.PRED: -phi * tau_s,
+        RiskKind.EST: 2.0 * tau_p * tau_p * (tf(3, 1) + tau_p * tf(2, 1) * tf(3, 2)),
+        RiskKind.INS: (2.0 * tau_p * tau_p / (tau * tau))
+        * (eta * eta * tau_p * tf(3, 2) + tau**3 * tf(2, 1) ** 2),
+    }
+    for kind, want in risks.items():
+        got = theoretical_risk(kind, params, config.sigma_sq, phi)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), kind
+    for kind, want in factors.items():
+        assert derivative_factor(kind, params) == pytest.approx(
+            want, rel=1e-13, abs=0.0
+        ), kind

@@ -127,15 +127,20 @@ def test_powers_by_multiplication_match_float_pow(model):
 def test_spectral_sums_are_cached_on_the_model():
     model = Explicit(np.array([4.0, 2.0, 1.0]))
     np.testing.assert_array_equal(model.tail_sums, [7.0, 3.0, 1.0, 0.0])
+    np.testing.assert_array_equal(model.block_starts, [0.0, 1.0, 2.0, 3.0])
     assert model.tail_sums is model.tail_sums
     assert harmonic_mean(model) == pytest.approx(1.75 / 3.0, rel=1e-15)
     ones = model.pairs()[1]
     assert ones is model.pairs()[1]
-    for arr in (model.tail_sums, ones):
+    for arr in (model.tail_sums, model.block_starts, ones):
         assert not arr.flags.writeable
-    np.testing.assert_array_equal(
-        SpikedUniform(1.0, 0.5, 3).tail_sums, [4.5, 2.0, 1.0, 0.0]
-    )
+    # one entry per distinct eigenvalue of pairs() plus one: spike 2.5, bulk 1 x 2
+    spiked = SpikedUniform(1.0, 0.5, 3)
+    np.testing.assert_array_equal(spiked.tail_sums, [4.5, 2.0, 0.0])
+    np.testing.assert_array_equal(spiked.block_starts, [0.0, 1.0, 3.0])
+    big = Isotropic(1.0, 10**6)
+    np.testing.assert_array_equal(big.tail_sums, [1e6, 0.0])
+    np.testing.assert_array_equal(big.block_starts, [0.0, 1e6])
     # the cache lives and dies with its model: nothing else holds the model
     config = ProblemConfig(
         phi=0.5, eta=0.3, sigma_sq=1.0, model=model, mu0=SignalVector([1.0, 0.0, 0.0])
