@@ -61,18 +61,37 @@ def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _problem_from_json(obj: dict) -> tuple[ProblemConfig, np.ndarray | None]:
+def _problem_from_json(
+    obj: dict, flags: dict | None = None
+) -> tuple[ProblemConfig, np.ndarray | None]:
+    """The problem and eta grid of a config, or of a run_meta.json config.
+
+    flags are the command-line values a command records in run_meta.json
+    next to the problem (risk's kinds, lq's q, mc_reps and seed); read back,
+    they must agree with the command line.
+    """
     if not isinstance(obj, dict):
         raise UsageError("problem config must be a JSON object")
-    unknown = set(obj) - {"phi", "eta", "sigma_sq", "model", "mu0", "eta_grid"}
+    flags = flags or {}
+    unknown = set(obj) - {"phi", "eta", "sigma_sq", "model", "mu0", "eta_grid"} - set(flags)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in flags.items():
+        if key in obj and obj[key] != value:
+            raise UsageError(
+                f"config {key!r} {obj[key]!r} disagrees with the command line {value!r}"
+            )
     for key in ("phi", "sigma_sq", "model", "mu0"):
         if key not in obj:
             raise UsageError(f"problem config is missing {key!r}")
     model = model_from_json(obj["model"])
     mu0_spec = obj["mu0"]
-    if isinstance(mu0_spec, dict):
+    if isinstance(mu0_spec, dict) and "data" in mu0_spec:
+        try:
+            mu0 = SignalVector(dataio.decode_array(mu0_spec))
+        except InputError as exc:
+            raise InputError(f"malformed 'mu0': {exc}") from exc
+    elif isinstance(mu0_spec, dict):
         unknown = set(mu0_spec) - {"mode", "radius", "seed"}
         if unknown:
             raise UsageError(f"unknown mu0 keys: {sorted(unknown)}")
@@ -144,8 +163,9 @@ def _cmd_fpe(args, argv):
     config, cfg_grid = _problem_from_json(cfg_obj)
     etas = _resolve_grid(args.eta_grid, cfg_grid)
     rows = []
+    p = None
     for eta in etas:
-        p = solve_effective(config.with_eta(float(eta)), tol=args.tol)
+        p = solve_effective(config.with_eta(float(eta)), tol=args.tol, start=p)
         rows.append(
             (
                 p.eta,
@@ -173,17 +193,18 @@ _KIND_ORDER = ("pred", "est", "ins", "res")
 
 
 def _cmd_risk(args, argv):
-    cfg_obj = dataio.load_json(args.config)
-    config, cfg_grid = _problem_from_json(cfg_obj)
-    etas = _resolve_grid(args.eta_grid, cfg_grid)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     bad = [k for k in kinds if k not in _KIND_ORDER]
     if bad:
         raise UsageError(f"unknown risk kinds {bad}; choose from {_KIND_ORDER}")
+    cfg_obj = dataio.load_json(args.config)
+    config, cfg_grid = _problem_from_json(cfg_obj, {"kinds": kinds})
+    etas = _resolve_grid(args.eta_grid, cfg_grid)
     s0 = config.mu0.norm_sq
     rows = []
+    p = None
     for eta in etas:
-        p = solve_effective(config.with_eta(float(eta)))
+        p = solve_effective(config.with_eta(float(eta)), start=p)
         for name in kinds:
             kind = RiskKind(name)
             theo = theoretical_risk(kind, p, config.sigma_sq, config.phi)
@@ -202,15 +223,16 @@ def _cmd_risk(args, argv):
 
 
 def _cmd_lq(args, argv):
-    cfg_obj = dataio.load_json(args.config)
-    config, _ = _problem_from_json(cfg_obj)
-    config = config.with_eta(args.eta)
     try:
         qs = [float(tok) for tok in args.q.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"malformed q list {args.q!r}") from exc
     if not qs:
         raise UsageError("at least one q is required")
+    flags = {"q": qs, "mc_reps": args.mc_reps, "seed": args.seed}
+    cfg_obj = dataio.load_json(args.config)
+    config, _ = _problem_from_json(cfg_obj, flags)
+    config = config.with_eta(args.eta)
     params = solve_effective(config)
     diag = lq_gamma_diag(None, config.model, params, config.mu0.norm)
     rows = []
@@ -236,7 +258,7 @@ def _cmd_lq(args, argv):
         rows.append(tuple(row))
     dataio.write_csv(args.out, header, rows)
     resolved = _resolved_problem(cfg_obj, config)
-    resolved.update({"eta": args.eta, "q": qs, "mc_reps": args.mc_reps, "seed": args.seed})
+    resolved.update(flags, eta=args.eta)
     _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
 
 

@@ -13,9 +13,14 @@ for gamma^2. In u = 1/tau the root problem reads
 
 and every term of F is increasing and concave in u (each eigenvalue
 contributes lambda u / (lambda u + 1)). Newton's method started left of the
-root, at u = 1/hi from tau_bounds where F <= 0, therefore climbs to the root
-monotonically and never overshoots it; each step is one pass over the
-spectrum for T_{-1,1} and F'(u) = tau^2 T_{-2,1} + eta. A solution exists
+root, where F <= 0, therefore climbs to the root monotonically and never
+overshoots it; each step is one pass over the spectrum for T_{-1,1} and
+F'(u) = tau^2 T_{-2,1} + eta. A cold solve starts at u = 1/hi from
+tau_bounds. Along an eta grid each solve starts instead from the tangent of
+the neighbouring root, tau_0 = tau*(eta') + (eta - eta') tau'(eta'): tau* is
+concave in eta (tau'' < 0), so the tangent lies above tau* on both sides of
+eta' and u_0 = 1/tau_0 is again left of the root, only much closer to it
+than 1/hi. A solution exists
 for eta > 0 with any shapes, and for eta = 0 only in the overparametrized
 regime phi < 1. The noiseless case sigma_sq = 0 runs through the same code
 path and is well posed under the same regime condition.
@@ -190,7 +195,9 @@ def _f_and_slope(config: ProblemConfig, u: float) -> tuple[float, float]:
     return f + config.eta * u, tau * tau * t21 + config.eta
 
 
-def solve_tau(config: ProblemConfig, tol: float = 1e-12) -> float:
+def solve_tau(
+    config: ProblemConfig, tol: float = 1e-12, start: EffectiveParams | None = None
+) -> float:
     """Root of T_{-1,1}(tau) + eta/tau = phi, by monotone Newton in u = 1/tau.
 
     Starts at u = 1/hi from tau_bounds, halving u in the rare case rounding
@@ -198,12 +205,28 @@ def solve_tau(config: ProblemConfig, tol: float = 1e-12) -> float:
     most tol * u. F is concave, so the iterates increase to the root and the
     error after that step is of order tol^2. Exact iterates keep F <= 0; a
     computed F >= 0 means rounding has reached the root, which also stops.
+
+    start, the params solved at another eta of the same problem, moves the
+    first iterate to u_0 = 1/tau_0 on the tangent
+    tau_0 = start.tau_star + (eta - start.eta) start.tau_prime when
+    lo <= tau_0 < hi. tau* is concave in eta, so tau_0 >= tau* and u_0 is
+    left of the root. A hint that is not (another phi or model, rounding)
+    shows as tau_0 outside [lo, hi) or as F(u_0) > 0, and the solve then
+    starts from 1/hi as without one: a hint changes the number of passes,
+    never the root beyond rounding.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be a positive finite real, got {tol}")
-    _, hi = tau_bounds(config)
-    u = 1.0 / hi
-    f, slope = _f_and_slope(config, u)
+    lo, hi = tau_bounds(config)
+    u, f, slope = 1.0 / hi, math.inf, 0.0
+    if start is not None:
+        tau0 = start.tau_star + (config.eta - start.eta) * start.tau_prime
+        if lo <= tau0 < hi:
+            f, slope = _f_and_slope(config, 1.0 / tau0)
+            if f <= 0:
+                u = 1.0 / tau0
+    if f > 0:
+        f, slope = _f_and_slope(config, u)
     widen = 0
     while f > 0:
         if widen == _MAX_WIDEN:
@@ -292,9 +315,15 @@ def stieltjes_at(
     return m_val, m_prime, m_second
 
 
-def solve_effective(config: ProblemConfig, tol: float = 1e-12) -> EffectiveParams:
-    """Solve the full fixed-point system and derived scalars at one eta."""
-    tau = solve_tau(config, tol)
+def solve_effective(
+    config: ProblemConfig, tol: float = 1e-12, start: EffectiveParams | None = None
+) -> EffectiveParams:
+    """Solve the full fixed-point system and derived scalars at one eta.
+
+    start, the params solved at a neighbouring eta of the same problem,
+    warm-starts the root search (see solve_tau).
+    """
+    tau = solve_tau(config, tol, start)
     sums = fixed_point_sums(config.model, config.mu0, tau)
     gamma_sq = _gamma_sq(config, tau, sums)
     tau_p, tau_s = _derivatives(config.eta, tau, sums)
@@ -325,5 +354,10 @@ def solve_effective(config: ProblemConfig, tol: float = 1e-12) -> EffectiveParam
 
 
 def solve_grid(config: ProblemConfig, etas, tol: float = 1e-12) -> list[EffectiveParams]:
-    """solve_effective across an eta grid, reusing one config."""
-    return [solve_effective(config.with_eta(e), tol) for e in np.asarray(etas, float)]
+    """solve_effective across an eta grid, each solve warm-started from the last."""
+    params: list[EffectiveParams] = []
+    for eta in np.asarray(etas, float):
+        params.append(
+            solve_effective(config.with_eta(eta), tol, params[-1] if params else None)
+        )
+    return params

@@ -272,8 +272,9 @@ def risk_curve(
     rmt = np.empty_like(etas)
     deriv = None if kind == RiskKind.RES else np.empty_like(etas)
     s0 = config.mu0.norm_sq
+    params = None
     for i, eta in enumerate(etas):
-        params = solve_effective(config.with_eta(float(eta)), tol)
+        params = solve_effective(config.with_eta(float(eta)), tol, start=params)
         theo[i] = theoretical_risk(kind, params, config.sigma_sq, config.phi)
         rmt[i] = rmt_risk(kind, params, config.sigma_sq, s0, config.phi)
         if deriv is not None:

@@ -520,8 +520,9 @@ def _theory_curves(
     rmt = {kind: np.empty(etas.size) for kind in kinds}
     base = ProblemConfig(phi=phi, eta=0.0, sigma_sq=sigma_sq, model=model, mu0=mu0)
     s0 = mu0.norm_sq
+    params = None
     for i, eta in enumerate(etas):
-        params = solve_effective(base.with_eta(float(eta)))
+        params = solve_effective(base.with_eta(float(eta)), start=params)
         for kind in kinds:
             theo[kind][i] = theoretical_risk(kind, params, sigma_sq, phi)
             rmt[kind][i] = rmt_risk(kind, params, sigma_sq, s0, phi)
@@ -798,7 +799,11 @@ def distributional_check(
     base = ProblemConfig(
         phi=m / n, eta=0.0, sigma_sq=config.sigma_sq, model=model, mu0=mu0
     )
-    params = [solve_effective(base.with_eta(float(e))) for e in etas]
+    params = []
+    for e in etas:
+        params.append(
+            solve_effective(base.with_eta(float(e)), start=params[-1] if params else None)
+        )
 
     def stat_rows(estimates) -> dict:
         vals = {name: np.empty(etas.size) for name in names}

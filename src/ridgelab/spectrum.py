@@ -288,7 +288,11 @@ def spiked_uniform(a: float, b: float, n: int) -> CovarianceModel:
 
 
 def model_from_json(obj: dict) -> CovarianceModel:
-    """Parse a covariance model from its JSON object form."""
+    """Parse a covariance model from its JSON object form.
+
+    An explicit model's eigenvalues and basis are lists or
+    dataio.encode_array payloads.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("covariance model JSON must be an object with a 'kind'")
     kind = obj["kind"]
@@ -298,7 +302,15 @@ def model_from_json(obj: dict) -> CovarianceModel:
         return coerce(cast, obj[key], f"{key!r} of {kind} model")
 
     def array(key):
-        return field(key, lambda v: np.asarray(v, dtype=np.float64))
+        if not isinstance(obj[key], dict):
+            return field(key, lambda v: np.asarray(v, dtype=np.float64))
+        # imported here because dataio imports this module
+        from .dataio import decode_array
+
+        try:
+            return decode_array(obj[key])
+        except InputError as exc:
+            raise InputError(f"malformed {key!r} of {kind} model: {exc}") from exc
 
     if kind == "isotropic":
         if keys != {"kind", "n", "scale"}:

@@ -122,7 +122,7 @@ def test_run_meta_stores_the_spectrum_as_an_array_payload(tmp_path):
         assert out.read_bytes() == before
 
 
-def test_run_meta_stores_basis_and_explicit_mu0_as_array_payloads(tmp_path):
+def test_run_meta_stores_basis_and_explicit_mu0_as_array_payloads(tmp_path, capsys):
     rng = np.random.default_rng(4)
     n = 6
     lam = np.sort(rng.uniform(0.5, 3.0, n))[::-1]
@@ -143,6 +143,17 @@ def test_run_meta_stores_basis_and_explicit_mu0_as_array_payloads(tmp_path):
             (recorded["mu0"], mu0),
         ):
             np.testing.assert_array_equal(decode_array(got), want)
+        # the recorded config, payloads and flags included, reads back as
+        # --config and reproduces the CSV byte for byte
+        readback = out.parent / "recorded.json"
+        readback.write_text(json.dumps(recorded))
+        again = out.parent / f"again_{name}.csv"
+        assert run([name, "--config", str(readback), *extra, "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+    # a recorded flag that disagrees with the command line is refused
+    readback = tmp_path / "risk" / "recorded.json"
+    assert run(["risk", "--config", str(readback), "--kinds", "pred", "--out", str(again)]) == 1
+    assert "usage error: config 'kinds'" in capsys.readouterr().err
     # a sampled signal keeps its spec, and structured models stay as given
     config = write_problem(tmp_path)
     out = tmp_path / "fpe.csv"
@@ -516,6 +527,16 @@ def test_exit_codes(tmp_path, capsys):
             "input error: malformed 'n' of spiked_uniform model",
         ),
         ({"mu0": {"mode": "sphere", "seed": 1.5}}, "usage error: malformed mu0 seed"),
+        (
+            {"model": {"kind": "explicit", "eigenvalues": {**encode_array(np.ones(2)),
+                                                           "data": "!!"}}},
+            "input error: malformed 'eigenvalues' of explicit model: malformed array data",
+        ),
+        (
+            {"model": {"kind": "explicit", "eigenvalues": [1.0] * 16},
+             "mu0": {**encode_array(np.ones(16)), "shape": [15]}},
+            "input error: malformed 'mu0': array payload has 16 values",
+        ),
     ],
 )
 def test_malformed_problem_config_is_a_typed_error(tmp_path, capsys, overrides, message):
