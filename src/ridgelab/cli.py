@@ -34,14 +34,9 @@ from .regress import (
     sigma_hat_sq,
     tau_hat,
 )
-from .riskengine import (
-    RiskKind,
-    lq_gamma_diag,
-    lq_risk,
-    risk_derivative,
-    rmt_risk,
-    theoretical_risk,
-)
+from .riskengine import lq_gamma_diag, lq_risk, risk_curves, solve_grid
+# unused here; ridgebench/tracer.py wraps these names at this module
+from .riskengine import risk_derivative, rmt_risk, theoretical_risk  # noqa: F401
 from .simlab import (
     ExperimentConfig,
     run_argmin_experiment,
@@ -158,32 +153,24 @@ def _write_meta(out_path: str, argv: list[str], config: dict, outputs: list[str]
     )
 
 
+# fpe.csv column -> EffectiveParams field
+_FPE_COLUMNS = {
+    "eta": "eta", "tau": "tau_star", "gamma_sq": "gamma_star_sq",
+    "tau_prime": "tau_prime", "tau_second": "tau_second",
+    "gamma_tilde_sq": "gamma_tilde_sq", "m": "m_val", "m_prime": "m_prime",
+    "m_second": "m_second",
+}
+
+
 def _cmd_fpe(args, argv):
     cfg_obj = dataio.load_json(args.config)
     config, cfg_grid = _problem_from_json(cfg_obj)
     etas = _resolve_grid(args.eta_grid, cfg_grid)
-    rows = []
-    p = None
-    for eta in etas:
-        p = solve_effective(config.with_eta(float(eta)), tol=args.tol, start=p)
-        rows.append(
-            (
-                p.eta,
-                p.tau_star,
-                p.gamma_star_sq,
-                p.tau_prime,
-                p.tau_second,
-                p.gamma_tilde_sq,
-                p.m_val,
-                p.m_prime,
-                p.m_second,
-            )
-        )
-    header = [
-        "eta", "tau", "gamma_sq", "tau_prime", "tau_second",
-        "gamma_tilde_sq", "m", "m_prime", "m_second",
+    rows = [
+        [getattr(p, field) for field in _FPE_COLUMNS.values()]
+        for p in solve_grid(config, etas, args.tol)
     ]
-    dataio.write_csv(args.out, header, rows)
+    dataio.write_csv(args.out, list(_FPE_COLUMNS), rows)
     resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
     _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
@@ -200,21 +187,13 @@ def _cmd_risk(args, argv):
     cfg_obj = dataio.load_json(args.config)
     config, cfg_grid = _problem_from_json(cfg_obj, {"kinds": kinds})
     etas = _resolve_grid(args.eta_grid, cfg_grid)
-    s0 = config.mu0.norm_sq
+    curves = risk_curves(config, kinds, etas)
     rows = []
-    p = None
-    for eta in etas:
-        p = solve_effective(config.with_eta(float(eta)), start=p)
+    for i, eta in enumerate(etas):
         for name in kinds:
-            kind = RiskKind(name)
-            theo = theoretical_risk(kind, p, config.sigma_sq, config.phi)
-            rmt = rmt_risk(kind, p, config.sigma_sq, s0, config.phi)
-            deriv = (
-                None
-                if kind == RiskKind.RES
-                else risk_derivative(kind, p, config.sigma_sq, s0)
-            )
-            rows.append((p.eta, name, theo, rmt, deriv))
+            c = curves[name]
+            deriv = None if c.derivative is None else c.derivative[i]
+            rows.append((eta, name, c.theoretical[i], c.rmt[i], deriv))
     dataio.write_csv(args.out, ["eta", "kind", "theoretical", "rmt", "derivative"], rows)
     resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
@@ -575,3 +554,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -29,6 +29,9 @@ All derivative quantities (tau', tau'', Stieltjes values) are closed
 forms, never finite differences; finite differences appear only as test
 oracles. The closed forms read the spectral sums at tau_star, which
 solve_effective gathers in one more pass (spectrum.fixed_point_sums).
+
+This module solves at one eta. The walk along an eta grid, which threads
+each root into the next solve as its start, is riskengine.solve_grid.
 """
 
 from __future__ import annotations
@@ -335,9 +338,12 @@ def solve_effective(
     err = bias_variance(gamma_sq, tau, sums.signal, sums.t22)
     res1 = config.phi * gamma_sq - config.sigma_sq - err
     res2 = (config.phi - config.eta / tau) * gamma_sq - gamma_sq * sums.t11
-    if abs(res1) > 1e-10 * scale or abs(res2) > 1e-10 * scale:
+    # written so that a NaN residual (an overflowed gamma^2) fails too
+    bound = 1e-10 * scale
+    if not (abs(res1) <= bound and abs(res2) <= bound):
         raise NonConvergence(
-            f"fixed-point residuals ({res1:.3e}, {res2:.3e}) exceed 1e-10 relative"
+            f"fixed-point residuals ({res1:.3e}, {res2:.3e}) at eta = {config.eta!r} "
+            "exceed 1e-10 relative"
         )
     return EffectiveParams(
         eta=config.eta,
@@ -351,13 +357,3 @@ def solve_effective(
         m_second=m_second,
         sums=sums,
     )
-
-
-def solve_grid(config: ProblemConfig, etas, tol: float = 1e-12) -> list[EffectiveParams]:
-    """solve_effective across an eta grid, each solve warm-started from the last."""
-    params: list[EffectiveParams] = []
-    for eta in np.asarray(etas, float):
-        params.append(
-            solve_effective(config.with_eta(eta), tol, params[-1] if params else None)
-        )
-    return params

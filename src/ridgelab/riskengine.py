@@ -11,7 +11,9 @@ Conventions used throughout:
     as their ratio, so the noiseless case is exact;
   * eta is read from the solved EffectiveParams rather than passed twice,
     and so are the spectral sums at tau_star (params.sums): evaluating a
-    risk after the solve makes no new pass over the spectrum.
+    risk after the solve makes no new pass over the spectrum;
+  * solve_grid is the one walk along an eta grid, and risk_curves reads
+    every risk kind off it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, eigenvalues
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -58,11 +60,15 @@ class RiskCurve:
         cols = [self.theoretical, self.rmt]
         if self.derivative is not None:
             cols.append(self.derivative)
-        for col in cols:
+        for name, col in zip(("theoretical", "rmt", "derivative"), cols):
             if col.shape != self.etas.shape:
                 raise InputError("risk curve columns must share the grid length")
-            if not np.all(np.isfinite(col)):
-                raise InputError("risk curve values must be finite")
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise NumericalError(
+                    f"{RiskKind(self.kind).value} risk column {name!r} is not finite "
+                    f"at eta = {float(self.etas[bad[0]])!r}"
+                )
 
 
 def theoretical_risk(
@@ -263,20 +269,36 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
     return total ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
 
 
+def solve_grid(config: ProblemConfig, etas, tol: float = 1e-12) -> list[EffectiveParams]:
+    """solve_effective across an eta grid, each solve warm-started from the last."""
+    params: list[EffectiveParams] = []
+    for eta in np.asarray(etas, float):
+        params.append(
+            solve_effective(config.with_eta(eta), tol, params[-1] if params else None)
+        )
+    return params
+
+
+def risk_curves(
+    config: ProblemConfig, kinds, etas, tol: float = 1e-12
+) -> dict[RiskKind, RiskCurve]:
+    """One solve_grid pass along an ascending grid, one RiskCurve per kind."""
+    etas = np.asarray(etas, dtype=float)
+    params = solve_grid(config, etas, tol)
+    sigma_sq, s0, phi = config.sigma_sq, config.mu0.norm_sq, config.phi
+    curves = {}
+    for kind in map(RiskKind, kinds):
+        theo = [theoretical_risk(kind, p, sigma_sq, phi) for p in params]
+        rmt = [rmt_risk(kind, p, sigma_sq, s0, phi) for p in params]
+        deriv = None
+        if kind != RiskKind.RES:
+            deriv = np.array([risk_derivative(kind, p, sigma_sq, s0) for p in params])
+        curves[kind] = RiskCurve(etas, kind, np.array(theo), np.array(rmt), deriv)
+    return curves
+
+
 def risk_curve(
     config: ProblemConfig, kind: RiskKind, etas, tol: float = 1e-12
 ) -> RiskCurve:
     """Solve the fixed point along a grid and evaluate one risk kind."""
-    etas = np.asarray(etas, dtype=float)
-    theo = np.empty_like(etas)
-    rmt = np.empty_like(etas)
-    deriv = None if kind == RiskKind.RES else np.empty_like(etas)
-    s0 = config.mu0.norm_sq
-    params = None
-    for i, eta in enumerate(etas):
-        params = solve_effective(config.with_eta(float(eta)), tol, start=params)
-        theo[i] = theoretical_risk(kind, params, config.sigma_sq, config.phi)
-        rmt[i] = rmt_risk(kind, params, config.sigma_sq, s0, config.phi)
-        if deriv is not None:
-            deriv[i] = risk_derivative(kind, params, config.sigma_sq, s0)
-    return RiskCurve(etas=etas, kind=kind, theoretical=theo, rmt=rmt, derivative=deriv)
+    return risk_curves(config, (kind,), etas, tol)[kind]

@@ -34,9 +34,12 @@ from .riskengine import (
     RiskKind,
     _check_psd_dense,
     optimal_eta,
+    risk_curves,
     rmt_risk,
-    theoretical_risk,
+    solve_grid,
 )
+# unused here; ridgebench/tracer.py wraps this name at this module
+from .riskengine import theoretical_risk  # noqa: F401
 from .rng import stream
 from .spectrum import CovarianceModel, SignalVector, model_from_json, sigma_quad
 from .stats import scaled_t10, z_two_sided
@@ -508,27 +511,6 @@ def _empirical_curves(data: Dataset, etas: np.ndarray, kinds) -> dict:
     return out
 
 
-def _theory_curves(
-    model: CovarianceModel,
-    mu0: SignalVector,
-    phi: float,
-    sigma_sq: float,
-    etas: np.ndarray,
-    kinds,
-) -> tuple[dict, dict]:
-    theo = {kind: np.empty(etas.size) for kind in kinds}
-    rmt = {kind: np.empty(etas.size) for kind in kinds}
-    base = ProblemConfig(phi=phi, eta=0.0, sigma_sq=sigma_sq, model=model, mu0=mu0)
-    s0 = mu0.norm_sq
-    params = None
-    for i, eta in enumerate(etas):
-        params = solve_effective(base.with_eta(float(eta)), start=params)
-        for kind in kinds:
-            theo[kind][i] = theoretical_risk(kind, params, sigma_sq, phi)
-            rmt[kind][i] = rmt_risk(kind, params, sigma_sq, s0, phi)
-    return theo, rmt
-
-
 def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
     """Mean empirical risk curves with theoretical and RMT overlays.
 
@@ -556,9 +538,11 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
     curves = {
         kind.value: np.array([res[kind] for _, res in results]) for kind in _ALL_KINDS
     }
-    theo, rmt = _theory_curves(
-        model, mu0_shared, config.m / config.n, config.sigma_sq, etas, _ALL_KINDS
+    theory = ProblemConfig(
+        phi=config.m / config.n, eta=0.0, sigma_sq=config.sigma_sq,
+        model=model, mu0=mu0_shared,
     )
+    overlay = risk_curves(theory, _ALL_KINDS, etas)
     ddof = 1 if len(results) > 1 else 0
     return RiskSummary(
         master_seed=config.master_seed,
@@ -568,8 +552,8 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
         eta_star=optimal_eta(config.sigma_sq, config.signal_radius**2),
         emp_mean={k: v.mean(axis=0) for k, v in curves.items()},
         emp_sd={k: v.std(axis=0, ddof=ddof) for k, v in curves.items()},
-        theoretical={kind.value: theo[kind] for kind in _ALL_KINDS},
-        rmt={kind.value: rmt[kind] for kind in _ALL_KINDS},
+        theoretical={kind.value: overlay[kind].theoretical for kind in _ALL_KINDS},
+        rmt={kind.value: overlay[kind].rmt for kind in _ALL_KINDS},
         rep_curves=curves,
     )
 
@@ -799,11 +783,7 @@ def distributional_check(
     base = ProblemConfig(
         phi=m / n, eta=0.0, sigma_sq=config.sigma_sq, model=model, mu0=mu0
     )
-    params = []
-    for e in etas:
-        params.append(
-            solve_effective(base.with_eta(float(e)), start=params[-1] if params else None)
-        )
+    params = solve_grid(base, etas)
 
     def stat_rows(estimates) -> dict:
         vals = {name: np.empty(etas.size) for name in names}

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -17,12 +21,13 @@ from ridgelab import (
     __version__,
     lq_gamma_diag,
     lq_risk,
+    risk_curves,
     sample_signal,
     solve_effective,
     tau_hat,
     theoretical_risk,
 )
-from ridgelab import cli
+from ridgelab import cli, riskengine
 from ridgelab.cli import run
 from ridgelab.dataio import (
     dataset_to_json,
@@ -256,6 +261,33 @@ def test_risk_csv_schema(tmp_path):
         assert row[2] == expected
     # the residual risk has no eta-derivative column entry
     assert rows[1][4] is None and rows[0][4] is not None
+
+
+def test_risk_csv_is_one_grid_solve_read_off_risk_curves(tmp_path):
+    config = write_problem(tmp_path)
+    out = tmp_path / "risk.csv"
+    argv = ["risk", "--config", str(config), "--eta-grid", "0:1.5:7", "--out", str(out)]
+    wrapped = riskengine.solve_effective
+    with mock.patch.object(riskengine, "solve_effective", wraps=wrapped) as solves:
+        assert run(argv) == 0
+    assert solves.call_count == 7
+    _, rows = read_csv(out)
+    kinds = ["pred", "est", "ins", "res"]
+    curves = risk_curves(reference_problem(), kinds, np.linspace(0.0, 1.5, 7))
+    assert [row[1] for row in rows] == kinds * 7
+    for i, row in enumerate(rows):
+        curve = curves[row[1]]
+        deriv = None if curve.derivative is None else curve.derivative[i // 4]
+        assert row[0] == curve.etas[i // 4]
+        assert row[2:] == [curve.theoretical[i // 4], curve.rmt[i // 4], deriv]
+
+
+def test_risk_requires_an_ascending_grid(tmp_path, capsys):
+    config = write_problem(tmp_path, eta_grid=[1.0, 0.5])
+    out = tmp_path / "risk.csv"
+    assert run(["risk", "--config", str(config), "--out", str(out)]) == 1
+    assert "input error: eta grid must be strictly ascending" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_risk_rejects_unknown_kind(tmp_path, capsys):
@@ -495,6 +527,39 @@ def test_exit_codes(tmp_path, capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["fpe", "risk"])
+def test_overflowed_fixed_point_exits_2_with_no_output(tmp_path, capsys, command):
+    # ||mu0||^2 overflows, so gamma^2 is inf; the solve must not pass it on
+    config = write_problem(
+        tmp_path,
+        model={"kind": "explicit", "eigenvalues": [2, 1]},
+        mu0=[1e200, 1e200],
+        eta_grid="0:1:3",
+    )
+    out = tmp_path / "out.csv"
+    with np.errstate(over="ignore"):
+        assert run([command, "--config", str(config), "--out", str(out)]) == 2
+    assert "numerical error: fixed-point residuals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    argv = ["fpe", "--config", "missing.json", "--out", "x.csv"]
+    for module in ("ridgelab", "ridgelab.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "usage error" in proc.stderr or "input error" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

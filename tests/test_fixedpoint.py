@@ -16,6 +16,7 @@ from ridgelab import (
     Explicit,
     InputError,
     Isotropic,
+    NonConvergence,
     NoSolution,
     ProblemConfig,
     SignalVector,
@@ -112,6 +113,19 @@ def test_gamma_sq_dominates_noise(rng):
         config = random_problem(rng)
         params = solve_effective(config)
         assert config.phi * params.gamma_star_sq >= config.sigma_sq - 1e-12
+
+
+def test_overflowed_gamma_sq_is_non_convergence():
+    # ||mu0||^2 = 2e400 overflows: gamma^2 is inf and both residuals NaN
+    config = ProblemConfig(
+        phi=0.5,
+        eta=0.25,
+        sigma_sq=1.0,
+        model=Explicit(np.array([2.0, 1.0])),
+        mu0=SignalVector(np.array([1e200, 1e200])),
+    )
+    with np.errstate(over="ignore"), pytest.raises(NonConvergence, match=r"eta = 0\.25"):
+        solve_effective(config)
 
 
 def test_derivatives_match_finite_differences(rng):

@@ -13,7 +13,9 @@ from ridgelab import (
     Explicit,
     InputError,
     Isotropic,
+    NumericalError,
     ProblemConfig,
+    RiskCurve,
     RiskKind,
     SignalVector,
     SpikedUniform,
@@ -25,6 +27,7 @@ from ridgelab import (
     optimal_eta,
     quad_form,
     risk_curve,
+    risk_curves,
     risk_derivative,
     rmt_risk,
     solve_effective,
@@ -263,6 +266,28 @@ def test_risk_curve_structure():
     res = risk_curve(config, RiskKind.RES, etas)
     assert res.derivative is None
     assert res.theoretical[0] == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_risk_curve_is_its_kind_of_risk_curves(kind):
+    config = random_problem(np.random.default_rng(4), n=30)
+    etas = np.linspace(0.1, 1.5, 9)
+    one = risk_curve(config, kind, etas)
+    every = risk_curves(config, KINDS, etas)
+    assert list(every) == list(KINDS)
+    for curve in (every[kind], risk_curves(config, [kind], etas)[kind]):
+        assert curve.kind == one.kind
+        for column in ("etas", "theoretical", "rmt", "derivative"):
+            np.testing.assert_array_equal(getattr(curve, column), getattr(one, column))
+
+
+def test_risk_curve_with_a_nan_cell_is_a_numerical_error():
+    etas = np.array([0.0, 0.5, 1.0])
+    rmt = np.array([1.0, np.nan, 2.0])
+    with pytest.raises(NumericalError, match=r"est risk column 'rmt'.*eta = 0\.5"):
+        RiskCurve(etas, RiskKind.EST, np.ones(3), rmt, np.ones(3))
+    with pytest.raises(NumericalError, match=r"'derivative'.*eta = 1\.0"):
+        RiskCurve(etas, RiskKind.PRED, np.ones(3), np.ones(3), np.array([0, 1, np.inf]))
 
 
 @st.composite

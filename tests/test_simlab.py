@@ -19,6 +19,7 @@ from ridgelab import (
     residual_law_sample,
     ridge_fit,
     ridgeless_fit,
+    risk_curves,
     run_argmin_experiment,
     run_risk_experiment,
     run_tuning_experiment,
@@ -197,6 +198,20 @@ def test_run_risk_experiment_structure_and_determinism():
         assert np.all(np.isfinite(first.theoretical[kind]))
     # res risk needs no ground truth and vanishes at interpolation
     assert first.emp_mean["res"][0] == pytest.approx(0.0, abs=1e-18)
+
+
+def test_run_risk_experiment_overlay_is_risk_curves():
+    config = small_config(model_spec={"kind": "spiked_uniform", "a": 1.5, "b": 0.5})
+    out = run_risk_experiment(config, ctx=2)
+    model = build_model(config.model_spec, config.n)
+    mu0 = sample_signal("sphere", config.n, stream(config.master_seed, 0, "signal", 2))
+    theory = ProblemConfig(
+        phi=0.5, eta=0.0, sigma_sq=config.sigma_sq, model=model, mu0=mu0
+    )
+    curves = risk_curves(theory, list(RiskKind), config.etas)
+    for kind, curve in curves.items():
+        np.testing.assert_array_equal(out.theoretical[kind.value], curve.theoretical)
+        np.testing.assert_array_equal(out.rmt[kind.value], curve.rmt)
 
 
 def test_run_risk_experiment_tracks_theory_loosely():
