@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataio
 from ._version import __version__
-from .errors import InputError, NumericalError, UsageError, coerce, integer
+from .errors import MAX_DIM, InputError, NumericalError, UsageError, coerce, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -54,6 +54,40 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
+
+
+# Ranges of the theory commands' real inputs, checked before any solve.
+# phi = m/n is a ratio of two sizes in [1, MAX_DIM]. tau* grows like
+# eta/phi and shrinks like eta/(phi - 1); holding a positive eta within
+# [1e-60, 1e60] keeps tau*, its cube and eta^2 in the derivative formulas
+# finite normal floats. sigma_sq and ||mu0||^2 share the upper limit, so the
+# risks built from them stay finite too.
+_PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
+_ETA_RANGE = (1e-60, 1e60)
+_SCALE_MAX = 1e60
+
+
+def _check_range(value: float, name: str, lo: float, hi: float, zero: bool = False) -> float:
+    """value when lo <= value <= hi, or value == 0 with zero set."""
+    if not (lo <= value <= hi or (zero and value == 0.0)):
+        zero_or = "be 0 or " if zero else ""
+        raise InputError(f"{name} must {zero_or}lie in [{lo:g}, {hi:g}], got {value!r}")
+    return value
+
+
+def _check_eta(eta: float, name: str) -> float:
+    return _check_range(eta, name, *_ETA_RANGE, zero=True)
+
+
+def _check_grid(grid: np.ndarray, name: str) -> np.ndarray:
+    """grid when it is a nonempty, strictly ascending list of valid etas."""
+    if grid.ndim != 1 or grid.size == 0:
+        raise InputError(f"{name} must be a nonempty list of etas")
+    for eta in grid:
+        _check_eta(float(eta), name)
+    if np.any(np.diff(grid) <= 0):
+        raise InputError(f"eta grid must be strictly ascending; {name} is {grid.tolist()}")
+    return grid
 
 
 def _problem_from_json(
@@ -98,30 +132,34 @@ def _problem_from_json(
         )
     else:
         mu0 = SignalVector(coerce(_float_array, mu0_spec, "'mu0'", UsageError))
+    with np.errstate(over="ignore"):
+        _check_range(mu0.norm_sq, "squared norm of 'mu0'", 0.0, _SCALE_MAX)
+    phi = coerce(float, obj["phi"], "'phi'", UsageError)
+    eta = coerce(float, obj.get("eta", 0.0), "'eta'", UsageError)
+    sigma_sq = coerce(float, obj["sigma_sq"], "'sigma_sq'", UsageError)
     config = ProblemConfig(
-        phi=coerce(float, obj["phi"], "'phi'", UsageError),
-        eta=coerce(float, obj.get("eta", 0.0), "'eta'", UsageError),
-        sigma_sq=coerce(float, obj["sigma_sq"], "'sigma_sq'", UsageError),
+        phi=_check_range(phi, "'phi'", *_PHI_RANGE),
+        eta=_check_eta(eta, "'eta'"),
+        sigma_sq=_check_range(sigma_sq, "'sigma_sq'", 0.0, _SCALE_MAX),
         model=model,
         mu0=mu0,
     )
     grid = None
     if obj.get("eta_grid") is not None:
         spec = obj["eta_grid"]
-        grid = (
+        grid = _check_grid(
             dataio.parse_grid(spec) if isinstance(spec, str)
-            else coerce(_float_array, spec, "'eta_grid'", UsageError)
+            else coerce(_float_array, spec, "'eta_grid'", UsageError),
+            "'eta_grid'",
         )
     return config, grid
 
 
-def _resolve_grid(flag_value, config_grid, fallback=None) -> np.ndarray:
+def _resolve_grid(flag_value, config_grid) -> np.ndarray:
     if flag_value is not None:
-        return dataio.parse_grid(flag_value)
+        return _check_grid(dataio.parse_grid(flag_value), "--eta-grid")
     if config_grid is not None:
         return config_grid
-    if fallback is not None:
-        return dataio.parse_grid(fallback)
     raise UsageError("an eta grid is required (flag or config)")
 
 
@@ -211,7 +249,7 @@ def _cmd_lq(args, argv):
     flags = {"q": qs, "mc_reps": args.mc_reps, "seed": args.seed}
     cfg_obj = dataio.load_json(args.config)
     config, _ = _problem_from_json(cfg_obj, flags)
-    config = config.with_eta(args.eta)
+    config = config.with_eta(_check_eta(args.eta, "--eta"))
     params = solve_effective(config)
     diag = lq_gamma_diag(None, config.model, params, config.mu0.norm)
     rows = []

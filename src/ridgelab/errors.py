@@ -2,11 +2,17 @@
 
 The CLI maps these onto exit codes: usage and input problems exit 1,
 numerical failures exit 2. `coerce` turns a malformed configuration value
-into one of these instead of a raw ValueError or TypeError; `integer` and
-`boolean` are the casts for integer and boolean fields.
+into one of these instead of a raw ValueError or TypeError; `integer`,
+`dimension` and `boolean` are the casts for integer, size and boolean
+fields.
 """
 
 import numbers
+
+# Largest dimension or sample count a config may ask for: far above any
+# problem whose arrays fit in memory, and checked before anything is
+# allocated, so that n = 10**12 is an input error rather than a MemoryError.
+MAX_DIM = 10**8
 
 
 class RidgelabError(Exception):
@@ -72,6 +78,14 @@ def integer(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def dimension(value) -> int:
+    """integer(value) for a size of at most MAX_DIM."""
+    size = integer(value)
+    if size > MAX_DIM:
+        raise ValueError(f"expected at most {MAX_DIM:.0e}, got {size}")
+    return size
 
 
 def boolean(value) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
-from .errors import boolean, coerce, integer
+from .errors import boolean, coerce, dimension, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -145,7 +145,7 @@ class ExperimentConfig:
 
         grid = obj["eta_grid"]
         kwargs = dict(
-            m=field("m", integer),
+            m=field("m", dimension),
             model_spec=dict(obj["model"]),
             etas=tuple(parse_grid(grid)) if isinstance(grid, str)
             else field("eta_grid", _float_tuple),
@@ -164,7 +164,7 @@ class ExperimentConfig:
         if obj.get("argmin_reps") is not None:
             kwargs["argmin_reps"] = field("argmin_reps", integer)
         if obj.get("n") is not None:
-            kwargs["n"] = field("n", integer)
+            kwargs["n"] = field("n", dimension)
         if obj.get("phi_grid") is not None:
             kwargs["phi_grid"] = field("phi_grid", _float_tuple)
         return cls(**kwargs)
@@ -303,7 +303,7 @@ def _unit_sampler(dist: str, role: str):
         raise InputError(f"{role} distribution must be one of {_DISTS}")
     if dist == "gaussian":
         return lambda rng, shape: rng.standard_normal(shape)
-    return lambda rng, shape: scaled_t10(rng.random(shape))
+    return lambda rng, shape: scaled_t10(rng, shape)
 
 
 def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import InputError, coerce, integer
+from .errors import InputError, coerce, dimension, integer
 
 _DENSE_GUARD = 20000
 
@@ -315,11 +315,11 @@ def model_from_json(obj: dict) -> CovarianceModel:
     if kind == "isotropic":
         if keys != {"kind", "n", "scale"}:
             raise InputError(f"unexpected keys for isotropic model: {sorted(keys)}")
-        return Isotropic(field("scale", float), field("n", integer))
+        return Isotropic(field("scale", float), field("n", dimension))
     if kind == "spiked_uniform":
         if keys != {"kind", "n", "a", "b"}:
             raise InputError(f"unexpected keys for spiked_uniform model: {sorted(keys)}")
-        return spiked_uniform(field("a", float), field("b", float), field("n", integer))
+        return spiked_uniform(field("a", float), field("b", float), field("n", dimension))
     if kind == "explicit":
         if not keys <= {"kind", "n", "eigenvalues", "basis"}:
             raise InputError(f"unexpected keys for explicit model: {sorted(keys)}")

@@ -1,9 +1,23 @@
-"""Scalar distribution utilities: normal CDF/quantile and t(10) inversion.
+"""Scalar distribution utilities: normal CDF/quantile and t(10) draws.
 
-Quantiles come from scipy's exact inverses (`special.ndtri` for the normal,
-`special.stdtrit` for Student t), not from table lookups or CDF searches.
-`normal_cdf` is computed independently through `math.erf`, so the round
-trip between the two is a real check.
+Normal quantiles come from scipy's exact inverse (`special.ndtri`), not
+from table lookups or CDF searches. `normal_cdf` is computed independently
+through `math.erf`, so the round trip between the two is a real check.
+
+t(10) draws use no inverse CDF. With U_0, ..., U_5 i.i.d. uniform on
+[0, 1), -2 log U_i is Exp(2), so -2 log(U_1 ... U_5) is a sum of five
+Exp(2) draws, which is chi^2 with 10 degrees of freedom, independent of
+Z = ndtri(U_0) ~ N(0, 1). Hence
+
+    sqrt(0.8) t_10 = sqrt(0.8) Z / sqrt(chi^2_10 / 10)
+                   = Z sqrt(-4 / log(U_1 ... U_5))
+
+exactly, from six uniforms of one `Generator.random` call. U_0 is clipped
+into [2^-53, 1 - 2^-53], the range of nonzero outputs of
+`Generator.random`, so that U_0 = 0 (or a 1 from another source of
+uniforms) still gives a finite Z. A zero among U_1 ... U_5 gives
+log 0 = -inf and the draw 0, also finite; the product of five nonzero
+uniforms, each at least 2^-53, cannot underflow.
 """
 
 from __future__ import annotations
@@ -16,13 +30,7 @@ from scipy import special
 from .errors import InputError
 
 _SQRT2 = math.sqrt(2.0)
-
-T_DF = 10.0
-# t(10) tail mass beyond 64 (about 1e-14). Uniforms are clipped into
-# [_T_U_MIN, 1 - _T_U_MIN] only so that u = 0 or 1 gives a finite draw.
-# Taken as 1 - F(64) so that 1 - _T_U_MIN is exact and the clip keeps
-# t10_ppf(1 - u) == -t10_ppf(u).
-_T_U_MIN = 1.0 - float(special.stdtr(T_DF, 64.0))
+_U_EPS = 2.0**-53
 
 
 def normal_cdf(x: float) -> float:
@@ -44,16 +52,22 @@ def z_two_sided(alpha: float) -> float:
     return normal_quantile(1.0 - 0.5 * alpha)
 
 
-def t10_ppf(u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the t distribution with 10 degrees of freedom.
+def scaled_t10(rng: np.random.Generator, shape) -> np.ndarray:
+    """t(10) draws of the given shape, scaled by sqrt(0.8) to unit variance.
 
-    Uniforms are clipped to the CDF range of [-64, 64] so that the
-    endpoints 0 and 1 map to finite draws (about +-64).
+    One rng.random((6,) + shape) call; see the module docstring. The work
+    happens in place on that buffer, and the result is a fresh array, so
+    the buffer is freed on return.
     """
-    u = np.clip(np.asarray(u, dtype=np.float64), _T_U_MIN, 1.0 - _T_U_MIN)
-    return special.stdtrit(T_DF, u)
-
-
-def scaled_t10(u: np.ndarray) -> np.ndarray:
-    """t(10) draws scaled by sqrt(0.8) so the variance is exactly one."""
-    return math.sqrt(0.8) * t10_ppf(u)
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    u = rng.random((6, *shape))
+    z, w = u[0], u[1]
+    np.clip(z, _U_EPS, 1.0 - _U_EPS, out=z)
+    special.ndtri(z, out=z)
+    for row in u[2:]:
+        w *= row
+    with np.errstate(divide="ignore"):
+        np.log(w, out=w)
+    np.divide(-4.0, w, out=w)
+    np.sqrt(w, out=w)
+    return z * w

@@ -290,6 +290,23 @@ def test_risk_requires_an_ascending_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fpe", "risk"])
+@pytest.mark.parametrize(
+    "overrides, grid_flag",
+    [({"eta_grid": [1.0, 0.5]}, []), ({"eta_grid": [0.5, 0.5]}, []), ({}, ["--eta-grid", "1:1:3"])],
+)
+def test_eta_grid_order_is_checked_before_any_solve(
+    tmp_path, capsys, command, overrides, grid_flag
+):
+    config = write_problem(tmp_path, **overrides)
+    out = tmp_path / "never.csv"
+    with mock.patch.object(riskengine, "solve_effective", side_effect=AssertionError("solved")):
+        code = run([command, "--config", str(config), *grid_flag, "--out", str(out)])
+    assert code == 1
+    assert "input error: eta grid must be strictly ascending" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_risk_rejects_unknown_kind(tmp_path, capsys):
     config = write_problem(tmp_path)
     out = tmp_path / "risk.csv"
@@ -531,7 +548,10 @@ def test_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["fpe", "risk"])
 def test_overflowed_fixed_point_exits_2_with_no_output(tmp_path, capsys, command):
-    # ||mu0||^2 overflows, so gamma^2 is inf; the solve must not pass it on
+    # ||mu0||^2 overflows, so gamma^2 is inf; the solve must not pass it on.
+    # The parse-time range check rejects this mu0 first (exit 1, see
+    # test_malformed_problem_config_is_a_typed_error); lifted, the solver's
+    # residual check still stops the run.
     config = write_problem(
         tmp_path,
         model={"kind": "explicit", "eigenvalues": [2, 1]},
@@ -539,7 +559,7 @@ def test_overflowed_fixed_point_exits_2_with_no_output(tmp_path, capsys, command
         eta_grid="0:1:3",
     )
     out = tmp_path / "out.csv"
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"), mock.patch.object(cli, "_SCALE_MAX", np.inf):
         assert run([command, "--config", str(config), "--out", str(out)]) == 2
     assert "numerical error: fixed-point residuals" in capsys.readouterr().err
     assert not out.exists()
@@ -602,15 +622,32 @@ def test_python_m_runs_the_cli(tmp_path):
              "mu0": {**encode_array(np.ones(16)), "shape": [15]}},
             "input error: malformed 'mu0': array payload has 16 values",
         ),
+        ({"phi": 1e308}, "input error: 'phi' must lie in [1e-08, 1e+08], got 1e+308"),
+        ({"phi": 1e-320}, "input error: 'phi' must lie in [1e-08, 1e+08], got 1e-320"),
+        (
+            {"eta_grid": "1e308:1e308:1"},
+            "input error: 'eta_grid' must be 0 or lie in [1e-60, 1e+60], got 1e+308",
+        ),
+        (
+            {"model": {"kind": "isotropic", "scale": 1.0, "n": 10**12}},
+            "input error: malformed 'n' of isotropic model: expected at most 1e+08",
+        ),
+        (
+            {"model": {"kind": "isotropic", "scale": 1.0, "n": 2}, "mu0": [1e200, 1e200]},
+            "input error: squared norm of 'mu0' must lie in [0, 1e+60], got inf",
+        ),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_malformed_problem_config_is_a_typed_error(tmp_path, capsys, overrides, message):
     config = write_problem(tmp_path, **overrides)
     out = tmp_path / "never.csv"
-    code = run(["fpe", "--config", str(config), "--eta-grid", "0:1:3", "--out", str(out)])
-    assert code == 1
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    for command, flags in (("fpe", ["--eta-grid", "0:1:3"]), ("risk", ["--eta-grid", "0:1:3"]),
+                           ("lq", ["--eta", "0.5"])):
+        code = run([command, "--config", str(config), *flags, "--out", str(out)])
+        assert code == 1, command
+        assert message in capsys.readouterr().err, command
+        assert not out.exists()
 
 
 def write_fig1_config(tmp_path, **overrides):
@@ -801,6 +838,8 @@ def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
         ({"redraw_signal": "false"}, "'redraw_signal'"),
         ({"redraw_signal": "no"}, "'redraw_signal'"),
         ({"redraw_signal": [0]}, "'redraw_signal'"),
+        ({"m": 10**12}, "'m'"),
+        ({"n": 10**12}, "'n'"),
     ],
 )
 def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key):
