@@ -29,11 +29,13 @@ from .regress import (
     gamma_hat,
     gcv_select,
     kfold_select,
-    ridge_fit,
     ridgeless_fit,
     sigma_hat_sq,
+    sweep_ridge_fit,
     tau_hat,
 )
+# unused here; ridgebench/tracer.py wraps this name at this module
+from .regress import ridge_fit  # noqa: F401
 from .riskengine import lq_gamma_diag, lq_risk, risk_curves, solve_grid
 # unused here; ridgebench/tracer.py wraps these names at this module
 from .riskengine import risk_derivative, rmt_risk, theoretical_risk  # noqa: F401
@@ -65,6 +67,11 @@ def _float_array(values) -> np.ndarray:
 _PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
 _ETA_RANGE = (1e-60, 1e60)
 _SCALE_MAX = 1e60
+# A covariance model's scales (explicit eigenvalues, isotropic scale,
+# spiked_uniform a and b) share eta's band. Eigenvalues then stay below
+# about 1e68 (a + b n) and tau* within about [1e-68, 1e68], so the powers
+# of 1/(lambda + tau) and of tau* that the closed forms take stay finite.
+_SPECTRUM_RANGE = _ETA_RANGE
 
 
 def _check_range(value: float, name: str, lo: float, hi: float, zero: bool = False) -> float:
@@ -77,6 +84,23 @@ def _check_range(value: float, name: str, lo: float, hi: float, zero: bool = Fal
 
 def _check_eta(eta: float, name: str) -> float:
     return _check_range(eta, name, *_ETA_RANGE, zero=True)
+
+
+def _check_model(model, spec: dict):
+    """model when its scales lie in _SPECTRUM_RANGE; spec is its JSON object."""
+    kind = spec["kind"]
+    if kind == "explicit":
+        # eigenvalues are validated descending
+        for value in (model.eigenvalues[0], model.eigenvalues[-1]):
+            _check_range(float(value), "eigenvalues of explicit model", *_SPECTRUM_RANGE)
+    elif kind == "isotropic":
+        _check_range(float(spec["scale"]), "'scale' of isotropic model", *_SPECTRUM_RANGE)
+    else:
+        _check_range(float(spec["a"]), "'a' of spiked_uniform model", *_SPECTRUM_RANGE)
+        _check_range(
+            float(spec["b"]), "'b' of spiked_uniform model", *_SPECTRUM_RANGE, zero=True
+        )
+    return model
 
 
 def _check_grid(grid: np.ndarray, name: str) -> np.ndarray:
@@ -113,7 +137,7 @@ def _problem_from_json(
     for key in ("phi", "sigma_sq", "model", "mu0"):
         if key not in obj:
             raise UsageError(f"problem config is missing {key!r}")
-    model = model_from_json(obj["model"])
+    model = _check_model(model_from_json(obj["model"]), obj["model"])
     mu0_spec = obj["mu0"]
     if isinstance(mu0_spec, dict) and "data" in mu0_spec:
         try:
@@ -272,6 +296,11 @@ def _cmd_lq(args, argv):
                 args.seed,
             )
             row += [mean, se]
+        for name, value in zip(header[1:], row[1:]):
+            if not np.isfinite(value):
+                raise NumericalError(
+                    f"lq column {name!r} is not finite at q = {q!r}, eta = {args.eta!r}"
+                )
         rows.append(tuple(row))
     dataio.write_csv(args.out, header, rows)
     resolved = _resolved_problem(cfg_obj, config)
@@ -282,7 +311,7 @@ def _cmd_lq(args, argv):
 def _fit_at(data, eta: float):
     if eta == 0:
         return ridgeless_fit(data)
-    return ridge_fit(data, eta)
+    return sweep_ridge_fit(data, eta)
 
 
 def _cmd_fit(args, argv):

@@ -147,9 +147,22 @@ def ridge_fit(data: Dataset, eta: float) -> RidgeFit:
             mu = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), x.T @ y / n)
     except scipy.linalg.LinAlgError as exc:
         raise IllConditioned(f"ridge Gram factorization failed: {exc}") from exc
-    resid = y - x @ mu
+    return _checked_ridge_fit(data, eta, mu)
+
+
+def sweep_ridge_fit(data: Dataset, eta: float) -> RidgeFit:
+    """ridge_fit read off the dataset's one factorization (data.sweep)."""
+    if eta <= 0:
+        raise InputError(f"sweep_ridge_fit requires eta > 0, got {eta}")
+    return _checked_ridge_fit(data, eta, data.sweep.mu_hat(eta))
+
+
+def _checked_ridge_fit(data: Dataset, eta: float, mu: np.ndarray) -> RidgeFit:
+    """RidgeFit of mu once it meets the normal equations within 1e-8 relative."""
+    x, n = data.x, data.n
+    resid = data.y - x @ mu
     kkt = x.T @ resid / n - eta * mu
-    if float(np.linalg.norm(kkt)) > 1e-8 * (1.0 + float(np.linalg.norm(mu))):
+    if not float(np.linalg.norm(kkt)) <= 1e-8 * (1.0 + float(np.linalg.norm(mu))):
         raise IllConditioned(
             f"ridge solve inaccurate (condition likely above {_RIDGE_COND_LIMIT:.0e})"
         )

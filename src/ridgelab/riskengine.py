@@ -259,14 +259,22 @@ def lq_gamma_diag(
 
 
 def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
-    """n^{-1/2} (sum_j Gamma_jj^{q/2})^{1/q} M_q."""
+    """n^{-1/2} (sum_j Gamma_jj^{q/2})^{1/q} M_q.
+
+    Summed as sqrt(g) (sum_j (Gamma_jj / g)^{q/2})^{1/q} with g = max_j
+    Gamma_jj: every power is then at most 1, so a large q cannot overflow
+    the sum while the risk itself is finite.
+    """
     if q <= 0:
         raise InputError(f"q must be positive, got {q}")
     diag_gamma = np.asarray(diag_gamma, dtype=float)
     if np.any(diag_gamma < 0):
         raise InputError("diag(Gamma) entries must be nonnegative")
-    total = float(np.sum(diag_gamma ** (q / 2.0)))
-    return total ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
+    g = float(diag_gamma.max(initial=0.0))
+    if g == 0.0:
+        return 0.0
+    total = float(np.sum((diag_gamma / g) ** (q / 2.0)))
+    return math.sqrt(g) * total ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
 
 
 def solve_grid(config: ProblemConfig, etas, tol: float = 1e-12) -> list[EffectiveParams]:

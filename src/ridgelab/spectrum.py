@@ -35,12 +35,23 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _dot(w: np.ndarray, v: np.ndarray) -> float:
+    """sum w * v in one fused pass.
+
+    einsum's own loop, never BLAS: a BLAS dot may split the sum across
+    threads, and its last bit then moves with the BLAS thread count.
+    """
+    return float(np.einsum("i,i->", w, v))
+
+
 class _SpectralSums:
     """Eta-independent sums over a model's spectrum, computed once per instance.
 
-    fixedpoint.tau_bounds reads them on every solve; caching them on the
-    model ties their lifetime to the model's. The per-block arrays have one
-    entry per distinct eigenvalue of pairs() plus one.
+    fixedpoint.tau_bounds reads them on every solve, and resolvent_sums and
+    fixed_point_sums read the weighted spectra on every call; caching them
+    on the model ties their lifetime to the model's. block_starts and
+    tail_sums have one entry per distinct eigenvalue of pairs() plus one,
+    the weighted spectra one per distinct eigenvalue.
     """
 
     @functools.cached_property
@@ -59,9 +70,19 @@ class _SpectralSums:
         """tail_sums[j] = sum of the eigenvalues in blocks j, j + 1, ... of pairs()."""
         # summed from the smallest block up, so the last entry is exactly 0
         # and no tail suffers cancellation against the total
-        lam, counts = self.pairs()
-        suffix = np.cumsum((lam * counts)[::-1])[::-1]
+        suffix = np.cumsum(self.weighted_spectrum[::-1])[::-1]
         return _read_only(np.concatenate((suffix, [0.0])))
+
+    @functools.cached_property
+    def weighted_spectrum(self) -> np.ndarray:
+        """counts * lambda per block of pairs(): the weights of every T_{-p,1}."""
+        lam, counts = self.pairs()
+        return _read_only(counts * lam)
+
+    @functools.cached_property
+    def weighted_spectrum_sq(self) -> np.ndarray:
+        """counts * lambda^2 per block of pairs(): the weights of every T_{-p,2}."""
+        return _read_only(self.weighted_spectrum * self.pairs()[0])
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -88,7 +109,7 @@ class Isotropic(_SpectralSums):
         return np.array([self.scale]), np.array([float(self.n)])
 
     def signal_masses(self, coords: np.ndarray) -> np.ndarray:
-        return np.array([float(coords @ coords)])
+        return np.array([_dot(coords, coords)])
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
         """fn(Sigma) @ b for b of shape (n,) or (n, k)."""
@@ -144,7 +165,7 @@ class SpikedUniform(_SpectralSums):
         return np.array([self.top, self.a]), np.array([1.0, float(self.n - 1)])
 
     def signal_masses(self, coords: np.ndarray) -> np.ndarray:
-        total = float(coords @ coords)
+        total = _dot(coords, coords)
         spike = float(coords.sum()) ** 2 / self.n
         if self.n == 1:
             return np.array([total])
@@ -362,7 +383,7 @@ class SignalVector:
     @property
     def norm_sq(self) -> float:
         if self._norm_sq is None:
-            self._norm_sq = float(self.coords @ self.coords)
+            self._norm_sq = _dot(self.coords, self.coords)
         return self._norm_sq
 
     @property
@@ -448,14 +469,13 @@ def resolvent_sums(model: CovarianceModel, tau: float) -> tuple[float, float, fl
     The fixed-point solver's Newton step reads exactly these sums.
     """
     lam, counts = model.pairs()
+    weighted = model.weighted_spectrum
     r = _reciprocal_shift(lam, tau)
-    terms = counts * r
-    t10 = float(np.sum(terms))
-    terms *= lam
-    t11 = float(np.sum(terms))
-    terms *= r
+    t10 = _dot(counts, r)
+    t11 = _dot(weighted, r)
+    r *= r
     n = model.n
-    return t10 / n, t11 / n, float(np.sum(terms)) / n
+    return t10 / n, t11 / n, _dot(weighted, r) / n
 
 
 class FixedPointSums(NamedTuple):
@@ -478,30 +498,27 @@ class FixedPointSums(NamedTuple):
 def fixed_point_sums(
     model: CovarianceModel, mu0: SignalVector, tau: float
 ) -> FixedPointSums:
-    """Every FixedPointSums field from one pass over r = 1/(lambda + tau)."""
-    lam, counts = model.pairs()
+    """Every FixedPointSums field from r = 1/(lambda + tau), r^2 and r^3."""
+    lam, _ = model.pairs()
+    weighted, weighted_sq = model.weighted_spectrum, model.weighted_spectrum_sq
+    masses = mu0.masses(model)
     n = model.n
     r = _reciprocal_shift(lam, tau)
-    terms = counts * lam
-    terms *= r
-    t11 = float(np.sum(terms)) / n
-    terms *= r
-    t21 = float(np.sum(terms)) / n
-    scratch = terms * r
-    t31 = float(np.sum(scratch)) / n
-    terms *= lam
-    t22 = float(np.sum(terms)) / n
-    terms *= r
-    t32 = float(np.sum(terms)) / n
-    masses = mu0.masses(model)
-    np.multiply(masses, r, out=scratch)
-    scratch *= r
-    signal0 = float(np.sum(scratch))
-    np.multiply(lam, r, out=scratch)
-    scratch *= r
-    scratch *= masses
+    t11 = _dot(weighted, r)
+    power = r * r
+    t21 = _dot(weighted, power)
+    t22 = _dot(weighted_sq, power)
+    signal0 = _dot(masses, power)
+    signal = float(np.einsum("i,i,i->", power, masses, lam))
+    power *= r
     return FixedPointSums(
-        t11, t21, t31, t22, t32, signal=float(np.sum(scratch)), signal0=signal0
+        t11 / n,
+        t21 / n,
+        _dot(weighted, power) / n,
+        t22 / n,
+        _dot(weighted_sq, power) / n,
+        signal=signal,
+        signal0=signal0,
     )
 
 

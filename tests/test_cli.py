@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -369,8 +370,8 @@ def test_fit_prints_estimates(tmp_path, capsys):
 
 
 def test_fit_factors_the_gram_matrix_once(tmp_path, monkeypatch):
-    # every data-side estimator reads the dataset's one eigendecomposition;
-    # eta > 0 adds the Cholesky solve of ridge_fit, nothing else
+    # every data-side estimator, the fit at eta > 0 included, reads the
+    # dataset's one eigendecomposition
     data_path, _ = write_dataset(tmp_path, m=8, n=12, seed=4)
     calls = []
 
@@ -390,7 +391,7 @@ def test_fit_factors_the_gram_matrix_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["eigh"]
     calls.clear()
     assert run(["fit", "--data", str(data_path), "--eta", "0.5"]) == 0
-    assert sorted(calls) == ["cho_factor", "eigh"]
+    assert sorted(calls) == ["eigh"]
 
 
 def test_non_finite_dataset_is_an_input_error(tmp_path, capsys):
@@ -582,6 +583,40 @@ def test_python_m_runs_the_cli(tmp_path):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_theory_csvs_do_not_move_with_the_blas_thread_count(tmp_path):
+    # the spectral sums and signal norms run einsum's own loop, never BLAS,
+    # whose threaded dot splits a 10^5-term sum and moves its last bit with
+    # the thread count; mu0 is explicit because a sphere draw's
+    # normalization is still a BLAS dot (README)
+    rng = np.random.default_rng(5)
+    n = 100_000
+    lam = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(20.0), n)))[::-1]
+    config = write_problem(
+        tmp_path,
+        model={"kind": "explicit", "eigenvalues": encode_array(lam)},
+        mu0=encode_array(rng.standard_normal(n) / np.sqrt(n)),
+        eta_grid="0:1.5:7",
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        for command in ("fpe", "risk"):
+            out = tmp_path / f"{command}_{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "ridgelab", command, "--config", str(config),
+                 "--out", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[command, threads] = out.read_bytes()
+    for command in ("fpe", "risk"):
+        assert outputs[command, "1"] == outputs[command, "2"], command
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -636,6 +671,24 @@ def test_python_m_runs_the_cli(tmp_path):
             {"model": {"kind": "isotropic", "scale": 1.0, "n": 2}, "mu0": [1e200, 1e200]},
             "input error: squared norm of 'mu0' must lie in [0, 1e+60], got inf",
         ),
+        (
+            {"model": {"kind": "explicit", "eigenvalues": [1e200, 1.0]}},
+            "input error: eigenvalues of explicit model must lie in [1e-60, 1e+60], "
+            "got 1e+200",
+        ),
+        (
+            {"model": {"kind": "isotropic", "scale": 1e200, "n": 16}},
+            "input error: 'scale' of isotropic model must lie in [1e-60, 1e+60], got 1e+200",
+        ),
+        (
+            {"model": {"kind": "spiked_uniform", "a": 1e200, "b": 1.0, "n": 16}},
+            "input error: 'a' of spiked_uniform model must lie in [1e-60, 1e+60], got 1e+200",
+        ),
+        (
+            {"model": {"kind": "explicit", "eigenvalues": [1e-200, 1e-201]}},
+            "input error: eigenvalues of explicit model must lie in [1e-60, 1e+60], "
+            "got 1e-200",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -648,6 +701,31 @@ def test_malformed_problem_config_is_a_typed_error(tmp_path, capsys, overrides, 
         assert code == 1, command
         assert message in capsys.readouterr().err, command
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_lq_at_large_noise_writes_finite_cells(tmp_path):
+    # sigma_sq = 1e60 puts diag(Gamma) near 1e60, whose 20th power overflows
+    config = write_problem(tmp_path, sigma_sq=1e60)
+    out = tmp_path / "lq.csv"
+    argv = ["lq", "--config", str(config), "--eta", "0.5", "--q", "1,2,8,40"]
+    assert run([*argv, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [row[0] for row in rows] == [1.0, 2.0, 8.0, 40.0]
+    assert all(math.isfinite(row[1]) and row[1] > 0 for row in rows)
+
+
+def test_non_finite_lq_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatch):
+    config = write_problem(tmp_path)
+    out = tmp_path / "lq.csv"
+    monkeypatch.setattr(cli, "lq_risk", lambda q, diag, n: math.inf if q > 2 else 1.0)
+    code = run(["lq", "--config", str(config), "--eta", "0.5", "--q", "1,4",
+                "--out", str(out)])
+    assert code == 2
+    assert "numerical error: lq column 'risk' is not finite at q = 4.0, eta = 0.5" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def write_fig1_config(tmp_path, **overrides):

@@ -214,6 +214,24 @@ def test_gamma_hat_square_boundary_uses_dual_branch():
     assert g == pytest.approx(manual_under, rel=1e-9)
 
 
+def test_sweep_ridge_fit_matches_ridge_fit(monkeypatch):
+    # the two routes to one fit: the dataset's eigendecomposition and a
+    # Cholesky solve on the smaller Gram matrix
+    for m, n in [(14, 40), (40, 14)]:
+        data = toy_dataset(m, n, seed=m + n)
+        for eta in (1e-3, 0.5, 4.0):
+            fit, ref = regress.sweep_ridge_fit(data, eta), ridge_fit(data, eta)
+            assert fit.eta == ref.eta
+            np.testing.assert_allclose(fit.mu_hat, ref.mu_hat, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(fit.r_hat, ref.r_hat, rtol=1e-10, atol=1e-12)
+    with pytest.raises(InputError):
+        regress.sweep_ridge_fit(data, 0.0)
+    # a solution off the normal equations fails the KKT check
+    monkeypatch.setattr(GramSweep, "mu_hat", lambda self, eta: np.ones(self.n))
+    with pytest.raises(IllConditioned):
+        regress.sweep_ridge_fit(toy_dataset(14, 40), 0.5)
+
+
 def test_gram_sweep_matches_direct_fits():
     for m, n in [(14, 40), (40, 14)]:
         data = toy_dataset(m, n, seed=m + n)

@@ -204,6 +204,32 @@ def test_lq_risk_values():
         lq_risk(2.0, np.array([1.0, -0.1]), 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.5, 12.0),
+    n=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lq_risk_scaled_sum_matches_the_plain_sum(q, n, scale, seed):
+    # lq_risk sums (d / max d)^{q/2}; on ordinary inputs the plain power sum
+    # cannot overflow and the two forms agree to rounding
+    d = scale * np.random.default_rng(seed).uniform(0.05, 2.0, n)
+    plain = float(np.sum(d ** (q / 2.0))) ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
+    assert lq_risk(q, d, n) == pytest.approx(plain, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lq_risk_stays_finite_where_the_plain_sum_overflows():
+    d = np.array([1e60, 0.5e60, 0.0])
+    value = lq_risk(40.0, d, 3)
+    assert math.isfinite(value)
+    # the largest entry dominates: sqrt(1e60) (1 + 0.5^20)^{1/40} M_40 / sqrt(3)
+    expected = 1e30 * (1.0 + 0.5**20) ** (1.0 / 40.0) * gaussian_abs_moment(40.0) / math.sqrt(3)
+    assert value == pytest.approx(expected, rel=1e-14)
+    assert lq_risk(3.0, np.zeros(4), 4) == 0.0
+
+
 def test_lq_gamma_diag_isotropic_baseline():
     config = iso_problem(eta=0.0)
     params = solve_effective(config)

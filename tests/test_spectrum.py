@@ -1,6 +1,7 @@
 """Covariance models: spectral functionals against dense linear algebra."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from ridgelab import (
     spiked_uniform,
     trace_functional,
 )
+from ridgelab.spectrum import fixed_point_sums, resolvent_sums
 
 
 def random_psd_model(rng: np.random.Generator, n: int = 50) -> Explicit:
@@ -132,12 +134,18 @@ def test_spectral_sums_are_cached_on_the_model():
     assert harmonic_mean(model) == pytest.approx(1.75 / 3.0, rel=1e-15)
     ones = model.pairs()[1]
     assert ones is model.pairs()[1]
-    for arr in (model.tail_sums, model.block_starts, ones):
+    np.testing.assert_array_equal(model.weighted_spectrum, [4.0, 2.0, 1.0])
+    np.testing.assert_array_equal(model.weighted_spectrum_sq, [16.0, 4.0, 1.0])
+    assert model.weighted_spectrum is model.weighted_spectrum
+    for arr in (model.tail_sums, model.block_starts, ones, model.weighted_spectrum,
+                model.weighted_spectrum_sq):
         assert not arr.flags.writeable
     # one entry per distinct eigenvalue of pairs() plus one: spike 2.5, bulk 1 x 2
     spiked = SpikedUniform(1.0, 0.5, 3)
     np.testing.assert_array_equal(spiked.tail_sums, [4.5, 2.0, 0.0])
     np.testing.assert_array_equal(spiked.block_starts, [0.0, 1.0, 3.0])
+    np.testing.assert_array_equal(spiked.weighted_spectrum, [2.5, 2.0])
+    np.testing.assert_array_equal(spiked.weighted_spectrum_sq, [6.25, 2.0])
     big = Isotropic(1.0, 10**6)
     np.testing.assert_array_equal(big.tail_sums, [1e6, 0.0])
     np.testing.assert_array_equal(big.block_starts, [0.0, 1e6])
@@ -150,6 +158,43 @@ def test_spectral_sums_are_cached_on_the_model():
     del model, config, ones
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.4, 30.0])
+def test_fused_sums_match_exact_sums_on_a_large_spectrum(tau):
+    # resolvent_sums and fixed_point_sums against math.fsum of the same
+    # terms: exact summation, so this bounds the fused passes' rounding
+    rng = np.random.default_rng(11)
+    n = 100_000
+    lam = np.sort(np.exp(rng.uniform(math.log(0.05), math.log(20.0), n)))[::-1]
+    model = Explicit(lam)
+    mu0 = SignalVector(rng.standard_normal(n) / math.sqrt(n))
+    masses = mu0.masses(model)
+    r = 1.0 / (lam + tau)
+
+    def exact(terms):
+        return math.fsum(terms.tolist())
+
+    expected = {
+        "t10": exact(r) / n,
+        "t11": exact(lam * r) / n,
+        "t21": exact(lam * r * r) / n,
+    }
+    got = dict(zip(("t10", "t11", "t21"), resolvent_sums(model, tau)))
+    sums = fixed_point_sums(model, mu0, tau)
+    expected.update(
+        fp_t11=exact(lam * r) / n,
+        fp_t21=exact(lam * r * r) / n,
+        fp_t31=exact(lam * r * r * r) / n,
+        fp_t22=exact(lam * lam * r * r) / n,
+        fp_t32=exact(lam * lam * r * r * r) / n,
+        fp_signal=exact(masses * lam * r * r),
+        fp_signal0=exact(masses * r * r),
+    )
+    got.update({f"fp_{name}": value for name, value in sums._asdict().items()})
+    assert set(got) == set(expected)
+    for name, value in expected.items():
+        assert got[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
 
 
 def test_sigma_quad_matches_dense(rng):
