@@ -20,7 +20,8 @@ import numpy as np
 
 from . import dataio
 from ._version import __version__
-from .errors import MAX_DIM, InputError, NumericalError, UsageError, coerce, integer
+from .errors import ETA_RANGE, MAX_DIM, InputError, NumericalError, UsageError
+from .errors import check_eta, check_eta_grid, check_range, coerce, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -59,31 +60,16 @@ def _float_array(values) -> np.ndarray:
 
 
 # Ranges of the theory commands' real inputs, checked before any solve.
-# phi = m/n is a ratio of two sizes in [1, MAX_DIM]. tau* grows like
-# eta/phi and shrinks like eta/(phi - 1); holding a positive eta within
-# [1e-60, 1e60] keeps tau*, its cube and eta^2 in the derivative formulas
-# finite normal floats. sigma_sq and ||mu0||^2 share the upper limit, so the
+# phi = m/n is a ratio of two sizes in [1, MAX_DIM]; every eta lies in
+# ETA_RANGE or is 0. sigma_sq and ||mu0||^2 share eta's upper limit, so the
 # risks built from them stay finite too.
 _PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
-_ETA_RANGE = (1e-60, 1e60)
 _SCALE_MAX = 1e60
 # A covariance model's scales (explicit eigenvalues, isotropic scale,
 # spiked_uniform a and b) share eta's band. Eigenvalues then stay below
 # about 1e68 (a + b n) and tau* within about [1e-68, 1e68], so the powers
 # of 1/(lambda + tau) and of tau* that the closed forms take stay finite.
-_SPECTRUM_RANGE = _ETA_RANGE
-
-
-def _check_range(value: float, name: str, lo: float, hi: float, zero: bool = False) -> float:
-    """value when lo <= value <= hi, or value == 0 with zero set."""
-    if not (lo <= value <= hi or (zero and value == 0.0)):
-        zero_or = "be 0 or " if zero else ""
-        raise InputError(f"{name} must {zero_or}lie in [{lo:g}, {hi:g}], got {value!r}")
-    return value
-
-
-def _check_eta(eta: float, name: str) -> float:
-    return _check_range(eta, name, *_ETA_RANGE, zero=True)
+_SPECTRUM_RANGE = ETA_RANGE
 
 
 def _check_model(model, spec: dict):
@@ -92,26 +78,15 @@ def _check_model(model, spec: dict):
     if kind == "explicit":
         # eigenvalues are validated descending
         for value in (model.eigenvalues[0], model.eigenvalues[-1]):
-            _check_range(float(value), "eigenvalues of explicit model", *_SPECTRUM_RANGE)
+            check_range(float(value), "eigenvalues of explicit model", *_SPECTRUM_RANGE)
     elif kind == "isotropic":
-        _check_range(float(spec["scale"]), "'scale' of isotropic model", *_SPECTRUM_RANGE)
+        check_range(float(spec["scale"]), "'scale' of isotropic model", *_SPECTRUM_RANGE)
     else:
-        _check_range(float(spec["a"]), "'a' of spiked_uniform model", *_SPECTRUM_RANGE)
-        _check_range(
+        check_range(float(spec["a"]), "'a' of spiked_uniform model", *_SPECTRUM_RANGE)
+        check_range(
             float(spec["b"]), "'b' of spiked_uniform model", *_SPECTRUM_RANGE, zero=True
         )
     return model
-
-
-def _check_grid(grid: np.ndarray, name: str) -> np.ndarray:
-    """grid when it is a nonempty, strictly ascending list of valid etas."""
-    if grid.ndim != 1 or grid.size == 0:
-        raise InputError(f"{name} must be a nonempty list of etas")
-    for eta in grid:
-        _check_eta(float(eta), name)
-    if np.any(np.diff(grid) <= 0):
-        raise InputError(f"eta grid must be strictly ascending; {name} is {grid.tolist()}")
-    return grid
 
 
 def _problem_from_json(
@@ -157,21 +132,21 @@ def _problem_from_json(
     else:
         mu0 = SignalVector(coerce(_float_array, mu0_spec, "'mu0'", UsageError))
     with np.errstate(over="ignore"):
-        _check_range(mu0.norm_sq, "squared norm of 'mu0'", 0.0, _SCALE_MAX)
+        check_range(mu0.norm_sq, "squared norm of 'mu0'", 0.0, _SCALE_MAX)
     phi = coerce(float, obj["phi"], "'phi'", UsageError)
     eta = coerce(float, obj.get("eta", 0.0), "'eta'", UsageError)
     sigma_sq = coerce(float, obj["sigma_sq"], "'sigma_sq'", UsageError)
     config = ProblemConfig(
-        phi=_check_range(phi, "'phi'", *_PHI_RANGE),
-        eta=_check_eta(eta, "'eta'"),
-        sigma_sq=_check_range(sigma_sq, "'sigma_sq'", 0.0, _SCALE_MAX),
+        phi=check_range(phi, "'phi'", *_PHI_RANGE),
+        eta=check_eta(eta, "'eta'"),
+        sigma_sq=check_range(sigma_sq, "'sigma_sq'", 0.0, _SCALE_MAX),
         model=model,
         mu0=mu0,
     )
     grid = None
     if obj.get("eta_grid") is not None:
         spec = obj["eta_grid"]
-        grid = _check_grid(
+        grid = check_eta_grid(
             dataio.parse_grid(spec) if isinstance(spec, str)
             else coerce(_float_array, spec, "'eta_grid'", UsageError),
             "'eta_grid'",
@@ -181,7 +156,7 @@ def _problem_from_json(
 
 def _resolve_grid(flag_value, config_grid) -> np.ndarray:
     if flag_value is not None:
-        return _check_grid(dataio.parse_grid(flag_value), "--eta-grid")
+        return check_eta_grid(dataio.parse_grid(flag_value), "--eta-grid")
     if config_grid is not None:
         return config_grid
     raise UsageError("an eta grid is required (flag or config)")
@@ -273,7 +248,7 @@ def _cmd_lq(args, argv):
     flags = {"q": qs, "mc_reps": args.mc_reps, "seed": args.seed}
     cfg_obj = dataio.load_json(args.config)
     config, _ = _problem_from_json(cfg_obj, flags)
-    config = config.with_eta(_check_eta(args.eta, "--eta"))
+    config = config.with_eta(check_eta(args.eta, "--eta"))
     params = solve_effective(config)
     diag = lq_gamma_diag(None, config.model, params, config.mu0.norm)
     rows = []
@@ -315,10 +290,11 @@ def _fit_at(data, eta: float):
 
 
 def _cmd_fit(args, argv):
+    check_eta(args.eta, "--eta")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
     tau = tau_hat(data, args.eta)
-    gamma = gamma_hat(data, fit, args.eta)
+    gamma = gamma_hat(data, args.eta)
     raw, clamped = sigma_hat_sq(gamma, tau, args.eta, data.phi, fit.mu_hat, data.model)
     print(f"m={data.m}")
     print(f"n={data.n}")
@@ -333,8 +309,8 @@ def _cmd_fit(args, argv):
 
 
 def _cmd_tune(args, argv):
+    etas = check_eta_grid(dataio.parse_grid(args.grid), "--grid")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
-    etas = dataio.parse_grid(args.grid)
     if args.method == "gcv":
         result = gcv_select(data, etas)
     else:
@@ -358,10 +334,11 @@ def _cmd_tune(args, argv):
 
 
 def _cmd_ci(args, argv):
+    check_eta(args.eta, "--eta")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
     tau = tau_hat(data, args.eta)
-    gamma = gamma_hat(data, fit, args.eta)
+    gamma = gamma_hat(data, args.eta)
     report = confidence_intervals(
         debias(fit.mu_hat, tau, data.model),
         gamma,

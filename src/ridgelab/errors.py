@@ -4,15 +4,24 @@ The CLI maps these onto exit codes: usage and input problems exit 1,
 numerical failures exit 2. `coerce` turns a malformed configuration value
 into one of these instead of a raw ValueError or TypeError; `integer`,
 `dimension` and `boolean` are the casts for integer, size and boolean
-fields.
+fields. `check_range`, `check_eta` and `check_eta_grid` raise InputError
+for a real value, a ridge penalty or an eta grid out of its band.
 """
 
 import numbers
+
+import numpy as np
 
 # Largest dimension or sample count a config may ask for: far above any
 # problem whose arrays fit in memory, and checked before anything is
 # allocated, so that n = 10**12 is an input error rather than a MemoryError.
 MAX_DIM = 10**8
+
+# Band of a positive ridge penalty eta, wherever one enters. tau* grows like
+# eta/phi and shrinks like eta/(phi - 1), and a data-side fit divides by
+# s + eta; holding eta within [1e-60, 1e60] keeps tau*, its cube, eta^2 and
+# those quotients finite normal floats.
+ETA_RANGE = (1e-60, 1e60)
 
 
 class RidgelabError(Exception):
@@ -97,3 +106,36 @@ def boolean(value) -> bool:
     if isinstance(value, bool):
         return value
     raise ValueError(f"expected true or false, got {value!r}")
+
+
+def check_range(value: float, name: str, lo: float, hi: float, zero: bool = False) -> float:
+    """value when lo <= value <= hi, or value == 0 with zero set."""
+    if not (lo <= value <= hi or (zero and value == 0.0)):
+        zero_or = "be 0 or " if zero else ""
+        raise InputError(f"{name} must {zero_or}lie in [{lo:g}, {hi:g}], got {value!r}")
+    return value
+
+
+def check_eta(eta: float, name: str = "eta") -> float:
+    """eta when it is 0 or lies in ETA_RANGE."""
+    return check_range(eta, name, *ETA_RANGE, zero=True)
+
+
+def check_eta_grid(grid, name: str = "eta grid") -> np.ndarray:
+    """grid as a nonempty, 1-D, strictly ascending float array of etas that
+    check_eta accepts; the error names the first bad value."""
+    etas = np.asarray(grid, dtype=float)
+    if etas.ndim != 1 or etas.size == 0:
+        raise InputError(f"{name} must be a nonempty 1-D list of etas")
+    lo, hi = ETA_RANGE
+    bad = ~(((etas >= lo) & (etas <= hi)) | (etas == 0.0))
+    if bad.any():
+        check_eta(float(etas[bad.argmax()]), name)
+    steps = np.diff(etas) <= 0
+    if steps.any():
+        i = int(steps.argmax()) + 1
+        raise InputError(
+            f"eta grid must be strictly ascending; {name} has {float(etas[i])!r} "
+            f"after {float(etas[i - 1])!r}"
+        )
+    return etas

@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     MissingGroundTruth,
     WrongRegime,
+    check_eta_grid,
 )
 from .riskengine import RiskKind
 from .spectrum import CovarianceModel, SignalVector, sigma_quad
@@ -220,30 +221,14 @@ def tau_hat(data: Dataset, eta: float) -> float:
     """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
     if eta < 0:
         raise InputError(f"eta must be nonnegative, got {eta}")
-    if eta == 0:
-        # covers m > n too, where the sweep itself would raise InputError
-        data.sweep.require_invertible()
     return data.sweep.tau_hat(eta)
 
 
-def gamma_hat(data: Dataset, fit: RidgeFit, eta: float) -> float:
-    """Effective-noise estimator.
-
-    Overparametrized branch (n >= m): (tau_hat/sqrt(n)) ||(X X^T/n)^{-1} X mu_hat||,
-    valid down to eta = 0. Underparametrized branch: (tau_hat/sqrt(n)) ||Y - X mu_hat||/eta.
-    """
-    x, n = data.x, data.n
-    if data.m > n and eta <= 0:
-        raise InputError("underparametrized gamma estimator requires eta > 0")
-    t = tau_hat(data, eta)
-    if data.m <= n:
-        sweep = data.sweep
-        sweep.require_invertible()
-        # Q is orthogonal, so ||Q S^{-1} Q^T v|| = ||S^{-1} Q^T v||
-        v = sweep.q.T @ (x @ fit.mu_hat) / sweep.s
-        return t / np.sqrt(n) * float(np.linalg.norm(v))
-    resid = data.y - x @ fit.mu_hat
-    return t / np.sqrt(n) * float(np.linalg.norm(resid)) / eta
+def gamma_hat(data: Dataset, eta: float) -> float:
+    """Effective-noise estimator, read off data.sweep (GramSweep.gamma_hat)."""
+    if eta < 0:
+        raise InputError(f"eta must be nonnegative, got {eta}")
+    return data.sweep.gamma_hat(eta)
 
 
 def sigma_hat_sq(
@@ -280,16 +265,23 @@ class GramSweep:
         self.y = y
         self.m, self.n = x.shape
         self.dual = self.m <= self.n
+        # an overflowed Gram matrix is refused before eigh fails on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = (x @ x.T if self.dual else x.T @ x) / self.n
+        name = "X X^T" if self.dual else "X^T X"
+        if not np.all(np.isfinite(gram)):
+            raise IllConditioned(f"Gram matrix {name} / n is not finite (overflow)")
+        try:
+            s, basis = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"eigendecomposition of {name} / n failed: {exc}") from exc
+        self.s = np.clip(s, 0.0, None)
         if self.dual:
-            s, q = np.linalg.eigh(x @ x.T / self.n)
-            self.s = np.clip(s, 0.0, None)
-            self.q = q
-            self.c = q.T @ y
+            self.q = basis
+            self.c = basis.T @ y
         else:
-            w, v = np.linalg.eigh(x.T @ x / self.n)
-            self.s = np.clip(w, 0.0, None)
-            self.v = v
-            self.b = v.T @ (x.T @ y) / self.n
+            self.v = basis
+            self.b = basis.T @ (x.T @ y) / self.n
 
     def require_invertible(self) -> None:
         """Raise IllConditioned unless X X^T is safely invertible, as eta = 0 needs."""
@@ -322,39 +314,33 @@ class GramSweep:
             return self.q @ (self.c * (eta / (self.s + eta)))
         return self.y - self.x @ self.mu_hat(eta)
 
-    def fit(self, eta: float) -> RidgeFit:
-        return RidgeFit(
-            eta=float(eta),
-            mu_hat=self.mu_hat(eta),
-            r_hat=self.resid(eta) / np.sqrt(self.n),
-        )
-
     def tau_hat(self, eta: float) -> float:
-        if self.dual and eta == 0:
-            # a singular X X^T would give tau = 0 and gamma = 0 * inf = NaN,
-            # which a grid search's argmin would then select
+        """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
+        if eta == 0:
+            # a singular X X^T (always so when m > n) would give tau = 0 and
+            # gamma = 0 * inf = NaN, which a grid search's argmin would select
             self.require_invertible()
         inv_sum = float(np.sum(1.0 / (self.s + eta)))
         if not self.dual:
-            if eta <= 0:
+            if eta < 0:
                 raise InputError("tau estimator needs eta > 0 when m > n")
             inv_sum += (self.m - self.n) / eta
         return self.n / inv_sum
 
     def gamma_hat(self, eta: float) -> float:
-        # both branches reduce to ||Q^T Y / (S + eta)|| in the dual route,
-        # and to tau ||resid|| / (eta sqrt(n)) in the primal one
+        """(tau_hat/sqrt(n)) ||(X X^T/n + eta I)^{-1} Y||: ||Q^T Y / (S + eta)||
+        in the dual route, down to eta = 0; ||resid|| / eta in the primal one."""
+        if not self.dual and eta <= 0:
+            raise InputError("underparametrized gamma estimator requires eta > 0")
         t = self.tau_hat(eta)
         if self.dual:
             return t / np.sqrt(self.n) * float(np.linalg.norm(self.c / (self.s + eta)))
-        if eta <= 0:
-            raise InputError("underparametrized gamma estimator requires eta > 0")
         return t / np.sqrt(self.n) * float(np.linalg.norm(self.resid(eta))) / eta
 
 
 def gcv_select(data: Dataset, grid) -> TuningResult:
     """Pick eta minimizing the estimated effective noise gamma_hat(eta)."""
-    etas = _check_grid(grid)
+    etas = check_eta_grid(grid)
     objective = np.array([data.sweep.gamma_hat(float(e)) for e in etas])
     idx = int(np.argmin(objective))
     return TuningResult(
@@ -389,7 +375,7 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     a training fold with fewer than n rows makes I - H_BB singular there,
     and each training fold's Gram matrix must then be safely invertible.
     """
-    etas = _check_grid(grid)
+    etas = check_eta_grid(grid)
     sweep = data.sweep
     refit_zero = etas[0] == 0 and not sweep.dual
     if etas[0] == 0 and sweep.dual:
@@ -446,23 +432,12 @@ def kfold_select(data: Dataset, grid, k: int, seed) -> TuningResult:
 
         rng = stream(int(seed), 0, "fold")
     folds = kfold_folds(data.m, k, rng)
-    etas = _check_grid(grid)
+    etas = check_eta_grid(grid)
     objective = kfold_objective(data, etas, folds)
     idx = int(np.argmin(objective))
     return TuningResult(
         etas=etas, objective=objective, eta_hat=float(etas[idx]), method=f"cv{k}"
     )
-
-
-def _check_grid(grid) -> np.ndarray:
-    etas = np.asarray(grid, dtype=float)
-    if etas.ndim != 1 or etas.size == 0:
-        raise InputError("eta grid must be a nonempty 1-D array")
-    if np.any(np.diff(etas) <= 0):
-        raise InputError("eta grid must be strictly ascending")
-    if etas[0] < 0:
-        raise InputError("eta grid must be nonnegative")
-    return etas
 
 
 def debias(mu_hat: np.ndarray, tau: float, model: CovarianceModel) -> np.ndarray:

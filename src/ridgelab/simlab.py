@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
-from .errors import boolean, coerce, dimension, integer
+from .errors import boolean, check_eta_grid, coerce, dimension, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -102,9 +102,7 @@ class ExperimentConfig:
             raise InputError("argmin_reps must be >= 1")
         if not 0 < self.alpha < 1:
             raise InputError("alpha must lie in (0, 1)")
-        etas = np.asarray(self.etas, dtype=float)
-        if etas.size == 0 or np.any(np.diff(etas) <= 0) or etas[0] < 0:
-            raise InputError("eta grid must be nonempty, ascending, nonnegative")
+        etas = check_eta_grid(self.etas, "'eta_grid'")
         object.__setattr__(self, "etas", tuple(float(e) for e in etas))
         if self.n is not None and etas[0] == 0 and self.n <= self.m:
             raise InputError("eta grid may include 0 only when n > m")

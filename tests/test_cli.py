@@ -429,6 +429,107 @@ def test_malformed_array_payload_is_an_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tune", "--method", "gcv", "--grid", "0:1e308:3"], "--grid must be 0 or lie in"),
+        (["tune", "--method", "cv", "--grid", "0.5:1e61:2"], "--grid must be 0 or lie in"),
+        (["tune", "--method", "gcv", "--grid", "1:1:3"], "eta grid must be strictly ascending"),
+        (["fit", "--eta", "1e308"], "--eta must be 0 or lie in"),
+        (["fit", "--eta", "inf"], "--eta must be 0 or lie in"),
+        (["fit", "--eta", "nan"], "--eta must be 0 or lie in"),
+        (["fit", "--eta", "1e-61"], "--eta must be 0 or lie in"),
+        (["fit", "--eta", "-0.5"], "--eta must be 0 or lie in"),
+        (["ci", "--eta", "1e300"], "--eta must be 0 or lie in"),
+    ],
+)
+def test_data_command_eta_out_of_band_is_an_input_error(tmp_path, capsys, argv, message):
+    # each of these used to exit 0 with an inf, nan or zero-width answer
+    data_path, _ = write_dataset(tmp_path)
+    out = tmp_path / "never.csv"
+    extra = [] if argv[0] == "fit" else ["--out", str(out)]
+    assert run([argv[0], "--data", str(data_path), *argv[1:], *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--eta", "0.5"],
+        ["ci", "--eta", "0.5"],
+        ["tune", "--method", "gcv", "--grid", "0:1:3"],
+        ["tune", "--method", "cv", "--grid", "0:1:3"],
+    ],
+)
+def test_overflowed_gram_matrix_exits_2(tmp_path, capsys, argv):
+    # finite entries near 1e200 overflow X X^T, on which eigh used to raise
+    # a raw LinAlgError
+    rng = np.random.default_rng(0)
+    x = 1e200 * rng.standard_normal((20, 40))
+    data = Dataset(x=x, y=rng.standard_normal(20), model=Isotropic(1.0, 40))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dataset_to_json(data)))
+    out = tmp_path / "never.csv"
+    extra = [] if argv[0] == "fit" else ["--out", str(out)]
+    assert run([argv[0], "--data", str(path), *argv[1:], *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: Gram matrix X X^T / n is not finite (overflow)\n"
+    assert not out.exists()
+
+
+def test_rank_deficient_dual_gamma_hat_agrees_across_commands(tmp_path, capsys):
+    # rank 6 of 10 rows: X X^T is singular, yet gamma_hat(0.5) exists, and
+    # fit, ci and the gcv objective read it through the one formula
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((10, 6)) @ rng.standard_normal((6, 30))
+    data = Dataset(x=x, y=rng.standard_normal(10), model=Isotropic(1.0, 30))
+    path = tmp_path / "rank6.json"
+    path.write_text(json.dumps(dataset_to_json(data)))
+    values = []
+    assert run(["fit", "--data", str(path), "--eta", "0.5"]) == 0
+    values.append(capsys.readouterr().out.split("gamma_hat=")[1].splitlines()[0])
+    ci_out = tmp_path / "ci.csv"
+    assert run(["ci", "--data", str(path), "--eta", "0.5", "--out", str(ci_out)]) == 0
+    values.append(capsys.readouterr().out.split("gamma_hat=")[1].splitlines()[0])
+    tune_out = tmp_path / "gcv.csv"
+    argv = ["tune", "--data", str(path), "--method", "gcv", "--grid", "0.25:1:4",
+            "--out", str(tune_out)]
+    assert run(argv) == 0
+    cells = dict(line.split(",") for line in tune_out.read_text().splitlines()[1:])
+    values.append(cells["0.5"])
+    assert values[0] == values[1] == values[2]
+    assert math.isfinite(float(values[0])) and float(values[0]) > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_data_commands_stay_finite_at_the_eta_band_edges(tmp_path, capsys):
+    data_path, _ = write_dataset(tmp_path)
+    out = tmp_path / "out.csv"
+    runs = [["fit", "--data", str(data_path), "--eta", eta] for eta in ("0", "1e-60", "1e60")]
+    runs += [["ci", "--data", str(data_path), "--eta", eta, "--out", str(out)]
+             for eta in ("0", "1e-60", "1e60")]
+    runs += [["tune", "--data", str(data_path), "--method", method, "--k", "4",
+              "--grid", "0:1e60:3", "--out", str(out)] for method in ("gcv", "cv")]
+    for argv in runs:
+        assert run(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "", argv
+        for line in captured.out.splitlines():
+            key, value = line.split("=", 1)
+            if key != "method":
+                assert math.isfinite(float(value)), (argv, line)
+        if argv[0] != "fit":
+            _, rows = read_csv(out)
+            assert rows and all(
+                cell is None or math.isfinite(cell) for row in rows for cell in row
+            ), argv
+
+
 def test_tune_gcv_and_cv(tmp_path, capsys):
     data_path, _ = write_dataset(tmp_path, m=12, n=9, seed=2)
     out = tmp_path / "tune.csv"
@@ -918,6 +1019,10 @@ def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
         ({"redraw_signal": [0]}, "'redraw_signal'"),
         ({"m": 10**12}, "'m'"),
         ({"n": 10**12}, "'n'"),
+        ({"eta_grid": [0.5, math.nan]}, "'eta_grid'"),
+        ({"eta_grid": [0.5, math.inf]}, "'eta_grid'"),
+        ({"eta_grid": [0.5, 1e61]}, "'eta_grid'"),
+        ({"eta_grid": "0:1e308:3"}, "'eta_grid'"),
     ],
 )
 def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key):

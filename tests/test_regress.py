@@ -1,5 +1,7 @@
 """Data-level estimators: fits, effective-parameter estimates, tuning, intervals."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -177,9 +179,11 @@ def test_tau_hat_at_zero_needs_invertible_gram():
 
 
 def test_gamma_hat_branches():
+    # gamma_hat reads data.sweep; the oracles are a dense solve on X X^T and
+    # the residual of ridge_fit's Cholesky route
     over = toy_dataset(10, 30, seed=5)
     fit = ridge_fit(over, 0.5)
-    g = gamma_hat(over, fit, 0.5)
+    g = gamma_hat(over, 0.5)
     t = tau_hat(over, 0.5)
     gram = over.x @ over.x.T / over.n
     v = np.linalg.solve(gram, over.x @ fit.mu_hat)
@@ -189,25 +193,33 @@ def test_gamma_hat_branches():
 
     under = toy_dataset(30, 10, seed=6)
     fit = ridge_fit(under, 0.5)
-    g = gamma_hat(under, fit, 0.5)
+    g = gamma_hat(under, 0.5)
     t = tau_hat(under, 0.5)
     resid = under.y - under.x @ fit.mu_hat
     assert g == pytest.approx(
         t / np.sqrt(under.n) * float(np.linalg.norm(resid)) / 0.5, rel=1e-12
     )
+    # m > n at eta = 0: gamma_hat is an input error, tau_hat ill-conditioned
     with pytest.raises(InputError):
-        gamma_hat(under, fit, 0.0)
+        gamma_hat(under, 0.0)
+    with pytest.raises(InputError):
+        under.sweep.gamma_hat(0.0)
+    with pytest.raises(IllConditioned):
+        tau_hat(under, 0.0)
+    for data in (over, under):
+        with pytest.raises(InputError):
+            gamma_hat(data, -0.1)
 
-    zero_fit = ridge_fit(over, 1.0)
-    null = type(zero_fit)(eta=1.0, mu_hat=np.zeros(over.n), r_hat=zero_fit.r_hat)
-    assert gamma_hat(over, null, 1.0) == pytest.approx(0.0, abs=1e-15)
+    # a zero response has a zero fit and a zero effective-noise estimate
+    null = Dataset(x=over.x, y=np.zeros(over.m), model=over.model)
+    assert gamma_hat(null, 1.0) == 0.0
 
 
 def test_gamma_hat_square_boundary_uses_dual_branch():
     # at m = n both branches are defined and must agree for eta > 0
     data = toy_dataset(12, 12, seed=7)
     fit = ridge_fit(data, 0.8)
-    g = gamma_hat(data, fit, 0.8)
+    g = gamma_hat(data, 0.8)
     t = tau_hat(data, 0.8)
     resid = data.y - data.x @ fit.mu_hat
     manual_under = t / np.sqrt(data.n) * float(np.linalg.norm(resid)) / 0.8
@@ -243,14 +255,26 @@ def test_gram_sweep_matches_direct_fits():
                 sweep.resid(eta), data.y - data.x @ fit.mu_hat, atol=1e-10
             )
             assert sweep.tau_hat(eta) == pytest.approx(tau_hat(data, eta), rel=1e-11)
-            assert sweep.gamma_hat(eta) == pytest.approx(
-                gamma_hat(data, fit, eta), rel=1e-10
-            )
+            # (X X^T/n + eta I)^{-1} Y = resid / eta on either route
+            resid = data.y - data.x @ fit.mu_hat
+            oracle = tau_hat(data, eta) / np.sqrt(n) * float(np.linalg.norm(resid)) / eta
+            assert sweep.gamma_hat(eta) == pytest.approx(oracle, rel=1e-10)
+            assert gamma_hat(data, eta) == sweep.gamma_hat(eta)
     over = toy_dataset(10, 30, seed=9)
     sweep = GramSweep(over.x, over.y)
     np.testing.assert_allclose(
         sweep.mu_hat(0.0), ridgeless_fit(over).mu_hat, atol=1e-9
     )
+
+
+def test_gram_sweep_refuses_an_overflowed_gram_matrix():
+    # finite entries near 1e200 square past the float range in the Gram matrix
+    rng = np.random.default_rng(0)
+    for m, n, gram in [(20, 40, "X X^T"), (40, 20, "X^T X")]:
+        x = 1e200 * rng.standard_normal((m, n))
+        message = re.escape(f"Gram matrix {gram} / n is not finite")
+        with pytest.raises(IllConditioned, match=message):
+            GramSweep(x, np.ones(m))
 
 
 def rel_gap(got, want) -> float:
@@ -333,6 +357,21 @@ def test_grid_validation():
         gcv_select(data, [0.5, 0.1])
     with pytest.raises(InputError):
         gcv_select(data, [-0.1, 0.5])
+    # non-finite and out-of-band points are refused before any objective is
+    # read: nan used to come back as eta_hat, inf as a ZeroDivisionError
+    folds = kfold_folds(data.m, 3, stream(0, 0, "fold"))
+    for grid, bad in (([0.5, np.nan], "nan"), ([0.5, np.inf], "inf"),
+                      ([0.5, 1e61], "1e+61"), ([1e-61, 0.5], "1e-61")):
+        for select in (
+            lambda: gcv_select(data, grid),
+            lambda: kfold_select(data, grid, 3, 0),
+            lambda: kfold_objective(data, grid, folds),
+        ):
+            message = re.escape(f"lie in [1e-60, 1e+60], got {bad}")
+            with pytest.raises(InputError, match=message):
+                select()
+    with pytest.raises(InputError, match="eta grid must be strictly ascending"):
+        kfold_select(data, [0.5, 0.1], 3, 0)
 
 
 def test_kfold_folds_properties():
@@ -578,7 +617,7 @@ def test_sigma_hat_sq_mc_consistency():
         data = Dataset(x=x, y=x @ mu0.coords + xi, model=model, mu0=mu0, xi=xi)
         fit = ridgeless_fit(data)
         tau = tau_hat(data, 0.0)
-        gamma = gamma_hat(data, fit, 0.0)
+        gamma = gamma_hat(data, 0.0)
         raw, _ = sigma_hat_sq(gamma, tau, 0.0, data.phi, fit.mu_hat, model)
         raws.append(raw)
     assert float(np.mean(raws)) == pytest.approx(1.0, abs=0.1)

@@ -242,6 +242,9 @@ def test_experiment_config_validation():
         small_config(n=40)  # eta grid includes 0 at n = m
     with pytest.raises(InputError):
         small_config(etas=(0.5, 0.5))
+    for etas in ((0.5, np.nan), (0.5, np.inf), (0.5, 1e61), (-0.1, 0.5), ()):
+        with pytest.raises(InputError, match="'eta_grid'"):
+            small_config(etas=etas)
     with pytest.raises(InputError):
         small_config(design_dist="uniform")
     with pytest.raises(InputError):
