@@ -2,17 +2,24 @@
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 on numerical
 failures (no fixed point in the requested regime, non-convergence,
-ill-conditioning). Commands that fail write nothing but a diagnostic
-line to stderr; file outputs are emitted only after the computation has
-finished. Commands with file outputs also drop a run_meta.json next to
-them recording the resolved configuration and the argv that reproduces
-the run.
+ill-conditioning). Each command handler only computes: it returns a
+_Result holding its CSV tables, its output directory, the config that
+run_meta.json records and its stdout key=value report, and `run` hands
+that to `_emit`, the one place that checks, writes and prints. The output
+rule: a non-finite CSV cell or report value is a numerical error (exit 2)
+naming the file, the column and the row's leading key, and nothing is
+written; output directories are created; a bad output location (an
+--out that is a directory, an --out-dir that is a file, a path that
+cannot be written) is a usage error (exit 1). Commands with file outputs
+also drop a run_meta.json next to them recording the resolved
+configuration and the argv that reproduces the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -180,14 +187,64 @@ def _resolved_problem(cfg_obj: dict, config: ProblemConfig) -> dict:
     return resolved
 
 
-def _write_meta(out_path: str, argv: list[str], config: dict, outputs: list[str]):
-    dataio.write_run_meta(
-        os.path.dirname(os.path.abspath(out_path)) if not os.path.isdir(out_path)
-        else out_path,
-        argv,
-        config,
-        outputs,
-    )
+@dataclasses.dataclass
+class _Result:
+    """What a command hands to _emit: CSV tables {file name: (header, rows)}
+    for out_dir (None for fit), the config run_meta.json records, the
+    `# seed=` value, and the stdout key=value report in order."""
+
+    tables: dict = dataclasses.field(default_factory=dict)
+    out_dir: str | None = None
+    config: dict | None = None
+    seed: int | None = None
+    report: dict = dataclasses.field(default_factory=dict)
+
+
+def _out_file(args, header, rows, config: dict, **report) -> _Result:
+    """The result of a command that writes one CSV to --out."""
+    out_dir, name = os.path.split(os.path.abspath(args.out))
+    return _Result({name: (header, rows)}, out_dir, config, report=report)
+
+
+def _not_finite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _emit(result: _Result, argv: list[str]) -> None:
+    """Check every cell and report value, then write the files, then print."""
+    for name, (header, rows) in result.tables.items():
+        for row in rows:
+            bad = [column for column, value in zip(header, row) if _not_finite(value)]
+            if bad:
+                raise NumericalError(f"{name} column {bad[0]!r} is not finite at "
+                                     f"{header[0]} = {dataio.format_cell(row[0])}")
+    for key, value in result.report.items():
+        if _not_finite(value):
+            raise NumericalError(f"reported {key} is not finite")
+    if result.out_dir is not None:
+        try:
+            os.makedirs(result.out_dir, exist_ok=True)
+            for name, (header, rows) in result.tables.items():
+                path = os.path.join(result.out_dir, name)
+                dataio.write_csv(path, header, rows, seed=result.seed)
+            dataio.write_run_meta(result.out_dir, argv, result.config, list(result.tables))
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {exc.filename or result.out_dir}: {exc.strerror or exc}"
+            ) from exc
+    for key, value in result.report.items():
+        print(f"{key}={dataio.format_cell(value)}")
+
+
+def _check_output_location(args) -> None:
+    """Refuse, before the command computes, an --out that names a directory
+    and an --out-dir that names an existing non-directory."""
+    out = getattr(args, "out", None)
+    if out is not None and (os.path.isdir(out) or not os.path.basename(out)):
+        raise UsageError(f"--out {out!r} names a directory, not a file")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise UsageError(f"--out-dir {out_dir!r} exists and is not a directory")
 
 
 # fpe.csv column -> EffectiveParams field
@@ -199,7 +256,7 @@ _FPE_COLUMNS = {
 }
 
 
-def _cmd_fpe(args, argv):
+def _cmd_fpe(args):
     cfg_obj = dataio.load_json(args.config)
     config, cfg_grid = _problem_from_json(cfg_obj)
     etas = _resolve_grid(args.eta_grid, cfg_grid)
@@ -207,20 +264,23 @@ def _cmd_fpe(args, argv):
         [getattr(p, field) for field in _FPE_COLUMNS.values()]
         for p in solve_grid(config, etas, args.tol)
     ]
-    dataio.write_csv(args.out, list(_FPE_COLUMNS), rows)
     resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
-    _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
+    return _out_file(args, list(_FPE_COLUMNS), rows, resolved)
 
 
 _KIND_ORDER = ("pred", "est", "ins", "res")
 
 
-def _cmd_risk(args, argv):
+def _cmd_risk(args):
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     bad = [k for k in kinds if k not in _KIND_ORDER]
     if bad:
         raise UsageError(f"unknown risk kinds {bad}; choose from {_KIND_ORDER}")
+    if not kinds:
+        raise UsageError("at least one risk kind is required")
+    if len(set(kinds)) < len(kinds):
+        raise UsageError(f"repeated risk kinds in {args.kinds!r}")
     cfg_obj = dataio.load_json(args.config)
     config, cfg_grid = _problem_from_json(cfg_obj, {"kinds": kinds})
     etas = _resolve_grid(args.eta_grid, cfg_grid)
@@ -231,20 +291,22 @@ def _cmd_risk(args, argv):
             c = curves[name]
             deriv = None if c.derivative is None else c.derivative[i]
             rows.append((eta, name, c.theoretical[i], c.rmt[i], deriv))
-    dataio.write_csv(args.out, ["eta", "kind", "theoretical", "rmt", "derivative"], rows)
     resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
     resolved["kinds"] = kinds
-    _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
+    return _out_file(args, ["eta", "kind", "theoretical", "rmt", "derivative"], rows, resolved)
 
 
-def _cmd_lq(args, argv):
+def _cmd_lq(args):
     try:
         qs = [float(tok) for tok in args.q.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"malformed q list {args.q!r}") from exc
     if not qs:
         raise UsageError("at least one q is required")
+    for q in qs:
+        if not 0 < q < math.inf:
+            raise InputError(f"--q values must be positive finite reals, got {q!r}")
     flags = {"q": qs, "mc_reps": args.mc_reps, "seed": args.seed}
     cfg_obj = dataio.load_json(args.config)
     config, _ = _problem_from_json(cfg_obj, flags)
@@ -271,16 +333,10 @@ def _cmd_lq(args, argv):
                 args.seed,
             )
             row += [mean, se]
-        for name, value in zip(header[1:], row[1:]):
-            if not np.isfinite(value):
-                raise NumericalError(
-                    f"lq column {name!r} is not finite at q = {q!r}, eta = {args.eta!r}"
-                )
         rows.append(tuple(row))
-    dataio.write_csv(args.out, header, rows)
     resolved = _resolved_problem(cfg_obj, config)
     resolved.update(flags, eta=args.eta)
-    _write_meta(args.out, argv, resolved, [os.path.basename(args.out)])
+    return _out_file(args, header, rows, resolved)
 
 
 def _fit_at(data, eta: float):
@@ -289,51 +345,44 @@ def _fit_at(data, eta: float):
     return sweep_ridge_fit(data, eta)
 
 
-def _cmd_fit(args, argv):
+def _cmd_fit(args):
     check_eta(args.eta, "--eta")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
     tau = tau_hat(data, args.eta)
     gamma = gamma_hat(data, args.eta)
     raw, clamped = sigma_hat_sq(gamma, tau, args.eta, data.phi, fit.mu_hat, data.model)
-    print(f"m={data.m}")
-    print(f"n={data.n}")
-    print(f"eta={dataio.format_cell(args.eta)}")
-    print(f"mu_hat_norm={dataio.format_cell(float(np.linalg.norm(fit.mu_hat)))}")
-    print(f"resid_norm={dataio.format_cell(float(np.linalg.norm(fit.r_hat)))}")
-    print(f"df={dataio.format_cell(df_hat(data, args.eta))}")
-    print(f"tau_hat={dataio.format_cell(tau)}")
-    print(f"gamma_hat={dataio.format_cell(gamma)}")
-    print(f"sigma_hat_sq={dataio.format_cell(raw)}")
-    print(f"sigma_hat_sq_clamped={dataio.format_cell(clamped)}")
+    return _Result(report={
+        "m": data.m,
+        "n": data.n,
+        "eta": args.eta,
+        "mu_hat_norm": float(np.linalg.norm(fit.mu_hat)),
+        "resid_norm": float(np.linalg.norm(fit.r_hat)),
+        "df": df_hat(data, args.eta),
+        "tau_hat": tau,
+        "gamma_hat": gamma,
+        "sigma_hat_sq": raw,
+        "sigma_hat_sq_clamped": clamped,
+    })
 
 
-def _cmd_tune(args, argv):
+def _cmd_tune(args):
     etas = check_eta_grid(dataio.parse_grid(args.grid), "--grid")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     if args.method == "gcv":
         result = gcv_select(data, etas)
     else:
         result = kfold_select(data, etas, args.k, args.seed)
+    config = {"data": args.data, "method": args.method, "k": args.k, "seed": args.seed,
+              "grid": [float(e) for e in etas]}
     rows = list(zip(result.etas, result.objective))
-    dataio.write_csv(args.out, ["eta", "objective"], rows)
-    print(f"eta_hat={dataio.format_cell(result.eta_hat)}")
-    print(f"method={result.method}")
-    _write_meta(
-        args.out,
-        argv,
-        {
-            "data": args.data,
-            "method": args.method,
-            "k": args.k,
-            "seed": args.seed,
-            "grid": [float(e) for e in etas],
-        },
-        [os.path.basename(args.out)],
+    return _out_file(
+        args, ["eta", "objective"], rows, config,
+        eta_hat=result.eta_hat, method=result.method,
     )
 
 
-def _cmd_ci(args, argv):
+def _cmd_ci(args):
     check_eta(args.eta, "--eta")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
@@ -353,15 +402,10 @@ def _cmd_ci(args, argv):
         if truth is not None:
             covered = int(report.lower[j] <= truth[j] <= report.upper[j])
         rows.append((j + 1, report.lower[j], report.upper[j], covered))
-    dataio.write_csv(args.out, ["j", "lower", "upper", "covered"], rows)
-    if report.coverage is not None:
-        print(f"coverage={dataio.format_cell(report.coverage)}")
-    print(f"gamma_hat={dataio.format_cell(gamma)}")
-    _write_meta(
-        args.out,
-        argv,
-        {"data": args.data, "eta": args.eta, "alpha": args.alpha},
-        [os.path.basename(args.out)],
+    lines = {} if report.coverage is None else {"coverage": report.coverage}
+    config = {"data": args.data, "eta": args.eta, "alpha": args.alpha}
+    return _out_file(
+        args, ["j", "lower", "upper", "covered"], rows, config, **lines, gamma_hat=gamma
     )
 
 
@@ -394,7 +438,7 @@ def _note_skipped(experiment: str, attempted: int, failed, which: str = "") -> N
         )
 
 
-def _cmd_sim_fig1(args, argv):
+def _cmd_sim_fig1(args):
     config = _experiment_config(args)
     if config.n is None:
         raise UsageError("fig1 config must fix n")
@@ -404,56 +448,26 @@ def _cmd_sim_fig1(args, argv):
     _note_skipped(
         "argmin experiment", len(argmin.rep_indices) + len(argmin.failed), argmin.failed
     )
-    os.makedirs(args.out_dir, exist_ok=True)
 
-    curve_rows = []
-    for i, eta in enumerate(summary.etas):
-        for kind in _KIND_ORDER:
-            curve_rows.append(
-                (
-                    float(eta),
-                    kind,
-                    summary.emp_mean[kind][i],
-                    summary.emp_sd[kind][i],
-                    summary.theoretical[kind][i],
-                    summary.rmt[kind][i],
-                )
-            )
-    curves_path = os.path.join(args.out_dir, "risk_curves.csv")
-    dataio.write_csv(
-        curves_path,
-        ["eta", "kind", "emp_mean", "emp_sd", "theoretical", "rmt"],
-        curve_rows,
-        seed=config.master_seed,
-    )
-
-    argmin_rows = []
-    for pos, rep in enumerate(argmin.rep_indices):
-        for kind in ("pred", "est", "ins"):
-            argmin_rows.append(
-                (
-                    rep,
-                    kind,
-                    argmin.deviations[kind][pos] + argmin.eta_star,
-                    argmin.eta_star,
-                )
-            )
-    argmin_path = os.path.join(args.out_dir, "argmin.csv")
-    dataio.write_csv(
-        argmin_path,
-        ["rep", "kind", "eta_hat", "eta_star"],
-        argmin_rows,
-        seed=config.master_seed,
-    )
-    dataio.write_run_meta(
-        args.out_dir,
-        argv,
-        config.to_json(),
-        ["risk_curves.csv", "argmin.csv"],
-    )
+    curve_rows = [
+        (float(eta), kind, summary.emp_mean[kind][i], summary.emp_sd[kind][i],
+         summary.theoretical[kind][i], summary.rmt[kind][i])
+        for i, eta in enumerate(summary.etas) for kind in _KIND_ORDER
+    ]
+    argmin_rows = [
+        (rep, kind, argmin.deviations[kind][pos] + argmin.eta_star, argmin.eta_star)
+        for pos, rep in enumerate(argmin.rep_indices) for kind in ("pred", "est", "ins")
+    ]
+    tables = {
+        "risk_curves.csv": (
+            ["eta", "kind", "emp_mean", "emp_sd", "theoretical", "rmt"], curve_rows
+        ),
+        "argmin.csv": (["rep", "kind", "eta_hat", "eta_star"], argmin_rows),
+    }
+    return _Result(tables, args.out_dir, config.to_json(), config.master_seed)
 
 
-def _cmd_sim_fig2(args, argv):
+def _cmd_sim_fig2(args):
     config = _experiment_config(args)
     if config.phi_grid is None:
         raise UsageError("fig2 config must provide phi_grid")
@@ -467,55 +481,26 @@ def _cmd_sim_fig2(args, argv):
             for pi, rep in summary.failed
         ),
     )
-    os.makedirs(args.out_dir, exist_ok=True)
 
     methods = ("gcv", f"cv{config.k}", "oracle")
-    tuning_rows = []
-    for pi, phi in enumerate(summary.phis):
-        for method in methods:
-            for kind in ("pred", "est", "ins"):
-                tuning_rows.append(
-                    (
-                        float(phi),
-                        method,
-                        kind,
-                        summary.risk_mean[(method, kind)][pi],
-                        summary.risk_sd[(method, kind)][pi],
-                    )
-                )
-    tuning_path = os.path.join(args.out_dir, "tuning.csv")
-    dataio.write_csv(
-        tuning_path,
-        ["phi", "method", "kind", "risk_mean", "risk_sd"],
-        tuning_rows,
-        seed=config.master_seed,
-    )
-
-    coverage_rows = []
-    for pi, phi in enumerate(summary.phis):
-        for method in methods:
-            coverage_rows.append(
-                (
-                    float(phi),
-                    method,
-                    summary.coverage_mean[method][pi],
-                    summary.ci_len_mean[method][pi],
-                    summary.oracle_len[pi],
-                )
-            )
-    coverage_path = os.path.join(args.out_dir, "coverage.csv")
-    dataio.write_csv(
-        coverage_path,
-        ["phi", "method", "coverage_mean", "ci_len_mean", "oracle_len"],
-        coverage_rows,
-        seed=config.master_seed,
-    )
-    dataio.write_run_meta(
-        args.out_dir,
-        argv,
-        config.to_json(),
-        ["tuning.csv", "coverage.csv"],
-    )
+    tuning_rows = [
+        (float(phi), method, kind, summary.risk_mean[(method, kind)][pi],
+         summary.risk_sd[(method, kind)][pi])
+        for pi, phi in enumerate(summary.phis) for method in methods
+        for kind in ("pred", "est", "ins")
+    ]
+    coverage_rows = [
+        (float(phi), method, summary.coverage_mean[method][pi],
+         summary.ci_len_mean[method][pi], summary.oracle_len[pi])
+        for pi, phi in enumerate(summary.phis) for method in methods
+    ]
+    tables = {
+        "tuning.csv": (["phi", "method", "kind", "risk_mean", "risk_sd"], tuning_rows),
+        "coverage.csv": (
+            ["phi", "method", "coverage_mean", "ci_len_mean", "oracle_len"], coverage_rows
+        ),
+    }
+    return _Result(tables, args.out_dir, config.to_json(), config.master_seed)
 
 
 def _build_parser() -> _Parser:
@@ -583,7 +568,8 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
-        args.handler(args, argv)
+        _check_output_location(args)
+        _emit(args.handler(args), argv)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

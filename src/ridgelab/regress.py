@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     MissingGroundTruth,
     WrongRegime,
+    check_eta,
     check_eta_grid,
 )
 from .riskengine import RiskKind
@@ -133,7 +134,7 @@ class CIReport:
 
 def ridge_fit(data: Dataset, eta: float) -> RidgeFit:
     """Ridge solution via an SPD solve on the smaller Gram matrix."""
-    if eta <= 0:
+    if check_eta(eta) == 0:
         raise InputError(f"ridge_fit requires eta > 0, got {eta}")
     x, y, n = data.x, data.y, data.n
     m = data.m
@@ -153,7 +154,7 @@ def ridge_fit(data: Dataset, eta: float) -> RidgeFit:
 
 def sweep_ridge_fit(data: Dataset, eta: float) -> RidgeFit:
     """ridge_fit read off the dataset's one factorization (data.sweep)."""
-    if eta <= 0:
+    if check_eta(eta) == 0:
         raise InputError(f"sweep_ridge_fit requires eta > 0, got {eta}")
     return _checked_ridge_fit(data, eta, data.sweep.mu_hat(eta))
 
@@ -206,8 +207,7 @@ def df_hat(data: Dataset, eta: float) -> float:
     The sweep's spectrum is that of X X^T / n (or X^T X / n), i.e. Sigma_hat's
     nonzero part times m/n, and eta/phi = eta n/m, so the scale cancels.
     """
-    if eta < 0:
-        raise InputError(f"eta must be nonnegative, got {eta}")
+    check_eta(eta)
     s = data.sweep.s
     if eta == 0:
         if data.m >= data.n:
@@ -219,15 +219,13 @@ def df_hat(data: Dataset, eta: float) -> float:
 
 def tau_hat(data: Dataset, eta: float) -> float:
     """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
-    if eta < 0:
-        raise InputError(f"eta must be nonnegative, got {eta}")
+    check_eta(eta)
     return data.sweep.tau_hat(eta)
 
 
 def gamma_hat(data: Dataset, eta: float) -> float:
     """Effective-noise estimator, read off data.sweep (GramSweep.gamma_hat)."""
-    if eta < 0:
-        raise InputError(f"eta must be nonnegative, got {eta}")
+    check_eta(eta)
     return data.sweep.gamma_hat(eta)
 
 

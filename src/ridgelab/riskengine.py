@@ -274,7 +274,10 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
     if g == 0.0:
         return 0.0
     total = float(np.sum((diag_gamma / g) ** (q / 2.0)))
-    return math.sqrt(g) * total ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
+    try:
+        return math.sqrt(g) * total ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
+    except OverflowError:  # a tiny q takes the risk past the float range
+        return math.inf
 
 
 def solve_grid(config: ProblemConfig, etas, tol: float = 1e-12) -> list[EffectiveParams]:

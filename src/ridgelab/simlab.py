@@ -14,6 +14,7 @@ than 1% of its replications fail.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -408,7 +409,10 @@ def seq_model_lq_mc(
     for rep in range(reps):
         _, mu_hat = seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq", ctx))
         diff = _apply_weight(a, model, mu_hat - mu0.coords)
-        vals[rep] = float(np.sum(np.abs(diff) ** q)) ** (1.0 / q)
+        try:
+            vals[rep] = float(np.sum(np.abs(diff) ** q)) ** (1.0 / q)
+        except OverflowError:  # a tiny q takes the norm, and the mean, past the float range
+            return math.inf, math.inf
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     return mean, stderr

@@ -4,6 +4,9 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +41,8 @@ from ridgelab.dataio import (
     read_csv,
 )
 from ridgelab.riskengine import RiskKind
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_problem(tmp_path, **overrides):
@@ -316,6 +321,19 @@ def test_risk_rejects_unknown_kind(tmp_path, capsys):
     )
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kinds", [",", " , ", "pred,pred", "pred,est,pred"])
+def test_risk_refuses_an_empty_or_repeated_kind_list(tmp_path, capsys, kinds):
+    config = write_problem(tmp_path, eta_grid="0:1:3")
+    out = tmp_path / "risk.csv"
+    with mock.patch.object(cli, "risk_curves", side_effect=AssertionError("solved")):
+        code = run(["risk", "--config", str(config), "--kinds", kinds, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert ("at least one risk kind" if "pred" not in kinds else "repeated risk kinds") in err
     assert not out.exists()
 
 
@@ -823,10 +841,37 @@ def test_non_finite_lq_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatch
     code = run(["lq", "--config", str(config), "--eta", "0.5", "--q", "1,4",
                 "--out", str(out)])
     assert code == 2
-    assert "numerical error: lq column 'risk' is not finite at q = 4.0, eta = 0.5" in (
+    assert "numerical error: lq.csv column 'risk' is not finite at q = 4.0" in (
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["nan", "inf", "1e400", "0", "-1", "1,nan"])
+def test_lq_q_must_be_a_positive_finite_real(tmp_path, capsys, q):
+    out = tmp_path / "lq.csv"
+    argv = ["lq", "--config", str(ROOT / "configs" / "problem.json"), "--eta", "0.5",
+            "--q", q, "--out", str(out)]
+    with mock.patch.object(cli, "solve_effective", side_effect=AssertionError("solved")):
+        assert run(argv) == 1
+    assert "input error: --q values must be positive finite reals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mc_reps", ["0", "100"])
+def test_lq_at_a_tiny_q_exits_2_with_no_output(tmp_path, capsys, mc_reps):
+    # (sum_j Gamma_jj^{q/2})^{1/q} at q = 1e-300 is past the float range
+    out = tmp_path / "lq.csv"
+    argv = ["lq", "--config", str(ROOT / "configs" / "problem.json"), "--eta", "0.5",
+            "--q", "1e-300", "--mc-reps", mc_reps, "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "numerical error: lq.csv column 'risk' is not finite at q = 1e-300\n"
+    )
+    assert not out.exists()
+    assert lq_risk(1e-300, np.array([1.0, 0.5]), 2) == math.inf
+    assert lq_risk(1e-300, np.array([0.5]), 1) == math.inf
 
 
 def write_fig1_config(tmp_path, **overrides):
@@ -897,7 +942,7 @@ def test_sim_fig1_env_threads(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_sim_fig2_pipeline(tmp_path):
+def write_fig2_config(tmp_path):
     obj = {
         "m": 12,
         "phi_grid": [0.75],
@@ -910,8 +955,13 @@ def test_sim_fig2_pipeline(tmp_path):
         "seed": 2,
         "threads": 1,
     }
-    config = tmp_path / "fig2.json"
-    config.write_text(json.dumps(obj))
+    path = tmp_path / "fig2.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_sim_fig2_pipeline(tmp_path):
+    config = write_fig2_config(tmp_path)
     out_dir = tmp_path / "out"
     assert run(["sim", "fig2", "--config", str(config), "--out-dir", str(out_dir)]) == 0
 
@@ -1032,3 +1082,144 @@ def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key
     err = capsys.readouterr().err
     assert "input error" in err and key in err
     assert not out_dir.exists()
+
+
+# Each file-writing command and the compute its handler runs; the outputs
+# go through cli._emit, which checks, writes and prints them.
+ONE_PATH = {
+    "fpe": "solve_grid", "risk": "risk_curves", "lq": "solve_effective",
+    "tune": "gcv_select", "ci": "sweep_ridge_fit",
+    "fig1": "run_risk_experiment", "fig2": "run_tuning_experiment",
+}
+SIM_OUTPUTS = {"fig1": ["argmin.csv", "risk_curves.csv"], "fig2": ["coverage.csv", "tuning.csv"]}
+
+
+def one_path_argv(tmp_path, command, out) -> list:
+    """argv of command on a small input, writing to out: the --out file, or
+    the --out-dir of a sim experiment."""
+    if command in SIM_OUTPUTS:
+        config = (write_fig1_config if command == "fig1" else write_fig2_config)(tmp_path)
+        return ["sim", command, "--config", str(config), "--out-dir", str(out)]
+    if command in ("tune", "ci"):
+        data, _ = write_dataset(tmp_path)
+        flags = ["--method", "gcv", "--grid", "0:1:3"] if command == "tune" else ["--eta", "0.5"]
+        return [command, "--data", str(data), *flags, "--out", str(out)]
+    config = write_problem(tmp_path, eta_grid="0:1:3")
+    flags = ["--eta", "0.5"] if command == "lq" else []
+    return [command, "--config", str(config), *flags, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ONE_PATH)
+def test_outputs_go_into_a_missing_nested_directory(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
+    nested = tmp_path / "a" / "b"
+    out = nested / "out" if command in SIM_OUTPUTS else nested / f"{command}.csv"
+    assert run(one_path_argv(tmp_path, command, out)) == 0
+    out_dir = out if command in SIM_OUTPUTS else nested
+    outputs = SIM_OUTPUTS.get(command, [out.name])
+    assert json.loads((out_dir / "run_meta.json").read_text())["outputs"] == outputs
+    assert sorted(os.listdir(out_dir)) == sorted(outputs + ["run_meta.json"])
+
+
+@pytest.mark.parametrize("command", ONE_PATH)
+def test_bad_output_location_is_a_usage_error_before_any_compute(
+    tmp_path, capsys, monkeypatch, command
+):
+    # an existing directory as --out, or an existing file as --out-dir
+    monkeypatch.setattr(cli, ONE_PATH[command], mock.Mock(side_effect=AssertionError))
+    taken = tmp_path / "taken"
+    if command in SIM_OUTPUTS:
+        taken.write_text("kept\n")
+    else:
+        taken.mkdir()
+    assert run(one_path_argv(tmp_path, command, taken)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --out") and "Traceback" not in err
+    if command in SIM_OUTPUTS:
+        assert taken.read_text() == "kept\n"
+    else:
+        assert not any(taken.iterdir())
+
+
+@pytest.mark.parametrize("command", ["fpe", "fig1"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # a path through a file fails only when written, after the compute
+    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("kept\n")
+    out = blocker / ("out" if command == "fig1" else "fpe.csv")
+    assert run(one_path_argv(tmp_path, command, out)) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: cannot write {blocker}")
+    assert blocker.read_text() == "kept\n"
+
+
+def test_non_finite_fpe_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatch):
+    solve_grid = cli.solve_grid
+
+    def broken(*args, **kwargs):
+        params = solve_grid(*args, **kwargs)
+        params[1] = dataclasses.replace(params[1], tau_prime=math.nan)
+        return params
+
+    monkeypatch.setattr(cli, "solve_grid", broken)
+    out = tmp_path / "new" / "fpe.csv"
+    assert run(one_path_argv(tmp_path, "fpe", out)) == 2
+    assert capsys.readouterr().err == (
+        "numerical error: fpe.csv column 'tau_prime' is not finite at eta = 0.5\n"
+    )
+    assert not out.parent.exists()
+
+
+def test_non_finite_fig1_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatch):
+    # both tables are checked before the first is written
+    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
+    risk = cli.run_risk_experiment
+
+    def broken(*args, **kwargs):
+        summary = risk(*args, **kwargs)
+        emp_mean = {kind: col.copy() for kind, col in summary.emp_mean.items()}
+        emp_mean["est"][2] = math.inf
+        return dataclasses.replace(summary, emp_mean=emp_mean)
+
+    monkeypatch.setattr(cli, "run_risk_experiment", broken)
+    out_dir = tmp_path / "fig1"
+    assert run(one_path_argv(tmp_path, "fig1", out_dir)) == 2
+    assert capsys.readouterr().err == (
+        "numerical error: risk_curves.csv column 'emp_mean' is not finite at eta = 1.0\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_non_finite_report_value_exits_2_with_nothing_printed(tmp_path, capsys, monkeypatch):
+    data_path, _ = write_dataset(tmp_path)
+    monkeypatch.setattr(cli, "df_hat", lambda data, eta: math.nan)
+    assert run(["fit", "--data", str(data_path), "--eta", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: reported df is not finite\n"
+
+
+def readme_theory_commands() -> list:
+    """The fpe, risk and lq commands of the README's "Shipped configs"."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### Shipped configs", 1)[1].split("\n### ", 1)[0]
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["ridgelab"] and argv[1] in ("fpe", "risk", "lq"):
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_theory_commands_run_in_a_fresh_directory(tmp_path, monkeypatch):
+    commands = readme_theory_commands()
+    assert [argv[0] for argv in commands] == ["fpe", "risk", "lq"]
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == 0, argv
+        out = Path(argv[argv.index("--out") + 1])
+        assert out.parent == Path("out") and out.is_file()
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["rerun_argv"] == commands[-1]

@@ -178,6 +178,15 @@ def test_tau_hat_at_zero_needs_invertible_gram():
     assert tau_hat(data, 0.0) == pytest.approx(direct, rel=1e-11)
 
 
+@pytest.mark.parametrize(
+    "estimator", [tau_hat, gamma_hat, df_hat, ridge_fit, regress.sweep_ridge_fit]
+)
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), 1e308, -1.0, 1e-300])
+def test_estimators_refuse_an_eta_out_of_band(estimator, eta):
+    with pytest.raises(InputError, match="eta must be 0 or lie in"):
+        estimator(toy_dataset(8, 12), eta)
+
+
 def test_gamma_hat_branches():
     # gamma_hat reads data.sweep; the oracles are a dense solve on X X^T and
     # the residual of ridge_fit's Cholesky route
