@@ -27,8 +27,8 @@ import numpy as np
 
 from . import dataio
 from ._version import __version__
-from .errors import ETA_RANGE, MAX_DIM, InputError, NumericalError, UsageError
-from .errors import check_eta, check_eta_grid, check_range, coerce, integer
+from .errors import InputError, NumericalError, UsageError
+from .errors import check_eta, check_eta_grid, coerce, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -66,36 +66,6 @@ def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-# Ranges of the theory commands' real inputs, checked before any solve.
-# phi = m/n is a ratio of two sizes in [1, MAX_DIM]; every eta lies in
-# ETA_RANGE or is 0. sigma_sq and ||mu0||^2 share eta's upper limit, so the
-# risks built from them stay finite too.
-_PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
-_SCALE_MAX = 1e60
-# A covariance model's scales (explicit eigenvalues, isotropic scale,
-# spiked_uniform a and b) share eta's band. Eigenvalues then stay below
-# about 1e68 (a + b n) and tau* within about [1e-68, 1e68], so the powers
-# of 1/(lambda + tau) and of tau* that the closed forms take stay finite.
-_SPECTRUM_RANGE = ETA_RANGE
-
-
-def _check_model(model, spec: dict):
-    """model when its scales lie in _SPECTRUM_RANGE; spec is its JSON object."""
-    kind = spec["kind"]
-    if kind == "explicit":
-        # eigenvalues are validated descending
-        for value in (model.eigenvalues[0], model.eigenvalues[-1]):
-            check_range(float(value), "eigenvalues of explicit model", *_SPECTRUM_RANGE)
-    elif kind == "isotropic":
-        check_range(float(spec["scale"]), "'scale' of isotropic model", *_SPECTRUM_RANGE)
-    else:
-        check_range(float(spec["a"]), "'a' of spiked_uniform model", *_SPECTRUM_RANGE)
-        check_range(
-            float(spec["b"]), "'b' of spiked_uniform model", *_SPECTRUM_RANGE, zero=True
-        )
-    return model
-
-
 def _problem_from_json(
     obj: dict, flags: dict | None = None
 ) -> tuple[ProblemConfig, np.ndarray | None]:
@@ -103,7 +73,7 @@ def _problem_from_json(
 
     flags are the command-line values a command records in run_meta.json
     next to the problem (risk's kinds, lq's q, mc_reps and seed); read back,
-    they must agree with the command line.
+    they must agree with the command line. Each constructor checks its bands.
     """
     if not isinstance(obj, dict):
         raise UsageError("problem config must be a JSON object")
@@ -119,7 +89,7 @@ def _problem_from_json(
     for key in ("phi", "sigma_sq", "model", "mu0"):
         if key not in obj:
             raise UsageError(f"problem config is missing {key!r}")
-    model = _check_model(model_from_json(obj["model"]), obj["model"])
+    model = model_from_json(obj["model"])
     mu0_spec = obj["mu0"]
     if isinstance(mu0_spec, dict) and "data" in mu0_spec:
         try:
@@ -138,15 +108,10 @@ def _problem_from_json(
         )
     else:
         mu0 = SignalVector(coerce(_float_array, mu0_spec, "'mu0'", UsageError))
-    with np.errstate(over="ignore"):
-        check_range(mu0.norm_sq, "squared norm of 'mu0'", 0.0, _SCALE_MAX)
-    phi = coerce(float, obj["phi"], "'phi'", UsageError)
-    eta = coerce(float, obj.get("eta", 0.0), "'eta'", UsageError)
-    sigma_sq = coerce(float, obj["sigma_sq"], "'sigma_sq'", UsageError)
     config = ProblemConfig(
-        phi=check_range(phi, "'phi'", *_PHI_RANGE),
-        eta=check_eta(eta, "'eta'"),
-        sigma_sq=check_range(sigma_sq, "'sigma_sq'", 0.0, _SCALE_MAX),
+        phi=coerce(float, obj["phi"], "'phi'", UsageError),
+        eta=coerce(float, obj.get("eta", 0.0), "'eta'", UsageError),
+        sigma_sq=coerce(float, obj["sigma_sq"], "'sigma_sq'", UsageError),
         model=model,
         mu0=mu0,
     )

@@ -155,14 +155,18 @@ def dataset_from_json(obj: dict) -> Dataset:
     for key in ("x", "y", "model"):
         if key not in obj:
             raise InputError(f"dataset is missing {key!r}")
+    model = model_from_json(obj["model"])  # refuse a bad model before decoding arrays
     mu0 = None
     if "mu0" in obj:
-        mu0 = SignalVector(decode_array(obj["mu0"]))
+        try:
+            mu0 = SignalVector(decode_array(obj["mu0"]))
+        except InputError as exc:
+            raise InputError(f"malformed 'mu0': {exc}") from exc
     xi = obj.get("xi")
     return Dataset(
         x=decode_array(obj["x"]),
         y=decode_array(obj["y"]),
-        model=model_from_json(obj["model"]),
+        model=model,
         mu0=mu0,
         xi=None if xi is None else decode_array(xi),
     )

@@ -4,8 +4,9 @@ The CLI maps these onto exit codes: usage and input problems exit 1,
 numerical failures exit 2. `coerce` turns a malformed configuration value
 into one of these instead of a raw ValueError or TypeError; `integer`,
 `dimension` and `boolean` are the casts for integer, size and boolean
-fields. `check_range`, `check_eta` and `check_eta_grid` raise InputError
-for a real value, a ridge penalty or an eta grid out of its band.
+fields. Every band of a real input lives here, and the types that own a
+field apply its band through `check_eta`, `check_eta_grid`,
+`check_spectrum`, `check_scale` or `check_phi`, which raise InputError.
 """
 
 import numbers
@@ -22,6 +23,15 @@ MAX_DIM = 10**8
 # s + eta; holding eta within [1e-60, 1e60] keeps tau*, its cube, eta^2 and
 # those quotients finite normal floats.
 ETA_RANGE = (1e-60, 1e60)
+
+# Band of a covariance model's scales: eigenvalues then stay below about
+# 1e68 (a + b n) and tau* within about [1e-68, 1e68], so the powers of
+# 1/(lambda + tau) and of tau* that the closed forms take stay finite.
+SPECTRUM_RANGE = ETA_RANGE
+# Band of sigma_sq and ||mu0||^2: eta's upper limit keeps the risks finite.
+SCALE_RANGE = (0.0, 1e60)
+# Band of an aspect ratio phi = m/n, a ratio of two sizes in [1, MAX_DIM].
+PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
 
 
 class RidgelabError(Exception):
@@ -116,9 +126,32 @@ def check_range(value: float, name: str, lo: float, hi: float, zero: bool = Fals
     return value
 
 
+def check_all(values: np.ndarray, name: str, lo: float, hi: float, zero: bool = False):
+    """values when check_range accepts each entry; the error names the first bad one."""
+    bad = ~((values >= lo) & (values <= hi)) & ~(zero & (values == 0.0))
+    if bad.any():
+        check_range(float(values[bad.argmax()]), name, lo, hi, zero)
+    return values
+
+
 def check_eta(eta: float, name: str = "eta") -> float:
     """eta when it is 0 or lies in ETA_RANGE."""
     return check_range(eta, name, *ETA_RANGE, zero=True)
+
+
+def check_spectrum(value: float, name: str, zero: bool = False) -> float:
+    """value when it lies in SPECTRUM_RANGE (or is 0, with zero set)."""
+    return check_range(value, name, *SPECTRUM_RANGE, zero=zero)
+
+
+def check_scale(value: float, name: str) -> float:
+    """value when it lies in SCALE_RANGE."""
+    return check_range(value, name, *SCALE_RANGE)
+
+
+def check_phi(value: float, name: str) -> float:
+    """value when it lies in PHI_RANGE."""
+    return check_range(value, name, *PHI_RANGE)
 
 
 def check_eta_grid(grid, name: str = "eta grid") -> np.ndarray:
@@ -127,10 +160,7 @@ def check_eta_grid(grid, name: str = "eta grid") -> np.ndarray:
     etas = np.asarray(grid, dtype=float)
     if etas.ndim != 1 or etas.size == 0:
         raise InputError(f"{name} must be a nonempty 1-D list of etas")
-    lo, hi = ETA_RANGE
-    bad = ~(((etas >= lo) & (etas <= hi)) | (etas == 0.0))
-    if bad.any():
-        check_eta(float(etas[bad.argmax()]), name)
+    check_all(etas, name, *ETA_RANGE, zero=True)
     steps = np.diff(etas) <= 0
     if steps.any():
         i = int(steps.argmax()) + 1

@@ -46,6 +46,9 @@ from .errors import (
     InputError,
     NonConvergence,
     NoSolution,
+    check_eta,
+    check_phi,
+    check_scale,
 )
 from .spectrum import (
     CovarianceModel,
@@ -69,7 +72,8 @@ class ProblemConfig:
 
     phi is the aspect ratio m/n. eta = 0 is meaningful only when phi < 1;
     that regime check is enforced where the solve happens (tau_bounds), so
-    diagnostics can still inspect the config itself.
+    diagnostics can still inspect the config itself. phi, eta, sigma_sq and
+    ||mu0||^2 (cached, so with_eta stays O(1)) are held to their bands.
     """
 
     phi: float
@@ -79,14 +83,10 @@ class ProblemConfig:
     mu0: SignalVector
 
     def __post_init__(self):
-        if not (np.isfinite(self.phi) and self.phi > 0):
-            raise InputError(f"phi must be a positive finite real, got {self.phi}")
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise InputError(f"eta must be a nonnegative finite real, got {self.eta}")
-        if not (np.isfinite(self.sigma_sq) and self.sigma_sq >= 0):
-            raise InputError(
-                f"sigma_sq must be a nonnegative finite real, got {self.sigma_sq}"
-            )
+        check_scale(self.mu0.norm_sq, "squared norm of 'mu0'")
+        check_phi(self.phi, "'phi'")
+        check_eta(self.eta, "'eta'")
+        check_scale(self.sigma_sq, "'sigma_sq'")
         if self.mu0.n != self.model.n:
             raise InputError(
                 f"signal dimension {self.mu0.n} != model dimension {self.model.n}"
@@ -249,6 +249,8 @@ def solve_tau(
 
 
 def _gamma_sq(config: ProblemConfig, tau: float, sums: FixedPointSums) -> float:
+    """gamma_star^2 at tau_star; the denominator equals phi - T_{-2,2}(tau)
+    at the root but does not suffer its cancellation."""
     num = config.sigma_sq + tau * tau * sums.signal
     den = config.eta / tau + tau * sums.t21
     if den <= 1e-14:
@@ -259,32 +261,15 @@ def _gamma_sq(config: ProblemConfig, tau: float, sums: FixedPointSums) -> float:
 
 
 def _derivatives(eta: float, tau: float, sums: FixedPointSums) -> tuple[float, float]:
-    g0 = eta + tau * tau * sums.t21
-    tau_prime = tau / g0
-    tau_second = -2.0 * tau * tau * tau_prime * sums.t32 / (g0 * g0)
-    return tau_prime, tau_second
-
-
-def solve_gamma_sq(config: ProblemConfig, tau_star: float) -> float:
-    """Closed form for gamma_star^2 given the solved tau_star.
-
-    gamma^2 = (sigma_sq + tau^2 ||(Sigma+tau I)^{-1} Sigma^{1/2} mu0||^2)
-              / (eta/tau + tau T_{-2,1}(tau));
-    the denominator equals phi - T_{-2,2}(tau) at the root but does not
-    suffer its cancellation.
-    """
-    sums = fixed_point_sums(config.model, config.mu0, tau_star)
-    return _gamma_sq(config, tau_star, sums)
-
-
-def tau_derivatives(config: ProblemConfig, tau_star: float) -> tuple[float, float]:
     """(d tau/d eta, d^2 tau/d eta^2) from closed forms.
 
     tau' = tau / G0 with G0 = eta + tau^2 T_{-2,1}(tau);
     tau'' = -2 tau^2 tau' T_{-3,2}(tau) / G0^2.
     """
-    sums = fixed_point_sums(config.model, config.mu0, tau_star)
-    return _derivatives(config.eta, tau_star, sums)
+    g0 = eta + tau * tau * sums.t21
+    tau_prime = tau / g0
+    tau_second = -2.0 * tau * tau * tau_prime * sums.t32 / (g0 * g0)
+    return tau_prime, tau_second
 
 
 def gamma_tilde_sq(

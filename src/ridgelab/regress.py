@@ -28,6 +28,7 @@ from .errors import (
     WrongRegime,
     check_eta,
     check_eta_grid,
+    check_scale,
 )
 from .riskengine import RiskKind
 from .spectrum import CovarianceModel, SignalVector, sigma_quad
@@ -43,6 +44,7 @@ class Dataset:
 
     The arrays are treated as immutable: ``sweep`` factors X once, on
     first use, and every data-side estimator reads that factorization.
+    Like ProblemConfig, the constructor holds ||mu0||^2 to its band.
     """
 
     x: np.ndarray
@@ -62,17 +64,19 @@ class Dataset:
             raise InputError(
                 f"design has {x.shape[1]} columns, model dimension is {self.model.n}"
             )
-        _require_finite("design", x)
-        _require_finite("response", y)
+        _require_finite("design 'x'", x)
+        _require_finite("response 'y'", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.mu0 is not None and self.mu0.n != x.shape[1]:
-            raise InputError("ground-truth signal has wrong dimension")
+        if self.mu0 is not None:
+            if self.mu0.n != x.shape[1]:
+                raise InputError("ground-truth signal has wrong dimension")
+            check_scale(self.mu0.norm_sq, "squared norm of 'mu0'")
         if self.xi is not None:
             xi = np.asarray(self.xi, dtype=float)
             if xi.shape != y.shape:
                 raise InputError("noise vector has wrong shape")
-            _require_finite("noise vector", xi)
+            _require_finite("noise vector 'xi'", xi)
             object.__setattr__(self, "xi", xi)
         if self.mu0 is not None and self.xi is not None:
             recon = x @ self.mu0.coords + self.xi

@@ -196,16 +196,29 @@ def opt_risks(
     return pred, est, ins
 
 
+# Taylor coefficients psi_k / (2^(k+1) (k+1)!) of (lgamma(1/2 + q/2) - lgamma(1/2)) / q,
+# psi_k the k-th derivative of digamma at 1/2. At _SMALL_Q the direct form's
+# cancellation (a few 1e-16 / q) and the dropped O(q^5) term stay below 3e-13.
+_SMALL_Q = 3e-3
+_LOG_M_SERIES = tuple(d / (2.0 ** (k + 1) * math.factorial(k + 1)) for k, d in enumerate((
+    -0.5772156649015329 - 2.0 * math.log(2.0), math.pi**2 / 2.0,
+    -14.0 * 1.2020569031595942, math.pi**4, -744.0 * 1.0369277551433699,
+)))
+
+
 def gaussian_abs_moment(q: float) -> float:
     """M_q = sqrt(2) {Gamma((q+1)/2)/sqrt(pi)}^{1/q} for a standard normal.
 
-    Evaluated in log space so large q does not overflow.
+    Evaluated in log space so large q does not overflow, and below _SMALL_Q
+    from the series in q, which tends to sqrt(2) exp(psi(1/2) / 2) = 0.5298394...
     """
     if q <= 0:
         raise InputError(f"q must be positive, got {q}")
-    return math.exp(
-        0.5 * math.log(2.0) + (math.lgamma((q + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / q
-    )
+    if q < _SMALL_Q:
+        log_ratio = sum(c * q**k for k, c in enumerate(_LOG_M_SERIES))
+    else:
+        log_ratio = (math.lgamma((q + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / q
+    return math.exp(0.5 * math.log(2.0) + log_ratio)
 
 
 def _check_psd_dense(a: np.ndarray) -> None:

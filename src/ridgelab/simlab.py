@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
-from .errors import boolean, check_eta_grid, coerce, dimension, integer
+from .errors import boolean, check_eta, check_eta_grid, check_phi, check_scale, coerce
+from .errors import dimension, integer
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -93,10 +94,13 @@ class ExperimentConfig:
             raise InputError(f"distributions must be one of {_DISTS}")
         if self.signal_mode not in _SIGNAL_MODES:
             raise InputError(f"signal mode must be one of {_SIGNAL_MODES}")
-        if self.signal_radius <= 0:
+        if not self.signal_radius > 0:
             raise InputError("signal radius must be positive")
-        if self.sigma_sq < 0:
-            raise InputError("sigma_sq must be nonnegative")
+        radius = self.signal_radius  # r * r, as r**2 raises OverflowError past the range
+        radius_sq = check_scale(radius * radius, "squared norm of 'signal'")
+        check_scale(self.sigma_sq, "'sigma_sq'")
+        # the oracle penalty that fig1 reports and fig2 solves at
+        check_eta(optimal_eta(self.sigma_sq, radius_sq), "eta* = sigma_sq / radius^2")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
         if self.argmin_reps is not None and self.argmin_reps < 1:
@@ -108,10 +112,12 @@ class ExperimentConfig:
         if self.n is not None and etas[0] == 0 and self.n <= self.m:
             raise InputError("eta grid may include 0 only when n > m")
         if self.phi_grid is not None:
-            phis = np.asarray(self.phi_grid, dtype=float)
-            if phis.size == 0 or np.any(phis <= 0):
-                raise InputError("phi grid must be nonempty and positive")
-            object.__setattr__(self, "phi_grid", tuple(float(p) for p in phis))
+            phis = tuple(check_phi(float(p), "'phi_grid'") for p in self.phi_grid)
+            if not phis:
+                raise InputError("phi grid must be nonempty")
+            if round(self.m / max(phis)) < 1:
+                raise InputError(f"phi = {max(phis)} leaves no signal dimension")
+            object.__setattr__(self, "phi_grid", phis)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -392,7 +398,8 @@ def seq_model_lq_mc(
 
     The closed-form counterpart averages the bias over signal directions,
     so mu0 should be a typical sphere draw (or any vector with spread-out
-    eigen-coordinates) for the two to agree beyond q = 2.
+    eigen-coordinates) for the two to agree beyond q = 2. Each norm is summed
+    scaled by g = max_j |d_j|, as in lq_risk, so a large q cannot underflow.
     """
     if reps < 100:
         raise InputError(f"need at least 100 replications, got {reps}")
@@ -408,9 +415,10 @@ def seq_model_lq_mc(
     vals = np.empty(reps)
     for rep in range(reps):
         _, mu_hat = seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq", ctx))
-        diff = _apply_weight(a, model, mu_hat - mu0.coords)
+        diff = np.abs(_apply_weight(a, model, mu_hat - mu0.coords))
+        g = float(diff.max(initial=0.0)) or 1.0  # d = 0 has norm 0 at any g
         try:
-            vals[rep] = float(np.sum(np.abs(diff) ** q)) ** (1.0 / q)
+            vals[rep] = g * float(np.sum((diff / g) ** q)) ** (1.0 / q)
         except OverflowError:  # a tiny q takes the norm, and the mean, past the float range
             return math.inf, math.inf
     mean = float(np.mean(vals))
@@ -629,8 +637,6 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
     failed_all: list[tuple[int, int]] = []
     for pi, phi_req in enumerate(config.phi_grid):
         n = round(config.m / phi_req)
-        if n < 1:
-            raise InputError(f"phi = {phi_req} leaves no signal dimension")
         phi = config.m / n
         model = build_model(config.model_spec, n)
         etas = _sweep_grid(config, n)

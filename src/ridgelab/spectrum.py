@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import InputError, coerce, dimension, integer
+from .errors import SPECTRUM_RANGE, InputError, check_all, check_spectrum, coerce
+from .errors import dimension, integer
 
 _DENSE_GUARD = 20000
 
@@ -85,11 +86,6 @@ class _SpectralSums:
         return _read_only(self.weighted_spectrum * self.pairs()[0])
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be a positive finite real, got {value}")
-
-
 @dataclass(frozen=True)
 class Isotropic(_SpectralSums):
     """Sigma = scale * I_n."""
@@ -100,7 +96,7 @@ class Isotropic(_SpectralSums):
     kind = "isotropic"
 
     def __post_init__(self):
-        _check_positive("scale", self.scale)
+        check_spectrum(self.scale, "'scale' of isotropic model")
         if self.n < 1:
             raise InputError(f"dimension must be >= 1, got {self.n}")
 
@@ -147,11 +143,11 @@ class SpikedUniform(_SpectralSums):
     kind = "spiked_uniform"
 
     def __post_init__(self):
-        _check_positive("a", self.a)
-        if not (np.isfinite(self.b) and self.b > 0):
-            raise InputError(
-                f"b must be positive (use spiked_uniform() for b == 0), got {self.b}"
-            )
+        check_spectrum(self.a, "'a' of spiked_uniform model")
+        # b = 0 is a valid JSON field, which spiked_uniform() makes Isotropic
+        check_spectrum(self.b, "'b' of spiked_uniform model", zero=True)
+        if self.b == 0:
+            raise InputError("b must be positive (use spiked_uniform() for b == 0)")
         if self.n < 1:
             raise InputError(f"dimension must be >= 1, got {self.n}")
 
@@ -228,8 +224,7 @@ class Explicit(_SpectralSums):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
         if lam.ndim != 1 or lam.size < 1:
             raise InputError("eigenvalues must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
-            raise InputError("all eigenvalues must be positive finite reals")
+        check_all(lam, "eigenvalues of explicit model", *SPECTRUM_RANGE)
         if np.any(np.diff(lam) > 0):
             raise InputError("eigenvalues must be sorted in descending order")
         lam = lam.copy()
@@ -304,7 +299,7 @@ CovarianceModel = Union[Isotropic, SpikedUniform, Explicit]
 def spiked_uniform(a: float, b: float, n: int) -> CovarianceModel:
     """Factory that normalizes the degenerate b == 0 case to Isotropic."""
     if b == 0:
-        return Isotropic(a, n)
+        return Isotropic(check_spectrum(a, "'a' of spiked_uniform model"), n)
     return SpikedUniform(a, b, n)
 
 
@@ -383,7 +378,8 @@ class SignalVector:
     @property
     def norm_sq(self) -> float:
         if self._norm_sq is None:
-            self._norm_sq = _dot(self.coords, self.coords)
+            with np.errstate(over="ignore"):  # inf past the range, for owners to refuse
+                self._norm_sq = _dot(self.coords, self.coords)
         return self._norm_sq
 
     @property

@@ -1,6 +1,8 @@
 """End-to-end CLI checks: schemas, exit codes, reproducible pipelines."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +19,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridgelab import (
     Dataset,
@@ -31,7 +36,7 @@ from ridgelab import (
     tau_hat,
     theoretical_risk,
 )
-from ridgelab import cli, riskengine
+from ridgelab import cli, errors, regress, riskengine, simlab
 from ridgelab.cli import run
 from ridgelab.dataio import (
     dataset_to_json,
@@ -669,7 +674,7 @@ def test_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["fpe", "risk"])
 def test_overflowed_fixed_point_exits_2_with_no_output(tmp_path, capsys, command):
     # ||mu0||^2 overflows, so gamma^2 is inf; the solve must not pass it on.
-    # The parse-time range check rejects this mu0 first (exit 1, see
+    # ProblemConfig's band on ||mu0||^2 rejects this mu0 first (exit 1, see
     # test_malformed_problem_config_is_a_typed_error); lifted, the solver's
     # residual check still stops the run.
     config = write_problem(
@@ -679,7 +684,7 @@ def test_overflowed_fixed_point_exits_2_with_no_output(tmp_path, capsys, command
         eta_grid="0:1:3",
     )
     out = tmp_path / "out.csv"
-    with np.errstate(over="ignore"), mock.patch.object(cli, "_SCALE_MAX", np.inf):
+    with np.errstate(over="ignore"), mock.patch.object(errors, "SCALE_RANGE", (0.0, np.inf)):
         assert run([command, "--config", str(config), "--out", str(out)]) == 2
     assert "numerical error: fixed-point residuals" in capsys.readouterr().err
     assert not out.exists()
@@ -871,7 +876,10 @@ def test_lq_at_a_tiny_q_exits_2_with_no_output(tmp_path, capsys, mc_reps):
     )
     assert not out.exists()
     assert lq_risk(1e-300, np.array([1.0, 0.5]), 2) == math.inf
-    assert lq_risk(1e-300, np.array([0.5]), 1) == math.inf
+    # one coordinate has no sum to blow up: the risk is sqrt(0.5) M_q, and
+    # M_q tends to sqrt(2) exp(psi(1/2) / 2) as q -> 0
+    limit = math.sqrt(0.5) * math.sqrt(2.0) * math.exp(float(mpmath.digamma(0.5)) / 2.0)
+    assert lq_risk(1e-300, np.array([0.5]), 1) == pytest.approx(limit, rel=1e-14)
 
 
 def write_fig1_config(tmp_path, **overrides):
@@ -1082,6 +1090,200 @@ def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key
     err = capsys.readouterr().err
     assert "input error" in err and key in err
     assert not out_dir.exists()
+
+
+# One out-of-band value per field, and the commands whose inputs carry that
+# field. phi of fig1, fit, ci and tune is a ratio of sizes of at most 10^8,
+# so it cannot leave its band; datasets carry no sigma_sq and sim configs no
+# mu0 array (their signal is a radius).
+OUT_OF_BAND = {
+    "isotropic scale": (
+        {"model": lambda n: {"kind": "isotropic", "scale": 1e-300, "n": n}},
+        "'scale' of isotropic model must lie in [1e-60, 1e+60], got 1e-300",
+        ("fpe", "fig1", "fig2", "fit", "ci", "tune"),
+    ),
+    "spiked a": (
+        {"model": lambda n: {"kind": "spiked_uniform", "a": 1e200, "b": 1.0, "n": n}},
+        "'a' of spiked_uniform model must lie in [1e-60, 1e+60], got 1e+200",
+        ("fpe", "fig1", "fig2", "fit", "ci", "tune"),
+    ),
+    "spiked b": (
+        {"model": lambda n: {"kind": "spiked_uniform", "a": 1.0, "b": 1e200, "n": n}},
+        "'b' of spiked_uniform model must be 0 or lie in [1e-60, 1e+60], got 1e+200",
+        ("fpe", "fig1", "fig2", "fit", "ci", "tune"),
+    ),
+    "explicit eigenvalues": (
+        {"model": lambda n: {"kind": "explicit", "eigenvalues": [1e-200] * n}},
+        "eigenvalues of explicit model must lie in [1e-60, 1e+60], got 1e-200",
+        ("fpe", "fig1", "fig2", "fit", "ci", "tune"),
+    ),
+    "sigma_sq": (
+        {"sigma_sq": lambda n: 1e300},
+        "'sigma_sq' must lie in [0, 1e+60], got 1e+300",
+        ("fpe", "fig1", "fig2"),
+    ),
+    "phi": (
+        {"phi": lambda n: 1e300, "phi_grid": lambda n: [1e300]},
+        "must lie in [1e-08, 1e+08], got 1e+300",
+        ("fpe", "fig2"),
+    ),
+    "mu0": (
+        {"mu0": lambda n: [1e200] * n},
+        "squared norm of 'mu0' must lie in [0, 1e+60], got inf",
+        ("fpe", "fit", "ci", "tune"),
+    ),
+    "signal radius": (
+        {"signal": lambda n: {"mode": "sphere", "radius": 1e300}},
+        "squared norm of 'signal' must lie in [0, 1e+60], got inf",
+        ("fig1", "fig2"),
+    ),
+}
+
+
+def out_of_band_argv(tmp_path, command, fields) -> list:
+    """argv running command on inputs with fields set (field -> value(n))."""
+    out = str(tmp_path / "out" / "never.csv")
+    if command == "fpe":
+        obj = json.loads(write_problem(tmp_path).read_text())
+        obj.update({key: value(16) for key, value in fields.items() if key in obj})
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj))
+        return ["fpe", "--config", str(path), "--eta-grid", "0:1:3", "--out", out]
+    if command in ("fig1", "fig2"):
+        writer, n = (write_fig1_config, 20) if command == "fig1" else (write_fig2_config, 16)
+        obj = json.loads(writer(tmp_path).read_text())
+        keys = {"model", "sigma_sq", "signal"} | ({"phi_grid"} if command == "fig2" else set())
+        obj.update({key: value(n) for key, value in fields.items() if key in keys})
+        obj["model"].pop("n", None)
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(obj))
+        return ["sim", command, "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    data_path, _ = write_dataset(tmp_path, m=8, n=12)
+    obj = json.loads(data_path.read_text())
+    if "model" in fields:
+        obj["model"] = fields["model"](12)
+    if "mu0" in fields:
+        obj["mu0"] = encode_array(np.array(fields["mu0"](12)))
+        del obj["xi"]
+    data_path.write_text(json.dumps(obj))
+    tail = {
+        "fit": ["--eta", "0.5"],
+        "ci": ["--eta", "0.5", "--out", out],
+        "tune": ["--method", "gcv", "--grid", "0.1:1:4", "--out", out],
+    }[command]
+    return [command, "--data", str(data_path), *tail]
+
+
+@pytest.mark.parametrize(
+    "field, command",
+    [(field, command) for field, (_, _, commands) in OUT_OF_BAND.items()
+     for command in commands],
+)
+@pytest.mark.filterwarnings("error")
+def test_out_of_band_field_is_refused_by_every_command(tmp_path, capsys, field, command):
+    # the model, ProblemConfig, ExperimentConfig and Dataset constructors hold
+    # each field to its band, so every command refuses it with fpe's message
+    # before it computes: no solve, no replication, no Gram matrix
+    fields, message, _ = OUT_OF_BAND[field]
+    argv = out_of_band_argv(tmp_path, command, fields)
+    computed = AssertionError("computed")
+    with mock.patch.object(cli, "solve_grid", side_effect=computed), \
+            mock.patch.object(simlab, "_map_reps", side_effect=computed), \
+            mock.patch.object(regress, "GramSweep", side_effect=computed):
+        assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.err.endswith(message + "\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+# Extreme finite magnitudes, both signs, and the edges of the bands in
+# errors.py. Sizes stay fixed and tiny: the MAX_DIM cap on them has its own
+# tests (an "n" of 10**12 above).
+EXTREME = st.one_of(
+    st.sampled_from([0.0, 1e-60, 1e60, 1e-8, 1e8]),
+    st.builds(
+        lambda sign, value: sign * value,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=1e-320, max_value=1e308, allow_subnormal=True),
+    ),
+)
+PROBLEM_FIELDS = {
+    "phi": lambda obj, v: obj.update(phi=v),
+    "eta": lambda obj, v: obj.update(eta=v),
+    "sigma_sq": lambda obj, v: obj.update(sigma_sq=v),
+    "eta_grid": lambda obj, v: obj.update(eta_grid=[v]),
+    "scale": lambda obj, v: obj.update(model={"kind": "isotropic", "scale": v, "n": 4}),
+    "a": lambda obj, v: obj.update(model={"kind": "spiked_uniform", "a": v, "b": 0.5, "n": 4}),
+    "b": lambda obj, v: obj.update(model={"kind": "spiked_uniform", "a": 1.0, "b": v, "n": 4}),
+    "eigenvalues": lambda obj, v: obj.update(model={"kind": "explicit", "eigenvalues": [v] * 4}),
+    "mu0 radius": lambda obj, v: obj.update(mu0={"mode": "sphere", "radius": v, "seed": 1}),
+    "mu0 entry": lambda obj, v: obj.update(mu0=[v, 0.5, 0.5, 0.5]),
+}
+SIM_FIELDS = {
+    "sigma_sq": lambda obj, v: obj.update(sigma_sq=v),
+    "radius": lambda obj, v: obj.update(signal={"mode": "sphere", "radius": v}),
+    "alpha": lambda obj, v: obj.update(alpha=v),
+    "eta_grid": lambda obj, v: obj.update(eta_grid=[v]),
+    "scale": lambda obj, v: obj.update(model={"kind": "isotropic", "scale": v}),
+    "a": lambda obj, v: obj.update(model={"kind": "spiked_uniform", "a": v, "b": 0.5}),
+    "b": lambda obj, v: obj.update(model={"kind": "spiked_uniform", "a": 1.0, "b": v}),
+    "eigenvalues": lambda obj, v: obj.update(model={"kind": "explicit", "eigenvalues": [v] * 8}),
+}
+
+
+def run_fuzzed(directory: Path, argv: list) -> None:
+    """run(argv) exits 0, 1 or 2 with no escaping exception; on 0 every CSV
+    cell it wrote is finite, on 1 or 2 it wrote nothing."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    out = directory / "out"
+    if code != 0:
+        assert not out.exists(), argv
+        return
+    for csv in out.glob("*.csv"):
+        _, rows = read_csv(csv)
+        cells = [cell for row in rows for cell in row if isinstance(cell, float)]
+        assert all(math.isfinite(cell) for cell in cells), (argv, csv.name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(sorted(PROBLEM_FIELDS)), value=EXTREME)
+@pytest.mark.filterwarnings("error")
+def test_theory_commands_at_extreme_config_values(field, value):
+    base = {
+        "phi": 0.5, "sigma_sq": 1.0, "model": {"kind": "isotropic", "scale": 1.0, "n": 4},
+        "mu0": {"mode": "sphere", "radius": 1.0, "seed": 1}, "eta_grid": [0.0, 0.5, 1.0],
+    }
+    PROBLEM_FIELDS[field](base, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        config = directory / "problem.json"
+        config.write_text(json.dumps(base))
+        for command, flags in (("fpe", []), ("risk", []),
+                               ("lq", ["--eta", "0.5", "--q", "0.5,2,40"])):
+            shutil.rmtree(directory / "out", ignore_errors=True)
+            run_fuzzed(directory, [command, "--config", str(config), *flags,
+                                   "--out", str(directory / "out" / "o.csv")])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(sorted(SIM_FIELDS)), value=EXTREME)
+@pytest.mark.filterwarnings("error")
+def test_sim_fig1_at_extreme_config_values(field, value):
+    base = {
+        "m": 4, "n": 8, "model": {"kind": "isotropic", "scale": 1.0},
+        "design_dist": "gaussian", "noise_dist": "gaussian", "eta_grid": [0.0, 0.5, 1.0],
+        "reps": 2, "seed": 1, "threads": 1,
+    }
+    SIM_FIELDS[field](base, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        config = directory / "fig1.json"
+        config.write_text(json.dumps(base))
+        run_fuzzed(directory, ["sim", "fig1", "--config", str(config),
+                               "--out-dir", str(directory / "out")])
 
 
 # Each file-writing command and the compute its handler runs; the outputs

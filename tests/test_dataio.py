@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ridgelab import Dataset, InputError, Isotropic, SignalVector, UsageError
+from ridgelab import Dataset, Explicit, InputError, Isotropic, SignalVector, UsageError
 from ridgelab.dataio import (
     dataset_from_json,
     dataset_to_json,
@@ -127,6 +127,39 @@ def test_dataset_json_round_trip(rng):
         dataset_from_json({"x": obj["x"], "y": obj["y"]})
     with pytest.raises(InputError):
         dataset_from_json({**obj, "extra": 1})
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("x", "design 'x' holds NaN or inf"),
+        ("y", "response 'y' holds NaN or inf"),
+        ("xi", "noise vector 'xi' holds NaN or inf"),
+        ("mu0", "malformed 'mu0': signal entries must be finite"),
+        ("eigenvalues", "eigenvalues of explicit model must lie in [1e-60, 1e+60], got nan"),
+        ("basis", "basis columns are not orthonormal"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_nan_in_any_payload_is_an_input_error_naming_the_field(rng, field, message):
+    # decode_array reads bits and checks no values; the type that owns each
+    # array refuses a NaN and names the field
+    n, m = 5, 3
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    model = Explicit(np.linspace(2.0, 1.0, n), basis)
+    mu0 = SignalVector(rng.standard_normal(n))
+    x = rng.standard_normal((m, n))
+    xi = rng.standard_normal(m)
+    obj = dataset_to_json(Dataset(x=x, y=x @ mu0.coords + xi, model=model, mu0=mu0, xi=xi))
+    obj["model"]["eigenvalues"] = encode_array(model.eigenvalues)
+    obj["model"]["basis"] = encode_array(basis)
+    owner = obj["model"] if field in ("eigenvalues", "basis") else obj
+    bad = decode_array(owner[field])
+    bad.flat[1] = np.nan
+    owner[field] = encode_array(bad)
+    with pytest.raises(InputError) as exc:
+        dataset_from_json(json.loads(json.dumps(obj)))
+    assert message in str(exc.value)
 
 
 def test_load_json_errors(tmp_path):

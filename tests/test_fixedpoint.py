@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import iso_problem, random_problem
-from ridgelab import fixedpoint
+from ridgelab import errors, fixedpoint
 from ridgelab import (
     Explicit,
     InputError,
@@ -28,9 +28,7 @@ from ridgelab import (
     solve_grid,
     solve_tau,
     quad_form,
-    solve_gamma_sq,
     tau_bounds,
-    tau_derivatives,
     trace_functional,
 )
 from ridgelab.spectrum import fixed_point_sums, resolvent_sums
@@ -116,14 +114,15 @@ def test_gamma_sq_dominates_noise(rng):
 
 
 def test_overflowed_gamma_sq_is_non_convergence():
-    # ||mu0||^2 = 2e400 overflows: gamma^2 is inf and both residuals NaN
-    config = ProblemConfig(
-        phi=0.5,
-        eta=0.25,
-        sigma_sq=1.0,
-        model=Explicit(np.array([2.0, 1.0])),
-        mu0=SignalVector(np.array([1e200, 1e200])),
-    )
+    # ||mu0||^2 = 2e400 overflows: gamma^2 is inf and both residuals NaN.
+    # ProblemConfig refuses this mu0 (its norm is out of SCALE_RANGE); with
+    # the band lifted, the solver's residual check still stops the solve.
+    mu0 = SignalVector(np.array([1e200, 1e200]))
+    model = Explicit(np.array([2.0, 1.0]))
+    with pytest.raises(InputError, match=r"squared norm of 'mu0' must lie in \[0, 1e\+60\]"):
+        ProblemConfig(phi=0.5, eta=0.25, sigma_sq=1.0, model=model, mu0=mu0)
+    with mock.patch.object(errors, "SCALE_RANGE", (0.0, math.inf)):
+        config = ProblemConfig(phi=0.5, eta=0.25, sigma_sq=1.0, model=model, mu0=mu0)
     with np.errstate(over="ignore"), pytest.raises(NonConvergence, match=r"eta = 0\.25"):
         solve_effective(config)
 
@@ -204,6 +203,27 @@ def test_gamma_tilde_differs_for_anisotropic():
     config = ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
     params = solve_effective(config)
     assert abs(params.gamma_tilde_sq - params.gamma_star_sq) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("phi", 1e-320, "'phi' must lie in [1e-08, 1e+08], got 1e-320"),
+        ("phi", math.nan, "'phi' must lie in [1e-08, 1e+08], got nan"),
+        ("eta", 1e61, "'eta' must be 0 or lie in [1e-60, 1e+60], got 1e+61"),
+        ("sigma_sq", math.inf, "'sigma_sq' must lie in [0, 1e+60], got inf"),
+        ("mu0", SignalVector(np.full(4, 1e200)), "squared norm of 'mu0' must lie in [0, 1e+60], got inf"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_problem_config_holds_its_fields_to_their_bands(field, value, message):
+    good = iso_problem()
+    with pytest.raises(InputError) as exc:
+        dataclasses.replace(good, **{field: value})
+    assert str(exc.value) == message
+    if field == "eta":
+        with pytest.raises(InputError, match="'eta' must be 0 or lie in"):
+            good.with_eta(value)
 
 
 def test_problem_config_validation():
@@ -425,8 +445,6 @@ def test_fused_sums_match_separate_functionals(config):
     params = solve_effective(config)
     assert params.tau_star == tau
     assert params.sums == sums
-    assert params.gamma_star_sq == solve_gamma_sq(config, tau)
-    assert (params.tau_prime, params.tau_second) == tau_derivatives(config, tau)
     gamma_sq = (config.sigma_sq + tau * tau * separate["signal"]) / (
         config.eta / tau + tau * separate["t21"]
     )

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import iso_problem, random_problem
+from ridgelab import riskengine
 from ridgelab import (
     BothZero,
     Explicit,
@@ -188,6 +190,35 @@ def test_gaussian_abs_moment_values():
     assert gaussian_abs_moment(4.0) == pytest.approx(3.0**0.25, rel=1e-14)
     with pytest.raises(InputError):
         gaussian_abs_moment(0.0)
+
+
+def _mp_abs_moment(q: float) -> float:
+    """M_q from its log form at 50 digits beyond the ~|log10 q| that the
+    O(q) difference of log-gammas cancels; q enters as an exact mpf."""
+    with mpmath.workdps(50 + max(0, math.ceil(-math.log10(q)))):
+        qm = mpmath.mpf(q)
+        log_m = mpmath.log(2) / 2 + (
+            mpmath.loggamma((qm + 1) / 2) - mpmath.log(mpmath.pi) / 2
+        ) / qm
+        return float(mpmath.exp(log_m))
+
+
+def test_gaussian_abs_moment_matches_mpmath_from_tiny_to_large_q():
+    # the direct form divides an O(q) difference of lgammas by q and read
+    # 0.529772 at q = 1e-12 and 0.526489 at 1e-14; below _SMALL_Q the series
+    # in the derivatives of psi at 1/2 takes over
+    switch = riskengine._SMALL_Q
+    qs = np.concatenate((
+        np.logspace(-300, 3, 61),
+        np.logspace(-5, -1, 41),
+        [1e-12, 1e-14, 1e-15, switch, np.nextafter(switch, 0.0)],
+    ))
+    for q in qs:
+        assert gaussian_abs_moment(float(q)) == pytest.approx(
+            _mp_abs_moment(float(q)), rel=1e-12, abs=0.0
+        ), q
+    limit = math.sqrt(2.0) * math.exp(float(mpmath.digamma(0.5)) / 2.0)
+    assert gaussian_abs_moment(1e-300) == pytest.approx(limit, rel=1e-15)
 
 
 def test_lq_risk_values():

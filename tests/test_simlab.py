@@ -1,7 +1,11 @@
 """Simulation harness: samplers, sequence-model laws, experiment determinism."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+import scipy.special
 
 from ridgelab import (
     Dataset,
@@ -185,6 +189,55 @@ def test_seq_model_lq_mc_deterministic_at_zero_gamma():
         seq_model_lq_mc(2.0, None, model, mu0, 1.0, 1.0, reps=50, seed=1)
 
 
+def _lq_mc_norms(q, model, mu0, gamma, tau, reps, seed, norm):
+    """norm(|mu_hat - mu0|, q) for each rep's draw of seq_model_lq_mc."""
+    return np.array([
+        norm(np.abs(seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq", 0))[1]
+                    - mu0.coords), q)
+        for rep in range(reps)
+    ])
+
+
+def _lq_mc_problem():
+    model = SpikedUniform(1.99, 0.01, 400)
+    mu0 = sample_signal("sphere", 400, 1)
+    params = solve_effective(
+        ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
+    )
+    return model, mu0, float(np.sqrt(params.gamma_tilde_sq)), params.tau_star
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 4.0, 8.0])
+def test_seq_model_lq_mc_scaled_sum_matches_the_plain_sum(q):
+    # each rep's norm is summed scaled by max |d|; on ordinary inputs the
+    # plain power sum cannot underflow and the two agree to rounding (the
+    # lq --mc-reps cells on configs/problem.json moved by at most 6.8e-16)
+    model, mu0, gamma, tau = _lq_mc_problem()
+    mean, se = seq_model_lq_mc(q, None, model, mu0, gamma, tau, reps=100, seed=5)
+    plain = _lq_mc_norms(q, model, mu0, gamma, tau, 100, 5,
+                         lambda d, q: float(np.sum(d**q)) ** (1.0 / q))
+    assert mean == pytest.approx(float(np.mean(plain)), rel=2e-15)
+    assert se == pytest.approx(float(np.std(plain, ddof=1) / 10.0), rel=2e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_seq_model_lq_mc_at_large_q_does_not_underflow():
+    # the plain sum of |d_j|^1000 underflows to 0 and used to report a mean
+    # and standard error of exactly 0; max |d| <= ||d||_q <= n^(1/q) max |d|
+    q = 1000.0
+    model, mu0, gamma, tau = _lq_mc_problem()
+    mean, se = seq_model_lq_mc(q, None, model, mu0, gamma, tau, reps=100, seed=5)
+    peak = _lq_mc_norms(q, model, mu0, gamma, tau, 100, 5, lambda d, q: float(d.max()))
+    assert float(peak.mean()) <= mean <= 400.0 ** (1.0 / q) * float(peak.mean())
+    assert se > 0.0
+    # a log-sum-exp route to the same norms
+    log_route = _lq_mc_norms(
+        q, model, mu0, gamma, tau, 100, 5,
+        lambda d, q: math.exp(float(scipy.special.logsumexp(q * np.log(d))) / q),
+    )
+    assert mean == pytest.approx(float(np.mean(log_route)), rel=1e-12)
+
+
 def test_run_risk_experiment_structure_and_determinism():
     config = small_config()
     first = run_risk_experiment(config)
@@ -251,6 +304,25 @@ def test_experiment_config_validation():
         small_config(alpha=0.0)
     with pytest.raises(InputError):
         small_config(reps=0)
+    # sigma_sq, the signal radius and the phi grid are held to their bands
+    # in errors.py; NaN used to pass the sigma_sq < 0 and radius <= 0 tests
+    for overrides, message in (
+        ({"sigma_sq": np.nan}, "'sigma_sq' must lie in [0, 1e+60], got nan"),
+        ({"sigma_sq": 1e300}, "'sigma_sq' must lie in [0, 1e+60], got 1e+300"),
+        ({"signal_radius": np.nan}, "signal radius must be positive"),
+        ({"signal_radius": -1.0}, "signal radius must be positive"),
+        ({"signal_radius": 1e200}, "squared norm of 'signal' must lie in [0, 1e+60], got inf"),
+        # radius^2 underflows to 0, and the oracle penalty sigma_sq / radius^2
+        # that fig1 reports would be inf
+        ({"signal_radius": 1e-200},
+         "eta* = sigma_sq / radius^2 must be 0 or lie in [1e-60, 1e+60], got inf"),
+        ({"n": None, "phi_grid": (0.5, np.nan)}, "'phi_grid' must lie in [1e-08, 1e+08], got nan"),
+        ({"n": None, "phi_grid": (1e300,)}, "'phi_grid' must lie in [1e-08, 1e+08], got 1e+300"),
+        ({"n": None, "phi_grid": (100.0,)}, "phi = 100.0 leaves no signal dimension"),
+        ({"n": None, "phi_grid": ()}, "phi grid must be nonempty"),
+    ):
+        with pytest.raises(InputError, match=re.escape(message)):
+            small_config(**overrides)
     # phi sweeps accept 0 in the grid; shapes without an interpolator drop it
     sweep = small_config(n=None, phi_grid=(0.5,), etas=(0.0, 1.0))
     assert sweep.phi_grid == (0.5,)

@@ -24,6 +24,7 @@ from ridgelab import (
     spiked_uniform,
     trace_functional,
 )
+from ridgelab import errors
 from ridgelab.spectrum import fixed_point_sums, resolvent_sums
 
 
@@ -300,6 +301,35 @@ def test_model_validation_errors():
         Explicit(np.array([2.0, 0.0]))
     with pytest.raises(InputError):
         Explicit(np.array([2.0, 1.0]), basis=np.ones((2, 2)))
+    for edge in errors.SPECTRUM_RANGE:
+        assert Isotropic(edge, 2).scale == edge
+        assert Explicit(np.array([edge])).eigenvalues[0] == edge
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Isotropic(1e-300, 4), "'scale' of isotropic model must lie in [1e-60, 1e+60], got 1e-300"),
+        (lambda: Isotropic(math.nan, 4), "'scale' of isotropic model must lie in [1e-60, 1e+60], got nan"),
+        (lambda: SpikedUniform(1e200, 1.0, 4), "'a' of spiked_uniform model must lie in [1e-60, 1e+60], got 1e+200"),
+        (lambda: SpikedUniform(1.0, 1e200, 4),
+         "'b' of spiked_uniform model must be 0 or lie in [1e-60, 1e+60], got 1e+200"),
+        (lambda: SpikedUniform(1.0, -1.0, 4),
+         "'b' of spiked_uniform model must be 0 or lie in [1e-60, 1e+60], got -1.0"),
+        (lambda: SpikedUniform(1.0, 0.0, 4), "b must be positive (use spiked_uniform() for b == 0)"),
+        (lambda: spiked_uniform(1e-61, 0.0, 4), "'a' of spiked_uniform model must lie in [1e-60, 1e+60], got 1e-61"),
+        (lambda: Explicit(np.array([3.0, math.nan, 1.0])),
+         "eigenvalues of explicit model must lie in [1e-60, 1e+60], got nan"),
+        (lambda: Explicit(np.array([3.0, 1.0, 1e-61])),
+         "eigenvalues of explicit model must lie in [1e-60, 1e+60], got 1e-61"),
+    ],
+)
+def test_model_scales_are_held_to_the_spectrum_band(build, message):
+    # each model checks its own scales, so the CLI, experiments, datasets
+    # and library callers all refuse the same ones
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_model_json_round_trip(rng):
