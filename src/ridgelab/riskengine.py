@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, eigenvalues
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -221,15 +221,30 @@ def gaussian_abs_moment(q: float) -> float:
     return math.exp(0.5 * math.log(2.0) + log_ratio)
 
 
-def _check_psd_dense(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"dense weight must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if not np.allclose(a, a.T, atol=1e-10 * scale):
-        raise InputError("dense weight matrix must be symmetric")
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -1e-10 * max(1.0, w[-1]):
-        raise InputError(f"weight matrix is not positive semidefinite (min eig {w[0]})")
+def check_lq_weight(a, n: int) -> np.ndarray | None:
+    """a as a float array when it is an l_q weight in dimension n: None for
+    A = I, n finite nonnegative weights applied in the covariance eigenbasis
+    (descending eigenvalue order), or a finite symmetric p.s.d. n x n matrix,
+    allowed for n <= 5000."""
+    if a is None:
+        return None
+    a = coerce(lambda v: np.asarray(v, dtype=float), a, "weight")
+    if a.ndim == 2 and n > _DENSE_A_GUARD:
+        raise InputError(f"dense weight path limited to n <= {_DENSE_A_GUARD}, got {n}")
+    if a.shape not in ((n,), (n, n)):
+        raise InputError(f"weight must have shape ({n},) or ({n}, {n}), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError("weight entries must be finite")
+    if a.ndim == 1 and np.any(a < 0):
+        raise InputError("eigenbasis weights must be nonnegative")
+    if a.ndim == 2:
+        scale = max(1.0, float(np.abs(a).max()))
+        if not np.allclose(a, a.T, atol=1e-10 * scale):
+            raise InputError("dense weight matrix must be symmetric")
+        w = np.linalg.eigvalsh(a)
+        if w[0] < -1e-10 * max(1.0, w[-1]):
+            raise InputError(f"weight matrix is not positive semidefinite (min eig {w[0]})")
+    return a
 
 
 def lq_gamma_diag(
@@ -238,12 +253,11 @@ def lq_gamma_diag(
     """Diagonal, in ambient coordinates, of the l_q second-moment matrix
 
         Gamma = A (Sigma+tau I)^{-1} (gamma~^2 Sigma + tau^2 ||mu0||^2 I)
-                  (Sigma+tau I)^{-1} A.
+                  (Sigma+tau I)^{-1} A,
 
-    Weight specs: None for A = I; a 1-D array of nonnegative weights applied
-    in the covariance eigenbasis (descending eigenvalue order); a 2-D dense
-    p.s.d. matrix, guarded to n <= 5000.
+    for a weight A that check_lq_weight accepts.
     """
+    a = check_lq_weight(a, model.n)
     tau = params.tau_star
     gt_sq = params.gamma_tilde_sq
     s0 = mu_norm * mu_norm
@@ -253,26 +267,20 @@ def lq_gamma_diag(
 
     if a is None:
         return model.diag_fn(middle)
-    a = np.asarray(a, dtype=float)
     if a.ndim == 1:
-        if a.shape[0] != model.n:
-            raise InputError(f"weight length {a.shape[0]} != dimension {model.n}")
-        if np.any(a < 0):
-            raise InputError("eigenbasis weights must be nonnegative")
         return model.eigen_diag(a * a * middle(eigenvalues(model)))
-    if model.n > _DENSE_A_GUARD:
-        raise InputError(
-            f"dense weight path limited to n <= {_DENSE_A_GUARD}, got {model.n}"
-        )
-    _check_psd_dense(a)
-    if a.shape[0] != model.n:
-        raise InputError(f"weight dimension {a.shape[0]} != model dimension {model.n}")
     ma = model.apply(middle, a)
     return np.einsum("kj,kj->j", a, ma)
 
 
 def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
     """n^{-1/2} (sum_j Gamma_jj^{q/2})^{1/q} M_q.
+
+    This is (E ||d||_q^q)^{1/q} with each coordinate d_j ~ N(0, Gamma_jj / n),
+    the law of the error as n grows at fixed q. It matches the mean norm
+    E ||d||_q at a finite n (seq_model_lq_mc) only while q is small against
+    log n: past that the closed form grows like sqrt(q), set by rare large
+    coordinates, while ||d||_q stays near max_j |d_j|.
 
     Summed as sqrt(g) (sum_j (Gamma_jj / g)^{q/2})^{1/q} with g = max_j
     Gamma_jj: every power is then at most 1, so a large q cannot overflow

@@ -14,13 +14,15 @@ than 1% of its replications fail.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .dataio import parse_grid
 from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
 from .errors import boolean, check_eta, check_eta_grid, check_phi, check_scale, coerce
 from .errors import dimension, integer
@@ -34,7 +36,7 @@ from .regress import (
 )
 from .riskengine import (
     RiskKind,
-    _check_psd_dense,
+    check_lq_weight,
     optimal_eta,
     risk_curves,
     rmt_risk,
@@ -54,6 +56,38 @@ _TUNE_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS)
 
 def _float_tuple(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
+
+
+def _model_spec(spec) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected a JSON object with a 'kind', got {spec!r}")
+    return dict(spec)
+
+
+def _eta_tuple(grid) -> tuple[float, ...]:
+    return tuple(parse_grid(grid)) if isinstance(grid, str) else _float_tuple(grid)
+
+
+# JSON key of an experiment config -> (ExperimentConfig field, cast); the
+# keys of its "signal" object have their own table.
+_JSON_KEYS = {
+    "m": ("m", dimension),
+    "n": ("n", dimension),
+    "phi_grid": ("phi_grid", _float_tuple),
+    "model": ("model_spec", _model_spec),
+    "eta_grid": ("etas", _eta_tuple),
+    "design_dist": ("design_dist", str),
+    "noise_dist": ("noise_dist", str),
+    "sigma_sq": ("sigma_sq", float),
+    "reps": ("reps", integer),
+    "argmin_reps": ("argmin_reps", integer),
+    "k": ("k", integer),
+    "alpha": ("alpha", float),
+    "seed": ("master_seed", integer),
+    "redraw_signal": ("redraw_signal", boolean),
+    "threads": ("threads", integer),
+}
+_SIGNAL_KEYS = {"mode": ("signal_mode", str), "radius": ("signal_radius", float)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +130,9 @@ class ExperimentConfig:
             raise InputError(f"signal mode must be one of {_SIGNAL_MODES}")
         if not self.signal_radius > 0:
             raise InputError("signal radius must be positive")
-        radius = self.signal_radius  # r * r, as r**2 raises OverflowError past the range
-        radius_sq = check_scale(radius * radius, "squared norm of 'signal'")
+        check_scale(self.signal_norm_sq, "squared norm of 'signal'")
         check_scale(self.sigma_sq, "'sigma_sq'")
-        # the oracle penalty that fig1 reports and fig2 solves at
-        check_eta(optimal_eta(self.sigma_sq, radius_sq), "eta* = sigma_sq / radius^2")
+        check_eta(self.eta_star, "eta* = sigma_sq / radius^2")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
         if self.argmin_reps is not None and self.argmin_reps < 1:
@@ -119,92 +151,62 @@ class ExperimentConfig:
                 raise InputError(f"phi = {max(phis)} leaves no signal dimension")
             object.__setattr__(self, "phi_grid", phis)
 
+    @property
+    def signal_norm_sq(self) -> float:
+        """r * r for the signal radius r; r**2 raises OverflowError past the range."""
+        return self.signal_radius * self.signal_radius
+
+    @property
+    def eta_star(self) -> float:
+        """The oracle penalty sigma_sq / r^2 that fig1 reports and fig2 solves at."""
+        return optimal_eta(self.sigma_sq, self.signal_norm_sq)
+
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        from .dataio import parse_grid
-
+        """An absent key leaves its field's default; a key whose field has
+        none is required. null counts as absent where the default is None."""
         if not isinstance(obj, dict):
             raise InputError("experiment config must be a JSON object")
-        known = {
-            "m", "n", "phi_grid", "model", "design_dist", "noise_dist",
-            "sigma_sq", "signal", "eta_grid", "reps", "argmin_reps", "k",
-            "alpha", "seed", "redraw_signal", "threads",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - set(_JSON_KEYS) - {"signal"}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("m", "model", "eta_grid"):
-            if key not in obj:
-                raise InputError(f"experiment config is missing {key!r}")
-        if not isinstance(obj["model"], dict):
-            raise InputError("model must be a JSON object with a 'kind'")
-        signal = obj.get("signal", {"mode": "sphere", "radius": 1.0})
+        signal = obj.get("signal", {})
         if not isinstance(signal, dict):
             raise InputError("signal must be a JSON object with keys mode and radius")
-        unknown = set(signal) - {"mode", "radius"}
+        unknown = set(signal) - set(_SIGNAL_KEYS)
         if unknown:
             raise InputError(f"unknown signal keys: {sorted(unknown)}")
-
-        def field(key, cast, default=None):
-            return coerce(cast, obj.get(key, default), repr(key))
-
-        grid = obj["eta_grid"]
-        kwargs = dict(
-            m=field("m", dimension),
-            model_spec=dict(obj["model"]),
-            etas=tuple(parse_grid(grid)) if isinstance(grid, str)
-            else field("eta_grid", _float_tuple),
-            design_dist=obj.get("design_dist", "scaled_t10"),
-            noise_dist=obj.get("noise_dist", "scaled_t10"),
-            sigma_sq=field("sigma_sq", float, 1.0),
-            signal_mode=signal.get("mode", "sphere"),
-            signal_radius=coerce(float, signal.get("radius", 1.0), "signal radius"),
-            reps=field("reps", integer, 200),
-            k=field("k", integer, 5),
-            alpha=field("alpha", float, 0.05),
-            master_seed=field("seed", integer, 0),
-            redraw_signal=field("redraw_signal", boolean, False),
-            threads=field("threads", integer, 1),
-        )
-        if obj.get("argmin_reps") is not None:
-            kwargs["argmin_reps"] = field("argmin_reps", integer)
-        if obj.get("n") is not None:
-            kwargs["n"] = field("n", dimension)
-        if obj.get("phi_grid") is not None:
-            kwargs["phi_grid"] = field("phi_grid", _float_tuple)
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs = {}
+        for table, values, where in ((_JSON_KEYS, obj, ""),
+                                     (_SIGNAL_KEYS, signal, "signal ")):
+            for key, (name, cast) in table.items():
+                if key not in values:
+                    if defaults[name] is MISSING:
+                        raise InputError(f"experiment config is missing {key!r}")
+                elif not (values[key] is None and defaults[name] is None):
+                    kwargs[name] = coerce(cast, values[key], f"{where}{key!r}")
         return cls(**kwargs)
 
     def to_json(self) -> dict:
-        out = {
-            "m": self.m,
-            "model": dict(self.model_spec),
-            "eta_grid": list(self.etas),
-            "design_dist": self.design_dist,
-            "noise_dist": self.noise_dist,
-            "sigma_sq": self.sigma_sq,
-            "signal": {"mode": self.signal_mode, "radius": self.signal_radius},
-            "reps": self.reps,
-            "k": self.k,
-            "alpha": self.alpha,
-            "seed": self.master_seed,
-            "redraw_signal": self.redraw_signal,
-            "threads": self.threads,
-        }
-        if self.n is not None:
-            out["n"] = self.n
-        if self.phi_grid is not None:
-            out["phi_grid"] = list(self.phi_grid)
-        if self.argmin_reps is not None:
-            out["argmin_reps"] = self.argmin_reps
-        return out
+        """The fields under their JSON keys; a field that is None is left out."""
+
+        def read(table) -> dict:
+            out = {}
+            for key, (name, _) in table.items():
+                value = getattr(self, name)
+                if value is not None:  # tuples as lists, the model spec as a copy
+                    out[key] = list(value) if isinstance(value, tuple) else copy.copy(value)
+            return out
+
+        return {**read(_JSON_KEYS), "signal": read(_SIGNAL_KEYS)}
 
 
 @dataclass(frozen=True, eq=False)
 class RiskSummary:
     """Mean empirical risk curves over the eta grid with their overlays.
 
-    Dicts are keyed by risk kind value ("pred", "est", "ins", "res");
-    rep_curves holds one row per successful replication.
+    Dicts are keyed by risk kind value ("pred", "est", "ins", "res").
     """
 
     master_seed: int
@@ -216,7 +218,6 @@ class RiskSummary:
     emp_sd: dict
     theoretical: dict
     rmt: dict
-    rep_curves: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +235,6 @@ class TuningSummary:
     failed: tuple[tuple[int, int], ...]
     eta_star: float
     phis: np.ndarray
-    shapes: tuple
     risk_mean: dict
     risk_sd: dict
     coverage_mean: dict
@@ -266,7 +266,6 @@ class DistCheckResult:
     stat_names: tuple[str, ...]
     table: dict
     per_rep_sup: dict
-    seq_mean: dict
     seq_se: dict
     failed: tuple[int, ...]
 
@@ -377,7 +376,6 @@ def residual_law_sample(
 def _apply_weight(a, model: CovarianceModel, v: np.ndarray) -> np.ndarray:
     if a is None:
         return v
-    a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return model.eigen_apply(a, v)
     return a @ v
@@ -396,22 +394,19 @@ def seq_model_lq_mc(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of ||A(mu_hat^seq - mu0)||_q.
 
-    The closed-form counterpart averages the bias over signal directions,
-    so mu0 should be a typical sphere draw (or any vector with spread-out
-    eigen-coordinates) for the two to agree beyond q = 2. Each norm is summed
-    scaled by g = max_j |d_j|, as in lq_risk, so a large q cannot underflow.
+    The closed-form counterpart lq_risk averages the bias over signal
+    directions, so mu0 should be a typical sphere draw (or any vector with
+    spread-out eigen-coordinates) for the two to agree beyond q = 2. It is
+    also the n -> infinity limit at fixed q, so the two agree only while q
+    is small against log n (see lq_risk). The weight a is checked by
+    check_lq_weight. Each norm is summed scaled by g = max_j |d_j|, as in
+    lq_risk, so a large q cannot underflow.
     """
     if reps < 100:
         raise InputError(f"need at least 100 replications, got {reps}")
     if q <= 0:
         raise InputError(f"q must be positive, got {q}")
-    if a is not None:
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim == 1:
-            if np.any(arr < 0):
-                raise InputError("eigenbasis weights must be nonnegative")
-        else:
-            _check_psd_dense(arr)
+    a = check_lq_weight(a, model.n)
     vals = np.empty(reps)
     for rep in range(reps):
         _, mu_hat = seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq", ctx))
@@ -559,12 +554,11 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
         reps=config.reps,
         failed=failed,
         etas=etas,
-        eta_star=optimal_eta(config.sigma_sq, config.signal_radius**2),
+        eta_star=config.eta_star,
         emp_mean={k: v.mean(axis=0) for k, v in curves.items()},
         emp_sd={k: v.std(axis=0, ddof=ddof) for k, v in curves.items()},
         theoretical={kind.value: overlay[kind].theoretical for kind in _ALL_KINDS},
         rmt={kind.value: overlay[kind].rmt for kind in _ALL_KINDS},
-        rep_curves=curves,
     )
 
 
@@ -574,7 +568,7 @@ def run_argmin_experiment(config: ExperimentConfig, ctx: int = 1) -> ArgminResul
         raise InputError("argmin experiment needs a fixed n")
     model = build_model(config.model_spec, config.n)
     etas = np.asarray(config.etas)
-    eta_star = optimal_eta(config.sigma_sq, config.signal_radius**2)
+    eta_star = config.eta_star
     reps = config.argmin_reps if config.argmin_reps is not None else config.reps
 
     def worker(rep: int) -> dict:
@@ -626,13 +620,13 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
         raise InputError("tuning experiment needs a phi grid")
     if config.sigma_sq <= 0:
         raise InputError("tuning experiment needs sigma_sq > 0")
-    eta_star = optimal_eta(config.sigma_sq, config.signal_radius**2)
+    eta_star = config.eta_star
     cv_tag = f"cv{config.k}"
     selectors = ("gcv", cv_tag)
     methods = selectors + ("oracle",)
     z_val = z_two_sided(config.alpha)
 
-    phis, shapes, oracle_len, oracle_risk = [], [], [], []
+    phis, oracle_len, oracle_risk = [], [], []
     records = []  # per phi: one dict per successful replication
     failed_all: list[tuple[int, int]] = []
     for pi, phi_req in enumerate(config.phi_grid):
@@ -658,12 +652,11 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
         )
         inv_diag_1 = float(model.diag_fn(lambda lam: 1.0 / lam)[0])
         phis.append(phi)
-        shapes.append((config.m, n))
         gamma_star = np.sqrt(params_star.gamma_star_sq)
         oracle_len.append(2.0 * gamma_star * np.sqrt(inv_diag_1) * z_val / np.sqrt(n))
         oracle_risk.append({
             kind.value: rmt_risk(
-                kind, params_star, config.sigma_sq, config.signal_radius**2, phi
+                kind, params_star, config.sigma_sq, config.signal_norm_sq, phi
             )
             for kind in _TUNE_KINDS
         })
@@ -724,7 +717,6 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
         failed=tuple(failed_all),
         eta_star=eta_star,
         phis=np.array(phis),
-        shapes=tuple(shapes),
         risk_mean=risk_mean,
         risk_sd=risk_sd,
         coverage_mean={
@@ -839,7 +831,6 @@ def distributional_check(
         stat_names=names,
         table=table,
         per_rep_sup=per_rep_sup,
-        seq_mean=seq_mean,
         seq_se=seq_se,
         failed=failed,
     )

@@ -1044,14 +1044,32 @@ def test_sim_reports_skipped_replications(tmp_path, monkeypatch, capsys):
     )
 
 
-def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
-    config = write_fig1_config(tmp_path)
+def _run_sim_with_shape(tmp_path, capsys, command, shape):
+    """Exit code and (stdout, stderr) of sim command on its test config with
+    n / phi_grid replaced by shape; nothing may be written."""
+    writer = write_fig1_config if command == "fig1" else write_fig2_config
+    config = writer(tmp_path)
     obj = json.loads(config.read_text())
-    del obj["n"]
-    obj["phi_grid"] = [0.5]
-    config.write_text(json.dumps(obj))
-    assert run(["sim", "fig1", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
-    assert "usage error" in capsys.readouterr().err
+    obj.pop("n", None)
+    obj.pop("phi_grid", None)
+    config.write_text(json.dumps({**obj, **shape}))
+    out_dir = tmp_path / "o"
+    code = run(["sim", command, "--config", str(config), "--out-dir", str(out_dir)])
+    assert not out_dir.exists()
+    return code, tuple(capsys.readouterr())
+
+
+# the runner alone checks the shape, before any draw
+def test_sim_fig1_requires_fixed_n(tmp_path, capsys):
+    assert _run_sim_with_shape(tmp_path, capsys, "fig1", {"phi_grid": [0.5]}) == (
+        1, ("", "input error: risk experiment needs a fixed n\n")
+    )
+
+
+def test_sim_fig2_requires_phi_grid(tmp_path, capsys):
+    assert _run_sim_with_shape(tmp_path, capsys, "fig2", {"n": 16}) == (
+        1, ("", "input error: tuning experiment needs a phi grid\n")
+    )
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import scipy.special
 from ridgelab import (
     Dataset,
     ExperimentConfig,
+    Explicit,
     InputError,
     Isotropic,
     ProblemConfig,
@@ -19,6 +20,7 @@ from ridgelab import (
     build_model,
     distributional_check,
     empirical_risk,
+    lq_gamma_diag,
     quad_form,
     residual_law_sample,
     ridge_fit,
@@ -236,6 +238,39 @@ def test_seq_model_lq_mc_at_large_q_does_not_underflow():
         lambda d, q: math.exp(float(scipy.special.logsumexp(q * np.log(d))) / q),
     )
     assert mean == pytest.approx(float(np.mean(log_route)), rel=1e-12)
+
+
+def _bad_weight(case: str, n: int) -> np.ndarray:
+    if case == "short":
+        return np.ones(n - 1)
+    if case == "long":
+        return np.ones(n + 1)
+    if case == "dense":
+        return np.eye(n + 1)
+    w = np.ones(n)
+    w[1] = {"nan": math.nan, "inf": math.inf, "negative": -1.0}[case]
+    return w
+
+
+@pytest.mark.parametrize("case", ["short", "long", "dense", "nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "model",
+    [Isotropic(1.0, 6), SpikedUniform(1.99, 0.01, 6), Explicit(np.linspace(3.0, 0.5, 6))],
+    ids=["isotropic", "spiked", "explicit"],
+)
+def test_lq_weights_have_one_check(model, case):
+    # the closed form and the Monte Carlo refuse a bad weight with one message
+    mu0 = sample_signal("sphere", model.n, 1)
+    params = solve_effective(
+        ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
+    )
+    a = _bad_weight(case, model.n)
+    with pytest.raises(InputError) as closed_form:
+        lq_gamma_diag(a, model, params, mu0.norm)
+    with pytest.raises(InputError) as monte_carlo:
+        seq_model_lq_mc(2.0, a, model, mu0, 1.0, params.tau_star, reps=100, seed=0)
+    assert str(monte_carlo.value) == str(closed_form.value)
+    assert "weight" in str(closed_form.value)
 
 
 def test_run_risk_experiment_structure_and_determinism():
