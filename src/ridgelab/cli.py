@@ -418,7 +418,7 @@ def _cmd_sim_fig1(args):
         for i, eta in enumerate(summary.etas) for kind in _KIND_ORDER
     ]
     argmin_rows = [
-        (rep, kind, argmin.deviations[kind][pos] + argmin.eta_star, argmin.eta_star)
+        (rep, kind, argmin.eta_hat[kind][pos], argmin.eta_star)
         for pos, rep in enumerate(argmin.rep_indices) for kind in ("pred", "est", "ins")
     ]
     tables = {

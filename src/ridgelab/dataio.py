@@ -18,7 +18,7 @@ import numpy as np
 from ._version import __version__
 from .errors import InputError, UsageError, coerce, integer
 from .regress import Dataset
-from .spectrum import CovarianceModel, SignalVector, model_from_json
+from .spectrum import SignalVector, model_from_json
 
 
 def parse_grid(spec: str) -> np.ndarray:

@@ -28,7 +28,8 @@ ETA_RANGE = (1e-60, 1e60)
 # 1e68 (a + b n) and tau* within about [1e-68, 1e68], so the powers of
 # 1/(lambda + tau) and of tau* that the closed forms take stay finite.
 SPECTRUM_RANGE = ETA_RANGE
-# Band of sigma_sq and ||mu0||^2: eta's upper limit keeps the risks finite.
+# Band of sigma_sq, ||mu0||^2 and the squared entries of an l_q weight:
+# eta's upper limit keeps the risks finite.
 SCALE_RANGE = (0.0, 1e60)
 # Band of an aspect ratio phi = m/n, a ratio of two sizes in [1, MAX_DIM].
 PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
@@ -130,7 +131,7 @@ def check_all(values: np.ndarray, name: str, lo: float, hi: float, zero: bool = 
     """values when check_range accepts each entry; the error names the first bad one."""
     bad = ~((values >= lo) & (values <= hi)) & ~(zero & (values == 0.0))
     if bad.any():
-        check_range(float(values[bad.argmax()]), name, lo, hi, zero)
+        check_range(float(values.flat[bad.argmax()]), name, lo, hi, zero)
     return values
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, coerce
+from .errors import SCALE_RANGE, InputError, NumericalError, check_all, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, eigenvalues
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -225,7 +225,7 @@ def check_lq_weight(a, n: int) -> np.ndarray | None:
     """a as a float array when it is an l_q weight in dimension n: None for
     A = I, n finite nonnegative weights applied in the covariance eigenbasis
     (descending eigenvalue order), or a finite symmetric p.s.d. n x n matrix,
-    allowed for n <= 5000."""
+    allowed for n <= 5000. Each entry's square lies in SCALE_RANGE."""
     if a is None:
         return None
     a = coerce(lambda v: np.asarray(v, dtype=float), a, "weight")
@@ -235,6 +235,8 @@ def check_lq_weight(a, n: int) -> np.ndarray | None:
         raise InputError(f"weight must have shape ({n},) or ({n}, {n}), got {a.shape}")
     if not np.isfinite(a).all():
         raise InputError("weight entries must be finite")
+    with np.errstate(over="ignore"):  # an overflowed square is an inf the band refuses
+        check_all(a * a, "squared weight entries", *SCALE_RANGE)
     if a.ndim == 1 and np.any(a < 0):
         raise InputError("eigenbasis weights must be nonnegative")
     if a.ndim == 2:

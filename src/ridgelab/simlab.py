@@ -46,7 +46,7 @@ from .riskengine import (
 from .riskengine import theoretical_risk  # noqa: F401
 from .rng import stream
 from .spectrum import CovarianceModel, SignalVector, model_from_json, sigma_quad
-from .stats import scaled_t10, z_two_sided
+from .stats import scaled_t10
 
 _DISTS = ("gaussian", "scaled_t10")
 _SIGNAL_MODES = ("sphere", "ball_radial")
@@ -120,6 +120,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for table, where in ((_JSON_KEYS, ""), (_SIGNAL_KEYS, "signal ")):
+            for key, (name, cast) in table.items():
+                value = getattr(self, name)
+                if value is not None or _DEFAULTS[name] is not None:
+                    object.__setattr__(self, name, coerce(cast, value, f"{where}{key!r}"))
         if self.m < 1:
             raise InputError(f"m must be >= 1, got {self.m}")
         if (self.n is None) == (self.phi_grid is None):
@@ -164,7 +169,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """An absent key leaves its field's default; a key whose field has
-        none is required. null counts as absent where the default is None."""
+        none is required. null counts as absent where the default is None;
+        __post_init__ casts each value."""
         if not isinstance(obj, dict):
             raise InputError("experiment config must be a JSON object")
         unknown = set(obj) - set(_JSON_KEYS) - {"signal"}
@@ -176,16 +182,13 @@ class ExperimentConfig:
         unknown = set(signal) - set(_SIGNAL_KEYS)
         if unknown:
             raise InputError(f"unknown signal keys: {sorted(unknown)}")
-        defaults = {f.name: f.default for f in fields(cls)}
         kwargs = {}
-        for table, values, where in ((_JSON_KEYS, obj, ""),
-                                     (_SIGNAL_KEYS, signal, "signal ")):
-            for key, (name, cast) in table.items():
-                if key not in values:
-                    if defaults[name] is MISSING:
-                        raise InputError(f"experiment config is missing {key!r}")
-                elif not (values[key] is None and defaults[name] is None):
-                    kwargs[name] = coerce(cast, values[key], f"{where}{key!r}")
+        for table, values in ((_JSON_KEYS, obj), (_SIGNAL_KEYS, signal)):
+            for key, (name, _) in table.items():
+                if key in values:
+                    kwargs[name] = values[key]
+                elif _DEFAULTS[name] is MISSING:
+                    raise InputError(f"experiment config is missing {key!r}")
         return cls(**kwargs)
 
     def to_json(self) -> dict:
@@ -200,6 +203,10 @@ class ExperimentConfig:
             return out
 
         return {**read(_JSON_KEYS), "signal": read(_SIGNAL_KEYS)}
+
+
+# field -> its default, MISSING for a required field
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +254,12 @@ class TuningSummary:
 
 @dataclass(frozen=True, eq=False)
 class ArgminResult:
-    """Per-signal deviations of empirical risk minimizers from eta_star."""
+    """Per-signal grid minimizers eta_hat of the empirical risks and their
+    deviations eta_hat - eta_star, keyed by kind value, one per kept rep."""
 
     etas: np.ndarray
     eta_star: float
+    eta_hat: dict
     deviations: dict
     quartiles: dict
     rep_indices: tuple[int, ...]
@@ -293,6 +302,8 @@ def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
         raise InputError(f"signal mode must be one of {_SIGNAL_MODES}")
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
+    if not radius >= 0:
+        raise InputError(f"signal radius must be nonnegative, got {radius!r}")
     rng = _as_rng(seed, "signal")
     g = rng.standard_normal(n)
     scale = radius / float(np.linalg.norm(g))
@@ -462,6 +473,12 @@ def _map_reps(reps: int, threads: int, worker):
     return results, tuple(failed)
 
 
+def _draw_signal(config: ExperimentConfig, n: int, rep: int, ctx: int) -> SignalVector:
+    """The config's signal in dimension n from its (rep, "signal", ctx) stream."""
+    rng = stream(config.master_seed, rep, "signal", ctx)
+    return sample_signal(config.signal_mode, n, rng, config.signal_radius)
+
+
 def _draw_rep(
     config: ExperimentConfig,
     model: CovarianceModel,
@@ -478,12 +495,7 @@ def _draw_rep(
     """
     seed = config.master_seed
     if mu0 is None:
-        mu0 = sample_signal(
-            config.signal_mode,
-            model.n,
-            stream(seed, rep, "signal", ctx),
-            config.signal_radius,
-        )
+        mu0 = _draw_signal(config, model.n, rep, ctx)
     x = sample_design(
         config.design_dist, config.m, model.n, model, stream(seed, rep, "design", ctx)
     )
@@ -494,6 +506,30 @@ def _draw_rep(
     if etas[0] == 0:
         data.sweep.require_invertible()
     return data
+
+
+def _fixed_shape(config: ExperimentConfig, what: str) -> tuple[CovarianceModel, np.ndarray]:
+    """The model at the config's fixed n and its eta grid; what names the caller."""
+    if config.n is None:
+        raise InputError(f"{what} needs a fixed n")
+    return build_model(config.model_spec, config.n), np.asarray(config.etas)
+
+
+def _shared_problem(
+    config: ExperimentConfig, model: CovarianceModel, ctx: int
+) -> ProblemConfig:
+    """The eta = 0 theory problem at phi = m/n around the shared rep-0 signal."""
+    mu0 = _draw_signal(config, model.n, 0, ctx)
+    mu0.precompute(model)
+    return ProblemConfig(
+        phi=config.m / model.n, eta=0.0, sigma_sq=config.sigma_sq, model=model, mu0=mu0
+    )
+
+
+def _stack(records) -> dict:
+    """{key: array of the records' values, in record order} for equal-keyed dicts."""
+    records = list(records)
+    return {key: np.array([rec[key] for rec in records]) for key in records[0]}
 
 
 def _empirical_curves(data: Dataset, etas: np.ndarray, kinds) -> dict:
@@ -522,31 +558,16 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
     One signal is drawn up front and shared by every replication unless
     redraw_signal is set; the overlays always use that first signal.
     """
-    if config.n is None:
-        raise InputError("risk experiment needs a fixed n")
-    model = build_model(config.model_spec, config.n)
-    etas = np.asarray(config.etas)
-    mu0_shared = sample_signal(
-        config.signal_mode,
-        config.n,
-        stream(config.master_seed, 0, "signal", ctx),
-        config.signal_radius,
-    )
-    mu0_shared.precompute(model)
+    model, etas = _fixed_shape(config, "risk experiment")
+    theory = _shared_problem(config, model, ctx)
 
     def worker(rep: int) -> dict:
-        mu0 = None if config.redraw_signal and rep > 0 else mu0_shared
+        mu0 = None if config.redraw_signal and rep > 0 else theory.mu0
         data = _draw_rep(config, model, etas, rep, ctx, mu0)
         return _empirical_curves(data, etas, _ALL_KINDS)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
-    curves = {
-        kind.value: np.array([res[kind] for _, res in results]) for kind in _ALL_KINDS
-    }
-    theory = ProblemConfig(
-        phi=config.m / config.n, eta=0.0, sigma_sq=config.sigma_sq,
-        model=model, mu0=mu0_shared,
-    )
+    curves = _stack(res for _, res in results)
     overlay = risk_curves(theory, _ALL_KINDS, etas)
     ddof = 1 if len(results) > 1 else 0
     return RiskSummary(
@@ -555,35 +576,27 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
         failed=failed,
         etas=etas,
         eta_star=config.eta_star,
-        emp_mean={k: v.mean(axis=0) for k, v in curves.items()},
-        emp_sd={k: v.std(axis=0, ddof=ddof) for k, v in curves.items()},
+        emp_mean={kind.value: curves[kind].mean(axis=0) for kind in _ALL_KINDS},
+        emp_sd={kind.value: curves[kind].std(axis=0, ddof=ddof) for kind in _ALL_KINDS},
         theoretical={kind.value: overlay[kind].theoretical for kind in _ALL_KINDS},
         rmt={kind.value: overlay[kind].rmt for kind in _ALL_KINDS},
     )
 
 
 def run_argmin_experiment(config: ExperimentConfig, ctx: int = 1) -> ArgminResult:
-    """Redraw the signal per replication; report grid-argmin minus eta_star."""
-    if config.n is None:
-        raise InputError("argmin experiment needs a fixed n")
-    model = build_model(config.model_spec, config.n)
-    etas = np.asarray(config.etas)
+    """Redraw the signal per replication; report each empirical risk's grid argmin."""
+    model, etas = _fixed_shape(config, "argmin experiment")
     eta_star = config.eta_star
     reps = config.argmin_reps if config.argmin_reps is not None else config.reps
 
     def worker(rep: int) -> dict:
         data = _draw_rep(config, model, etas, rep, ctx)
-        curves = _empirical_curves(data, etas, _TUNE_KINDS)
-        return {
-            kind: float(etas[int(np.argmin(curves[kind]))]) - eta_star
-            for kind in _TUNE_KINDS
-        }
+        return _empirical_curves(data, etas, _TUNE_KINDS)
 
     results, failed = _map_reps(reps, config.threads, worker)
-    deviations = {
-        kind.value: np.array([res[kind] for _, res in results])
-        for kind in _TUNE_KINDS
-    }
+    curves = _stack(res for _, res in results)
+    eta_hat = {kind.value: etas[np.argmin(curves[kind], axis=1)] for kind in _TUNE_KINDS}
+    deviations = {name: hat - eta_star for name, hat in eta_hat.items()}
     quartiles = {
         name: tuple(np.percentile(dev, [25.0, 50.0, 75.0]))
         for name, dev in deviations.items()
@@ -591,6 +604,7 @@ def run_argmin_experiment(config: ExperimentConfig, ctx: int = 1) -> ArgminResul
     return ArgminResult(
         etas=etas,
         eta_star=eta_star,
+        eta_hat=eta_hat,
         deviations=deviations,
         quartiles=quartiles,
         rep_indices=tuple(rep for rep, _ in results),
@@ -624,10 +638,9 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
     cv_tag = f"cv{config.k}"
     selectors = ("gcv", cv_tag)
     methods = selectors + ("oracle",)
-    z_val = z_two_sided(config.alpha)
 
     phis, oracle_len, oracle_risk = [], [], []
-    records = []  # per phi: one dict per successful replication
+    records = []  # per phi: each record key's values over the successful reps
     failed_all: list[tuple[int, int]] = []
     for pi, phi_req in enumerate(config.phi_grid):
         n = round(config.m / phi_req)
@@ -641,19 +654,14 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
         theory_sig = SignalVector(
             np.concatenate(([config.signal_radius], np.zeros(n - 1)))
         )
-        params_star = solve_effective(
-            ProblemConfig(
-                phi=phi,
-                eta=eta_star,
-                sigma_sq=config.sigma_sq,
-                model=model,
-                mu0=theory_sig,
-            )
-        )
-        inv_diag_1 = float(model.diag_fn(lambda lam: 1.0 / lam)[0])
+        params_star = solve_effective(ProblemConfig(
+            phi=phi, eta=eta_star, sigma_sq=config.sigma_sq, model=model, mu0=theory_sig
+        ))
         phis.append(phi)
         gamma_star = np.sqrt(params_star.gamma_star_sq)
-        oracle_len.append(2.0 * gamma_star * np.sqrt(inv_diag_1) * z_val / np.sqrt(n))
+        oracle_len.append(
+            confidence_intervals(np.zeros(n), gamma_star, model, config.alpha).lengths[0]
+        )
         oracle_risk.append({
             kind.value: rmt_risk(
                 kind, params_star, config.sigma_sq, config.signal_norm_sq, phi
@@ -693,10 +701,10 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
 
         results, failed = _map_reps(config.reps, config.threads, worker)
         failed_all.extend((pi, rep) for rep in failed)
-        records.append([rec for _, rec in results])
+        records.append(_stack(rec for _, rec in results))
 
     def per_phi(*key) -> list[np.ndarray]:
-        return [np.array([rec[key] for rec in recs]) for recs in records]
+        return [stacked[key] for stacked in records]
 
     rep_risk = {
         (meth, kind.value): per_phi("risk", meth, kind.value)
@@ -708,9 +716,9 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
         key: np.array([v.std(ddof=1 if v.size > 1 else 0) for v in vals])
         for key, vals in rep_risk.items()
     }
-    for kind in _TUNE_KINDS:
-        risk_mean["oracle", kind.value] = np.array([r[kind.value] for r in oracle_risk])
-        risk_sd["oracle", kind.value] = np.zeros(len(phis))
+    for kind, values in _stack(oracle_risk).items():
+        risk_mean["oracle", kind] = values
+        risk_sd["oracle", kind] = np.zeros(len(phis))
     return TuningSummary(
         master_seed=config.master_seed,
         reps=config.reps,
@@ -757,8 +765,7 @@ def distributional_check(
     g(mu_hat_eta). data_side="seq" swaps the data fits for fresh
     sequence-model draws, turning the check into a pure-noise self test.
     """
-    if config.n is None:
-        raise InputError("distributional check needs a fixed n")
+    model, etas = _fixed_shape(config, "distributional check")
     unknown = set(test_fns) - set(_STAT_BUILDERS)
     if unknown:
         raise InputError(f"unknown statistics {sorted(unknown)}; "
@@ -768,21 +775,9 @@ def distributional_check(
     if seq_reps < 2:
         raise InputError("seq_reps must be >= 2")
     names = tuple(test_fns)
-    model = build_model(config.model_spec, config.n)
-    n, m = config.n, config.m
-    etas = np.asarray(config.etas)
-    mu0 = sample_signal(
-        config.signal_mode,
-        n,
-        stream(config.master_seed, 0, "signal", ctx),
-        config.signal_radius,
-    )
-    mu0.precompute(model)
-    stats = {name: _STAT_BUILDERS[name](mu0.coords, n) for name in names}
-
-    base = ProblemConfig(
-        phi=m / n, eta=0.0, sigma_sq=config.sigma_sq, model=model, mu0=mu0
-    )
+    base = _shared_problem(config, model, ctx)
+    mu0 = base.mu0
+    stats = {name: _STAT_BUILDERS[name](mu0.coords, model.n) for name in names}
     params = solve_grid(base, etas)
 
     def stat_rows(estimates) -> dict:
@@ -800,13 +795,10 @@ def distributional_check(
             for p in params
         )
 
-    bank = [seq_stats(s) for s in range(seq_reps)]
-    seq_mean = {
-        name: np.mean([b[name] for b in bank], axis=0) for name in names
-    }
+    bank = _stack(seq_stats(s) for s in range(seq_reps))
+    seq_mean = {name: bank[name].mean(axis=0) for name in names}
     seq_se = {
-        name: np.std([b[name] for b in bank], axis=0, ddof=1) / np.sqrt(seq_reps)
-        for name in names
+        name: bank[name].std(axis=0, ddof=1) / np.sqrt(seq_reps) for name in names
     }
 
     def worker(rep: int) -> dict:
@@ -816,9 +808,7 @@ def distributional_check(
         return stat_rows(sweep.mu_hat(float(eta)) for eta in etas)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
-    data_vals = {
-        name: np.array([res[name] for _, res in results]) for name in names
-    }
+    data_vals = _stack(res for _, res in results)
     table = {
         name: np.abs(data_vals[name].mean(axis=0) - seq_mean[name]) for name in names
     }

@@ -112,6 +112,21 @@ def test_fpe_csv_matches_solver(tmp_path):
 THEORY_COMMANDS = (("fpe", []), ("risk", []), ("lq", ["--eta", "0.5"]))
 
 
+@pytest.mark.parametrize("name, extra", THEORY_COMMANDS)
+def test_negative_mu0_radius_is_an_input_error(tmp_path, capsys, name, extra):
+    # a radius of -1 used to write the radius-1 outputs and record -1
+    radius = lambda r: {"mu0": {"mode": "sphere", "radius": r, "seed": 1}, "eta_grid": "0:1.5:5"}
+    config = write_problem(tmp_path, **radius(-1))
+    out = tmp_path / "out" / f"{name}.csv"
+    assert run([name, "--config", str(config), *extra, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "input error: signal radius must be nonnegative, got -1.0\n"
+    assert captured.out == "" and not out.parent.exists()
+    # radius 0 is a pure-noise signal
+    config = write_problem(tmp_path, **radius(0))
+    assert run([name, "--config", str(config), *extra, "--out", str(out)]) == 0
+
+
 def test_run_meta_stores_the_spectrum_as_an_array_payload(tmp_path):
     n = 10_000
     lam = np.geomspace(20.0, 0.05, n)
@@ -931,6 +946,20 @@ def test_sim_fig1_pipeline_reproducible(tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "a" / "run_meta.json").read_text())
     assert meta["outputs"] == ["argmin.csv", "risk_curves.csv"]
     assert meta["config"]["seed"] == 5
+
+
+def test_sim_fig1_argmin_writes_grid_points(tmp_path):
+    # argmin.csv used to add eta_star back to eta_hat - eta_star, which can
+    # leave the grid: at eta_star = 0.3, 0.121875 was written as 0.12187500000000001
+    config = write_fig1_config(
+        tmp_path, sigma_sq=0.3, eta_grid="0:1.5:161", reps=1, argmin_reps=20, seed=3
+    )
+    out_dir = tmp_path / "out"
+    assert run(["sim", "fig1", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    grid = set(np.linspace(0.0, 1.5, 161).tolist())
+    header, rows = read_csv(out_dir / "argmin.csv")
+    assert header == ["rep", "kind", "eta_hat", "eta_star"] and len(rows) == 3 * 20
+    assert [row for row in rows if row[2] not in grid or row[3] != 0.3] == []
 
 
 def test_sim_fig1_env_threads(tmp_path, monkeypatch):

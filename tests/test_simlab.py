@@ -21,6 +21,7 @@ from ridgelab import (
     distributional_check,
     empirical_risk,
     lq_gamma_diag,
+    lq_risk,
     quad_form,
     residual_law_sample,
     ridge_fit,
@@ -68,6 +69,15 @@ def test_sample_signal_sphere_norm_and_determinism():
     assert not np.array_equal(sig.coords, other.coords)
     with pytest.raises(InputError):
         sample_signal("cube", 64, 9)
+
+
+def test_sample_signal_radius_is_nonnegative():
+    for mode in ("sphere", "ball_radial"):
+        # radius 0 is a pure-noise problem's signal
+        np.testing.assert_array_equal(sample_signal(mode, 8, 1, radius=0.0).coords, 0.0)
+        for radius in (-1.0, math.nan):
+            with pytest.raises(InputError, match="signal radius must be nonnegative"):
+                sample_signal(mode, 8, 1, radius=radius)
 
 
 def test_sample_signal_ball_radial_norm_distribution():
@@ -247,17 +257,24 @@ def _bad_weight(case: str, n: int) -> np.ndarray:
         return np.ones(n + 1)
     if case == "dense":
         return np.eye(n + 1)
+    if case == "huge dense":
+        return np.eye(n) * 1e200
     w = np.ones(n)
-    w[1] = {"nan": math.nan, "inf": math.inf, "negative": -1.0}[case]
+    w[1] = {"nan": math.nan, "inf": math.inf, "negative": -1.0, "huge": 1e200}[case]
     return w
 
 
-@pytest.mark.parametrize("case", ["short", "long", "dense", "nan", "inf", "negative"])
-@pytest.mark.parametrize(
+LQ_MODELS = pytest.mark.parametrize(
     "model",
     [Isotropic(1.0, 6), SpikedUniform(1.99, 0.01, 6), Explicit(np.linspace(3.0, 0.5, 6))],
     ids=["isotropic", "spiked", "explicit"],
 )
+
+
+@pytest.mark.parametrize(
+    "case", ["short", "long", "dense", "nan", "inf", "negative", "huge", "huge dense"]
+)
+@LQ_MODELS
 def test_lq_weights_have_one_check(model, case):
     # the closed form and the Monte Carlo refuse a bad weight with one message
     mu0 = sample_signal("sphere", model.n, 1)
@@ -271,6 +288,31 @@ def test_lq_weights_have_one_check(model, case):
         seq_model_lq_mc(2.0, a, model, mu0, 1.0, params.tau_star, reps=100, seed=0)
     assert str(monte_carlo.value) == str(closed_form.value)
     assert "weight" in str(closed_form.value)
+    if case.startswith("huge"):
+        # a * a used to overflow with a RuntimeWarning, and lq_risk returned nan
+        assert str(closed_form.value) == (
+            "squared weight entries must lie in [0, 1e+60], got inf"
+        )
+
+
+@LQ_MODELS
+@pytest.mark.filterwarnings("error")
+def test_lq_weight_band_edge_is_finite(model):
+    # the largest entry whose square stays in SCALE_RANGE
+    edge = 1e30
+    while edge * edge > 1e60:
+        edge = np.nextafter(edge, 0.0)
+    mu0 = sample_signal("sphere", model.n, 1)
+    params = solve_effective(
+        ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
+    )
+    for a in (np.full(model.n, edge), np.eye(model.n) * edge):
+        diag = lq_gamma_diag(a, model, params, mu0.norm)
+        assert np.isfinite(diag).all() and math.isfinite(lq_risk(2.0, diag, model.n))
+        mean, se = seq_model_lq_mc(2.0, a, model, mu0, 1.0, params.tau_star, reps=100, seed=0)
+        assert math.isfinite(mean) and math.isfinite(se)
+        with pytest.raises(InputError, match="squared weight entries"):
+            lq_gamma_diag(a * (1.0 + 2.0**-52), model, params, mu0.norm)
 
 
 def test_run_risk_experiment_structure_and_determinism():
@@ -323,6 +365,17 @@ def test_run_argmin_experiment_noiseless_is_degenerate():
         np.testing.assert_array_equal(out.deviations[kind], again.deviations[kind])
 
 
+def test_run_argmin_experiment_reports_grid_points():
+    # eta_hat - eta_star + eta_star is not always eta_hat: at eta_star = 0.3
+    # the grid point 0.121875 came back as 0.12187500000000001
+    config = small_config(sigma_sq=0.3, etas=tuple(np.linspace(0.0, 1.5, 161)), reps=10)
+    out = run_argmin_experiment(config)
+    for kind in ("pred", "est", "ins"):
+        assert out.eta_hat[kind].shape == (10,)
+        assert set(out.eta_hat[kind].tolist()) <= set(config.etas)
+        np.testing.assert_array_equal(out.deviations[kind], out.eta_hat[kind] - 0.3)
+
+
 def test_experiment_config_validation():
     with pytest.raises(InputError):
         small_config(n=None)  # neither n nor phi_grid
@@ -361,6 +414,30 @@ def test_experiment_config_validation():
     # phi sweeps accept 0 in the grid; shapes without an interpolator drop it
     sweep = small_config(n=None, phi_grid=(0.5,), etas=(0.0, 1.0))
     assert sweep.phi_grid == (0.5,)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"reps": 2.5}, "'reps'"),
+        ({"m": 10.5}, "'m'"),
+        ({"k": 2.5}, "'k'"),
+        ({"threads": 1.5}, "'threads'"),
+        ({"redraw_signal": "no"}, "'redraw_signal'"),
+        ({"redraw_signal": 1}, "'redraw_signal'"),
+    ],
+)
+def test_experiment_config_casts_direct_construction(overrides, key):
+    # built directly, reps = 2.5 used to end in a raw TypeError inside the
+    # runner and redraw_signal = "no" was silently truthy
+    with pytest.raises(InputError, match=f"^malformed {re.escape(key)}: "):
+        small_config(**overrides)
+
+
+def test_experiment_config_direct_values_take_their_json_types():
+    config = small_config(reps=6.0, m=40.0, etas=[0.5, 1.0], signal_radius=2)
+    assert type(config.reps) is int and type(config.m) is int
+    assert config.etas == (0.5, 1.0) and type(config.signal_radius) is float
 
 
 def test_experiment_config_json_round_trip():
