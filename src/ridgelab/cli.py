@@ -28,7 +28,7 @@ import numpy as np
 from . import dataio
 from ._version import __version__
 from .errors import InputError, NumericalError, UsageError
-from .errors import check_eta, check_eta_grid, coerce, integer
+from .errors import as_cast, check_eta, check_eta_grid, choice, read_object, real, seed
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -48,13 +48,14 @@ from .riskengine import lq_gamma_diag, lq_risk, risk_curves, solve_grid
 # unused here; ridgebench/tracer.py wraps these names at this module
 from .riskengine import risk_derivative, rmt_risk, theoretical_risk  # noqa: F401
 from .simlab import (
+    SIGNAL_MODES,
     ExperimentConfig,
     run_argmin_experiment,
     run_risk_experiment,
     run_tuning_experiment,
     sample_signal,
 )
-from .spectrum import SignalVector, model_from_json
+from .spectrum import SignalVector, model_from_json, real_array
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,8 +63,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
+def _seed_flag(text: str) -> int:
+    """The value of a --seed flag, cast by errors.seed."""
+    try:
+        return seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+_MU0_KEYS = {"mode": (choice(*SIGNAL_MODES), "sphere"), "radius": (real, 1.0), "seed": (seed, 0)}
+
+
+def _mu0(value):
+    """The SignalVector of an explicit mu0 (a list of reals or an array
+    payload), or the fields of a sampled one's spec."""
+    if isinstance(value, dict) and "data" not in value:
+        return read_object(value, _MU0_KEYS, "mu0", nested=True)
+    return as_cast(SignalVector)(real_array(value))
+
+
+# problem config key -> (cast, default)
+_PROBLEM_KEYS = {
+    "phi": (real, dataclasses.MISSING),
+    "eta": (real, 0.0),
+    "sigma_sq": (real, dataclasses.MISSING),
+    "model": (model_from_json, dataclasses.MISSING),
+    "mu0": (_mu0, dataclasses.MISSING),
+    "eta_grid": (dataio.eta_grid, None),
+}
 
 
 def _problem_from_json(
@@ -75,55 +102,22 @@ def _problem_from_json(
     next to the problem (risk's kinds, lq's q, mc_reps and seed); read back,
     they must agree with the command line. Each constructor checks its bands.
     """
-    if not isinstance(obj, dict):
-        raise UsageError("problem config must be a JSON object")
     flags = flags or {}
-    unknown = set(obj) - {"phi", "eta", "sigma_sq", "model", "mu0", "eta_grid"} - set(flags)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    table = {**_PROBLEM_KEYS, **dict.fromkeys(flags, (lambda value: value, None))}
+    fields = read_object(obj, table, "problem config")
     for key, value in flags.items():
-        if key in obj and obj[key] != value:
+        if fields[key] is not None and fields[key] != value:
             raise UsageError(
-                f"config {key!r} {obj[key]!r} disagrees with the command line {value!r}"
+                f"config {key!r} {fields[key]!r} disagrees with the command line {value!r}"
             )
-    for key in ("phi", "sigma_sq", "model", "mu0"):
-        if key not in obj:
-            raise UsageError(f"problem config is missing {key!r}")
-    model = model_from_json(obj["model"])
-    mu0_spec = obj["mu0"]
-    if isinstance(mu0_spec, dict) and "data" in mu0_spec:
-        try:
-            mu0 = SignalVector(dataio.decode_array(mu0_spec))
-        except InputError as exc:
-            raise InputError(f"malformed 'mu0': {exc}") from exc
-    elif isinstance(mu0_spec, dict):
-        unknown = set(mu0_spec) - {"mode", "radius", "seed"}
-        if unknown:
-            raise UsageError(f"unknown mu0 keys: {sorted(unknown)}")
-        mu0 = sample_signal(
-            mu0_spec.get("mode", "sphere"),
-            model.n,
-            coerce(integer, mu0_spec.get("seed", 0), "mu0 seed", UsageError),
-            coerce(float, mu0_spec.get("radius", 1.0), "mu0 radius", UsageError),
-        )
-    else:
-        mu0 = SignalVector(coerce(_float_array, mu0_spec, "'mu0'", UsageError))
+    model, mu0 = fields["model"], fields["mu0"]
+    if isinstance(mu0, dict):
+        mu0 = sample_signal(mu0["mode"], model.n, mu0["seed"], mu0["radius"])
     config = ProblemConfig(
-        phi=coerce(float, obj["phi"], "'phi'", UsageError),
-        eta=coerce(float, obj.get("eta", 0.0), "'eta'", UsageError),
-        sigma_sq=coerce(float, obj["sigma_sq"], "'sigma_sq'", UsageError),
-        model=model,
-        mu0=mu0,
+        phi=fields["phi"], eta=fields["eta"], sigma_sq=fields["sigma_sq"], model=model, mu0=mu0
     )
-    grid = None
-    if obj.get("eta_grid") is not None:
-        spec = obj["eta_grid"]
-        grid = check_eta_grid(
-            dataio.parse_grid(spec) if isinstance(spec, str)
-            else coerce(_float_array, spec, "'eta_grid'", UsageError),
-            "'eta_grid'",
-        )
-    return config, grid
+    grid = fields["eta_grid"]
+    return config, None if grid is None else check_eta_grid(grid, "'eta_grid'")
 
 
 def _resolve_grid(flag_value, config_grid) -> np.ndarray:
@@ -488,7 +482,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", default="1,2,4")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--mc-reps", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_lq)
 
@@ -502,7 +496,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("gcv", "cv"), required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--grid", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_tune)
 

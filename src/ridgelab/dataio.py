@@ -11,24 +11,26 @@ from __future__ import annotations
 import base64
 import json
 import os
+from dataclasses import MISSING
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .errors import InputError, UsageError, coerce, integer
+from .errors import InputError, UsageError, as_cast, coerce, dimension, integer, read_object, reals
 from .regress import Dataset
 from .spectrum import SignalVector, model_from_json
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse "a:b:count" into the inclusive uniform grid of count points."""
+    """Parse "a:b:count" into the inclusive uniform grid of count points;
+    count is at most MAX_DIM, checked before the grid is allocated."""
     parts = str(spec).split(":")
     if len(parts) != 3:
         raise UsageError(f"grid spec must look like a:b:count, got {spec!r}")
     try:
         a, b = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        count = dimension(int(parts[2]))
     except ValueError as exc:
         raise UsageError(f"malformed grid spec {spec!r}: {exc}") from exc
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -42,6 +44,11 @@ def parse_grid(spec: str) -> np.ndarray:
             raise UsageError("a single-point grid requires a == b")
         return np.array([a])
     return np.linspace(a, b, count)
+
+
+def eta_grid(value) -> np.ndarray:
+    """The cast of a config's eta_grid: an "a:b:count" string or a list of reals."""
+    return as_cast(parse_grid)(value) if isinstance(value, str) else reals(value)
 
 
 def format_cell(value) -> str:
@@ -146,30 +153,21 @@ def dataset_to_json(data: Dataset) -> dict:
     return out
 
 
+# decode_array as a cast, so that a malformed payload names its key
+payload = as_cast(decode_array)
+# dataset key -> (cast, default); the model comes first, so that a bad one
+# is refused before the arrays are decoded
+_DATASET_KEYS = {
+    "model": (model_from_json, MISSING),
+    "x": (payload, MISSING),
+    "y": (payload, MISSING),
+    "mu0": (as_cast(lambda value: SignalVector(decode_array(value))), None),
+    "xi": (payload, None),
+}
+
+
 def dataset_from_json(obj: dict) -> Dataset:
-    if not isinstance(obj, dict):
-        raise InputError("dataset must be a JSON object")
-    unknown = set(obj) - {"x", "y", "model", "mu0", "xi"}
-    if unknown:
-        raise InputError(f"unknown dataset keys: {sorted(unknown)}")
-    for key in ("x", "y", "model"):
-        if key not in obj:
-            raise InputError(f"dataset is missing {key!r}")
-    model = model_from_json(obj["model"])  # refuse a bad model before decoding arrays
-    mu0 = None
-    if "mu0" in obj:
-        try:
-            mu0 = SignalVector(decode_array(obj["mu0"]))
-        except InputError as exc:
-            raise InputError(f"malformed 'mu0': {exc}") from exc
-    xi = obj.get("xi")
-    return Dataset(
-        x=decode_array(obj["x"]),
-        y=decode_array(obj["y"]),
-        model=model,
-        mu0=mu0,
-        xi=None if xi is None else decode_array(xi),
-    )
+    return Dataset(**read_object(obj, _DATASET_KEYS, "dataset"))
 
 
 def load_json(path) -> dict:
@@ -178,7 +176,7 @@ def load_json(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

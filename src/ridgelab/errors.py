@@ -1,15 +1,20 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes: usage and input problems exit 1,
-numerical failures exit 2. `coerce` turns a malformed configuration value
-into one of these instead of a raw ValueError or TypeError; `integer`,
-`dimension` and `boolean` are the casts for integer, size and boolean
-fields. Every band of a real input lives here, and the types that own a
-field apply its band through `check_eta`, `check_eta_grid`,
-`check_spectrum`, `check_scale` or `check_phi`, which raise InputError.
+numerical failures exit 2. `read_object` reads every JSON config object
+through a table of its keys, each with a cast and a default, and `coerce`
+turns a malformed value into an InputError naming its key instead of a raw
+ValueError or TypeError. The casts, which never convert a value of another
+JSON type, are `real` and `reals` for numbers and lists of them, `integer`,
+`dimension` and `seed` for integers, sizes and seeds, `boolean`, `choice`
+for a string from a fixed set, and `as_cast` of a parser. Every band of a
+real input lives here, and the types that own a field apply its band
+through `check_eta`, `check_eta_grid`, `check_spectrum`, `check_scale` or
+`check_phi`, which raise InputError.
 """
 
 import numbers
+from dataclasses import MISSING
 
 import numpy as np
 
@@ -83,7 +88,7 @@ def coerce(cast, value, name: str, error: type[RidgelabError] = InputError):
     """Return cast(value); a malformed value raises `error` naming `name`."""
     try:
         return cast(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise error(f"malformed {name}: {exc}") from exc
 
 
@@ -108,6 +113,56 @@ def dimension(value) -> int:
     return size
 
 
+def seed(value) -> int:
+    """integer(value) for a non-negative seed."""
+    number = integer(value)
+    if number < 0:
+        raise ValueError(f"expected a non-negative integer, got {number}")
+    return number
+
+
+def _bad_type(types) -> type | None:
+    """A type in types other than an int or float type (numpy's included), or bool."""
+    real_types = (int, float, np.integer, np.floating)
+    return next((t for t in types if t is bool or not issubclass(t, real_types)), None)
+
+
+def real(value) -> float:
+    """float(value) for an int or a float; a bool, a string or any other JSON
+    value raises ValueError, and an int beyond the float range OverflowError."""
+    if _bad_type({type(value)}):
+        raise ValueError(f"expected a real number, got {value!r:.40}")
+    return float(value)
+
+
+def reals(value) -> np.ndarray:
+    """A float array of a list of reals, or of a list of such lists (a
+    matrix), checked as real checks one; an int or float ndarray passes. The
+    entries' types are collected in one C-level pass over the list."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of real numbers, got {value!r:.40}")
+    types = set(map(type, value))
+    if types and types <= {list, tuple}:
+        types = set().union(*(map(type, row) for row in value))
+    bad = _bad_type(types)
+    if bad:
+        raise ValueError(f"expected a list of real numbers, got an entry of type {bad.__name__}")
+    return np.array(value, dtype=float)
+
+
+def choice(*options: str):
+    """The cast that takes a string among options and refuses anything else."""
+
+    def cast(value) -> str:
+        if isinstance(value, str) and value in options:
+            return value
+        raise ValueError(f"expected one of {options}, got {value!r:.40}")
+
+    return cast
+
+
 def boolean(value) -> bool:
     """value itself when it is True or False.
 
@@ -117,6 +172,46 @@ def boolean(value) -> bool:
     if isinstance(value, bool):
         return value
     raise ValueError(f"expected true or false, got {value!r}")
+
+
+def as_cast(build):
+    """build as a cast for coerce: the RidgelabError it raises becomes a
+    ValueError, so that the key holding the value is named."""
+
+    def cast(value):
+        try:
+            return build(value)
+        except RidgelabError as exc:
+            raise ValueError(str(exc)) from exc
+
+    return cast
+
+
+def read_object(obj, table: dict, what: str, nested: bool = False) -> dict:
+    """The fields of the JSON object obj, cast under coerce by table.
+
+    table maps each key obj may hold to (cast, default), default MISSING
+    for a required key. An absent key, and null where the default is None,
+    takes the default. A malformed value names its key, as "'key' of <what>"
+    when obj is nested in another object.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"malformed {what!r}: expected a JSON object, got {obj!r:.40}")
+    unknown = set(obj) - set(table)
+    if unknown:
+        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, (_, default) in table.items():
+        if default is MISSING and key not in obj:
+            raise InputError(f"{what} is missing {key!r}")
+    of = f" of {what}" if nested else ""
+    fields = {}
+    for key, (cast, default) in table.items():
+        value = obj.get(key)
+        if key not in obj or (value is None and default is None):
+            fields[key] = default
+        else:
+            fields[key] = coerce(cast, value, f"{key!r}{of}")
+    return fields
 
 
 def check_range(value: float, name: str, lo: float, hi: float, zero: bool = False) -> float:

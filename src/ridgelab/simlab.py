@@ -18,14 +18,14 @@ import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataio import parse_grid
-from .errors import IllConditioned, InputError, NonConvergence, WrongRegime
-from .errors import boolean, check_eta, check_eta_grid, check_phi, check_scale, coerce
-from .errors import dimension, integer
+from .dataio import eta_grid
+from .errors import PHI_RANGE, IllConditioned, InputError, NonConvergence, WrongRegime
+from .errors import boolean, check_all, check_eta, check_eta_grid, check_scale, choice
+from .errors import dimension, read_object, real, reals, seed
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -49,23 +49,17 @@ from .spectrum import CovarianceModel, SignalVector, model_from_json, sigma_quad
 from .stats import scaled_t10
 
 _DISTS = ("gaussian", "scaled_t10")
-_SIGNAL_MODES = ("sphere", "ball_radial")
+SIGNAL_MODES = ("sphere", "ball_radial")
 _ALL_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS, RiskKind.RES)
 _TUNE_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS)
 
 
-def _float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
 def _model_spec(spec) -> dict:
     if not isinstance(spec, dict):
-        raise ValueError(f"expected a JSON object with a 'kind', got {spec!r}")
+        raise ValueError(f"expected a JSON object with a 'kind', got {spec!r:.40}")
+    if "n" in spec:
+        raise ValueError("a sim model takes its dimension from 'n' or 'phi_grid', not its own 'n'")
     return dict(spec)
-
-
-def _eta_tuple(grid) -> tuple[float, ...]:
-    return tuple(parse_grid(grid)) if isinstance(grid, str) else _float_tuple(grid)
 
 
 # JSON key of an experiment config -> (ExperimentConfig field, cast); the
@@ -73,21 +67,38 @@ def _eta_tuple(grid) -> tuple[float, ...]:
 _JSON_KEYS = {
     "m": ("m", dimension),
     "n": ("n", dimension),
-    "phi_grid": ("phi_grid", _float_tuple),
+    "phi_grid": ("phi_grid", reals),
     "model": ("model_spec", _model_spec),
-    "eta_grid": ("etas", _eta_tuple),
-    "design_dist": ("design_dist", str),
-    "noise_dist": ("noise_dist", str),
-    "sigma_sq": ("sigma_sq", float),
-    "reps": ("reps", integer),
-    "argmin_reps": ("argmin_reps", integer),
-    "k": ("k", integer),
-    "alpha": ("alpha", float),
-    "seed": ("master_seed", integer),
+    "eta_grid": ("etas", eta_grid),
+    "design_dist": ("design_dist", choice(*_DISTS)),
+    "noise_dist": ("noise_dist", choice(*_DISTS)),
+    "sigma_sq": ("sigma_sq", real),
+    "reps": ("reps", dimension),
+    "argmin_reps": ("argmin_reps", dimension),
+    "k": ("k", dimension),
+    "alpha": ("alpha", real),
+    "seed": ("master_seed", seed),
     "redraw_signal": ("redraw_signal", boolean),
-    "threads": ("threads", integer),
+    "threads": ("threads", dimension),
 }
-_SIGNAL_KEYS = {"mode": ("signal_mode", str), "radius": ("signal_radius", float)}
+_SIGNAL_KEYS = {"mode": ("signal_mode", choice(*SIGNAL_MODES)), "radius": ("signal_radius", real)}
+
+
+def _fields(obj) -> dict:
+    """ExperimentConfig field -> value of a JSON experiment config, read
+    through the key tables; an absent key takes its field's default."""
+
+    def read(keys: dict, values, what: str, nested: bool = False) -> dict:
+        table = {key: (cast, _DEFAULTS[name]) for key, (name, cast) in keys.items()}
+        out = read_object(values, table, what, nested)
+        return {name: out[key] for key, (name, _) in keys.items()}
+
+    signal = {}
+    if isinstance(obj, dict):
+        obj = dict(obj)
+        signal = obj.pop("signal", {})
+    return {**read(_JSON_KEYS, obj, "experiment config"),
+            **read(_SIGNAL_KEYS, signal, "signal", nested=True)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +131,13 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for table, where in ((_JSON_KEYS, ""), (_SIGNAL_KEYS, "signal ")):
-            for key, (name, cast) in table.items():
-                value = getattr(self, name)
-                if value is not None or _DEFAULTS[name] is not None:
-                    object.__setattr__(self, name, coerce(cast, value, f"{where}{key!r}"))
+        # a config built directly is cast as from_json casts one
+        for name, value in _fields(self.to_json()).items():
+            object.__setattr__(self, name, value)
         if self.m < 1:
             raise InputError(f"m must be >= 1, got {self.m}")
         if (self.n is None) == (self.phi_grid is None):
             raise InputError("exactly one of n and phi_grid must be given")
-        if self.design_dist not in _DISTS or self.noise_dist not in _DISTS:
-            raise InputError(f"distributions must be one of {_DISTS}")
-        if self.signal_mode not in _SIGNAL_MODES:
-            raise InputError(f"signal mode must be one of {_SIGNAL_MODES}")
         if not self.signal_radius > 0:
             raise InputError("signal radius must be positive")
         check_scale(self.signal_norm_sq, "squared norm of 'signal'")
@@ -145,16 +150,16 @@ class ExperimentConfig:
         if not 0 < self.alpha < 1:
             raise InputError("alpha must lie in (0, 1)")
         etas = check_eta_grid(self.etas, "'eta_grid'")
-        object.__setattr__(self, "etas", tuple(float(e) for e in etas))
+        object.__setattr__(self, "etas", tuple(etas.tolist()))
         if self.n is not None and etas[0] == 0 and self.n <= self.m:
             raise InputError("eta grid may include 0 only when n > m")
         if self.phi_grid is not None:
-            phis = tuple(check_phi(float(p), "'phi_grid'") for p in self.phi_grid)
-            if not phis:
+            phis = check_all(self.phi_grid, "'phi_grid'", *PHI_RANGE)
+            if phis.ndim != 1 or not phis.size:
                 raise InputError("phi grid must be nonempty")
-            if round(self.m / max(phis)) < 1:
-                raise InputError(f"phi = {max(phis)} leaves no signal dimension")
-            object.__setattr__(self, "phi_grid", phis)
+            if round(self.m / phis.max()) < 1:
+                raise InputError(f"phi = {phis.max()} leaves no signal dimension")
+            object.__setattr__(self, "phi_grid", tuple(phis.tolist()))
 
     @property
     def signal_norm_sq(self) -> float:
@@ -168,37 +173,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """An absent key leaves its field's default; a key whose field has
-        none is required. null counts as absent where the default is None;
-        __post_init__ casts each value."""
-        if not isinstance(obj, dict):
-            raise InputError("experiment config must be a JSON object")
-        unknown = set(obj) - set(_JSON_KEYS) - {"signal"}
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        signal = obj.get("signal", {})
-        if not isinstance(signal, dict):
-            raise InputError("signal must be a JSON object with keys mode and radius")
-        unknown = set(signal) - set(_SIGNAL_KEYS)
-        if unknown:
-            raise InputError(f"unknown signal keys: {sorted(unknown)}")
-        kwargs = {}
-        for table, values in ((_JSON_KEYS, obj), (_SIGNAL_KEYS, signal)):
-            for key, (name, _) in table.items():
-                if key in values:
-                    kwargs[name] = values[key]
-                elif _DEFAULTS[name] is MISSING:
-                    raise InputError(f"experiment config is missing {key!r}")
-        return cls(**kwargs)
+        """The config of a JSON object; an absent key leaves its field's
+        default, and a key whose field has none is required."""
+        return cls(**_fields(obj))
 
     def to_json(self) -> dict:
-        """The fields under their JSON keys; a field that is None is left out."""
+        """The fields under their JSON keys; a field at its default of None is left out."""
 
         def read(table) -> dict:
             out = {}
             for key, (name, _) in table.items():
                 value = getattr(self, name)
-                if value is not None:  # tuples as lists, the model spec as a copy
+                if value is not None or _DEFAULTS[name] is not None:
+                    # tuples as lists, the model spec as a copy
                     out[key] = list(value) if isinstance(value, tuple) else copy.copy(value)
             return out
 
@@ -298,8 +285,8 @@ def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
     ball_radial has a uniformly distributed norm, which is not the same as
     a volume-uniform draw from the ball.
     """
-    if mode not in _SIGNAL_MODES:
-        raise InputError(f"signal mode must be one of {_SIGNAL_MODES}")
+    if mode not in SIGNAL_MODES:
+        raise InputError(f"signal mode must be one of {SIGNAL_MODES}")
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
     if not radius >= 0:

@@ -20,13 +20,13 @@ precompute() before sharing a SignalVector between workers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import SPECTRUM_RANGE, InputError, check_all, check_spectrum, coerce
-from .errors import dimension, integer
+from .errors import SPECTRUM_RANGE, InputError, check_all, check_spectrum, choice, coerce
+from .errors import dimension, read_object, real, reals
 
 _DENSE_GUARD = 20000
 
@@ -303,52 +303,41 @@ def spiked_uniform(a: float, b: float, n: int) -> CovarianceModel:
     return SpikedUniform(a, b, n)
 
 
+def real_array(value) -> np.ndarray:
+    """The cast of an array field: a dataio.encode_array payload or a list of reals."""
+    from .dataio import payload  # imported here because dataio imports this module
+
+    return payload(value) if isinstance(value, dict) else reals(value)
+
+
+# model kind -> (its keys other than "kind" -> (cast, default))
+_MODEL_KEYS = {
+    "isotropic": {"scale": (real, MISSING), "n": (dimension, MISSING)},
+    "spiked_uniform": {"a": (real, MISSING), "b": (real, MISSING), "n": (dimension, MISSING)},
+    "explicit": {
+        "eigenvalues": (real_array, MISSING), "basis": (real_array, None), "n": (dimension, None)
+    },
+}
+
+
 def model_from_json(obj: dict) -> CovarianceModel:
     """Parse a covariance model from its JSON object form.
 
-    An explicit model's eigenvalues and basis are lists or
-    dataio.encode_array payloads.
+    Its "kind" picks the table of its other keys. An explicit model's
+    eigenvalues and basis are lists or dataio.encode_array payloads.
     """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InputError("covariance model JSON must be an object with a 'kind'")
-    kind = obj["kind"]
-    keys = set(obj)
-
-    def field(key, cast):
-        return coerce(cast, obj[key], f"{key!r} of {kind} model")
-
-    def array(key):
-        if not isinstance(obj[key], dict):
-            return field(key, lambda v: np.asarray(v, dtype=np.float64))
-        # imported here because dataio imports this module
-        from .dataio import decode_array
-
-        try:
-            return decode_array(obj[key])
-        except InputError as exc:
-            raise InputError(f"malformed {key!r} of {kind} model: {exc}") from exc
-
+    if not isinstance(obj, dict):
+        raise InputError(f"malformed 'model': expected a JSON object, got {obj!r:.40}")
+    spec = dict(obj)
+    kind = coerce(choice(*_MODEL_KEYS), spec.pop("kind", None), "'kind' of covariance model")
+    f = read_object(spec, _MODEL_KEYS[kind], f"{kind} model", nested=True)
     if kind == "isotropic":
-        if keys != {"kind", "n", "scale"}:
-            raise InputError(f"unexpected keys for isotropic model: {sorted(keys)}")
-        return Isotropic(field("scale", float), field("n", dimension))
+        return Isotropic(f["scale"], f["n"])
     if kind == "spiked_uniform":
-        if keys != {"kind", "n", "a", "b"}:
-            raise InputError(f"unexpected keys for spiked_uniform model: {sorted(keys)}")
-        return spiked_uniform(field("a", float), field("b", float), field("n", dimension))
-    if kind == "explicit":
-        if not keys <= {"kind", "n", "eigenvalues", "basis"}:
-            raise InputError(f"unexpected keys for explicit model: {sorted(keys)}")
-        if "eigenvalues" not in keys:
-            raise InputError("explicit model is missing 'eigenvalues'")
-        lam = array("eigenvalues")
-        if "n" in obj and field("n", integer) != lam.size:
-            raise InputError("explicit model 'n' disagrees with eigenvalue count")
-        basis = None
-        if obj.get("basis") is not None:
-            basis = array("basis")
-        return Explicit(lam, basis)
-    raise InputError(f"unknown covariance kind {kind!r}")
+        return spiked_uniform(f["a"], f["b"], f["n"])
+    if f["n"] is not None and f["n"] != f["eigenvalues"].size:
+        raise InputError("explicit model 'n' disagrees with eigenvalue count")
+    return Explicit(f["eigenvalues"], f["basis"])
 
 
 class SignalVector:

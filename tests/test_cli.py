@@ -759,11 +759,25 @@ def test_theory_csvs_do_not_move_with_the_blas_thread_count(tmp_path):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"phi": "abc"}, "usage error: malformed 'phi'"),
-        ({"sigma_sq": None}, "usage error: malformed 'sigma_sq'"),
-        ({"mu0": {"mode": "sphere", "seed": "x"}}, "usage error: malformed mu0 seed"),
-        ({"mu0": ["a", "b"]}, "usage error: malformed 'mu0'"),
-        ({"eta_grid": ["a"]}, "usage error: malformed 'eta_grid'"),
+        ({"phi": "abc"}, "input error: malformed 'phi': expected a real number, got 'abc'\n"),
+        (
+            {"sigma_sq": None},
+            "input error: malformed 'sigma_sq': expected a real number, got None\n",
+        ),
+        (
+            {"mu0": {"mode": "sphere", "seed": "x"}},
+            "input error: malformed 'seed' of mu0: expected an integer, got 'x'\n",
+        ),
+        (
+            {"mu0": ["a", "b"]},
+            "input error: malformed 'mu0': expected a list of real numbers, "
+            "got an entry of type str\n",
+        ),
+        (
+            {"eta_grid": ["a"]},
+            "input error: malformed 'eta_grid': expected a list of real numbers, "
+            "got an entry of type str\n",
+        ),
         (
             {"model": {"kind": "isotropic", "scale": "abc", "n": 16}},
             "input error: malformed 'scale' of isotropic model",
@@ -785,7 +799,10 @@ def test_theory_csvs_do_not_move_with_the_blas_thread_count(tmp_path):
             {"model": {"kind": "spiked_uniform", "a": 1.5, "b": 0.5, "n": True}},
             "input error: malformed 'n' of spiked_uniform model",
         ),
-        ({"mu0": {"mode": "sphere", "seed": 1.5}}, "usage error: malformed mu0 seed"),
+        (
+            {"mu0": {"mode": "sphere", "seed": 1.5}},
+            "input error: malformed 'seed' of mu0: expected an integer, got 1.5\n",
+        ),
         (
             {"model": {"kind": "explicit", "eigenvalues": {**encode_array(np.ones(2)),
                                                            "data": "!!"}}},
@@ -827,6 +844,54 @@ def test_theory_csvs_do_not_move_with_the_blas_thread_count(tmp_path):
             {"model": {"kind": "explicit", "eigenvalues": [1e-200, 1e-201]}},
             "input error: eigenvalues of explicit model must lie in [1e-60, 1e+60], "
             "got 1e-200",
+        ),
+        # each of these used to run at the value float() or iteration made of it
+        (
+            {"sigma_sq": True},
+            "input error: malformed 'sigma_sq': expected a real number, got True\n",
+        ),
+        (
+            {"sigma_sq": "1.0"},
+            "input error: malformed 'sigma_sq': expected a real number, got '1.0'\n",
+        ),
+        (
+            {"model": {"kind": "spiked_uniform", "a": True, "b": 0.5, "n": 16}},
+            "input error: malformed 'a' of spiked_uniform model: expected a real number, "
+            "got True\n",
+        ),
+        (
+            {"eta_grid": [0.1, True]},
+            "input error: malformed 'eta_grid': expected a list of real numbers, "
+            "got an entry of type bool\n",
+        ),
+        (
+            {"model": {"kind": "explicit", "eigenvalues": [2.0, "1.5", 1.0]}},
+            "input error: malformed 'eigenvalues' of explicit model: expected a list of real "
+            "numbers, got an entry of type str\n",
+        ),
+        (
+            {"eta_grid": {"0": 1}},
+            "input error: malformed 'eta_grid': expected a list of real numbers, got {'0': 1}\n",
+        ),
+        (
+            {"mu0": {"mode": "sphere", "radius": True}},
+            "input error: malformed 'radius' of mu0: expected a real number, got True\n",
+        ),
+        ({"mu0": {"mode": 1}}, "input error: malformed 'mode' of mu0: expected one of "),
+        # an int beyond the float range used to end in an OverflowError traceback
+        ({"phi": 10**400}, "input error: malformed 'phi': int too large to convert to float\n"),
+        (
+            {"model": {"kind": "isotropic", "scale": 10**400, "n": 16}},
+            "input error: malformed 'scale' of isotropic model: int too large to convert "
+            "to float\n",
+        ),
+        (
+            {"mu0": {"radius": 10**400}},
+            "input error: malformed 'radius' of mu0: int too large to convert to float\n",
+        ),
+        (
+            {"eta_grid": [0.5, 10**400]},
+            "input error: malformed 'eta_grid': int too large to convert to float\n",
         ),
     ],
 )
@@ -1128,6 +1193,20 @@ def test_sim_fig2_requires_phi_grid(tmp_path, capsys):
         ({"eta_grid": [0.5, math.inf]}, "'eta_grid'"),
         ({"eta_grid": [0.5, 1e61]}, "'eta_grid'"),
         ({"eta_grid": "0:1e308:3"}, "'eta_grid'"),
+        # a string or an object used to be iterated: "15" ran phi in {1.0, 5.0}
+        ({"phi_grid": "15"}, "'phi_grid'"),
+        ({"phi_grid": {"0.5": 1}}, "'phi_grid'"),
+        ({"eta_grid": {"0.5": 1}}, "'eta_grid'"),
+        ({"sigma_sq": True}, "'sigma_sq'"),
+        ({"signal": {"radius": "1.0"}}, "'radius' of signal"),
+        ({"design_dist": 5}, "'design_dist'"),
+        ({"alpha": 10**400}, "'alpha'"),
+        ({"reps": 10**12}, "'reps'"),
+        # build_model sets n itself, so a model's own n was silently replaced
+        (
+            {"model": {"kind": "isotropic", "scale": 1.0, "n": 20}},
+            "malformed 'model': a sim model takes its dimension from 'n' or 'phi_grid'",
+        ),
     ],
 )
 def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key):
@@ -1137,6 +1216,59 @@ def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key
     err = capsys.readouterr().err
     assert "input error" in err and key in err
     assert not out_dir.exists()
+
+
+def negative_seed_argv(tmp_path, entry: str) -> tuple[list, str]:
+    """argv that gives entry a seed of -1, and the message that refuses it."""
+    out = str(tmp_path / "out")
+    flag = "usage error: argument --seed: expected a non-negative integer, got -1\n"
+    if entry == "sim":
+        config = write_fig1_config(tmp_path, seed=-1)
+        return (["sim", "fig1", "--config", str(config), "--out-dir", out],
+                "input error: malformed 'seed': expected a non-negative integer, got -1\n")
+    if entry == "mu0":
+        config = write_problem(tmp_path, mu0={"mode": "sphere", "seed": -1}, eta_grid="0:1:3")
+        return (["fpe", "--config", str(config), "--out", out + "/fpe.csv"],
+                "input error: malformed 'seed' of mu0: expected a non-negative integer, got -1\n")
+    if entry == "lq":
+        return (["lq", "--config", str(write_problem(tmp_path)), "--eta", "0.5",
+                 "--mc-reps", "100", "--seed", "-1", "--out", out + "/lq.csv"], flag)
+    data, _ = write_dataset(tmp_path)
+    return (["tune", "--data", str(data), "--method", "cv", "--grid", "0.1:1:4",
+             "--seed", "-1", "--out", out + "/cv.csv"], flag)
+
+
+@pytest.mark.parametrize("entry", ["sim", "mu0", "lq", "tune"])
+def test_negative_seed_is_a_typed_error(tmp_path, capsys, entry):
+    # each used to end in SeedSequence's raw ValueError and a traceback
+    argv, message = negative_seed_argv(tmp_path, entry)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", ["problem", "sim", "--eta-grid", "--grid"])
+def test_grid_count_is_bounded_before_allocation(tmp_path, capsys, entry):
+    # 10^12 points used to end in numpy's MemoryError; the count is refused
+    # before linspace allocates anything
+    spec = "0:1:1000000000000"
+    out = str(tmp_path / "out")
+    if entry == "sim":
+        config = write_fig1_config(tmp_path, eta_grid=spec)
+        argv = ["sim", "fig1", "--config", str(config), "--out-dir", out]
+    elif entry == "--grid":
+        argv = ["tune", "--data", str(write_dataset(tmp_path)[0]), "--method", "gcv",
+                "--grid", spec, "--out", out + "/t.csv"]
+    else:
+        config = write_problem(tmp_path, **({"eta_grid": spec} if entry == "problem" else {}))
+        flags = ["--eta-grid", spec] if entry == "--eta-grid" else []
+        argv = ["fpe", "--config", str(config), *flags, "--out", out + "/f.csv"]
+    assert run(argv) == 1
+    refused = f"malformed grid spec {spec!r}: expected at most 1e+08, got 1000000000000\n"
+    in_config = entry in ("problem", "sim")
+    prefix = "input error: malformed 'eta_grid': " if in_config else "usage error: "
+    assert capsys.readouterr().err == prefix + refused
+    assert not (tmp_path / "out").exists()
 
 
 # One out-of-band value per field, and the commands whose inputs carry that
@@ -1279,20 +1411,23 @@ SIM_FIELDS = {
 }
 
 
-def run_fuzzed(directory: Path, argv: list) -> None:
+def run_fuzzed(directory: Path, argv: list) -> tuple[int, str]:
     """run(argv) exits 0, 1 or 2 with no escaping exception; on 0 every CSV
-    cell it wrote is finite, on 1 or 2 it wrote nothing."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cell it wrote is finite, on 1 or 2 it wrote nothing. Returns the exit
+    code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2), argv
     out = directory / "out"
     if code != 0:
         assert not out.exists(), argv
-        return
+        return code, err.getvalue()
     for csv in out.glob("*.csv"):
         _, rows = read_csv(csv)
         cells = [cell for row in rows for cell in row if isinstance(cell, float)]
         assert all(math.isfinite(cell) for cell in cells), (argv, csv.name)
+    return code, err.getvalue()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1331,6 +1466,126 @@ def test_sim_fig1_at_extreme_config_values(field, value):
         config.write_text(json.dumps(base))
         run_fuzzed(directory, ["sim", "fig1", "--config", str(config),
                                "--out-dir", str(directory / "out")])
+
+
+# One JSON value of each type, drawn for every key of every config object.
+# "other string" avoids every choice and the a:b:count form of a grid.
+JSON_TYPES = {
+    "bool": st.booleans(),
+    "numeric string": st.floats(allow_nan=False).map(repr),
+    "other string": st.text(alphabet="xyz _", max_size=4),
+    "null": st.none(),
+    "list": st.lists(st.one_of(st.booleans(), st.text(max_size=2)), min_size=1, max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    "huge int": st.integers(min_value=2**1024, max_value=10**400),
+}
+PROBLEM_BASE = {
+    "phi": 0.5, "sigma_sq": 1.0, "model": {"kind": "isotropic", "scale": 1.0, "n": 4},
+    "mu0": {"mode": "sphere", "radius": 1.0, "seed": 1}, "eta_grid": [0.0, 0.5, 1.0],
+}
+MODEL_BASES = {
+    "isotropic": {"kind": "isotropic", "scale": 1.0, "n": 4},
+    "spiked_uniform": {"kind": "spiked_uniform", "a": 1.5, "b": 0.5, "n": 4},
+    "explicit": {"kind": "explicit", "eigenvalues": [2.0, 1.5, 1.0, 0.5], "n": 4,
+                 "basis": np.eye(4).tolist()},
+}
+SIM_BASE = {
+    "m": 4, "n": 8, "model": {"kind": "isotropic", "scale": 1.0}, "design_dist": "gaussian",
+    "noise_dist": "gaussian", "eta_grid": [0.5, 1.0], "reps": 2, "seed": 1, "threads": 1,
+}
+# where -> (base config, command); fig2's base sweeps phi instead of fixing n
+TYPED_BASES = {
+    "problem": (PROBLEM_BASE, "fpe"),
+    **{kind: ({**PROBLEM_BASE, "model": model}, "fpe") for kind, model in MODEL_BASES.items()},
+    "fig1": (SIM_BASE, "fig1"),
+    "fig2": ({**{k: v for k, v in SIM_BASE.items() if k != "n"}, "phi_grid": [0.5], "k": 2},
+             "fig2"),
+}
+# (where, path to the key) -> (a valid value, its JSON type); "absent" marks
+# a key whose null means absent, "object" one that holds an object
+TYPED_KEYS = {
+    ("problem", ("phi",)): (0.5, "real"),
+    ("problem", ("eta",)): (0.5, "real"),
+    ("problem", ("sigma_sq",)): (1.0, "real"),
+    ("problem", ("model",)): (MODEL_BASES["isotropic"], "object"),
+    ("problem", ("mu0",)): ({"seed": 2}, "object"),
+    ("problem", ("eta_grid",)): ("0:1:3", "absent"),
+    ("problem", ("mu0", "mode")): ("ball_radial", "choice"),
+    ("problem", ("mu0", "radius")): (2.0, "real"),
+    ("problem", ("mu0", "seed")): (5, "seed"),
+    **{(kind, ("model", key)): (MODEL_BASES[kind][key], jtype)
+       for kind, keys in (("isotropic", {"kind": "choice", "scale": "real", "n": "integer"}),
+                          ("spiked_uniform", {"kind": "choice", "a": "real", "b": "real",
+                                              "n": "integer"}),
+                          ("explicit", {"kind": "choice", "eigenvalues": "array",
+                                        "basis": "absent", "n": "absent"}))
+       for key, jtype in keys.items()},
+    ("fig1", ("m",)): (4, "integer"),
+    ("fig1", ("n",)): (8, "absent"),
+    ("fig2", ("phi_grid",)): ([0.5], "absent"),
+    ("fig1", ("model",)): ({"kind": "spiked_uniform", "a": 1.5, "b": 0.5}, "object"),
+    ("fig1", ("eta_grid",)): ("0.5:1:2", "grid"),
+    ("fig1", ("design_dist",)): ("scaled_t10", "choice"),
+    ("fig1", ("noise_dist",)): ("scaled_t10", "choice"),
+    ("fig1", ("sigma_sq",)): (0.5, "real"),
+    ("fig1", ("reps",)): (3, "integer"),
+    ("fig1", ("argmin_reps",)): (2, "absent"),
+    ("fig2", ("k",)): (2, "integer"),
+    ("fig2", ("alpha",)): (0.1, "real"),
+    ("fig1", ("seed",)): (7, "seed"),
+    ("fig1", ("redraw_signal",)): (True, "boolean"),
+    ("fig1", ("threads",)): (2, "integer"),
+    ("fig1", ("signal",)): ({"mode": "ball_radial"}, "object"),
+    ("fig1", ("signal", "mode")): ("ball_radial", "choice"),
+    ("fig1", ("signal", "radius")): (2.0, "real"),
+}
+
+
+ABSENT = object()
+
+
+def typed_run(directory: Path, where: str, path: tuple, value) -> tuple[int, str]:
+    """run_fuzzed on where's base config with the key at path set to value,
+    or removed when value is ABSENT."""
+    base, command = TYPED_BASES[where]
+    config = json.loads(json.dumps(base))
+    owner = config
+    for key in path[:-1]:
+        owner = owner.setdefault(key, {})
+    if value is ABSENT:
+        owner.pop(path[-1], None)
+    else:
+        owner[path[-1]] = value
+    (directory / "c.json").write_text(json.dumps(config))
+    shutil.rmtree(directory / "out", ignore_errors=True)
+    out = ["--out-dir", str(directory / "out")] if command in SIM_OUTPUTS else \
+        ["--out", str(directory / "out" / "o.csv")]
+    argv = ["sim", command] if command in SIM_OUTPUTS else [command]
+    return run_fuzzed(directory, [*argv, "--config", str(directory / "c.json"), *out])
+
+
+@pytest.mark.parametrize("where, path", sorted(TYPED_KEYS),
+                         ids=[f"{where}:{'.'.join(path)}" for where, path in sorted(TYPED_KEYS)])
+@settings(max_examples=1, deadline=None, derandomize=True, database=None)
+@given(values=st.fixed_dictionaries(JSON_TYPES))
+@pytest.mark.filterwarnings("error")
+def test_every_config_key_takes_only_its_json_type(where, path, values):
+    # a value of another JSON type is refused naming its key and writes
+    # nothing; a valid value runs
+    valid, jtype = TYPED_KEYS[where, path]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        assert typed_run(directory, where, path, valid)[0] == 0
+        for name, value in values.items():
+            if name == "object" and jtype == "object":
+                continue  # the object's own keys are drawn as keys of their own
+            code, err = typed_run(directory, where, path, value)
+            if (name, jtype) in (("bool", "boolean"), ("huge int", "seed")):
+                assert code == 0, (name, value, err)
+            elif name == "null" and jtype == "absent":
+                assert (code, err) == typed_run(directory, where, path, ABSENT), name
+            else:
+                assert code == 1 and f"malformed '{path[-1]}'" in err, (name, value, err)
 
 
 # Each file-writing command and the compute its handler runs; the outputs

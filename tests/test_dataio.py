@@ -29,7 +29,7 @@ def test_parse_grid_uniform():
 
 @pytest.mark.parametrize(
     "bad",
-    ["0:1", "0:1:2:3", "a:1:5", "0:inf:5", "1:0:5", "0:1:0", "3:4:1"],
+    ["0:1", "0:1:2:3", "a:1:5", "0:inf:5", "1:0:5", "0:1:0", "3:4:1", "0:1:1000000000000"],
 )
 def test_parse_grid_rejects(bad):
     with pytest.raises(UsageError):
@@ -168,6 +168,10 @@ def test_load_json_errors(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     with pytest.raises(UsageError):
+        load_json(broken)
+    # json refuses integers of more than 4300 digits with a plain ValueError
+    broken.write_text('{"sigma_sq": 1' + "0" * 5000 + "}")
+    with pytest.raises(UsageError, match="is not valid JSON: Exceeds the limit"):
         load_json(broken)
     good = tmp_path / "good.json"
     good.write_text('{"m": 4}')

@@ -467,7 +467,9 @@ def test_experiment_config_json_round_trip():
     }
     with pytest.raises(InputError, match=r"unknown signal keys: \['radiuss'\]$"):
         ExperimentConfig.from_json({**base, "signal": {"mode": "sphere", "radiuss": 1}})
-    with pytest.raises(InputError, match="signal must be a JSON object"):
+    with pytest.raises(
+        InputError, match="^malformed 'signal': expected a JSON object, got 'sphere'$"
+    ):
         ExperimentConfig.from_json({**base, "signal": "sphere"})
     for flag in (True, False):
         assert ExperimentConfig.from_json({**base, "redraw_signal": flag}).redraw_signal is flag
