@@ -27,8 +27,9 @@ import numpy as np
 
 from . import dataio
 from ._version import __version__
-from .errors import InputError, NumericalError, UsageError
-from .errors import as_cast, check_eta, check_eta_grid, choice, read_object, real, seed
+from .errors import InputError, NumericalError, RidgelabError, UsageError, as_cast, check_alpha
+from .errors import check_eta, check_eta_grid, check_mc_reps, check_positive, check_size
+from .errors import choice, coerce, dimension, read_object, real, seed
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -54,6 +55,7 @@ from .simlab import (
     run_risk_experiment,
     run_tuning_experiment,
     sample_signal,
+    seq_model_lq_mc,
 )
 from .spectrum import SignalVector, model_from_json, real_array
 
@@ -63,12 +65,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed_flag(text: str) -> int:
-    """The value of a --seed flag, cast by errors.seed."""
-    try:
-        return seed(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _flag(name: str):
+    """The argparse type of a flag: its text read through _CASTS[name], refused at parse time."""
+    cast = _CASTS[name]
+
+    def parse(text: str):
+        try:
+            return cast(text)
+        except (ValueError, RidgelabError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
+def _listed(cast, what: str, once: bool = False):
+    """The cast of a comma-separated list of at least one item, each read
+    through cast, and with once set none twice."""
+
+    def parse(text: str) -> list:
+        items = [cast(item.strip()) for item in text.split(",") if item.strip()]
+        if not items or once and len(set(items)) < len(items):
+            twice = " and none twice" if once else ""
+            raise ValueError(f"expected at least one {what}{twice}, got {text!r}")
+        return items
+
+    return parse
+
+
+_KIND_ORDER = ("pred", "est", "ins", "res")
+
+
+# flag value -> the cast of its text: the library's parser, then its band
+_CASTS = {
+    "eta": lambda text: check_eta(float(text)),
+    "eta grid": lambda text: check_eta_grid(dataio.parse_grid(text)),
+    "tol": lambda text: check_positive(float(text), "tol"),
+    "alpha": lambda text: check_alpha(float(text)),
+    "q": _listed(lambda text: check_positive(float(text), "q"), "q"),
+    "kinds": _listed(choice(*_KIND_ORDER), "risk kind", once=True),
+    "mc reps": lambda text: check_mc_reps(int(text), zero=True),
+    "k": lambda text: check_size(dimension(int(text)), "k", least=2),
+    "seed": lambda text: seed(int(text)),
+    "threads": lambda text: dimension(int(text)),  # 0 or less: one worker per CPU
+}
 
 
 _MU0_KEYS = {"mode": (choice(*SIGNAL_MODES), "sphere"), "radius": (real, 1.0), "seed": (seed, 0)}
@@ -120,12 +159,10 @@ def _problem_from_json(
     return config, None if grid is None else check_eta_grid(grid, "'eta_grid'")
 
 
-def _resolve_grid(flag_value, config_grid) -> np.ndarray:
-    if flag_value is not None:
-        return check_eta_grid(dataio.parse_grid(flag_value), "--eta-grid")
-    if config_grid is not None:
-        return config_grid
-    raise UsageError("an eta grid is required (flag or config)")
+def _resolve_grid(flag_grid, config_grid) -> np.ndarray:
+    if flag_grid is None and config_grid is None:
+        raise UsageError("an eta grid is required (flag or config)")
+    return config_grid if flag_grid is None else flag_grid
 
 
 def _resolved_problem(cfg_obj: dict, config: ProblemConfig) -> dict:
@@ -228,59 +265,37 @@ def _cmd_fpe(args):
     return _out_file(args, list(_FPE_COLUMNS), rows, resolved)
 
 
-_KIND_ORDER = ("pred", "est", "ins", "res")
-
-
 def _cmd_risk(args):
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    bad = [k for k in kinds if k not in _KIND_ORDER]
-    if bad:
-        raise UsageError(f"unknown risk kinds {bad}; choose from {_KIND_ORDER}")
-    if not kinds:
-        raise UsageError("at least one risk kind is required")
-    if len(set(kinds)) < len(kinds):
-        raise UsageError(f"repeated risk kinds in {args.kinds!r}")
     cfg_obj = dataio.load_json(args.config)
-    config, cfg_grid = _problem_from_json(cfg_obj, {"kinds": kinds})
+    config, cfg_grid = _problem_from_json(cfg_obj, {"kinds": args.kinds})
     etas = _resolve_grid(args.eta_grid, cfg_grid)
-    curves = risk_curves(config, kinds, etas)
+    curves = risk_curves(config, args.kinds, etas)
     rows = []
     for i, eta in enumerate(etas):
-        for name in kinds:
+        for name in args.kinds:
             c = curves[name]
             deriv = None if c.derivative is None else c.derivative[i]
             rows.append((eta, name, c.theoretical[i], c.rmt[i], deriv))
     resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
-    resolved["kinds"] = kinds
+    resolved["kinds"] = args.kinds
     return _out_file(args, ["eta", "kind", "theoretical", "rmt", "derivative"], rows, resolved)
 
 
 def _cmd_lq(args):
-    try:
-        qs = [float(tok) for tok in args.q.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"malformed q list {args.q!r}") from exc
-    if not qs:
-        raise UsageError("at least one q is required")
-    for q in qs:
-        if not 0 < q < math.inf:
-            raise InputError(f"--q values must be positive finite reals, got {q!r}")
-    flags = {"q": qs, "mc_reps": args.mc_reps, "seed": args.seed}
+    flags = {"q": args.q, "mc_reps": args.mc_reps, "seed": args.seed}
     cfg_obj = dataio.load_json(args.config)
     config, _ = _problem_from_json(cfg_obj, flags)
-    config = config.with_eta(check_eta(args.eta, "--eta"))
+    config = config.with_eta(args.eta)
     params = solve_effective(config)
     diag = lq_gamma_diag(None, config.model, params, config.mu0.norm)
     rows = []
     header = ["q", "risk"]
     if args.mc_reps:
         header += ["mc_mean", "mc_stderr"]
-    for q in qs:
+    for q in args.q:
         row = [q, lq_risk(q, diag, config.model.n)]
         if args.mc_reps:
-            from .simlab import seq_model_lq_mc
-
             mean, se = seq_model_lq_mc(
                 q,
                 None,
@@ -305,7 +320,6 @@ def _fit_at(data, eta: float):
 
 
 def _cmd_fit(args):
-    check_eta(args.eta, "--eta")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
     tau = tau_hat(data, args.eta)
@@ -326,14 +340,13 @@ def _cmd_fit(args):
 
 
 def _cmd_tune(args):
-    etas = check_eta_grid(dataio.parse_grid(args.grid), "--grid")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     if args.method == "gcv":
-        result = gcv_select(data, etas)
+        result = gcv_select(data, args.grid)
     else:
-        result = kfold_select(data, etas, args.k, args.seed)
+        result = kfold_select(data, args.grid, args.k, args.seed)
     config = {"data": args.data, "method": args.method, "k": args.k, "seed": args.seed,
-              "grid": [float(e) for e in etas]}
+              "grid": [float(e) for e in args.grid]}
     rows = list(zip(result.etas, result.objective))
     return _out_file(
         args, ["eta", "objective"], rows, config,
@@ -342,7 +355,6 @@ def _cmd_tune(args):
 
 
 def _cmd_ci(args):
-    check_eta(args.eta, "--eta")
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
     tau = tau_hat(data, args.eta)
@@ -369,15 +381,10 @@ def _cmd_ci(args):
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    threads, env = args.threads, os.environ.get("RIDGELAB_THREADS")
+    if threads is None and env is not None:
+        threads = coerce(_CASTS["threads"], env, "RIDGELAB_THREADS", UsageError)
     config = ExperimentConfig.from_json(dataio.load_json(args.config))
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("RIDGELAB_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise UsageError(f"RIDGELAB_THREADS={env!r} is not an integer") from exc
     if threads is not None:
         config = dataclasses.replace(config, threads=threads)
     return config
@@ -465,45 +472,45 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fpe", help="solve the effective-parameter fixed point")
     p.add_argument("--config", required=True)
-    p.add_argument("--eta-grid", default=None)
+    p.add_argument("--eta-grid", type=_flag("eta grid"), default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_flag("tol"), default=1e-12)
     p.set_defaults(handler=_cmd_fpe)
 
     p = sub.add_parser("risk", help="theoretical and RMT risk curves")
     p.add_argument("--config", required=True)
-    p.add_argument("--kinds", default="pred,est,ins,res")
-    p.add_argument("--eta-grid", default=None)
+    p.add_argument("--kinds", type=_flag("kinds"), default="pred,est,ins,res")
+    p.add_argument("--eta-grid", type=_flag("eta grid"), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_risk)
 
     p = sub.add_parser("lq", help="closed-form lq risks (large-n limit at fixed q)")
     p.add_argument("--config", required=True)
-    p.add_argument("--q", default="1,2,4")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--mc-reps", type=int, default=0)
-    p.add_argument("--seed", type=_seed_flag, default=0)
+    p.add_argument("--q", type=_flag("q"), default="1,2,4")
+    p.add_argument("--eta", type=_flag("eta"), required=True)
+    p.add_argument("--mc-reps", type=_flag("mc reps"), default=0)
+    p.add_argument("--seed", type=_flag("seed"), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_lq)
 
     p = sub.add_parser("fit", help="fit one ridge(less) estimate and summarize")
     p.add_argument("--data", required=True)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--eta", type=_flag("eta"), required=True)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("tune", help="select eta by GCV or k-fold CV")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("gcv", "cv"), required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--seed", type=_seed_flag, default=0)
+    p.add_argument("--k", type=_flag("k"), default=5)
+    p.add_argument("--grid", type=_flag("eta grid"), required=True)
+    p.add_argument("--seed", type=_flag("seed"), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_tune)
 
     p = sub.add_parser("ci", help="debiased confidence intervals")
     p.add_argument("--data", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--eta", type=_flag("eta"), required=True)
+    p.add_argument("--alpha", type=_flag("alpha"), default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_ci)
 
@@ -513,7 +520,7 @@ def _build_parser() -> _Parser:
         sp = sim_sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out-dir", required=True)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=_flag("threads"), default=None)
         sp.set_defaults(handler=handler)
 
     return parser

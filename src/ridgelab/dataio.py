@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from dataclasses import MISSING
 from typing import Iterable, Sequence
@@ -17,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._version import __version__
-from .errors import InputError, UsageError, as_cast, coerce, dimension, integer, read_object, reals
+from .errors import InputError, UsageError, as_cast, check_size, choice, dimension, integer
+from .errors import read_object, reals
 from .regress import Dataset
 from .spectrum import SignalVector, model_from_json
 
@@ -30,15 +32,13 @@ def parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"grid spec must look like a:b:count, got {spec!r}")
     try:
         a, b = float(parts[0]), float(parts[1])
-        count = dimension(int(parts[2]))
-    except ValueError as exc:
+        count = check_size(dimension(int(parts[2])), "grid count")
+    except (ValueError, InputError) as exc:
         raise UsageError(f"malformed grid spec {spec!r}: {exc}") from exc
     if not (np.isfinite(a) and np.isfinite(b)):
         raise UsageError(f"grid endpoints must be finite, got {spec!r}")
     if a > b:
         raise UsageError(f"grid start {a} exceeds end {b}")
-    if count < 1:
-        raise UsageError(f"grid count must be >= 1, got {count}")
     if count == 1:
         if a != b:
             raise UsageError("a single-point grid requires a == b")
@@ -122,17 +122,15 @@ def _float64_payload(data) -> np.ndarray:
     return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
 
 
+# array payload key -> (cast, default); encode_array writes exactly these keys
+_PAYLOAD_KEYS = {"dtype": (choice("float64"), MISSING), "order": (choice("F"), MISSING),
+                 "shape": (_shape, MISSING), "data": (_float64_payload, MISSING)}
+
+
 def decode_array(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise InputError("array payload must be a JSON object")
-    missing = {"dtype", "order", "shape", "data"} - set(obj)
-    if missing:
-        raise InputError(f"array payload missing keys {sorted(missing)}")
-    if obj["dtype"] != "float64" or obj["order"] != "F":
-        raise InputError("array payload must be column-major float64")
-    shape = coerce(_shape, obj["shape"], "array shape")
-    flat = coerce(_float64_payload, obj["data"], "array data")
-    expected = int(np.prod(shape)) if shape else 1
+    fields = read_object(obj, _PAYLOAD_KEYS, "array payload", nested=True)
+    shape, flat = fields["shape"], fields["data"]
+    expected = math.prod(shape)  # a Python int, which cannot wrap as np.prod's int64 does
     if flat.size != expected:
         raise InputError(
             f"array payload has {flat.size} values, shape {shape} needs {expected}"

@@ -8,11 +8,12 @@ ValueError or TypeError. The casts, which never convert a value of another
 JSON type, are `real` and `reals` for numbers and lists of them, `integer`,
 `dimension` and `seed` for integers, sizes and seeds, `boolean`, `choice`
 for a string from a fixed set, and `as_cast` of a parser. Every band of a
-real input lives here, and the types that own a field apply its band
-through `check_eta`, `check_eta_grid`, `check_spectrum`, `check_scale` or
-`check_phi`, which raise InputError.
+real input lives here. The types, functions and flags that own a value
+apply its band through one `check_*` helper each, which raises InputError
+and refuses NaN.
 """
 
+import math
 import numbers
 from dataclasses import MISSING
 
@@ -38,6 +39,12 @@ SPECTRUM_RANGE = ETA_RANGE
 SCALE_RANGE = (0.0, 1e60)
 # Band of an aspect ratio phi = m/n, a ratio of two sizes in [1, MAX_DIM].
 PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
+# Open band of a level alpha: intervals are taken at level 1 - alpha.
+ALPHA_RANGE = (0.0, 1.0)
+# Open band of an l_q exponent q, an implicit regularization tau and a tolerance.
+POSITIVE_RANGE = (0.0, math.inf)
+# Band of a Monte Carlo rep count, whose per-rep buffer is a size like any other.
+MC_REPS_RANGE = (100, MAX_DIM)
 
 
 class RidgelabError(Exception):
@@ -214,11 +221,16 @@ def read_object(obj, table: dict, what: str, nested: bool = False) -> dict:
     return fields
 
 
-def check_range(value: float, name: str, lo: float, hi: float, zero: bool = False) -> float:
-    """value when lo <= value <= hi, or value == 0 with zero set."""
-    if not (lo <= value <= hi or (zero and value == 0.0)):
+def check_range(value: float, name: str, lo: float, hi: float, zero=False, ends="[]") -> float:
+    """value when it lies between lo and hi, or value == 0 with zero set;
+    ends holds the brackets, "(" or ")" leaving that end out. NaN lies in none."""
+    above = lo <= value if ends[0] == "[" else lo < value
+    below = value <= hi if ends[1] == "]" else value < hi
+    if not (above and below or (zero and value == 0.0)):
         zero_or = "be 0 or " if zero else ""
-        raise InputError(f"{name} must {zero_or}lie in [{lo:g}, {hi:g}], got {value!r}")
+        raise InputError(
+            f"{name} must {zero_or}lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}"
+        )
     return value
 
 
@@ -248,6 +260,26 @@ def check_scale(value: float, name: str) -> float:
 def check_phi(value: float, name: str) -> float:
     """value when it lies in PHI_RANGE."""
     return check_range(value, name, *PHI_RANGE)
+
+
+def check_alpha(alpha: float, name: str = "alpha") -> float:
+    """alpha when it lies in ALPHA_RANGE."""
+    return check_range(alpha, name, *ALPHA_RANGE, ends="()")
+
+
+def check_positive(value: float, name: str, zero: bool = False) -> float:
+    """value when it lies in POSITIVE_RANGE (or is 0, with zero set)."""
+    return check_range(value, name, *POSITIVE_RANGE, zero=zero, ends="()")
+
+
+def check_mc_reps(reps: int, name: str = "reps", zero: bool = False) -> int:
+    """reps when it lies in MC_REPS_RANGE (or is 0, with zero set)."""
+    return check_range(reps, name, *MC_REPS_RANGE, zero=zero)
+
+
+def check_size(size: int, name: str, least: int = 1) -> int:
+    """size when it is at least least, and finite: a count of dimensions, samples or folds."""
+    return check_range(size, name, least, math.inf, ends="[)")
 
 
 def check_eta_grid(grid, name: str = "eta grid") -> np.ndarray:

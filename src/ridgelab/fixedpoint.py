@@ -41,15 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    InputError,
-    NonConvergence,
-    NoSolution,
-    check_eta,
-    check_phi,
-    check_scale,
-)
+from .errors import DegenerateDenominator, InputError, NonConvergence, NoSolution
+from .errors import check_eta, check_phi, check_positive, check_scale
 from .spectrum import (
     CovarianceModel,
     FixedPointSums,
@@ -123,8 +116,7 @@ def expected_err(model: CovarianceModel, mu0, gamma_sq: float, tau: float) -> fl
 
     tau^2 ||(Sigma+tau I)^{-1} Sigma^{1/2} mu0||^2 + gamma^2 T_{-2,2}(tau).
     """
-    if tau <= 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    check_positive(tau, "tau")
     signal = quad_form(model, mu0, tau, 1, 1)
     return bias_variance(gamma_sq, tau, signal, trace_functional(model, tau, 2, 2))
 
@@ -140,8 +132,7 @@ def bias_variance(gamma_sq: float, tau: float, signal: float, trace: float) -> f
 
 def expected_dof(model: CovarianceModel, gamma_sq: float, tau: float) -> float:
     """gamma^2 T_{-1,1}(tau), the effective degrees-of-freedom functional."""
-    if tau <= 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    check_positive(tau, "tau")
     return gamma_sq * trace_functional(model, tau, 1, 1)
 
 
@@ -218,8 +209,7 @@ def solve_tau(
     starts from 1/hi as without one: a hint changes the number of passes,
     never the root beyond rounding.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"tol must be a positive finite real, got {tol}")
+    check_positive(tol, "tol")
     lo, hi = tau_bounds(config)
     u, f, slope = 1.0 / hi, math.inf, 0.0
     if start is not None:
@@ -290,8 +280,7 @@ def stieltjes_at(
 
     m = 1/tau, m' = phi tau'/tau^2, m'' = -phi^2 (tau'' tau - 2 tau'^2)/tau^3.
     """
-    if tau_star <= 0:
-        raise InputError(f"tau_star must be positive, got {tau_star}")
+    check_positive(tau_star, "tau_star")
     m_val = 1.0 / tau_star
     m_prime = phi * tau_prime / (tau_star * tau_star)
     m_second = (

@@ -21,15 +21,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    IllConditioned,
-    InputError,
-    MissingGroundTruth,
-    WrongRegime,
-    check_eta,
-    check_eta_grid,
-    check_scale,
-)
+from .errors import IllConditioned, InputError, MissingGroundTruth, WrongRegime
+from .errors import check_alpha, check_eta, check_eta_grid, check_positive, check_scale
 from .riskengine import RiskKind
 from .spectrum import CovarianceModel, SignalVector, sigma_quad
 from .stats import z_two_sided
@@ -444,8 +437,7 @@ def kfold_select(data: Dataset, grid, k: int, seed) -> TuningResult:
 
 def debias(mu_hat: np.ndarray, tau: float, model: CovarianceModel) -> np.ndarray:
     """(Sigma + tau I) Sigma^{-1} mu_hat; tau may be tau_star or tau_hat."""
-    if tau <= 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    check_positive(tau, "tau")
     return model.apply(lambda lam: (lam + tau) / lam, mu_hat)
 
 
@@ -457,9 +449,8 @@ def confidence_intervals(
     mu0: SignalVector | None = None,
 ) -> CIReport:
     """Coordinatewise intervals mu^dR_j +- gamma (Sigma^{-1})_{jj}^{1/2} z_{alpha/2}/sqrt(n)."""
-    if not 0 < alpha < 1:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    if gamma_val < 0:
+    check_alpha(alpha)
+    if not gamma_val >= 0:
         raise InputError(f"gamma must be nonnegative, got {gamma_val}")
     n = model.n
     if mu_debiased.shape != (n,):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SCALE_RANGE, InputError, NumericalError, check_all, coerce
+from .errors import SCALE_RANGE, InputError, NumericalError, check_all, check_positive, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, eigenvalues
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -167,7 +167,7 @@ def optimal_eta(sigma_sq: float, mu_norm_sq: float) -> float:
     Zero when sigma_sq = 0 (interpolation is optimal), infinite when the
     signal vanishes but noise does not.
     """
-    if sigma_sq < 0 or mu_norm_sq < 0:
+    if not (sigma_sq >= 0 and mu_norm_sq >= 0):
         raise InputError("sigma_sq and mu_norm_sq must be nonnegative")
     if sigma_sq == 0 and mu_norm_sq == 0:
         from .errors import BothZero
@@ -188,7 +188,7 @@ def opt_risks(
     OPT^pred = phi tau/eta - 1, OPT^est = (1-phi)/eta + 1/tau,
     OPT^ins = phi - eta/tau, all at eta = eta_star.
     """
-    if eta_star <= 0:
+    if not eta_star > 0:
         raise InputError("opt_risks requires eta_star > 0")
     pred = phi * tau_at_eta_star / eta_star - 1.0
     est = (1.0 - phi) / eta_star + 1.0 / tau_at_eta_star
@@ -212,9 +212,7 @@ def gaussian_abs_moment(q: float) -> float:
     Evaluated in log space so large q does not overflow, and below _SMALL_Q
     from the series in q, which tends to sqrt(2) exp(psi(1/2) / 2) = 0.5298394...
     """
-    if q <= 0:
-        raise InputError(f"q must be positive, got {q}")
-    if q < _SMALL_Q:
+    if check_positive(q, "q") < _SMALL_Q:
         log_ratio = sum(c * q**k for k, c in enumerate(_LOG_M_SERIES))
     else:
         log_ratio = (math.lgamma((q + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / q
@@ -233,9 +231,7 @@ def check_lq_weight(a, n: int) -> np.ndarray | None:
         raise InputError(f"dense weight path limited to n <= {_DENSE_A_GUARD}, got {n}")
     if a.shape not in ((n,), (n, n)):
         raise InputError(f"weight must have shape ({n},) or ({n}, {n}), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise InputError("weight entries must be finite")
-    with np.errstate(over="ignore"):  # an overflowed square is an inf the band refuses
+    with np.errstate(over="ignore"):  # an overflowed square, or inf, is refused by the band
         check_all(a * a, "squared weight entries", *SCALE_RANGE)
     if a.ndim == 1 and np.any(a < 0):
         raise InputError("eigenbasis weights must be nonnegative")
@@ -288,10 +284,9 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
     Gamma_jj: every power is then at most 1, so a large q cannot overflow
     the sum while the risk itself is finite.
     """
-    if q <= 0:
-        raise InputError(f"q must be positive, got {q}")
+    check_positive(q, "q")
     diag_gamma = np.asarray(diag_gamma, dtype=float)
-    if np.any(diag_gamma < 0):
+    if not np.all(diag_gamma >= 0):
         raise InputError("diag(Gamma) entries must be nonnegative")
     g = float(diag_gamma.max(initial=0.0))
     if g == 0.0:

@@ -24,8 +24,9 @@ import numpy as np
 
 from .dataio import eta_grid
 from .errors import PHI_RANGE, IllConditioned, InputError, NonConvergence, WrongRegime
-from .errors import boolean, check_all, check_eta, check_eta_grid, check_scale, choice
-from .errors import dimension, read_object, real, reals, seed
+from .errors import boolean, check_alpha, check_all, check_eta, check_eta_grid, check_mc_reps
+from .errors import check_positive, check_scale, check_size, choice, dimension, read_object
+from .errors import real, reals, seed
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -134,8 +135,7 @@ class ExperimentConfig:
         # a config built directly is cast as from_json casts one
         for name, value in _fields(self.to_json()).items():
             object.__setattr__(self, name, value)
-        if self.m < 1:
-            raise InputError(f"m must be >= 1, got {self.m}")
+        check_size(self.m, "'m'")
         if (self.n is None) == (self.phi_grid is None):
             raise InputError("exactly one of n and phi_grid must be given")
         if not self.signal_radius > 0:
@@ -143,12 +143,11 @@ class ExperimentConfig:
         check_scale(self.signal_norm_sq, "squared norm of 'signal'")
         check_scale(self.sigma_sq, "'sigma_sq'")
         check_eta(self.eta_star, "eta* = sigma_sq / radius^2")
-        if self.reps < 1:
-            raise InputError("reps must be >= 1")
-        if self.argmin_reps is not None and self.argmin_reps < 1:
-            raise InputError("argmin_reps must be >= 1")
-        if not 0 < self.alpha < 1:
-            raise InputError("alpha must lie in (0, 1)")
+        check_size(self.reps, "'reps'")
+        if self.argmin_reps is not None:
+            check_size(self.argmin_reps, "'argmin_reps'")
+        check_size(self.k, "'k'", least=2)
+        check_alpha(self.alpha, "'alpha'")
         etas = check_eta_grid(self.etas, "'eta_grid'")
         object.__setattr__(self, "etas", tuple(etas.tolist()))
         if self.n is not None and etas[0] == 0 and self.n <= self.m:
@@ -287,8 +286,7 @@ def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
     """
     if mode not in SIGNAL_MODES:
         raise InputError(f"signal mode must be one of {SIGNAL_MODES}")
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
+    check_size(n, "dimension")
     if not radius >= 0:
         raise InputError(f"signal radius must be nonnegative, got {radius!r}")
     rng = _as_rng(seed, "signal")
@@ -320,7 +318,7 @@ def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np
 def sample_noise(dist: str, m: int, sigma_sq: float, seed) -> np.ndarray:
     """sigma * xi0 with unit-variance xi0; exactly zero (no draws) at sigma_sq = 0."""
     draw = _unit_sampler(dist, "noise")
-    if sigma_sq < 0:
+    if not sigma_sq >= 0:
         raise InputError("sigma_sq must be nonnegative")
     if sigma_sq == 0:
         return np.zeros(m)
@@ -335,8 +333,7 @@ def seq_model_sample(
     y = Sigma^{1/2} mu0 + gamma g / sqrt(n),
     mu_hat = (Sigma + tau I)^{-1} Sigma^{1/2} y. No draw happens at gamma = 0.
     """
-    if tau <= 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    check_positive(tau, "tau")
     y = model.apply(np.sqrt, mu0.coords)
     if gamma != 0:
         rng = _as_rng(seed, "seq")
@@ -400,10 +397,8 @@ def seq_model_lq_mc(
     check_lq_weight. Each norm is summed scaled by g = max_j |d_j|, as in
     lq_risk, so a large q cannot underflow.
     """
-    if reps < 100:
-        raise InputError(f"need at least 100 replications, got {reps}")
-    if q <= 0:
-        raise InputError(f"q must be positive, got {q}")
+    check_mc_reps(reps)
+    check_positive(q, "q")
     a = check_lq_weight(a, model.n)
     vals = np.empty(reps)
     for rep in range(reps):
@@ -415,7 +410,7 @@ def seq_model_lq_mc(
         except OverflowError:  # a tiny q takes the norm, and the mean, past the float range
             return math.inf, math.inf
     mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(reps))
     return mean, stderr
 
 
@@ -759,8 +754,7 @@ def distributional_check(
                          f"built-ins are {sorted(_STAT_BUILDERS)}")
     if data_side not in ("data", "seq"):
         raise InputError("data_side must be 'data' or 'seq'")
-    if seq_reps < 2:
-        raise InputError("seq_reps must be >= 2")
+    check_size(seq_reps, "seq_reps", least=2)
     names = tuple(test_fns)
     base = _shared_problem(config, model, ctx)
     mu0 = base.mu0

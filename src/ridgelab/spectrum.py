@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import SPECTRUM_RANGE, InputError, check_all, check_spectrum, choice, coerce
-from .errors import dimension, read_object, real, reals
+from .errors import check_positive, check_size, dimension, read_object, real, reals
 
 _DENSE_GUARD = 20000
 
@@ -97,8 +97,7 @@ class Isotropic(_SpectralSums):
 
     def __post_init__(self):
         check_spectrum(self.scale, "'scale' of isotropic model")
-        if self.n < 1:
-            raise InputError(f"dimension must be >= 1, got {self.n}")
+        check_size(self.n, f"'n' of {self.kind} model")
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eigenvalues and their multiplicities."""
@@ -148,8 +147,7 @@ class SpikedUniform(_SpectralSums):
         check_spectrum(self.b, "'b' of spiked_uniform model", zero=True)
         if self.b == 0:
             raise InputError("b must be positive (use spiked_uniform() for b == 0)")
-        if self.n < 1:
-            raise InputError(f"dimension must be >= 1, got {self.n}")
+        check_size(self.n, f"'n' of {self.kind} model")
 
     @property
     def top(self) -> float:
@@ -168,11 +166,15 @@ class SpikedUniform(_SpectralSums):
         # rounding can push the bulk mass a hair below zero
         return np.array([spike, max(total - spike, 0.0)])
 
+    def _spiked(self, top: float, rest: float, b: np.ndarray) -> np.ndarray:
+        """rest * b + (top - rest) * ones ones^T b / n. A vector's ones part is
+        a broadcast scalar; a matrix's is built in full, so that the sum keeps
+        the memory layout that the BLAS products of the result round by."""
+        part = (top - rest) * (b.sum(axis=0) / self.n)
+        return rest * b + (part if b.ndim == 1 else np.multiply.outer(np.ones(self.n), part))
+
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
-        fa = float(fn(np.array(self.a)))
-        ftop = float(fn(np.array(self.top)))
-        ones_component = b.sum(axis=0) / self.n
-        return fa * b + (ftop - fa) * np.multiply.outer(np.ones(self.n), ones_component)
+        return self._spiked(float(fn(np.array(self.top))), float(fn(np.array(self.a))), b)
 
     def diag_fn(self, fn) -> np.ndarray:
         fa = float(fn(np.array(self.a)))
@@ -197,11 +199,7 @@ class SpikedUniform(_SpectralSums):
         return top, rest
 
     def eigen_apply(self, vals: np.ndarray, b: np.ndarray) -> np.ndarray:
-        top, rest = self._split_block(vals)
-        ones_component = b.sum(axis=0) / self.n
-        return rest * b + (top - rest) * np.multiply.outer(
-            np.ones(self.n), ones_component
-        )
+        return self._spiked(*self._split_block(vals), b)
 
     def eigen_diag(self, vals: np.ndarray) -> np.ndarray:
         top, rest = self._split_block(vals)
@@ -426,8 +424,7 @@ def _power_sum(weights, lam: np.ndarray, tau: float, p: int, q: int) -> float:
 def trace_functional(model: CovarianceModel, tau: float, p: int, q: int) -> float:
     """T_{-p,q}(tau) = n^{-1} tr((Sigma + tau I)^{-p} Sigma^q)."""
     _validate_pq(p, q)
-    if tau < 0:
-        raise InputError(f"tau must be nonnegative, got {tau}")
+    check_positive(tau, "tau", zero=True)
     lam, counts = model.pairs()
     return _power_sum(counts, lam, tau, p, q) / model.n
 
@@ -440,8 +437,7 @@ def harmonic_mean(model: CovarianceModel) -> float:
 def quad_form(model: CovarianceModel, mu0, tau: float, p: int, q: int) -> float:
     """||(Sigma + tau I)^{-p} Sigma^{q/2} mu0||^2 via eigen-coordinates."""
     _validate_pq(p, q)
-    if tau < 0:
-        raise InputError(f"tau must be nonnegative, got {tau}")
+    check_positive(tau, "tau", zero=True)
     if not isinstance(mu0, SignalVector):
         mu0 = SignalVector(mu0)
     lam, _ = model.pairs()

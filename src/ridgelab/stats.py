@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import InputError
+from .errors import check_alpha
 
 _SQRT2 = math.sqrt(2.0)
 _U_EPS = 2.0**-53
@@ -40,16 +40,12 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF."""
-    if not 0.0 < p < 1.0:
-        raise InputError(f"quantile level must lie in (0, 1), got {p}")
-    return float(special.ndtri(p))
+    return float(special.ndtri(check_alpha(p, "quantile level")))
 
 
 def z_two_sided(alpha: float) -> float:
     """z_{alpha/2}: half-width multiplier of a two-sided level-(1-alpha) CI."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    return normal_quantile(1.0 - 0.5 * alpha)
+    return normal_quantile(1.0 - 0.5 * check_alpha(alpha))
 
 
 def scaled_t10(rng: np.random.Generator, shape) -> np.ndarray:

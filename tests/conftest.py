@@ -1,5 +1,8 @@
 """Shared builders for analytic test configurations."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,18 @@ def random_problem(rng: np.random.Generator, n: int = 40) -> ProblemConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Import libcst, with its DeprecationWarning silenced, before a failed
+    test is reported. hypothesis's report hook imports it to write the
+    failing example, and under a test's filterwarnings("error") mark that
+    warning used to end the whole session with INTERNALERROR."""
+    if call.excinfo is not None and "libcst" not in sys.modules:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import libcst  # noqa: F401
+            except ImportError:  # hypothesis then writes no patch
+                pass

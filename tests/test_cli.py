@@ -251,7 +251,9 @@ def test_fpe_tol(tmp_path, capsys):
         assert b[1] == pytest.approx(a[1], rel=1e-10)
     for bad in ("-1", "0", "nan", "inf"):
         assert run(base + ["--tol", bad, "--out", str(tmp_path / "x.csv")]) == 1
-        assert "tol must be a positive finite real" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"usage error: argument --tol: tol must lie in (0, inf), got {float(bad)!r}\n"
+        )
 
 
 def test_fpe_grid_from_config(tmp_path):
@@ -324,12 +326,19 @@ def test_risk_requires_an_ascending_grid(tmp_path, capsys):
 def test_eta_grid_order_is_checked_before_any_solve(
     tmp_path, capsys, command, overrides, grid_flag
 ):
+    if grid_flag:  # refused when the command line is parsed
+        message = ("usage error: argument --eta-grid: eta grid must be strictly ascending; "
+                   "eta grid has 1.0 after 1.0\n")
+    else:
+        a, b = overrides["eta_grid"]
+        message = (f"input error: eta grid must be strictly ascending; 'eta_grid' has {b!r} "
+                   f"after {a!r}\n")
     config = write_problem(tmp_path, **overrides)
     out = tmp_path / "never.csv"
     with mock.patch.object(riskengine, "solve_effective", side_effect=AssertionError("solved")):
         code = run([command, "--config", str(config), *grid_flag, "--out", str(out)])
     assert code == 1
-    assert "input error: eta grid must be strictly ascending" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 
@@ -351,9 +360,10 @@ def test_risk_refuses_an_empty_or_repeated_kind_list(tmp_path, capsys, kinds):
     with mock.patch.object(cli, "risk_curves", side_effect=AssertionError("solved")):
         code = run(["risk", "--config", str(config), "--kinds", kinds, "--out", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "usage error" in err
-    assert ("at least one risk kind" if "pred" not in kinds else "repeated risk kinds") in err
+    assert capsys.readouterr().err == (
+        "usage error: argument --kinds: expected at least one risk kind and none twice, "
+        f"got {kinds!r}\n"
+    )
     assert not out.exists()
 
 
@@ -458,6 +468,21 @@ def test_non_finite_dataset_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shape", [[4294967296, 4294967296], [2097152, 2097152, 4194304]])
+def test_array_payload_size_is_counted_without_wrapping(tmp_path, capsys, shape):
+    data_path, _ = write_dataset(tmp_path)
+    obj = json.loads(data_path.read_text())
+    obj["x"].update(shape=shape, data="")
+    data_path.write_text(json.dumps(obj))
+    assert run(["fit", "--data", str(data_path), "--eta", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"input error: malformed 'x': array payload has 0 values, shape {tuple(shape)} "
+        f"needs {2**64}\n"
+    )
+    assert captured.out == ""
+
+
 def test_malformed_array_payload_is_an_input_error(tmp_path, capsys):
     data_path, _ = write_dataset(tmp_path)
     obj = json.loads(data_path.read_text())
@@ -467,30 +492,45 @@ def test_malformed_array_payload_is_an_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+ETA_BAND = "must be 0 or lie in [1e-60, 1e+60], got"
+
+
+# the ids are the message fragments these cases matched while the flags were
+# checked by the commands, kept so that the cases keep their names
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["tune", "--method", "gcv", "--grid", "0:1e308:3"], "--grid must be 0 or lie in"),
-        (["tune", "--method", "cv", "--grid", "0.5:1e61:2"], "--grid must be 0 or lie in"),
-        (["tune", "--method", "gcv", "--grid", "1:1:3"], "eta grid must be strictly ascending"),
-        (["fit", "--eta", "1e308"], "--eta must be 0 or lie in"),
-        (["fit", "--eta", "inf"], "--eta must be 0 or lie in"),
-        (["fit", "--eta", "nan"], "--eta must be 0 or lie in"),
-        (["fit", "--eta", "1e-61"], "--eta must be 0 or lie in"),
-        (["fit", "--eta", "-0.5"], "--eta must be 0 or lie in"),
-        (["ci", "--eta", "1e300"], "--eta must be 0 or lie in"),
+        pytest.param(["tune", "--method", "gcv", "--grid", "0:1e308:3"],
+                     f"--grid: eta grid {ETA_BAND} 5e+307", id="argv0---grid must be 0 or lie in"),
+        pytest.param(["tune", "--method", "cv", "--grid", "0.5:1e61:2"],
+                     f"--grid: eta grid {ETA_BAND} 1e+61", id="argv1---grid must be 0 or lie in"),
+        pytest.param(["tune", "--method", "gcv", "--grid", "1:1:3"],
+                     "--grid: eta grid must be strictly ascending; eta grid has 1.0 after 1.0",
+                     id="argv2-eta grid must be strictly ascending"),
+        pytest.param(["fit", "--eta", "1e308"], f"--eta: eta {ETA_BAND} 1e+308",
+                     id="argv3---eta must be 0 or lie in"),
+        pytest.param(["fit", "--eta", "inf"], f"--eta: eta {ETA_BAND} inf",
+                     id="argv4---eta must be 0 or lie in"),
+        pytest.param(["fit", "--eta", "nan"], f"--eta: eta {ETA_BAND} nan",
+                     id="argv5---eta must be 0 or lie in"),
+        pytest.param(["fit", "--eta", "1e-61"], f"--eta: eta {ETA_BAND} 1e-61",
+                     id="argv6---eta must be 0 or lie in"),
+        pytest.param(["fit", "--eta", "-0.5"], f"--eta: eta {ETA_BAND} -0.5",
+                     id="argv7---eta must be 0 or lie in"),
+        pytest.param(["ci", "--eta", "1e300"], f"--eta: eta {ETA_BAND} 1e+300",
+                     id="argv8---eta must be 0 or lie in"),
     ],
 )
 def test_data_command_eta_out_of_band_is_an_input_error(tmp_path, capsys, argv, message):
-    # each of these used to exit 0 with an inf, nan or zero-width answer
+    # each of these used to exit 0 with an inf, nan or zero-width answer; the
+    # flag is refused when the command line is parsed
     data_path, _ = write_dataset(tmp_path)
     out = tmp_path / "never.csv"
     extra = [] if argv[0] == "fit" else ["--out", str(out)]
     assert run([argv[0], "--data", str(data_path), *argv[1:], *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("input error: ")
-    assert message in captured.err
+    assert captured.err == f"usage error: argument {message}\n"
     assert not out.exists()
 
 
@@ -806,7 +846,8 @@ def test_theory_csvs_do_not_move_with_the_blas_thread_count(tmp_path):
         (
             {"model": {"kind": "explicit", "eigenvalues": {**encode_array(np.ones(2)),
                                                            "data": "!!"}}},
-            "input error: malformed 'eigenvalues' of explicit model: malformed array data",
+            "input error: malformed 'eigenvalues' of explicit model: malformed 'data' of "
+            "array payload: Only base64 data is allowed",
         ),
         (
             {"model": {"kind": "explicit", "eigenvalues": [1.0] * 16},
@@ -939,7 +980,8 @@ def test_lq_q_must_be_a_positive_finite_real(tmp_path, capsys, q):
             "--q", q, "--out", str(out)]
     with mock.patch.object(cli, "solve_effective", side_effect=AssertionError("solved")):
         assert run(argv) == 1
-    assert "input error: --q values must be positive finite reals" in capsys.readouterr().err
+    got = float(q.split(",")[-1])
+    assert capsys.readouterr().err == f"usage error: argument --q: q must lie in (0, inf), got {got!r}\n"
     assert not out.exists()
 
 
@@ -1247,6 +1289,72 @@ def test_negative_seed_is_a_typed_error(tmp_path, capsys, entry):
     assert not (tmp_path / "out").exists()
 
 
+# command, flags with one bad value, and the usage error that refuses it;
+# every input path names a file that does not exist
+BAD_FLAGS = {
+    "fit --eta": (["fit", "--eta", "nan"], f"argument --eta: eta {ETA_BAND} nan"),
+    "ci --eta": (["ci", "--eta", "-1"], f"argument --eta: eta {ETA_BAND} -1.0"),
+    "lq --eta": (["lq", "--eta", "1e61"], f"argument --eta: eta {ETA_BAND} 1e+61"),
+    "fpe --eta-grid": (["fpe", "--eta-grid", "0:-1:3"],
+                       "argument --eta-grid: grid start 0.0 exceeds end -1.0"),
+    "risk --eta-grid": (["risk", "--eta-grid", "1e-61:1:3"],
+                        f"argument --eta-grid: eta grid {ETA_BAND} 1e-61"),
+    "tune --grid": (["tune", "--method", "gcv", "--grid", "0:1:x"],
+                    "argument --grid: malformed grid spec '0:1:x': invalid literal for int() "
+                    "with base 10: 'x'"),
+    "fpe --tol": (["fpe", "--tol", "0"], "argument --tol: tol must lie in (0, inf), got 0.0"),
+    "ci --alpha": (["ci", "--eta", "0.5", "--alpha", "1.5"],
+                   "argument --alpha: alpha must lie in (0, 1), got 1.5"),
+    "lq --q": (["lq", "--eta", "0.5", "--q", "0.5,-2"],
+               "argument --q: q must lie in (0, inf), got -2.0"),
+    "risk --kinds": (["risk", "--kinds", "pred,mse"],
+                     "argument --kinds: expected one of ('pred', 'est', 'ins', 'res'), got 'mse'"),
+    "lq --mc-reps 50": (["lq", "--eta", "0.5", "--mc-reps", "50"],
+                        "argument --mc-reps: reps must be 0 or lie in [100, 1e+08], got 50"),
+    "lq --mc-reps 1e11": (["lq", "--eta", "0.5", "--mc-reps", "99999999999"],
+                          "argument --mc-reps: reps must be 0 or lie in [100, 1e+08], "
+                          "got 99999999999"),
+    "tune --k": (["tune", "--method", "cv", "--grid", "0:1:3", "--k", "1"],
+                 "argument --k: k must lie in [2, inf), got 1"),
+    "tune --seed": (["tune", "--method", "cv", "--grid", "0:1:3", "--seed", "-1"],
+                    "argument --seed: expected a non-negative integer, got -1"),
+    "lq --seed": (["lq", "--eta", "0.5", "--seed", "x"],
+                  "argument --seed: invalid literal for int() with base 10: 'x'"),
+    "sim --threads": (["sim", "fig1", "--threads", "1000000000"],
+                      "argument --threads: expected at most 1e+08, got 1000000000"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FLAGS)
+def test_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, case):
+    # the missing input file would be a usage error of its own, so the flag's
+    # message shows that the flag was refused when the command line was parsed
+    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
+    argv, message = BAD_FLAGS[case]
+    out = tmp_path / "out"
+    nowhere = str(tmp_path / "nowhere.json")
+    source = ["--data", nowhere] if argv[0] in ("fit", "ci", "tune") else ["--config", nowhere]
+    target = {"fit": [], "sim": ["--out-dir", str(out)]}.get(argv[0], ["--out", str(out / "o.csv")])
+    assert run([*argv, *source, *target]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["fig1", "fig2"])
+def test_bad_thread_variable_is_refused_before_the_config_is_read(
+    tmp_path, capsys, monkeypatch, experiment
+):
+    monkeypatch.setenv("RIDGELAB_THREADS", "many")
+    out = tmp_path / "out"
+    argv = ["sim", experiment, "--config", str(tmp_path / "nowhere.json"), "--out-dir", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "usage error: malformed RIDGELAB_THREADS: invalid literal for int() with base 10: 'many'\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["problem", "sim", "--eta-grid", "--grid"])
 def test_grid_count_is_bounded_before_allocation(tmp_path, capsys, entry):
     # 10^12 points used to end in numpy's MemoryError; the count is refused
@@ -1266,7 +1374,7 @@ def test_grid_count_is_bounded_before_allocation(tmp_path, capsys, entry):
     assert run(argv) == 1
     refused = f"malformed grid spec {spec!r}: expected at most 1e+08, got 1000000000000\n"
     in_config = entry in ("problem", "sim")
-    prefix = "input error: malformed 'eta_grid': " if in_config else "usage error: "
+    prefix = "input error: malformed 'eta_grid': " if in_config else f"usage error: argument {entry}: "
     assert capsys.readouterr().err == prefix + refused
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 """Grid parsing, CSV round trips, array and dataset serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,26 @@ def test_decode_array_rejects_bad_payloads():
         with pytest.raises(InputError):
             decode_array({**obj, **bad})
     assert decode_array({**obj, "shape": [4.0, 8]}).shape == (4, 8)
+
+
+@pytest.mark.parametrize("shape", [[4294967296, 4294967296], [2097152, 2097152, 4194304]])
+def test_decode_array_refuses_a_shape_whose_size_wraps_int64(shape):
+    # each shape has 2^64 entries, which np.prod wrapped to 0 in int64, so an
+    # empty payload passed the size check and numpy's reshape raised
+    message = f"array payload has 0 values, shape {tuple(shape)} needs {2**64}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        decode_array({**encode_array(np.ones(0)), "shape": shape, "data": ""})
+
+
+def test_array_payload_has_exactly_the_encoded_keys():
+    obj = encode_array(np.ones(3))
+    assert list(obj) == ["dtype", "order", "shape", "data"]
+    with pytest.raises(InputError, match=re.escape("unknown array payload keys: ['extra']")):
+        decode_array({**obj, "extra": 1})
+    with pytest.raises(InputError, match=re.escape("array payload is missing 'order'")):
+        decode_array({key: obj[key] for key in ("dtype", "shape", "data")})
+    with pytest.raises(InputError, match=re.escape("malformed 'dtype' of array payload")):
+        decode_array({**obj, "dtype": "float32"})
 
 
 def test_dataset_json_round_trip(rng):
