@@ -24,6 +24,7 @@ import scipy.linalg
 from .errors import IllConditioned, InputError, MissingGroundTruth, WrongRegime
 from .errors import check_alpha, check_eta, check_eta_grid, check_positive, check_scale
 from .riskengine import RiskKind
+from .rng import as_rng
 from .spectrum import CovarianceModel, SignalVector, sigma_quad
 from .stats import z_two_sided
 
@@ -420,13 +421,7 @@ def _kfold_refit(data: Dataset, etas: np.ndarray, folds: list[np.ndarray]) -> np
 
 def kfold_select(data: Dataset, grid, k: int, seed) -> TuningResult:
     """k-fold cross-validation; seed may be an int or a Generator."""
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        from .rng import stream
-
-        rng = stream(int(seed), 0, "fold")
-    folds = kfold_folds(data.m, k, rng)
+    folds = kfold_folds(data.m, k, as_rng(seed, "fold"))
     etas = check_eta_grid(grid)
     objective = kfold_objective(data, etas, folds)
     idx = int(np.argmin(objective))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SCALE_RANGE, InputError, NumericalError, check_all, check_positive, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
-from .spectrum import CovarianceModel, eigenvalues
+from .spectrum import CovarianceModel, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
 from .spectrum import quad_form, trace_functional  # noqa: F401
 
@@ -219,13 +219,17 @@ def gaussian_abs_moment(q: float) -> float:
     return math.exp(0.5 * math.log(2.0) + log_ratio)
 
 
-def check_lq_weight(a, n: int) -> np.ndarray | None:
-    """a as a float array when it is an l_q weight in dimension n: None for
-    A = I, n finite nonnegative weights applied in the covariance eigenbasis
+def check_lq_weight(a, model: CovarianceModel) -> np.ndarray | None:
+    """a as a float array when it is an l_q weight for model: None for A = I,
+    n finite nonnegative weights applied in the covariance eigenbasis
     (descending eigenvalue order), or a finite symmetric p.s.d. n x n matrix,
-    allowed for n <= 5000. Each entry's square lies in SCALE_RANGE."""
+    allowed for n <= 5000. Each entry's square lies in SCALE_RANGE. The
+    spiked_uniform bulk eigenbasis is arbitrary, so there the weights must be
+    constant on the bulk, and come back as the (spike, bulk) pair that the
+    model's apply and diag_fn read; model.apply(lambda _: a, v) applies them."""
     if a is None:
         return None
+    n = model.n
     a = coerce(lambda v: np.asarray(v, dtype=float), a, "weight")
     if a.ndim == 2 and n > _DENSE_A_GUARD:
         raise InputError(f"dense weight path limited to n <= {_DENSE_A_GUARD}, got {n}")
@@ -235,9 +239,17 @@ def check_lq_weight(a, n: int) -> np.ndarray | None:
         check_all(a * a, "squared weight entries", *SCALE_RANGE)
     if a.ndim == 1 and np.any(a < 0):
         raise InputError("eigenbasis weights must be nonnegative")
+    if a.ndim == 1 and isinstance(model, SpikedUniform):
+        bulk = a[min(1, n - 1)]
+        if np.any(np.abs(a[1:] - bulk) > 1e-12 * max(1.0, bulk)):
+            raise InputError(
+                "eigenbasis weight must be constant on the spiked_uniform bulk block, "
+                f"got values from {a[1:].min()} to {a[1:].max()}"
+            )
+        return np.array([a[0], bulk])
     if a.ndim == 2:
         scale = max(1.0, float(np.abs(a).max()))
-        if not np.allclose(a, a.T, atol=1e-10 * scale):
+        if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * scale):
             raise InputError("dense weight matrix must be symmetric")
         w = np.linalg.eigvalsh(a)
         if w[0] < -1e-10 * max(1.0, w[-1]):
@@ -255,7 +267,7 @@ def lq_gamma_diag(
 
     for a weight A that check_lq_weight accepts.
     """
-    a = check_lq_weight(a, model.n)
+    a = check_lq_weight(a, model)
     tau = params.tau_star
     gt_sq = params.gamma_tilde_sq
     s0 = mu_norm * mu_norm
@@ -266,7 +278,7 @@ def lq_gamma_diag(
     if a is None:
         return model.diag_fn(middle)
     if a.ndim == 1:
-        return model.eigen_diag(a * a * middle(eigenvalues(model)))
+        return model.diag_fn(lambda lam: a * a * middle(lam))
     ma = model.apply(middle, a)
     return np.einsum("kj,kj->j", a, ma)
 

@@ -29,3 +29,10 @@ def stream(master_seed: int, rep: int, role: str, ctx: int = 0) -> Generator:
         raise InputError("rep and ctx must be nonnegative")
     ss = SeedSequence(entropy=int(master_seed), spawn_key=(ctx, rep, ROLES[role]))
     return Generator(Philox(ss))
+
+
+def as_rng(seed, role: str) -> Generator:
+    """seed itself if it is a Generator, else the stream (int(seed), rep 0, role)."""
+    if isinstance(seed, Generator):
+        return seed
+    return stream(int(seed), 0, role)

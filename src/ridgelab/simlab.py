@@ -45,7 +45,7 @@ from .riskengine import (
 )
 # unused here; ridgebench/tracer.py wraps this name at this module
 from .riskengine import theoretical_risk  # noqa: F401
-from .rng import stream
+from .rng import as_rng, stream
 from .spectrum import CovarianceModel, SignalVector, model_from_json, sigma_quad
 from .stats import scaled_t10
 
@@ -272,12 +272,6 @@ def build_model(spec: dict, n: int) -> CovarianceModel:
     return model_from_json(obj)
 
 
-def _as_rng(seed, role: str) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return stream(int(seed), 0, role)
-
-
 def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
     """sphere: radius * g/||g||; ball_radial: radius * U * g/||g||, U ~ Unif[0,1].
 
@@ -289,7 +283,7 @@ def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
     check_size(n, "dimension")
     if not radius >= 0:
         raise InputError(f"signal radius must be nonnegative, got {radius!r}")
-    rng = _as_rng(seed, "signal")
+    rng = as_rng(seed, "signal")
     g = rng.standard_normal(n)
     scale = radius / float(np.linalg.norm(g))
     if mode == "ball_radial":
@@ -311,7 +305,7 @@ def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np
     draw = _unit_sampler(dist, "design")
     if model.n != n:
         raise InputError(f"model dimension {model.n} != n = {n}")
-    z = draw(_as_rng(seed, "design"), (m, n))
+    z = draw(as_rng(seed, "design"), (m, n))
     return model.apply(np.sqrt, z.T).T
 
 
@@ -322,7 +316,7 @@ def sample_noise(dist: str, m: int, sigma_sq: float, seed) -> np.ndarray:
         raise InputError("sigma_sq must be nonnegative")
     if sigma_sq == 0:
         return np.zeros(m)
-    return np.sqrt(sigma_sq) * draw(_as_rng(seed, "noise"), m)
+    return np.sqrt(sigma_sq) * draw(as_rng(seed, "noise"), m)
 
 
 def seq_model_sample(
@@ -336,7 +330,7 @@ def seq_model_sample(
     check_positive(tau, "tau")
     y = model.apply(np.sqrt, mu0.coords)
     if gamma != 0:
-        rng = _as_rng(seed, "seq")
+        rng = as_rng(seed, "seq")
         y = y + gamma * rng.standard_normal(model.n) / np.sqrt(model.n)
     mu_hat = model.apply(lambda lam: np.sqrt(lam) / (lam + tau), y)
     return y, mu_hat
@@ -362,7 +356,7 @@ def residual_law_sample(
     excess = phi * gamma_star_sq - sigma_sq
     if excess < -1e-10 * max(1.0, sigma_sq):
         raise InputError(f"phi gamma^2 - sigma^2 = {excess} is negative")
-    rng = _as_rng(seed, "seq")
+    rng = as_rng(seed, "seq")
     h = rng.standard_normal(m)
     root_n = np.sqrt(m / phi)
     return (eta / (phi * tau_star)) * (-np.sqrt(max(excess, 0.0)) * h + xi) / root_n
@@ -372,7 +366,7 @@ def _apply_weight(a, model: CovarianceModel, v: np.ndarray) -> np.ndarray:
     if a is None:
         return v
     if a.ndim == 1:
-        return model.eigen_apply(a, v)
+        return model.apply(lambda _: a, v)
     return a @ v
 
 
@@ -399,7 +393,7 @@ def seq_model_lq_mc(
     """
     check_mc_reps(reps)
     check_positive(q, "q")
-    a = check_lq_weight(a, model.n)
+    a = check_lq_weight(a, model)
     vals = np.empty(reps)
     for rep in range(reps):
         _, mu_hat = seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq", ctx))

@@ -7,8 +7,17 @@ of the population covariance: trace functionals
 
 and weighted squares of the signal's eigen-coordinates. Structured models
 (isotropic, uniform-plus-rank-one) evaluate these analytically from their
-two distinct eigenvalues, which keeps tight Monte Carlo loops cheap;
+one or two distinct eigenvalues, which keeps tight Monte Carlo loops cheap;
 explicit models iterate the eigenvalue list.
+
+Every ambient-coordinate quantity is a spectral function f(Sigma), and each
+model has one operator pair for it: apply(fn, b) = fn(Sigma) @ b and
+diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's distinct
+eigenvalues as an array ([scale] isotropic, [a + b n, a] spiked_uniform, the
+eigenvalues explicit), and fn returns one value per entry. Isotropic and
+explicit models fix their eigenbasis, so fn may instead return one value per
+eigen-position in descending eigenvalue order: fn = lambda _: w applies the
+eigenbasis weight diag(w).
 
 All models are immutable after construction and safe to share across
 threads. The only interior mutations are write-once caches: each model's
@@ -43,6 +52,11 @@ def _dot(w: np.ndarray, v: np.ndarray) -> float:
     threads, and its last bit then moves with the BLAS thread count.
     """
     return float(np.einsum("i,i->", w, v))
+
+
+def _scale_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(w) @ b for b of shape (n,) or (n, k); w has n entries, or one."""
+    return w[:, None] * b if b.ndim == 2 else w * b
 
 
 class _SpectralSums:
@@ -108,20 +122,11 @@ class Isotropic(_SpectralSums):
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
         """fn(Sigma) @ b for b of shape (n,) or (n, k)."""
-        return float(fn(np.array(self.scale))) * b
+        return _scale_rows(fn(np.array([self.scale])), b)
 
     def diag_fn(self, fn) -> np.ndarray:
         """Diagonal of fn(Sigma) in ambient coordinates."""
-        return np.full(self.n, float(fn(np.array(self.scale))))
-
-    def eigen_apply(self, vals: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """V diag(vals) V^T b; the isotropic eigenbasis is the canonical one."""
-        if b.ndim == 2:
-            return vals[:, None] * b
-        return vals * b
-
-    def eigen_diag(self, vals: np.ndarray) -> np.ndarray:
-        return np.asarray(vals, dtype=np.float64).copy()
+        return np.full(self.n, fn(np.array([self.scale])), dtype=np.float64)
 
     def to_json(self) -> dict:
         return {"kind": "isotropic", "n": self.n, "scale": self.scale}
@@ -166,44 +171,17 @@ class SpikedUniform(_SpectralSums):
         # rounding can push the bulk mass a hair below zero
         return np.array([spike, max(total - spike, 0.0)])
 
-    def _spiked(self, top: float, rest: float, b: np.ndarray) -> np.ndarray:
-        """rest * b + (top - rest) * ones ones^T b / n. A vector's ones part is
+    def apply(self, fn, b: np.ndarray) -> np.ndarray:
+        """fa * b + (ftop - fa) * ones ones^T b / n. A vector's ones part is
         a broadcast scalar; a matrix's is built in full, so that the sum keeps
         the memory layout that the BLAS products of the result round by."""
-        part = (top - rest) * (b.sum(axis=0) / self.n)
-        return rest * b + (part if b.ndim == 1 else np.multiply.outer(np.ones(self.n), part))
-
-    def apply(self, fn, b: np.ndarray) -> np.ndarray:
-        return self._spiked(float(fn(np.array(self.top))), float(fn(np.array(self.a))), b)
+        ftop, fa = fn(np.array([self.top, self.a])).tolist()
+        part = (ftop - fa) * (b.sum(axis=0) / self.n)
+        return fa * b + (part if b.ndim == 1 else np.multiply.outer(np.ones(self.n), part))
 
     def diag_fn(self, fn) -> np.ndarray:
-        fa = float(fn(np.array(self.a)))
-        ftop = float(fn(np.array(self.top)))
+        ftop, fa = fn(np.array([self.top, self.a])).tolist()
         return np.full(self.n, fa + (ftop - fa) / self.n)
-
-    def _split_block(self, vals: np.ndarray) -> tuple[float, float]:
-        # the bulk eigenbasis is an arbitrary complement of ones/sqrt(n), so
-        # per-position values are well defined only when constant on the block
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.shape != (self.n,):
-            raise InputError(f"need {self.n} eigen-position values, got {vals.shape}")
-        top = float(vals[0])
-        if self.n == 1:
-            return top, top
-        rest = float(vals[1])
-        if np.any(np.abs(vals[1:] - rest) > 1e-12 * max(1.0, abs(rest))):
-            raise InputError(
-                "spiked_uniform bulk eigenvalues are degenerate; eigen-position "
-                "values must be constant on the bulk block"
-            )
-        return top, rest
-
-    def eigen_apply(self, vals: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._spiked(*self._split_block(vals), b)
-
-    def eigen_diag(self, vals: np.ndarray) -> np.ndarray:
-        top, rest = self._split_block(vals)
-        return np.full(self.n, rest + (top - rest) / self.n)
 
     def to_json(self) -> dict:
         return {"kind": "spiked_uniform", "n": self.n, "a": self.a, "b": self.b}
@@ -235,7 +213,7 @@ class Explicit(_SpectralSums):
                     f"basis must be {lam.size}x{lam.size}, got {v.shape}"
                 )
             gram = v.T @ v
-            if not np.allclose(gram, np.eye(lam.size), atol=1e-10):
+            if not np.allclose(gram, np.eye(lam.size), rtol=0.0, atol=1e-10):
                 raise InputError("basis columns are not orthonormal within 1e-10")
             v = v.copy()
             v.setflags(write=False)
@@ -259,30 +237,12 @@ class Explicit(_SpectralSums):
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
         w = fn(self.eigenvalues)
         if self.basis is None:
-            return w[:, None] * b if b.ndim == 2 else w * b
-        vb = self.basis.T @ b
-        vb = w[:, None] * vb if b.ndim == 2 else w * vb
-        return self.basis @ vb
+            return _scale_rows(w, b)
+        return self.basis @ _scale_rows(w, self.basis.T @ b)
 
     def diag_fn(self, fn) -> np.ndarray:
-        w = fn(self.eigenvalues)
-        if self.basis is None:
-            return np.asarray(w, dtype=np.float64)
-        return (self.basis * self.basis) @ w
-
-    def eigen_apply(self, vals: np.ndarray, b: np.ndarray) -> np.ndarray:
-        vals = np.asarray(vals, dtype=np.float64)
-        if self.basis is None:
-            return vals[:, None] * b if b.ndim == 2 else vals * b
-        vb = self.basis.T @ b
-        vb = vals[:, None] * vb if b.ndim == 2 else vals * vb
-        return self.basis @ vb
-
-    def eigen_diag(self, vals: np.ndarray) -> np.ndarray:
-        vals = np.asarray(vals, dtype=np.float64)
-        if self.basis is None:
-            return vals.copy()
-        return (self.basis * self.basis) @ vals
+        w = np.asarray(fn(self.eigenvalues), dtype=np.float64)
+        return w if self.basis is None else (self.basis * self.basis) @ w
 
     def to_json(self) -> dict:
         out = {"kind": "explicit", "n": self.n, "eigenvalues": self.eigenvalues.tolist()}

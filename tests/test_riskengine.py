@@ -269,23 +269,44 @@ def test_lq_gamma_diag_isotropic_baseline():
 
 
 def test_lq_gamma_diag_weight_paths_agree(rng):
+    # an eigenbasis weight against the same weight as a dense matrix, on
+    # each model kind; the spiked one is w_top P1 + w_bulk (I - P1)
     n = 30
     lam = np.sort(rng.uniform(0.3, 3.0, n))[::-1]
     basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    model = Explicit(lam, basis)
+    spike = np.full((n, n), 1.0 / n)
     base = random_problem(rng, n)
-    config = ProblemConfig(
-        phi=base.phi, eta=0.5, sigma_sq=1.0, model=model, mu0=base.mu0
-    )
-    params = solve_effective(config)
     w = rng.uniform(0.0, 2.0, n)
-    eigen_path = lq_gamma_diag(w, model, params, config.mu0.norm)
-    dense = basis @ np.diag(w) @ basis.T
-    dense_path = lq_gamma_diag(dense, model, params, config.mu0.norm)
-    np.testing.assert_allclose(dense_path, eigen_path, rtol=1e-10, atol=1e-13)
-    identity_path = lq_gamma_diag(None, model, params, config.mu0.norm)
-    via_ones = lq_gamma_diag(np.ones(n), model, params, config.mu0.norm)
-    np.testing.assert_allclose(via_ones, identity_path, rtol=1e-12)
+    bulk_w = np.concatenate(([w[0]], np.full(n - 1, w[1])))
+    cases = [
+        (Isotropic(1.3, n), w, np.diag(w)),
+        (SpikedUniform(1.99, 0.01, n), bulk_w, w[0] * spike + w[1] * (np.eye(n) - spike)),
+        (Explicit(lam), w, np.diag(w)),
+        (Explicit(lam, basis), w, basis @ np.diag(w) @ basis.T),
+    ]
+    for model, weight, dense in cases:
+        config = ProblemConfig(
+            phi=base.phi, eta=0.5, sigma_sq=1.0, model=model, mu0=base.mu0
+        )
+        params = solve_effective(config)
+        eigen_path = lq_gamma_diag(weight, model, params, config.mu0.norm)
+        dense_path = lq_gamma_diag(dense, model, params, config.mu0.norm)
+        np.testing.assert_allclose(dense_path, eigen_path, rtol=1e-10, atol=1e-13)
+        identity_path = lq_gamma_diag(None, model, params, config.mu0.norm)
+        via_ones = lq_gamma_diag(np.ones(n), model, params, config.mu0.norm)
+        np.testing.assert_allclose(via_ones, identity_path, rtol=1e-12)
+
+
+def test_dense_weight_symmetry_tolerance_is_absolute():
+    # allclose's default rtol=1e-5 would pass an asymmetry of 5e-6; the
+    # closed form reads A^T M A while the Monte Carlo applies A
+    config = iso_problem(n=3)
+    params = solve_effective(config)
+    a = 2.0 * np.eye(3)
+    a[0, 1], a[1, 0] = 1.0, 1.000005
+    with pytest.raises(InputError) as exc:
+        lq_gamma_diag(a, config.model, params, 1.0)
+    assert str(exc.value) == "dense weight matrix must be symmetric"
 
 
 def test_lq_gamma_diag_rejects_bad_weights():

@@ -259,24 +259,32 @@ def _bad_weight(case: str, n: int) -> np.ndarray:
         return np.eye(n + 1)
     if case == "huge dense":
         return np.eye(n) * 1e200
+    if case == "bulk":
+        return np.arange(1.0, n + 1.0)
     w = np.ones(n)
     w[1] = {"nan": math.nan, "inf": math.inf, "negative": -1.0, "huge": 1e200}[case]
     return w
 
 
-LQ_MODELS = pytest.mark.parametrize(
-    "model",
-    [Isotropic(1.0, 6), SpikedUniform(1.99, 0.01, 6), Explicit(np.linspace(3.0, 0.5, 6))],
-    ids=["isotropic", "spiked", "explicit"],
-)
+_LQ_MODELS = {
+    "isotropic": Isotropic(1.0, 6),
+    "spiked": SpikedUniform(1.99, 0.01, 6),
+    "explicit": Explicit(np.linspace(3.0, 0.5, 6)),
+}
+LQ_MODELS = pytest.mark.parametrize("model", list(_LQ_MODELS.values()), ids=list(_LQ_MODELS))
+_BAD_WEIGHTS = ["short", "long", "dense", "nan", "inf", "negative", "huge", "huge dense"]
 
 
 @pytest.mark.parametrize(
-    "case", ["short", "long", "dense", "nan", "inf", "negative", "huge", "huge dense"]
+    "model, case",
+    [pytest.param(model, case, id=f"{name}-{case}")
+     for name, model in _LQ_MODELS.items() for case in _BAD_WEIGHTS]
+    # only the spiked bulk eigenbasis is arbitrary
+    + [pytest.param(_LQ_MODELS["spiked"], "bulk", id="spiked-bulk")],
 )
-@LQ_MODELS
-def test_lq_weights_have_one_check(model, case):
-    # the closed form and the Monte Carlo refuse a bad weight with one message
+def test_lq_weights_have_one_check(model, case, monkeypatch):
+    # the closed form and the Monte Carlo refuse a bad weight with one
+    # message, the Monte Carlo before any draw
     mu0 = sample_signal("sphere", model.n, 1)
     params = solve_effective(
         ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
@@ -284,6 +292,11 @@ def test_lq_weights_have_one_check(model, case):
     a = _bad_weight(case, model.n)
     with pytest.raises(InputError) as closed_form:
         lq_gamma_diag(a, model, params, mu0.norm)
+
+    def no_draw(*args):
+        raise AssertionError("a stream was drawn before the weight was checked")
+
+    monkeypatch.setattr(simlab, "stream", no_draw)
     with pytest.raises(InputError) as monte_carlo:
         seq_model_lq_mc(2.0, a, model, mu0, 1.0, params.tau_star, reps=100, seed=0)
     assert str(monte_carlo.value) == str(closed_form.value)
@@ -293,6 +306,32 @@ def test_lq_weights_have_one_check(model, case):
         assert str(closed_form.value) == (
             "squared weight entries must lie in [0, 1e+60], got inf"
         )
+    if case == "bulk":
+        assert str(closed_form.value) == (
+            "eigenbasis weight must be constant on the spiked_uniform bulk block, "
+            "got values from 2.0 to 6.0"
+        )
+
+
+@LQ_MODELS
+def test_lq_mc_eigenbasis_weight_is_its_dense_matrix(model):
+    # one seed, so the two weights see the same draws
+    n = model.n
+    mu0 = sample_signal("sphere", n, 1)
+    params = solve_effective(
+        ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
+    )
+    w = np.linspace(2.0, 0.5, n)
+    if isinstance(model, SpikedUniform):
+        w[1:] = 0.5
+        spike = np.full((n, n), 1.0 / n)
+        dense = w[0] * spike + w[1] * (np.eye(n) - spike)
+    else:
+        dense = np.diag(w)
+    for q in (1.0, 2.0, 5.0):
+        via_vector = seq_model_lq_mc(q, w, model, mu0, 1.0, params.tau_star, reps=100, seed=3)
+        via_dense = seq_model_lq_mc(q, dense, model, mu0, 1.0, params.tau_star, reps=100, seed=3)
+        np.testing.assert_allclose(via_vector, via_dense, rtol=1e-12, atol=0.0)
 
 
 @LQ_MODELS

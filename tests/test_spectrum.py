@@ -215,38 +215,88 @@ def test_rotation_invariance_of_spectral_functionals(rng):
         )
 
 
-def test_eigen_apply_matches_apply(rng):
-    v = rng.standard_normal(16)
-    for model in (Isotropic(1.3, 16), SpikedUniform(2.0, 0.1, 16)):
-        lam = eigenvalues(model)
-        via_apply = model.apply(lambda x: 1.0 / (x + 0.5), v)
-        via_eigen = model.eigen_apply(1.0 / (lam + 0.5), v)
-        np.testing.assert_allclose(via_eigen, via_apply, rtol=1e-13)
-    model = random_psd_model(rng, 16)
-    lam = eigenvalues(model)
+def _definition_sigma(model) -> np.ndarray:
+    """Dense Sigma from the model's definition, not from its operators."""
+    n = model.n
+    if isinstance(model, Isotropic):
+        return model.scale * np.eye(n)
+    if isinstance(model, SpikedUniform):
+        return model.a * np.eye(n) + model.b * np.ones((n, n))
+    basis = np.eye(n) if model.basis is None else model.basis
+    return basis @ np.diag(model.eigenvalues) @ basis.T
+
+
+OPERATOR_MODELS = pytest.mark.parametrize(
+    "model",
+    [
+        Isotropic(1.3, 16),
+        SpikedUniform(2.0, 0.1, 16),
+        SpikedUniform(2.0, 0.1, 1),
+        Explicit(np.linspace(3.0, 0.5, 16)),
+        random_psd_model(np.random.default_rng(3), 16),
+    ],
+    ids=["isotropic", "spiked", "spiked n=1", "explicit", "explicit basis"],
+)
+
+
+@OPERATOR_MODELS
+def test_apply_and_diag_fn_match_dense_algebra(model, rng):
+    n = model.n
+    sigma = _definition_sigma(model)
+    np.testing.assert_allclose(materialize(model)[0], sigma, rtol=1e-13, atol=1e-14)
+    shift = sigma + 0.5 * np.eye(n)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        np.testing.assert_allclose(
+            model.apply(lambda x: 1.0 / (x + 0.5), b), np.linalg.solve(shift, b),
+            rtol=1e-12, atol=1e-14,
+        )
+        np.testing.assert_allclose(
+            model.apply(lambda x: x * x, b), sigma @ (sigma @ b), rtol=1e-12, atol=1e-14
+        )
     np.testing.assert_allclose(
-        model.eigen_apply(np.sqrt(lam), v), model.apply(np.sqrt, v), rtol=1e-13
+        model.diag_fn(lambda x: x / (x + 1.0)),
+        np.diag(np.linalg.solve(sigma + np.eye(n), sigma)),
+        rtol=1e-12, atol=1e-14,
+    )
+    np.testing.assert_allclose(
+        model.diag_fn(lambda x: x * x), np.diag(sigma @ sigma), rtol=1e-12, atol=1e-14
     )
 
 
-def test_eigen_diag_matches_diag_fn(rng):
-    for model in (
-        Isotropic(0.8, 10),
-        SpikedUniform(1.0, 0.5, 10),
-        random_psd_model(rng, 10),
-    ):
-        lam = eigenvalues(model)
-        np.testing.assert_allclose(
-            model.eigen_diag(lam / (lam + 1.0)),
-            model.diag_fn(lambda x: x / (x + 1.0)),
-            rtol=1e-13,
-        )
+@OPERATOR_MODELS
+def test_operators_call_fn_once_on_the_distinct_eigenvalues(model):
+    if isinstance(model, Isotropic):
+        distinct = [model.scale]
+    elif isinstance(model, SpikedUniform):
+        distinct = [model.top, model.a]
+    else:
+        distinct = model.eigenvalues.tolist()
+    seen = []
+
+    def fn(lam):
+        seen.append(lam.tolist())
+        return lam
+
+    model.apply(fn, np.ones(model.n))
+    model.apply(fn, np.ones((model.n, 2)))
+    model.diag_fn(fn)
+    assert seen == [distinct] * 3
 
 
-def test_spiked_eigen_values_must_be_constant_on_bulk():
-    model = SpikedUniform(1.0, 0.5, 4)
-    with pytest.raises(InputError):
-        model.eigen_apply(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+@pytest.mark.parametrize(
+    "model", [Isotropic(1.3, 12), Explicit(np.linspace(3.0, 0.5, 12)),
+              random_psd_model(np.random.default_rng(4), 12)],
+    ids=["isotropic", "explicit", "explicit basis"],
+)
+def test_eigen_position_values_apply_in_the_fixed_eigenbasis(model, rng):
+    # fn may return one value per eigen-position where the eigenbasis is fixed
+    w = rng.uniform(0.0, 2.0, model.n)
+    basis = getattr(model, "basis", None)
+    basis = np.eye(model.n) if basis is None else basis
+    dense = basis @ np.diag(w) @ basis.T
+    for b in (rng.standard_normal(model.n), rng.standard_normal((model.n, 3))):
+        np.testing.assert_allclose(model.apply(lambda _: w, b), dense @ b, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(model.diag_fn(lambda _: w), np.diag(dense), rtol=1e-12, atol=1e-14)
 
 
 def test_signal_masses_sum_to_norm(rng):
@@ -301,6 +351,13 @@ def test_model_validation_errors():
         Explicit(np.array([2.0, 0.0]))
     with pytest.raises(InputError):
         Explicit(np.array([2.0, 1.0]), basis=np.ones((2, 2)))
+    # the 1e-10 is absolute: no relative slack on the unit diagonal
+    rotation = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+    Explicit(np.array([3.0, 2.0, 1.0]), rotation)
+    for basis in (np.eye(3) * (1.0 + 4e-6), rotation * (1.0 + 1e-9)):
+        with pytest.raises(InputError) as exc:
+            Explicit(np.array([3.0, 2.0, 1.0]), basis)
+        assert str(exc.value) == "basis columns are not orthonormal within 1e-10"
     for edge in errors.SPECTRUM_RANGE:
         assert Isotropic(edge, 2).scale == edge
         assert Explicit(np.array([edge])).eigenvalues[0] == edge
