@@ -29,7 +29,7 @@ from . import dataio
 from ._version import __version__
 from .errors import InputError, NumericalError, RidgelabError, UsageError, as_cast, check_alpha
 from .errors import check_eta, check_eta_grid, check_mc_reps, check_positive, check_size
-from .errors import choice, coerce, dimension, read_object, real, seed
+from .errors import choice, dimension, read_object, real, seed
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -45,7 +45,7 @@ from .regress import (
 )
 # unused here; ridgebench/tracer.py wraps this name at this module
 from .regress import ridge_fit  # noqa: F401
-from .riskengine import lq_gamma_diag, lq_risk, risk_curves, solve_grid
+from .riskengine import TUNABLE_KINDS, RiskKind, lq_gamma_diag, lq_risk, risk_curves, solve_grid
 # unused here; ridgebench/tracer.py wraps these names at this module
 from .riskengine import risk_derivative, rmt_risk, theoretical_risk  # noqa: F401
 from .simlab import (
@@ -92,17 +92,13 @@ def _listed(cast, what: str, once: bool = False):
     return parse
 
 
-_KIND_ORDER = ("pred", "est", "ins", "res")
-
-
 # flag value -> the cast of its text: the library's parser, then its band
 _CASTS = {
     "eta": lambda text: check_eta(float(text)),
     "eta grid": lambda text: check_eta_grid(dataio.parse_grid(text)),
-    "tol": lambda text: check_positive(float(text), "tol"),
     "alpha": lambda text: check_alpha(float(text)),
     "q": _listed(lambda text: check_positive(float(text), "q"), "q"),
-    "kinds": _listed(choice(*_KIND_ORDER), "risk kind", once=True),
+    "kinds": _listed(choice(*(kind.value for kind in RiskKind)), "risk kind", once=True),
     "mc reps": lambda text: check_mc_reps(int(text), zero=True),
     "k": lambda text: check_size(dimension(int(text)), "k", least=2),
     "seed": lambda text: seed(int(text)),
@@ -258,7 +254,7 @@ def _cmd_fpe(args):
     etas = _resolve_grid(args.eta_grid, cfg_grid)
     rows = [
         [getattr(p, field) for field in _FPE_COLUMNS.values()]
-        for p in solve_grid(config, etas, args.tol)
+        for p in solve_grid(config, etas)
     ]
     resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
@@ -381,12 +377,9 @@ def _cmd_ci(args):
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    threads, env = args.threads, os.environ.get("RIDGELAB_THREADS")
-    if threads is None and env is not None:
-        threads = coerce(_CASTS["threads"], env, "RIDGELAB_THREADS", UsageError)
     config = ExperimentConfig.from_json(dataio.load_json(args.config))
-    if threads is not None:
-        config = dataclasses.replace(config, threads=threads)
+    if args.threads is not None:
+        config = dataclasses.replace(config, threads=args.threads)
     return config
 
 
@@ -406,21 +399,21 @@ def _note_skipped(experiment: str, attempted: int, failed, which: str = "") -> N
 
 def _cmd_sim_fig1(args):
     config = _experiment_config(args)
-    summary = run_risk_experiment(config, ctx=0)
-    argmin = run_argmin_experiment(config, ctx=1)
+    summary = run_risk_experiment(config)
+    argmin = run_argmin_experiment(config)
     _note_skipped("risk experiment", summary.reps, summary.failed)
     _note_skipped(
         "argmin experiment", len(argmin.rep_indices) + len(argmin.failed), argmin.failed
     )
 
     curve_rows = [
-        (float(eta), kind, summary.emp_mean[kind][i], summary.emp_sd[kind][i],
+        (float(eta), kind.value, summary.emp_mean[kind][i], summary.emp_sd[kind][i],
          summary.theoretical[kind][i], summary.rmt[kind][i])
-        for i, eta in enumerate(summary.etas) for kind in _KIND_ORDER
+        for i, eta in enumerate(summary.etas) for kind in RiskKind
     ]
     argmin_rows = [
-        (rep, kind, argmin.eta_hat[kind][pos], argmin.eta_star)
-        for pos, rep in enumerate(argmin.rep_indices) for kind in ("pred", "est", "ins")
+        (rep, kind.value, argmin.eta_hat[kind][pos], argmin.eta_star)
+        for pos, rep in enumerate(argmin.rep_indices) for kind in TUNABLE_KINDS
     ]
     tables = {
         "risk_curves.csv": (
@@ -446,10 +439,10 @@ def _cmd_sim_fig2(args):
 
     methods = ("gcv", f"cv{config.k}", "oracle")
     tuning_rows = [
-        (float(phi), method, kind, summary.risk_mean[(method, kind)][pi],
+        (float(phi), method, kind.value, summary.risk_mean[(method, kind)][pi],
          summary.risk_sd[(method, kind)][pi])
         for pi, phi in enumerate(summary.phis) for method in methods
-        for kind in ("pred", "est", "ins")
+        for kind in TUNABLE_KINDS
     ]
     coverage_rows = [
         (float(phi), method, summary.coverage_mean[method][pi],
@@ -474,12 +467,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--eta-grid", type=_flag("eta grid"), default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=_flag("tol"), default=1e-12)
     p.set_defaults(handler=_cmd_fpe)
 
     p = sub.add_parser("risk", help="theoretical and RMT risk curves")
     p.add_argument("--config", required=True)
-    p.add_argument("--kinds", type=_flag("kinds"), default="pred,est,ins,res")
+    p.add_argument("--kinds", type=_flag("kinds"), default=[kind.value for kind in RiskKind])
     p.add_argument("--eta-grid", type=_flag("eta grid"), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_risk)

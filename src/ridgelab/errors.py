@@ -41,7 +41,7 @@ SCALE_RANGE = (0.0, 1e60)
 PHI_RANGE = (1.0 / MAX_DIM, float(MAX_DIM))
 # Open band of a level alpha: intervals are taken at level 1 - alpha.
 ALPHA_RANGE = (0.0, 1.0)
-# Open band of an l_q exponent q, an implicit regularization tau and a tolerance.
+# Open band of an l_q exponent q and an implicit regularization tau.
 POSITIVE_RANGE = (0.0, math.inf)
 # Band of a Monte Carlo rep count, whose per-rep buffer is a size like any other.
 MC_REPS_RANGE = (100, MAX_DIM)

@@ -57,6 +57,7 @@ from .spectrum import (
 # doubling steps allowed when rounding puts tau_bounds' hi below the root
 _MAX_WIDEN = 60
 _MAX_NEWTON = 100
+_TOL = 1e-12  # the Newton stop, on a step's size relative to u = 1/tau
 
 
 @dataclass(frozen=True)
@@ -189,16 +190,15 @@ def _f_and_slope(config: ProblemConfig, u: float) -> tuple[float, float]:
     return f + config.eta * u, tau * tau * t21 + config.eta
 
 
-def solve_tau(
-    config: ProblemConfig, tol: float = 1e-12, start: EffectiveParams | None = None
-) -> float:
+def solve_tau(config: ProblemConfig, start: EffectiveParams | None = None) -> float:
     """Root of T_{-1,1}(tau) + eta/tau = phi, by monotone Newton in u = 1/tau.
 
     Starts at u = 1/hi from tau_bounds, halving u in the rare case rounding
     leaves F(1/hi) above zero, and stops once a Newton step moves u by at
-    most tol * u. F is concave, so the iterates increase to the root and the
-    error after that step is of order tol^2. Exact iterates keep F <= 0; a
-    computed F >= 0 means rounding has reached the root, which also stops.
+    most _TOL * u. F is concave, so the iterates increase to the root and the
+    error after that step is of order _TOL^2, a few ulps of tau*. Exact
+    iterates keep F <= 0; a computed F >= 0 means rounding has reached the
+    root, which also stops.
 
     start, the params solved at another eta of the same problem, moves the
     first iterate to u_0 = 1/tau_0 on the tangent
@@ -209,7 +209,6 @@ def solve_tau(
     starts from 1/hi as without one: a hint changes the number of passes,
     never the root beyond rounding.
     """
-    check_positive(tol, "tol")
     lo, hi = tau_bounds(config)
     u, f, slope = 1.0 / hi, math.inf, 0.0
     if start is not None:
@@ -232,7 +231,7 @@ def solve_tau(
             return 1.0 / u
         step = -f / slope
         u += step
-        if step <= tol * u:
+        if step <= _TOL * u:
             return 1.0 / u
         f, slope = _f_and_slope(config, u)
     raise NonConvergence(f"fixed-point solver exhausted {_MAX_NEWTON} Newton steps")
@@ -293,14 +292,14 @@ def stieltjes_at(
 
 
 def solve_effective(
-    config: ProblemConfig, tol: float = 1e-12, start: EffectiveParams | None = None
+    config: ProblemConfig, start: EffectiveParams | None = None
 ) -> EffectiveParams:
     """Solve the full fixed-point system and derived scalars at one eta.
 
     start, the params solved at a neighbouring eta of the same problem,
     warm-starts the root search (see solve_tau).
     """
-    tau = solve_tau(config, tol, start)
+    tau = solve_tau(config, start)
     sums = fixed_point_sums(config.model, config.mu0, tau)
     gamma_sq = _gamma_sq(config, tau, sums)
     tau_p, tau_s = _derivatives(config.eta, tau, sums)

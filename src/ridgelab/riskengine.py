@@ -40,6 +40,10 @@ class RiskKind(str, enum.Enum):
     RES = "res"
 
 
+# the kinds with a derivative factor; they share the minimizer sigma_sq / ||mu0||^2
+TUNABLE_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS)
+
+
 @dataclass(frozen=True)
 class RiskCurve:
     """Risk values along an ascending eta grid.
@@ -310,36 +314,30 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
         return math.inf
 
 
-def solve_grid(config: ProblemConfig, etas, tol: float = 1e-12) -> list[EffectiveParams]:
+def solve_grid(config: ProblemConfig, etas) -> list[EffectiveParams]:
     """solve_effective across an eta grid, each solve warm-started from the last."""
     params: list[EffectiveParams] = []
     for eta in np.asarray(etas, float):
-        params.append(
-            solve_effective(config.with_eta(eta), tol, params[-1] if params else None)
-        )
+        params.append(solve_effective(config.with_eta(eta), params[-1] if params else None))
     return params
 
 
-def risk_curves(
-    config: ProblemConfig, kinds, etas, tol: float = 1e-12
-) -> dict[RiskKind, RiskCurve]:
+def risk_curves(config: ProblemConfig, kinds, etas) -> dict[RiskKind, RiskCurve]:
     """One solve_grid pass along an ascending grid, one RiskCurve per kind."""
     etas = np.asarray(etas, dtype=float)
-    params = solve_grid(config, etas, tol)
+    params = solve_grid(config, etas)
     sigma_sq, s0, phi = config.sigma_sq, config.mu0.norm_sq, config.phi
     curves = {}
     for kind in map(RiskKind, kinds):
         theo = [theoretical_risk(kind, p, sigma_sq, phi) for p in params]
         rmt = [rmt_risk(kind, p, sigma_sq, s0, phi) for p in params]
         deriv = None
-        if kind != RiskKind.RES:
+        if kind in TUNABLE_KINDS:
             deriv = np.array([risk_derivative(kind, p, sigma_sq, s0) for p in params])
         curves[kind] = RiskCurve(etas, kind, np.array(theo), np.array(rmt), deriv)
     return curves
 
 
-def risk_curve(
-    config: ProblemConfig, kind: RiskKind, etas, tol: float = 1e-12
-) -> RiskCurve:
+def risk_curve(config: ProblemConfig, kind: RiskKind, etas) -> RiskCurve:
     """Solve the fixed point along a grid and evaluate one risk kind."""
-    return risk_curves(config, (kind,), etas, tol)[kind]
+    return risk_curves(config, (kind,), etas)[kind]

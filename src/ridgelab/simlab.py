@@ -4,8 +4,9 @@ Designs, noise and signals come from splittable counter-based streams, so
 every experiment is bitwise reproducible for a fixed master seed no matter
 how many worker threads run the replications. Stream identity is
 (master_seed, rep, role, ctx): the role separates draw kinds inside one
-replication, ctx separates experiment phases or sweep points. Replications
-run as independent tasks and are reduced in rep order.
+replication, ctx separates experiment phases or sweep points, and each
+runner fixes its own. Replications run as independent tasks and are
+reduced in rep order.
 
 Replications that fail numerically (an ill-conditioned Gram matrix at
 eta = 0, say) are recorded and excluded; an experiment aborts once more
@@ -36,6 +37,7 @@ from .regress import (
     kfold_objective,
 )
 from .riskengine import (
+    TUNABLE_KINDS,
     RiskKind,
     check_lq_weight,
     optimal_eta,
@@ -51,8 +53,8 @@ from .stats import scaled_t10
 
 _DISTS = ("gaussian", "scaled_t10")
 SIGNAL_MODES = ("sphere", "ball_radial")
-_ALL_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS, RiskKind.RES)
-_TUNE_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS)
+# fig1's two experiments share a master seed but, by their contexts, no draw
+_RISK_CTX, _ARGMIN_CTX = 0, 1
 
 
 def _model_spec(spec) -> dict:
@@ -379,7 +381,6 @@ def seq_model_lq_mc(
     tau: float,
     reps: int,
     seed: int,
-    ctx: int = 0,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of ||A(mu_hat^seq - mu0)||_q.
 
@@ -396,7 +397,7 @@ def seq_model_lq_mc(
     a = check_lq_weight(a, model)
     vals = np.empty(reps)
     for rep in range(reps):
-        _, mu_hat = seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq", ctx))
+        _, mu_hat = seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq"))
         diff = np.abs(_apply_weight(a, model, mu_hat - mu0.coords))
         g = float(diff.max(initial=0.0)) or 1.0  # d = 0 has norm 0 at any g
         try:
@@ -528,23 +529,23 @@ def _empirical_curves(data: Dataset, etas: np.ndarray, kinds) -> dict:
     return out
 
 
-def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
+def run_risk_experiment(config: ExperimentConfig) -> RiskSummary:
     """Mean empirical risk curves with theoretical and RMT overlays.
 
     One signal is drawn up front and shared by every replication unless
     redraw_signal is set; the overlays always use that first signal.
     """
     model, etas = _fixed_shape(config, "risk experiment")
-    theory = _shared_problem(config, model, ctx)
+    theory = _shared_problem(config, model, _RISK_CTX)
 
     def worker(rep: int) -> dict:
         mu0 = None if config.redraw_signal and rep > 0 else theory.mu0
-        data = _draw_rep(config, model, etas, rep, ctx, mu0)
-        return _empirical_curves(data, etas, _ALL_KINDS)
+        data = _draw_rep(config, model, etas, rep, _RISK_CTX, mu0)
+        return _empirical_curves(data, etas, RiskKind)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
     curves = _stack(res for _, res in results)
-    overlay = risk_curves(theory, _ALL_KINDS, etas)
+    overlay = risk_curves(theory, RiskKind, etas)
     ddof = 1 if len(results) > 1 else 0
     return RiskSummary(
         master_seed=config.master_seed,
@@ -552,26 +553,26 @@ def run_risk_experiment(config: ExperimentConfig, ctx: int = 0) -> RiskSummary:
         failed=failed,
         etas=etas,
         eta_star=config.eta_star,
-        emp_mean={kind.value: curves[kind].mean(axis=0) for kind in _ALL_KINDS},
-        emp_sd={kind.value: curves[kind].std(axis=0, ddof=ddof) for kind in _ALL_KINDS},
-        theoretical={kind.value: overlay[kind].theoretical for kind in _ALL_KINDS},
-        rmt={kind.value: overlay[kind].rmt for kind in _ALL_KINDS},
+        emp_mean={kind.value: curves[kind].mean(axis=0) for kind in RiskKind},
+        emp_sd={kind.value: curves[kind].std(axis=0, ddof=ddof) for kind in RiskKind},
+        theoretical={kind.value: overlay[kind].theoretical for kind in RiskKind},
+        rmt={kind.value: overlay[kind].rmt for kind in RiskKind},
     )
 
 
-def run_argmin_experiment(config: ExperimentConfig, ctx: int = 1) -> ArgminResult:
+def run_argmin_experiment(config: ExperimentConfig) -> ArgminResult:
     """Redraw the signal per replication; report each empirical risk's grid argmin."""
     model, etas = _fixed_shape(config, "argmin experiment")
     eta_star = config.eta_star
     reps = config.argmin_reps if config.argmin_reps is not None else config.reps
 
     def worker(rep: int) -> dict:
-        data = _draw_rep(config, model, etas, rep, ctx)
-        return _empirical_curves(data, etas, _TUNE_KINDS)
+        data = _draw_rep(config, model, etas, rep, _ARGMIN_CTX)
+        return _empirical_curves(data, etas, TUNABLE_KINDS)
 
     results, failed = _map_reps(reps, config.threads, worker)
     curves = _stack(res for _, res in results)
-    eta_hat = {kind.value: etas[np.argmin(curves[kind], axis=1)] for kind in _TUNE_KINDS}
+    eta_hat = {kind.value: etas[np.argmin(curves[kind], axis=1)] for kind in TUNABLE_KINDS}
     deviations = {name: hat - eta_star for name, hat in eta_hat.items()}
     quartiles = {
         name: tuple(np.percentile(dev, [25.0, 50.0, 75.0]))
@@ -598,13 +599,13 @@ def _sweep_grid(config: ExperimentConfig, n: int) -> np.ndarray:
     return etas
 
 
-def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> TuningSummary:
+def run_tuning_experiment(config: ExperimentConfig) -> TuningSummary:
     """GCV / k-fold CV / oracle tuning across an aspect-ratio sweep.
 
-    Per sweep point phi, n = round(m/phi) and theory uses the realized
-    ratio m/n. The signal is redrawn each replication. Oracle rows carry
-    the RMT risk at eta_star; oracle coverage and lengths come from the
-    data pipeline run at eta_star.
+    Per sweep point phi, n = round(m/phi), theory uses the realized ratio
+    m/n and the point's index is the stream context. The signal is redrawn
+    each replication. Oracle rows carry the RMT risk at eta_star; oracle
+    coverage and lengths come from the data pipeline run at eta_star.
     """
     if config.phi_grid is None:
         raise InputError("tuning experiment needs a phi grid")
@@ -623,15 +624,17 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
         phi = config.m / n
         model = build_model(config.model_spec, n)
         etas = _sweep_grid(config, n)
-        ctx = ctx_base + pi
 
-        # theory reference: a unit coordinate vector carries the
-        # sphere-averaged eigen-masses for these models
-        theory_sig = SignalVector(
-            np.concatenate(([config.signal_radius], np.zeros(n - 1)))
-        )
+        # theory reference: a signal with the sphere-averaged eigen-masses
+        # r^2/n. r e_1 has them on isotropic and spiked models, and on an
+        # explicit one r/sqrt(n) V 1 does, V its basis (or the identity)
+        coords = np.concatenate(([config.signal_radius], np.zeros(n - 1)))
+        if model.kind == "explicit":
+            coords = np.full(n, config.signal_radius / math.sqrt(n))
+            coords = coords if model.basis is None else model.basis @ coords
         params_star = solve_effective(ProblemConfig(
-            phi=phi, eta=eta_star, sigma_sq=config.sigma_sq, model=model, mu0=theory_sig
+            phi=phi, eta=eta_star, sigma_sq=config.sigma_sq, model=model,
+            mu0=SignalVector(coords),
         ))
         phis.append(phi)
         gamma_star = np.sqrt(params_star.gamma_star_sq)
@@ -642,13 +645,13 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
             kind.value: rmt_risk(
                 kind, params_star, config.sigma_sq, config.signal_norm_sq, phi
             )
-            for kind in _TUNE_KINDS
+            for kind in TUNABLE_KINDS
         })
 
-        def worker(rep: int, model=model, etas=etas, ctx=ctx) -> dict:
+        def worker(rep: int, model=model, etas=etas, ctx=pi) -> dict:
             data = _draw_rep(config, model, etas, rep, ctx)
             sweep = data.sweep
-            curves = _empirical_curves(data, etas, _TUNE_KINDS)
+            curves = _empirical_curves(data, etas, TUNABLE_KINDS)
             folds = kfold_folds(
                 config.m, config.k, stream(config.master_seed, rep, "fold", ctx)
             )
@@ -657,7 +660,7 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
                 cv_tag: int(np.argmin(kfold_objective(data, etas, folds))),
             }
             rec = {}
-            for kind in _TUNE_KINDS:
+            for kind in TUNABLE_KINDS:
                 rec["grid_min", kind.value] = float(curves[kind].min())
                 for meth, idx in sel.items():
                     rec["risk", meth, kind.value] = curves[kind][idx]
@@ -684,7 +687,7 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
 
     rep_risk = {
         (meth, kind.value): per_phi("risk", meth, kind.value)
-        for kind in _TUNE_KINDS
+        for kind in TUNABLE_KINDS
         for meth in selectors
     }
     risk_mean = {key: np.array([v.mean() for v in vals]) for key, vals in rep_risk.items()}
@@ -714,7 +717,7 @@ def run_tuning_experiment(config: ExperimentConfig, ctx_base: int = 0) -> Tuning
         oracle_len=np.array(oracle_len),
         eta_selected={meth: per_phi("eta", meth) for meth in selectors},
         rep_risk=rep_risk,
-        rep_grid_min={kind.value: per_phi("grid_min", kind.value) for kind in _TUNE_KINDS},
+        rep_grid_min={kind.value: per_phi("grid_min", kind.value) for kind in TUNABLE_KINDS},
     )
 
 
@@ -731,7 +734,6 @@ def distributional_check(
     test_fns=("l1_scaled", "l2_dist", "proj_first", "proj_mean"),
     data_side: str = "data",
     seq_reps: int = 400,
-    ctx: int = 0,
 ) -> DistCheckResult:
     """Compare data-level statistics against sequence-model Monte Carlo means.
 
@@ -750,7 +752,7 @@ def distributional_check(
         raise InputError("data_side must be 'data' or 'seq'")
     check_size(seq_reps, "seq_reps", least=2)
     names = tuple(test_fns)
-    base = _shared_problem(config, model, ctx)
+    base = _shared_problem(config, model, 0)
     mu0 = base.mu0
     stats = {name: _STAT_BUILDERS[name](mu0.coords, model.n) for name in names}
     params = solve_grid(base, etas)
@@ -766,7 +768,7 @@ def distributional_check(
         # a fresh stream per eta redraws the same g: common random numbers
         return stat_rows(
             seq_model_sample(model, mu0, np.sqrt(p.gamma_star_sq), p.tau_star,
-                             stream(config.master_seed, rep_index, "seq", ctx))[1]
+                             stream(config.master_seed, rep_index, "seq"))[1]
             for p in params
         )
 
@@ -779,7 +781,7 @@ def distributional_check(
     def worker(rep: int) -> dict:
         if data_side == "seq":
             return seq_stats(seq_reps + rep)
-        sweep = _draw_rep(config, model, etas, rep, ctx, mu0).sweep
+        sweep = _draw_rep(config, model, etas, rep, 0, mu0).sweep
         return stat_rows(sweep.mu_hat(float(eta)) for eta in etas)
 
     results, failed = _map_reps(config.reps, config.threads, worker)

@@ -13,11 +13,11 @@ explicit models iterate the eigenvalue list.
 Every ambient-coordinate quantity is a spectral function f(Sigma), and each
 model has one operator pair for it: apply(fn, b) = fn(Sigma) @ b and
 diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's distinct
-eigenvalues as an array ([scale] isotropic, [a + b n, a] spiked_uniform, the
-eigenvalues explicit), and fn returns one value per entry. Isotropic and
-explicit models fix their eigenbasis, so fn may instead return one value per
-eigen-position in descending eigenvalue order: fn = lambda _: w applies the
-eigenbasis weight diag(w).
+eigenvalues as an array ([scale] isotropic, [a + b n, a] spiked_uniform,
+[a + b n] at n = 1, the eigenvalues explicit), and fn returns one value per
+entry. Isotropic and explicit models fix their eigenbasis, so fn may
+instead return one value per eigen-position in descending eigenvalue
+order: fn = lambda _: w applies the eigenbasis weight diag(w).
 
 All models are immutable after construction and safe to share across
 threads. The only interior mutations are write-once caches: each model's
@@ -171,16 +171,21 @@ class SpikedUniform(_SpectralSums):
         # rounding can push the bulk mass a hair below zero
         return np.array([spike, max(total - spike, 0.0)])
 
+    def _ends(self, fn) -> tuple[float, float]:
+        """fn(top), fn(a) from one call on the distinct eigenvalues (fn(top) twice at n = 1)."""
+        values = fn(np.array([self.top, self.a] if self.n > 1 else [self.top])).tolist()
+        return values[0], values[-1]
+
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
         """fa * b + (ftop - fa) * ones ones^T b / n. A vector's ones part is
         a broadcast scalar; a matrix's is built in full, so that the sum keeps
         the memory layout that the BLAS products of the result round by."""
-        ftop, fa = fn(np.array([self.top, self.a])).tolist()
+        ftop, fa = self._ends(fn)
         part = (ftop - fa) * (b.sum(axis=0) / self.n)
         return fa * b + (part if b.ndim == 1 else np.multiply.outer(np.ones(self.n), part))
 
     def diag_fn(self, fn) -> np.ndarray:
-        ftop, fa = fn(np.array([self.top, self.a])).tolist()
+        ftop, fa = self._ends(fn)
         return np.full(self.n, fa + (ftop - fa) / self.n)
 
     def to_json(self) -> dict:

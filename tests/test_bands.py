@@ -10,14 +10,13 @@ import pytest
 from ridgelab import ExperimentConfig, InputError, Isotropic, SignalVector, SpikedUniform
 from ridgelab.dataio import parse_grid
 from ridgelab.errors import UsageError
-from ridgelab.fixedpoint import expected_dof, expected_err, solve_tau, stieltjes_at
+from ridgelab.fixedpoint import expected_dof, expected_err, stieltjes_at
 from ridgelab.regress import confidence_intervals, debias
 from ridgelab.riskengine import gaussian_abs_moment, lq_risk, opt_risks, optimal_eta
 from ridgelab.simlab import sample_noise, sample_signal, seq_model_lq_mc, seq_model_sample
 from ridgelab.spectrum import quad_form, trace_functional
 from ridgelab.stats import z_two_sided
 
-from conftest import iso_problem
 
 NAN, INF = math.nan, math.inf
 MODEL = Isotropic(1.0, 4)
@@ -52,7 +51,6 @@ BANDS = {
                              (NAN, INF, -INF)),
     "trace_functional tau": (lambda v: trace_functional(MODEL, v, 1, 1), "tau", (NAN, INF, -INF)),
     "quad_form tau": (lambda v: quad_form(MODEL, MU0, v, 1, 1), "tau", (NAN, INF, -INF)),
-    "solve_tau tol": (lambda v: solve_tau(iso_problem(eta=0.5), v), "tol", (NAN, INF, -INF)),
     "ExperimentConfig m": (lambda v: experiment(m=v), "'m'", (NAN, INF, -INF)),
     "ExperimentConfig reps": (lambda v: experiment(reps=v), "'reps'", (NAN, INF, -INF)),
     "ExperimentConfig argmin_reps": (

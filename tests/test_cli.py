@@ -239,23 +239,6 @@ def test_fpe_on_shipped_problem_matches_40_digit_evaluation(tmp_path):
             assert abs((got - want) / want) <= 1e-13, (row[0], got, want)
 
 
-def test_fpe_tol(tmp_path, capsys):
-    # the stop rule bounds the last Newton step relative to 1/tau, and the
-    # error left after it is of order tol^2
-    config = write_problem(tmp_path)
-    tight, loose = tmp_path / "tight.csv", tmp_path / "loose.csv"
-    base = ["fpe", "--config", str(config), "--eta-grid", "0:1.5:7"]
-    assert run(base + ["--out", str(tight)]) == 0
-    assert run(base + ["--tol", "1e-6", "--out", str(loose)]) == 0
-    for a, b in zip(read_csv(tight)[1], read_csv(loose)[1]):
-        assert b[1] == pytest.approx(a[1], rel=1e-10)
-    for bad in ("-1", "0", "nan", "inf"):
-        assert run(base + ["--tol", bad, "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == (
-            f"usage error: argument --tol: tol must lie in (0, inf), got {float(bad)!r}\n"
-        )
-
-
 def test_fpe_grid_from_config(tmp_path):
     config = write_problem(tmp_path, eta_grid=[0.5, 1.0])
     out = tmp_path / "fpe.csv"
@@ -1022,8 +1005,7 @@ def write_fig1_config(tmp_path, **overrides):
     return path
 
 
-def test_sim_fig1_pipeline_reproducible(tmp_path, monkeypatch):
-    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
+def test_sim_fig1_pipeline_reproducible(tmp_path):
     config = write_fig1_config(tmp_path)
     runs = {}
     for tag, extra in [("a", []), ("b", []), ("c", ["--threads", "2"])]:
@@ -1067,23 +1049,6 @@ def test_sim_fig1_argmin_writes_grid_points(tmp_path):
     header, rows = read_csv(out_dir / "argmin.csv")
     assert header == ["rep", "kind", "eta_hat", "eta_star"] and len(rows) == 3 * 20
     assert [row for row in rows if row[2] not in grid or row[3] != 0.3] == []
-
-
-def test_sim_fig1_env_threads(tmp_path, monkeypatch):
-    config = write_fig1_config(tmp_path)
-    base = tmp_path / "base"
-    assert run(["sim", "fig1", "--config", str(config), "--out-dir", str(base)]) == 0
-
-    monkeypatch.setenv("RIDGELAB_THREADS", "3")
-    envdir = tmp_path / "env"
-    assert run(["sim", "fig1", "--config", str(config), "--out-dir", str(envdir)]) == 0
-    assert (envdir / "risk_curves.csv").read_bytes() == (
-        base / "risk_curves.csv"
-    ).read_bytes()
-
-    monkeypatch.setenv("RIDGELAB_THREADS", "many")
-    code = run(["sim", "fig1", "--config", str(config), "--out-dir", str(tmp_path / "x")])
-    assert code == 1
 
 
 def write_fig2_config(tmp_path):
@@ -1133,7 +1098,6 @@ def test_sim_fig2_pipeline(tmp_path):
 
 
 def test_sim_reports_skipped_replications(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
     config = write_fig1_config(tmp_path)
     out_dir = tmp_path / "out"
     argv = ["sim", "fig1", "--config", str(config), "--out-dir", str(out_dir)]
@@ -1302,7 +1266,6 @@ BAD_FLAGS = {
     "tune --grid": (["tune", "--method", "gcv", "--grid", "0:1:x"],
                     "argument --grid: malformed grid spec '0:1:x': invalid literal for int() "
                     "with base 10: 'x'"),
-    "fpe --tol": (["fpe", "--tol", "0"], "argument --tol: tol must lie in (0, inf), got 0.0"),
     "ci --alpha": (["ci", "--eta", "0.5", "--alpha", "1.5"],
                    "argument --alpha: alpha must lie in (0, 1), got 1.5"),
     "lq --q": (["lq", "--eta", "0.5", "--q", "0.5,-2"],
@@ -1326,10 +1289,9 @@ BAD_FLAGS = {
 
 
 @pytest.mark.parametrize("case", BAD_FLAGS)
-def test_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, case):
+def test_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, case):
     # the missing input file would be a usage error of its own, so the flag's
     # message shows that the flag was refused when the command line was parsed
-    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
     argv, message = BAD_FLAGS[case]
     out = tmp_path / "out"
     nowhere = str(tmp_path / "nowhere.json")
@@ -1338,20 +1300,6 @@ def test_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypat
     assert run([*argv, *source, *target]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"usage error: {message}\n" and captured.out == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("experiment", ["fig1", "fig2"])
-def test_bad_thread_variable_is_refused_before_the_config_is_read(
-    tmp_path, capsys, monkeypatch, experiment
-):
-    monkeypatch.setenv("RIDGELAB_THREADS", "many")
-    out = tmp_path / "out"
-    argv = ["sim", experiment, "--config", str(tmp_path / "nowhere.json"), "--out-dir", str(out)]
-    assert run(argv) == 1
-    assert capsys.readouterr().err == (
-        "usage error: malformed RIDGELAB_THREADS: invalid literal for int() with base 10: 'many'\n"
-    )
     assert not out.exists()
 
 
@@ -1722,8 +1670,7 @@ def one_path_argv(tmp_path, command, out) -> list:
 
 
 @pytest.mark.parametrize("command", ONE_PATH)
-def test_outputs_go_into_a_missing_nested_directory(tmp_path, monkeypatch, command):
-    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
+def test_outputs_go_into_a_missing_nested_directory(tmp_path, command):
     nested = tmp_path / "a" / "b"
     out = nested / "out" if command in SIM_OUTPUTS else nested / f"{command}.csv"
     assert run(one_path_argv(tmp_path, command, out)) == 0
@@ -1754,9 +1701,8 @@ def test_bad_output_location_is_a_usage_error_before_any_compute(
 
 
 @pytest.mark.parametrize("command", ["fpe", "fig1"])
-def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, command):
     # a path through a file fails only when written, after the compute
-    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
     blocker = tmp_path / "file.txt"
     blocker.write_text("kept\n")
     out = blocker / ("out" if command == "fig1" else "fpe.csv")
@@ -1784,7 +1730,6 @@ def test_non_finite_fpe_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatc
 
 def test_non_finite_fig1_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatch):
     # both tables are checked before the first is written
-    monkeypatch.delenv("RIDGELAB_THREADS", raising=False)
     risk = cli.run_risk_experiment
 
     def broken(*args, **kwargs):
@@ -1835,3 +1780,42 @@ def test_readme_theory_commands_run_in_a_fresh_directory(tmp_path, monkeypatch):
         assert out.parent == Path("out") and out.is_file()
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
     assert meta["rerun_argv"] == commands[-1]
+
+
+def readme_usage_flags() -> dict:
+    """{command: its --flags} from the README's "Command line" usage block."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```text\n(.*?)```", text, re.S).group(1)
+    flags, command = {}, None
+    for line in block.splitlines():
+        words = line.split()
+        if words[0] == "ridgelab":
+            command = " ".join(words[1:3] if words[1] == "sim" else words[1:2])
+            flags[command] = set()
+        flags[command].update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def parser_flags(parser) -> dict:
+    """{command: its option strings but --help} of a parser's subcommands."""
+    out = {}
+    for action in parser._subparsers._group_actions:
+        for name, sub in action.choices.items():
+            if sub._subparsers is not None:
+                out.update({f"{name} {k}": v for k, v in parser_flags(sub).items()})
+                continue
+            out[name] = {
+                option for act in sub._actions for option in act.option_strings
+            } - {"-h", "--help"}
+    return out
+
+
+def test_readme_usage_block_lists_every_flag_of_the_parser(monkeypatch):
+    # a removed flag lingering in the docs, or one left out of them, fails here
+    assert readme_usage_flags() == parser_flags(cli._build_parser())
+    # and every flag cast in _CASTS is the type of some flag
+    named = []
+    flag = cli._flag
+    monkeypatch.setattr(cli, "_flag", lambda name: named.append(name) or flag(name))
+    cli._build_parser()
+    assert set(named) == set(cli._CASTS)

@@ -18,6 +18,7 @@ from ridgelab import (
     SignalVector,
     SpikedUniform,
     build_model,
+    confidence_intervals,
     distributional_check,
     empirical_risk,
     lq_gamma_diag,
@@ -188,6 +189,22 @@ def test_residual_law_norm():
 
     zero = residual_law_sample(phi, 1.0, 5.0, 1.0, 0.0, np.ones(m), 0)
     np.testing.assert_array_equal(zero, np.zeros(m))
+
+
+def test_spiked_weight_paths_at_n_1():
+    # the (spike, bulk) weight pair reads its spike entry when n = 1
+    model = SpikedUniform(2.0, 0.5, 1)
+    mu0 = SignalVector([1.0])
+    params = solve_effective(
+        ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
+    )
+    weight = np.array([2.0])
+    plain = lq_gamma_diag(None, model, params, 1.0)
+    assert lq_gamma_diag(weight, model, params, 1.0)[0] == 4.0 * plain[0]
+    gamma, tau = float(np.sqrt(params.gamma_tilde_sq)), params.tau_star
+    unweighted = seq_model_lq_mc(2.0, None, model, mu0, gamma, tau, reps=100, seed=3)
+    weighted = seq_model_lq_mc(2.0, weight, model, mu0, gamma, tau, reps=100, seed=3)
+    assert weighted == (2.0 * unweighted[0], 2.0 * unweighted[1])
 
 
 def test_seq_model_lq_mc_deterministic_at_zero_gamma():
@@ -371,9 +388,9 @@ def test_run_risk_experiment_structure_and_determinism():
 
 def test_run_risk_experiment_overlay_is_risk_curves():
     config = small_config(model_spec={"kind": "spiked_uniform", "a": 1.5, "b": 0.5})
-    out = run_risk_experiment(config, ctx=2)
+    out = run_risk_experiment(config)
     model = build_model(config.model_spec, config.n)
-    mu0 = sample_signal("sphere", config.n, stream(config.master_seed, 0, "signal", 2))
+    mu0 = sample_signal("sphere", config.n, stream(config.master_seed, 0, "signal", 0))
     theory = ProblemConfig(
         phi=0.5, eta=0.0, sigma_sq=config.sigma_sq, model=model, mu0=mu0
     )
@@ -381,6 +398,32 @@ def test_run_risk_experiment_overlay_is_risk_curves():
     for kind, curve in curves.items():
         np.testing.assert_array_equal(out.theoretical[kind.value], curve.theoretical)
         np.testing.assert_array_equal(out.rmt[kind.value], curve.rmt)
+
+
+def test_redraw_signal_gives_each_later_rep_its_own_signal(monkeypatch):
+    # rep 0 and the overlays keep the shared rep-0 signal; rep r > 0 draws
+    # from its own (r, "signal", 0) stream
+    seen = []
+    curves = simlab._empirical_curves
+
+    def recording(data, etas, kinds):
+        seen.append(data.mu0.coords.copy())
+        return curves(data, etas, kinds)
+
+    monkeypatch.setattr(simlab, "_empirical_curves", recording)
+    redrawn = run_risk_experiment(small_config(reps=3, redraw_signal=True))
+    assert len(seen) == 3
+    for rep, coords in enumerate(seen):
+        own = sample_signal("sphere", 80, stream(3, rep, "signal", 0))
+        np.testing.assert_array_equal(coords, own.coords)
+    seen.clear()
+    shared = run_risk_experiment(small_config(reps=3))
+    for coords in seen:
+        np.testing.assert_array_equal(coords, seen[0])
+    for kind in RiskKind:
+        np.testing.assert_array_equal(redrawn.theoretical[kind], shared.theoretical[kind])
+        np.testing.assert_array_equal(redrawn.rmt[kind], shared.rmt[kind])
+    assert not np.array_equal(redrawn.emp_mean["est"], shared.emp_mean["est"])
 
 
 def test_run_risk_experiment_tracks_theory_loosely():
@@ -586,6 +629,30 @@ def test_tuning_reps_build_one_dataset_that_kfold_reads(monkeypatch):
     assert summary.failed == ()
     assert len(built) == 2 * 3
     assert [id(d) for d in kfold_data] == [id(d) for d in built]
+
+
+def test_tuning_oracle_signal_spreads_over_an_explicit_spectrum():
+    # r e_1 is an eigenvector of an explicit model with no basis, and put the
+    # whole signal on the top eigenvalue: oracle_len read 0.78434 here
+    lam = np.linspace(3.0, 0.2, 40)
+    basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((40, 40)))
+    oracle = {}
+    for name, spec in (("plain", {}), ("basis", {"basis": basis.tolist()})):
+        config = small_config(
+            m=20, n=None, phi_grid=(0.5,), etas=(0.5, 1.0), reps=2,
+            model_spec={"kind": "explicit", "eigenvalues": lam.tolist(), **spec},
+        )
+        oracle[name] = run_tuning_experiment(config).oracle_len[0]
+    assert oracle["plain"] == pytest.approx(0.7321327, abs=1e-7)
+    # the signal V 1 / sqrt(n) has the same eigen-masses in every basis V,
+    # so only the coordinate's interval scale moves
+    scale = {
+        name: confidence_intervals(np.zeros(40), 1.0, Explicit(lam, v), 0.05).lengths[0]
+        for name, v in (("plain", None), ("basis", basis))
+    }
+    assert oracle["basis"] / oracle["plain"] == pytest.approx(
+        scale["basis"] / scale["plain"], rel=1e-12
+    )
 
 
 def test_tuning_summary_pairs_each_skipped_rep_with_its_phi(monkeypatch):

@@ -265,12 +265,7 @@ def test_apply_and_diag_fn_match_dense_algebra(model, rng):
 
 @OPERATOR_MODELS
 def test_operators_call_fn_once_on_the_distinct_eigenvalues(model):
-    if isinstance(model, Isotropic):
-        distinct = [model.scale]
-    elif isinstance(model, SpikedUniform):
-        distinct = [model.top, model.a]
-    else:
-        distinct = model.eigenvalues.tolist()
+    distinct = model.pairs()[0].tolist()
     seen = []
 
     def fn(lam):
@@ -281,6 +276,18 @@ def test_operators_call_fn_once_on_the_distinct_eigenvalues(model):
     model.apply(fn, np.ones((model.n, 2)))
     model.diag_fn(fn)
     assert seen == [distinct] * 3
+
+
+def test_spiked_operators_at_n_1_read_fn_at_the_one_eigenvalue(rng):
+    # a is no eigenvalue at n = 1; fa + (ftop - fa) used to round off
+    # ftop, in 18 of these 2000 draws
+    for a, b in rng.uniform(0.01, 5.0, (2000, 2)):
+        model = SpikedUniform(a, b, 1)
+        root = math.sqrt(model.top)
+        assert model.diag_fn(np.sqrt)[0] == root
+        assert model.apply(np.sqrt, np.ones(1))[0] == root
+    # an fn singular at a is not evaluated there (a RuntimeWarning is an error)
+    assert SpikedUniform(2.0, 0.5, 1).diag_fn(lambda lam: 1.0 / (lam - 2.0))[0] == 2.0
 
 
 @pytest.mark.parametrize(
