@@ -29,7 +29,7 @@ from . import dataio
 from ._version import __version__
 from .errors import InputError, NumericalError, RidgelabError, UsageError, as_cast, check_alpha
 from .errors import check_eta, check_eta_grid, check_mc_reps, check_positive, check_size
-from .errors import choice, dimension, read_object, real, seed
+from .errors import check_threads, choice, dimension, read_object, real, seed
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     confidence_intervals,
@@ -102,7 +102,7 @@ _CASTS = {
     "mc reps": lambda text: check_mc_reps(int(text), zero=True),
     "k": lambda text: check_size(dimension(int(text)), "k", least=2),
     "seed": lambda text: seed(int(text)),
-    "threads": lambda text: dimension(int(text)),  # 0 or less: one worker per CPU
+    "threads": lambda text: check_threads(dimension(int(text))),
 }
 
 

@@ -45,6 +45,9 @@ ALPHA_RANGE = (0.0, 1.0)
 POSITIVE_RANGE = (0.0, math.inf)
 # Band of a Monte Carlo rep count, whose per-rep buffer is a size like any other.
 MC_REPS_RANGE = (100, MAX_DIM)
+# Band of the sim worker count: each worker is an OS thread, and the shipped
+# configs run 4.
+THREADS_RANGE = (1, 256)
 
 
 class RidgelabError(Exception):
@@ -91,12 +94,12 @@ class IllConditioned(NumericalError):
     """A linear system exceeded the condition-number guard."""
 
 
-def coerce(cast, value, name: str, error: type[RidgelabError] = InputError):
-    """Return cast(value); a malformed value raises `error` naming `name`."""
+def coerce(cast, value, name: str):
+    """Return cast(value); a malformed value raises InputError naming `name`."""
     try:
         return cast(value)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise error(f"malformed {name}: {exc}") from exc
+        raise InputError(f"malformed {name}: {exc}") from exc
 
 
 def integer(value) -> int:
@@ -275,6 +278,11 @@ def check_positive(value: float, name: str, zero: bool = False) -> float:
 def check_mc_reps(reps: int, name: str = "reps", zero: bool = False) -> int:
     """reps when it lies in MC_REPS_RANGE (or is 0, with zero set)."""
     return check_range(reps, name, *MC_REPS_RANGE, zero=zero)
+
+
+def check_threads(threads: int, name: str = "threads") -> int:
+    """threads when it lies in THREADS_RANGE."""
+    return check_range(threads, name, *THREADS_RANGE)
 
 
 def check_size(size: int, name: str, least: int = 1) -> int:

@@ -28,7 +28,6 @@ from .rng import as_rng
 from .spectrum import CovarianceModel, SignalVector, sigma_quad
 from .stats import z_two_sided
 
-_RIDGE_COND_LIMIT = 1e14
 _GRAM_COND_LIMIT = 1e12
 
 
@@ -164,18 +163,15 @@ def _checked_ridge_fit(data: Dataset, eta: float, mu: np.ndarray) -> RidgeFit:
     kkt = x.T @ resid / n - eta * mu
     if not float(np.linalg.norm(kkt)) <= 1e-8 * (1.0 + float(np.linalg.norm(mu))):
         raise IllConditioned(
-            f"ridge solve inaccurate (condition likely above {_RIDGE_COND_LIMIT:.0e})"
+            "ridge solve inaccurate: the normal equations are off by more than 1e-8 relative"
         )
     return RidgeFit(eta=float(eta), mu_hat=mu, r_hat=resid / np.sqrt(n))
 
 
 def ridgeless_fit(data: Dataset) -> RidgeFit:
     """Minimum-norm interpolator X^T (X X^T)^{-1} Y; needs m < n."""
-    x, y = data.x, data.y
-    m, n = data.m, data.n
-    if m >= n:
-        raise WrongRegime(f"ridgeless fit requires m < n, got m={m}, n={n}")
-    data.sweep.require_invertible()
+    x, y, n = data.x, data.y, data.n
+    data.sweep.require_ridgeless()
     mu = data.sweep.mu_hat(0.0)
     resid = y - x @ mu
     if float(np.linalg.norm(resid)) > 1e-8 * float(np.linalg.norm(y)):
@@ -205,14 +201,9 @@ def df_hat(data: Dataset, eta: float) -> float:
     The sweep's spectrum is that of X X^T / n (or X^T X / n), i.e. Sigma_hat's
     nonzero part times m/n, and eta/phi = eta n/m, so the scale cancels.
     """
-    check_eta(eta)
-    s = data.sweep.s
-    if eta == 0:
-        if data.m >= data.n:
-            raise WrongRegime("df at eta = 0 requires m < n")
-        tol = s.max(initial=0.0) * max(data.m, data.n) * np.finfo(float).eps
-        return float(np.count_nonzero(s > tol))
-    return float(np.sum(s / (s + eta)))
+    if check_eta(eta) == 0:
+        data.sweep.require_ridgeless()
+    return float(np.sum(data.sweep.s / data.sweep.shift(eta)))
 
 
 def tau_hat(data: Dataset, eta: float) -> float:
@@ -279,44 +270,45 @@ class GramSweep:
             self.v = basis
             self.b = basis.T @ (x.T @ y) / self.n
 
-    def require_invertible(self) -> None:
-        """Raise IllConditioned unless X X^T is safely invertible, as eta = 0 needs."""
-        if not self.dual:
-            raise IllConditioned(
-                f"X X^T is singular when m > n (m={self.m}, n={self.n})"
-            )
-        self.require_factor_invertible()
+    def shift(self, eta: float) -> np.ndarray:
+        """s + eta, the spectrum every fit, residual and estimator divides by.
 
-    def require_factor_invertible(self) -> None:
-        """Raise IllConditioned unless the factored Gram matrix is safely invertible.
-
-        That is X X^T in the dual route and X^T X in the primal one: the
-        matrix an eta = 0 fit inverts.
+        At eta = 0 that inverts the factored Gram matrix (X X^T in the dual
+        route, X^T X in the primal one), so it raises IllConditioned unless
+        that matrix is safely invertible.
         """
-        cond = self.s[-1] / self.s[0] if self.s[0] > 0 else np.inf
-        if cond > _GRAM_COND_LIMIT:
-            gram = "X X^T" if self.dual else "X^T X"
-            raise IllConditioned(
-                f"{gram} condition {cond:.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
-            )
+        if eta == 0:
+            cond = self.s[-1] / self.s[0] if self.s[0] > 0 else np.inf
+            if cond > _GRAM_COND_LIMIT:
+                gram = "X X^T" if self.dual else "X^T X"
+                raise IllConditioned(
+                    f"{gram} condition {cond:.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
+                )
+        return self.s + eta
+
+    def require_ridgeless(self) -> None:
+        """Raise WrongRegime unless m < n, where the eta = 0 interpolator exists."""
+        if self.m >= self.n:
+            raise WrongRegime(f"eta = 0 requires m < n, got m={self.m}, n={self.n}")
 
     def mu_hat(self, eta: float) -> np.ndarray:
         if self.dual:
-            return self.x.T @ (self.q @ (self.c / (self.s + eta))) / self.n
-        return self.v @ (self.b / (self.s + eta))
+            return self.x.T @ (self.q @ (self.c / self.shift(eta))) / self.n
+        return self.v @ (self.b / self.shift(eta))
 
     def resid(self, eta: float) -> np.ndarray:
         if self.dual:
-            return self.q @ (self.c * (eta / (self.s + eta)))
+            return self.q @ (self.c * (eta / self.shift(eta)))
         return self.y - self.x @ self.mu_hat(eta)
 
     def tau_hat(self, eta: float) -> float:
         """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
         if eta == 0:
-            # a singular X X^T (always so when m > n) would give tau = 0 and
-            # gamma = 0 * inf = NaN, which a grid search's argmin would select
-            self.require_invertible()
-        inv_sum = float(np.sum(1.0 / (self.s + eta)))
+            # the interpolator's tau exists only when m < n; past it X X^T is
+            # singular, and tau = 0 would make gamma 0 * inf = NaN, which a
+            # grid search's argmin would select
+            self.require_ridgeless()
+        inv_sum = float(np.sum(1.0 / self.shift(eta)))
         if not self.dual:
             if eta < 0:
                 raise InputError("tau estimator needs eta > 0 when m > n")
@@ -326,11 +318,9 @@ class GramSweep:
     def gamma_hat(self, eta: float) -> float:
         """(tau_hat/sqrt(n)) ||(X X^T/n + eta I)^{-1} Y||: ||Q^T Y / (S + eta)||
         in the dual route, down to eta = 0; ||resid|| / eta in the primal one."""
-        if not self.dual and eta <= 0:
-            raise InputError("underparametrized gamma estimator requires eta > 0")
         t = self.tau_hat(eta)
         if self.dual:
-            return t / np.sqrt(self.n) * float(np.linalg.norm(self.c / (self.s + eta)))
+            return t / np.sqrt(self.n) * float(np.linalg.norm(self.c / self.shift(eta)))
         return t / np.sqrt(self.n) * float(np.linalg.norm(self.resid(eta))) / eta
 
 
@@ -374,8 +364,6 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     etas = check_eta_grid(grid)
     sweep = data.sweep
     refit_zero = etas[0] == 0 and not sweep.dual
-    if etas[0] == 0 and sweep.dual:
-        sweep.require_invertible()
     # A^{-1} = Q diag(d) Q^T in the dual route, H = P diag(d) P^T / n with
     # P = X V in the primal one, where d = 1 / (s + eta)
     basis = sweep.q if sweep.dual else data.x @ sweep.v
@@ -383,7 +371,7 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     for fold in folds:
         p = basis[fold]
         for i in range(1 if refit_zero else 0, etas.size):
-            d = 1.0 / (sweep.s + etas[i])
+            d = 1.0 / sweep.shift(etas[i])
             if sweep.dual:
                 lhs = (p * d) @ p.T
                 rhs = p @ (sweep.c * d)
@@ -410,8 +398,6 @@ def _kfold_refit(data: Dataset, etas: np.ndarray, folds: list[np.ndarray]) -> np
         mask[:] = True
         mask[fold] = False
         sweep = GramSweep(data.x[mask], data.y[mask])
-        if etas[0] == 0:
-            sweep.require_factor_invertible()
         x_test, y_test = data.x[fold], data.y[fold]
         for i, eta in enumerate(etas):
             err = y_test - x_test @ sweep.mu_hat(float(eta))

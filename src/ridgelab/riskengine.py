@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SCALE_RANGE, InputError, NumericalError, check_all, check_positive, coerce
+from .errors import SCALE_RANGE, BothZero, InputError, NumericalError, check_all, check_positive
+from .errors import coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -174,8 +175,6 @@ def optimal_eta(sigma_sq: float, mu_norm_sq: float) -> float:
     if not (sigma_sq >= 0 and mu_norm_sq >= 0):
         raise InputError("sigma_sq and mu_norm_sq must be nonnegative")
     if sigma_sq == 0 and mu_norm_sq == 0:
-        from .errors import BothZero
-
         raise BothZero("optimal eta is undefined when both sigma_sq and mu0 vanish")
     if sigma_sq == 0:
         return 0.0

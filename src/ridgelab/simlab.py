@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -26,8 +25,8 @@ import numpy as np
 from .dataio import eta_grid
 from .errors import PHI_RANGE, IllConditioned, InputError, NonConvergence, WrongRegime
 from .errors import boolean, check_alpha, check_all, check_eta, check_eta_grid, check_mc_reps
-from .errors import check_positive, check_scale, check_size, choice, dimension, read_object
-from .errors import real, reals, seed
+from .errors import check_positive, check_scale, check_size, check_threads, choice, dimension
+from .errors import read_object, real, reals, seed
 from .fixedpoint import ProblemConfig, solve_effective
 from .regress import (
     Dataset,
@@ -149,6 +148,7 @@ class ExperimentConfig:
         if self.argmin_reps is not None:
             check_size(self.argmin_reps, "'argmin_reps'")
         check_size(self.k, "'k'", least=2)
+        check_threads(self.threads, "'threads'")
         check_alpha(self.alpha, "'alpha'")
         etas = check_eta_grid(self.etas, "'eta_grid'")
         object.__setattr__(self, "etas", tuple(etas.tolist()))
@@ -409,19 +409,13 @@ def seq_model_lq_mc(
     return mean, stderr
 
 
-def resolve_threads(threads: int) -> int:
-    """0 (or negative) means auto: one worker per available CPU."""
-    if threads > 0:
-        return threads
-    return os.cpu_count() or 1
-
-
 def _map_reps(reps: int, threads: int, worker):
     """Run worker(rep) for rep in range(reps); ordered results, failures listed.
 
     Only numerical failures (ill-conditioning, wrong regime, linear-algebra
     breakdown) count as skippable; anything else propagates. Aborts when
-    more than 1% of replications fail.
+    more than 1% of replications fail. At most reps workers run, since
+    pool.map submits every rep at once and each submit may start a thread.
     """
 
     def guarded(rep: int):
@@ -430,7 +424,7 @@ def _map_reps(reps: int, threads: int, worker):
         except (IllConditioned, WrongRegime, np.linalg.LinAlgError) as exc:
             return None, exc
 
-    workers = resolve_threads(threads)
+    workers = min(threads, reps)
     if workers == 1:
         raw = [guarded(rep) for rep in range(reps)]
     else:
@@ -459,16 +453,15 @@ def _draw_signal(config: ExperimentConfig, n: int, rep: int, ctx: int) -> Signal
 def _draw_rep(
     config: ExperimentConfig,
     model: CovarianceModel,
-    etas: np.ndarray,
     rep: int,
     ctx: int,
     mu0: SignalVector | None = None,
 ) -> Dataset:
     """One replication's sample Y = X mu0 + xi from its (rep, role, ctx) streams.
 
-    The signal is drawn unless one is passed in. A grid that starts at
-    eta = 0 needs an invertible X X^T, the same bar as the standalone
-    ridgeless fit.
+    The signal is drawn unless one is passed in. A rep whose Gram matrix is
+    not safely invertible fails, and is skipped, at its first fit at
+    eta = 0 (GramSweep.shift).
     """
     seed = config.master_seed
     if mu0 is None:
@@ -479,10 +472,7 @@ def _draw_rep(
     xi = sample_noise(
         config.noise_dist, config.m, config.sigma_sq, stream(seed, rep, "noise", ctx)
     )
-    data = Dataset(x, x @ mu0.coords + xi, model, mu0)
-    if etas[0] == 0:
-        data.sweep.require_invertible()
-    return data
+    return Dataset(x, x @ mu0.coords + xi, model, mu0)
 
 
 def _fixed_shape(config: ExperimentConfig, what: str) -> tuple[CovarianceModel, np.ndarray]:
@@ -540,7 +530,7 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskSummary:
 
     def worker(rep: int) -> dict:
         mu0 = None if config.redraw_signal and rep > 0 else theory.mu0
-        data = _draw_rep(config, model, etas, rep, _RISK_CTX, mu0)
+        data = _draw_rep(config, model, rep, _RISK_CTX, mu0)
         return _empirical_curves(data, etas, RiskKind)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
@@ -567,7 +557,7 @@ def run_argmin_experiment(config: ExperimentConfig) -> ArgminResult:
     reps = config.argmin_reps if config.argmin_reps is not None else config.reps
 
     def worker(rep: int) -> dict:
-        data = _draw_rep(config, model, etas, rep, _ARGMIN_CTX)
+        data = _draw_rep(config, model, rep, _ARGMIN_CTX)
         return _empirical_curves(data, etas, TUNABLE_KINDS)
 
     results, failed = _map_reps(reps, config.threads, worker)
@@ -649,7 +639,7 @@ def run_tuning_experiment(config: ExperimentConfig) -> TuningSummary:
         })
 
         def worker(rep: int, model=model, etas=etas, ctx=pi) -> dict:
-            data = _draw_rep(config, model, etas, rep, ctx)
+            data = _draw_rep(config, model, rep, ctx)
             sweep = data.sweep
             curves = _empirical_curves(data, etas, TUNABLE_KINDS)
             folds = kfold_folds(
@@ -781,7 +771,7 @@ def distributional_check(
     def worker(rep: int) -> dict:
         if data_side == "seq":
             return seq_stats(seq_reps + rep)
-        sweep = _draw_rep(config, model, etas, rep, 0, mu0).sweep
+        sweep = _draw_rep(config, model, rep, 0, mu0).sweep
         return stat_rows(sweep.mu_hat(float(eta)) for eta in etas)
 
     results, failed = _map_reps(config.reps, config.threads, worker)

@@ -667,6 +667,31 @@ def test_tune_cv_refuses_singular_primal_gram_at_zero(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m, n", [(30, 60), (40, 40), (60, 30)])
+def test_eta_zero_needs_m_below_n_in_every_command(tmp_path, capsys, m, n):
+    # fit, ci and GCV share one rule at eta = 0; k-fold refits each fold
+    data_path, _ = write_dataset(tmp_path, m=m, n=n, seed=3)
+    data = ["--data", str(data_path)]
+    out = tmp_path / "out" / "o.csv"
+    commands = {
+        "fit": ["fit", *data, "--eta", "0"],
+        "ci": ["ci", *data, "--eta", "0", "--out", str(out)],
+        "gcv": ["tune", *data, "--method", "gcv", "--grid", "0:1.5:7", "--out", str(out)],
+    }
+    for name, argv in commands.items():
+        code = run(argv)
+        captured = capsys.readouterr()
+        if m < n:
+            assert code == 0, (name, captured.err)
+            continue
+        assert code == 2, name
+        assert captured.err == f"numerical error: eta = 0 requires m < n, got m={m}, n={n}\n"
+        assert captured.out == "" and not out.parent.exists(), name
+    if m > n:
+        cv = ["tune", *data, "--method", "cv", "--grid", "0:1.5:7", "--out", str(out)]
+        assert run(cv) == 0
+
+
 def test_ci_reports_coverage(tmp_path, capsys):
     data_path, data = write_dataset(tmp_path, m=30, n=20, seed=5)
     out = tmp_path / "ci.csv"
@@ -1213,6 +1238,10 @@ def test_sim_fig2_requires_phi_grid(tmp_path, capsys):
             {"model": {"kind": "isotropic", "scale": 1.0, "n": 20}},
             "malformed 'model': a sim model takes its dimension from 'n' or 'phi_grid'",
         ),
+        # 0 or less used to mean one worker per CPU; each worker is a thread
+        ({"threads": 0}, "'threads' must lie in [1, 256], got 0"),
+        ({"threads": -1}, "'threads' must lie in [1, 256], got -1"),
+        ({"threads": 257}, "'threads' must lie in [1, 256], got 257"),
     ],
 )
 def test_malformed_sim_config_is_an_input_error(tmp_path, capsys, overrides, key):
@@ -1285,6 +1314,9 @@ BAD_FLAGS = {
                   "argument --seed: invalid literal for int() with base 10: 'x'"),
     "sim --threads": (["sim", "fig1", "--threads", "1000000000"],
                       "argument --threads: expected at most 1e+08, got 1000000000"),
+    **{f"sim --threads {t}": (["sim", "fig1", "--threads", t],
+                              f"argument --threads: threads must lie in [1, 256], got {t}")
+       for t in ("0", "-1", "257")},
 }
 
 

@@ -165,8 +165,8 @@ def test_tau_hat_examples():
 
 
 def test_tau_hat_at_zero_needs_invertible_gram():
-    # m > n: X X^T is singular, so tau_hat(0) has no finite value
-    with pytest.raises(IllConditioned):
+    # m > n: no interpolator exists, so tau_hat(0) is refused by regime
+    with pytest.raises(WrongRegime):
         tau_hat(toy_dataset(29, 13), 0.0)
     rank_one = Dataset(x=np.ones((3, 6)), y=np.ones(3), model=Isotropic(1.0, 6))
     with pytest.raises(IllConditioned):
@@ -176,6 +176,23 @@ def test_tau_hat_at_zero_needs_invertible_gram():
     data = toy_dataset(13, 29, seed=4)
     direct = 1.0 / np.trace(np.linalg.inv(data.x @ data.x.T))
     assert tau_hat(data, 0.0) == pytest.approx(direct, rel=1e-11)
+
+
+def test_every_estimator_at_zero_needs_an_invertible_gram():
+    # a rank-one X X^T: each route to eta = 0 divides by GramSweep.shift(0)
+    rank_one = Dataset(x=np.ones((3, 6)), y=np.ones(3), model=Isotropic(1.0, 6))
+    sweep = rank_one.sweep
+    folds = [np.array([i]) for i in range(3)]
+    for estimate in (
+        lambda: sweep.mu_hat(0.0),
+        lambda: sweep.resid(0.0),
+        lambda: sweep.tau_hat(0.0),
+        lambda: sweep.gamma_hat(0.0),
+        lambda: df_hat(rank_one, 0.0),
+        lambda: kfold_objective(rank_one, [0.0, 0.5], folds),
+    ):
+        with pytest.raises(IllConditioned, match=r"X X\^T condition"):
+            estimate()
 
 
 @pytest.mark.parametrize(
@@ -208,12 +225,12 @@ def test_gamma_hat_branches():
     assert g == pytest.approx(
         t / np.sqrt(under.n) * float(np.linalg.norm(resid)) / 0.5, rel=1e-12
     )
-    # m > n at eta = 0: gamma_hat is an input error, tau_hat ill-conditioned
-    with pytest.raises(InputError):
+    # m > n at eta = 0: no interpolator exists, so both are refused by regime
+    with pytest.raises(WrongRegime):
         gamma_hat(under, 0.0)
-    with pytest.raises(InputError):
+    with pytest.raises(WrongRegime):
         under.sweep.gamma_hat(0.0)
-    with pytest.raises(IllConditioned):
+    with pytest.raises(WrongRegime):
         tau_hat(under, 0.0)
     for data in (over, under):
         with pytest.raises(InputError):

@@ -371,6 +371,47 @@ def test_lq_weight_band_edge_is_finite(model):
             lq_gamma_diag(a * (1.0 + 2.0**-52), model, params, mu0.norm)
 
 
+def test_map_reps_runs_at_most_one_worker_per_rep(monkeypatch):
+    # pool.map submits every rep at once, and each submit may start a thread
+    pools = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simlab, "ThreadPoolExecutor", CountingPool)
+    for reps, threads in ((3, 8), (5, 2), (1, 4), (4, 1)):
+        results, failed = simlab._map_reps(reps, threads, lambda rep: rep * rep)
+        assert results == [(rep, rep * rep) for rep in range(reps)] and failed == ()
+    assert pools == [3, 2]
+
+
+def test_a_rep_with_a_singular_gram_matrix_is_skipped(monkeypatch):
+    # equal rows make rep 1's X X^T singular; its first eta = 0 fit raises
+    # IllConditioned and the rep is skipped
+    sample, calls = simlab.sample_design, []
+
+    def design(*args):
+        x = sample(*args)
+        calls.append(x)
+        if len(calls) == 2:
+            x[1] = x[0]
+        return x
+
+    monkeypatch.setattr(simlab, "sample_design", design)
+    summary = run_risk_experiment(small_config(m=4, n=8, reps=100))
+    assert summary.failed == (1,)
+
+
 def test_run_risk_experiment_structure_and_determinism():
     config = small_config()
     first = run_risk_experiment(config)
