@@ -12,7 +12,8 @@ written; output directories are created; a bad output location (an
 --out that is a directory, an --out-dir that is a file, a path that
 cannot be written) is a usage error (exit 1). Commands with file outputs
 also drop a run_meta.json next to them recording the resolved
-configuration and the argv that reproduces the run.
+configuration and the argv that reproduces the run. A command that runs
+out of memory is an input error (exit 1) naming the command.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .simlab import (
     seq_model_lq_mc,
 )
 from .spectrum import SignalVector, model_from_json, real_array
+from .stats import z_two_sided
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,6 +353,9 @@ def _cmd_tune(args):
 
 
 def _cmd_ci(args):
+    # The normal quantile loads scipy.special; loading it before the
+    # dataset's arrays exist keeps it from raising the process's peak RSS.
+    z_two_sided(args.alpha)
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
     tau = tau_hat(data, args.eta)
@@ -520,8 +525,10 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    command = "ridgelab"
     try:
         args = _build_parser().parse_args(argv)
+        command = " ".join(filter(None, (args.command, getattr(args, "experiment", None))))
         _check_output_location(args)
         _emit(args.handler(args), argv)
         return 0
@@ -534,6 +541,10 @@ def run(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        reason = f" ({exc})" if str(exc) else ""
+        print(f"input error: {command} does not fit in memory{reason}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

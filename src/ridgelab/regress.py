@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy  # ridge_fit, the one user of scipy.linalg, loads it on first call
 
 from .errors import IllConditioned, InputError, MissingGroundTruth, WrongRegime
 from .errors import check_alpha, check_eta, check_eta_grid, check_positive, check_scale

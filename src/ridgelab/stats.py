@@ -1,8 +1,14 @@
 """Scalar distribution utilities: normal CDF/quantile and t(10) draws.
 
-Normal quantiles come from scipy's exact inverse (`special.ndtri`), not
-from table lookups or CDF searches. `normal_cdf` is computed independently
-through `math.erf`, so the round trip between the two is a real check.
+Normal quantiles come from scipy's exact inverse (`scipy.special.ndtri`),
+not from table lookups or CDF searches. `normal_cdf` is computed
+independently through `math.erf`, so the round trip between the two is a
+real check.
+
+The module imports only the top-level `scipy` package. `scipy.special` is
+looked up as an attribute when a quantile or a t(10) draw is computed, and
+scipy imports a submodule the first time it is looked up, so a command that
+computes neither (`fpe`, `risk`, `lq`, `fit`, `tune`) never loads it.
 
 t(10) draws use no inverse CDF. With U_0, ..., U_5 i.i.d. uniform on
 [0, 1), -2 log U_i is Exp(2), so -2 log(U_1 ... U_5) is a sum of five
@@ -25,7 +31,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import check_alpha
 
@@ -40,7 +46,7 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF."""
-    return float(special.ndtri(check_alpha(p, "quantile level")))
+    return float(scipy.special.ndtri(check_alpha(p, "quantile level")))
 
 
 def z_two_sided(alpha: float) -> float:
@@ -59,7 +65,7 @@ def scaled_t10(rng: np.random.Generator, shape) -> np.ndarray:
     u = rng.random((6, *shape))
     z, w = u[0], u[1]
     np.clip(z, _U_EPS, 1.0 - _U_EPS, out=z)
-    special.ndtri(z, out=z)
+    scipy.special.ndtri(z, out=z)
     for row in u[2:]:
         w *= row
     with np.errstate(divide="ignore"):

@@ -804,6 +804,101 @@ def test_theory_csvs_do_not_move_with_the_blas_thread_count(tmp_path):
         assert outputs[command, "1"] == outputs[command, "2"], command
 
 
+def _fresh_python(script, argv, tmp_path, **env):
+    """python -c script argv in a fresh interpreter that imports this ridgelab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def _fresh_cli(argv, tmp_path, prelude="", **env):
+    """The ridgelab command line on argv in a fresh interpreter, after prelude."""
+    script = f"{prelude}\nimport sys\nfrom ridgelab.cli import run\nsys.exit(run(sys.argv[1:]))"
+    return _fresh_python(script, argv, tmp_path, **env)
+
+
+_LOADED_SUBMODULES = """
+import contextlib, io, json, sys
+from ridgelab import cli
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+
+problem, data = sys.argv[1:]
+seen = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    for command, extra in (("fpe", []), ("risk", []), ("lq", ["--eta", "0.5"])):
+        assert cli.run([command, "--config", problem, "--out", f"{command}.csv", *extra]) == 0
+    seen["theory"] = loaded()
+    assert cli.run(["ci", "--data", data, "--eta", "0.5", "--out", "ci.csv"]) == 0
+seen["ci"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_only_the_scipy_they_call(tmp_path):
+    # a fresh interpreter, since this one has long loaded both submodules
+    data, _ = write_dataset(tmp_path)
+    proc = _fresh_python(
+        _LOADED_SUBMODULES, [str(ROOT / "configs" / "problem.json"), str(data)], tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": [], "theory": [], "ci": ["scipy.special"]}
+
+
+def test_fresh_sim_fig1_is_byte_identical_across_thread_counts(tmp_path):
+    # criterion 13 runs where scipy.special is loaded; here each interpreter
+    # loads it on its first t(10) draw, which --threads 2 makes in a worker
+    config = tmp_path / "fig1.json"
+    config.write_text(json.dumps({
+        "m": 20, "n": 40, "model": {"kind": "spiked_uniform", "a": 1.99, "b": 0.01},
+        "eta_grid": "0:1.5:7", "reps": 4, "seed": 5,
+    }))
+    outputs = {}
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"out{threads}"
+        proc = _fresh_cli(
+            ["sim", "fig1", "--config", str(config), "--out-dir", str(out_dir),
+             "--threads", threads],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = [(out_dir / name).read_bytes()
+                            for name in ("risk_curves.csv", "argmin.csv")]
+    assert outputs["1"] == outputs["2"]
+
+
+def test_sim_too_large_for_memory_is_an_input_error(tmp_path):
+    # the 20000 x 40000 design needs 6.4 GB; the child's address space is
+    # capped at 3 GiB, so the allocation fails before any page is touched
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({
+        "m": 20_000, "n": 40_000, "model": {"kind": "isotropic", "scale": 1.0},
+        "design_dist": "gaussian", "noise_dist": "gaussian", "eta_grid": [0.5, 1.0],
+        "reps": 1, "seed": 1, "threads": 1,
+    }))
+    out_dir = tmp_path / "out"
+    limit = 3 * 2**30
+    proc = _fresh_cli(
+        ["sim", "fig1", "--config", str(config), "--out-dir", str(out_dir)],
+        tmp_path,
+        prelude=f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))",
+        OPENBLAS_NUM_THREADS="1",
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("input error: sim fig1 does not fit in memory ("), lines[0]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [

@@ -1,12 +1,20 @@
-"""Every top-level import in src/ridgelab is used by its module.
+"""Every top-level import in src/ridgelab is used by its module, and no
+module imports a scipy submodule at import time.
 
-The one exception is a name imported only so that the benchmark tracer can
-wrap it where the module looks it up: the import carries a comment saying
-"ridgebench/tracer.py wraps" and the name has an entry for its module in
-ridgebench/tracer.py's PATCHES, which this test reads without importing.
+The one exception to the first rule is a name imported only so that the
+benchmark tracer can wrap it where the module looks it up: the import
+carries a comment saying "ridgebench/tracer.py wraps" and the name has an
+entry for its module in ridgebench/tracer.py's PATCHES, which this test
+reads without importing.
+
+The second rule keeps `import ridgelab` at the cost of the top-level scipy
+package: a module imports `scipy` and looks `scipy.linalg` or
+`scipy.special` up when a function runs, which loads that submodule then
+(tests/test_cli.py checks which submodules each command loads).
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -83,4 +91,65 @@ def test_tracer_note_needs_a_patches_entry(tmp_path):
     assert unused_imports(module, patches) == ["simlab.py:2 lq_risk", "simlab.py:3 np"]
     assert unused_imports(module, set()) == [
         "simlab.py:2 theoretical_risk", "simlab.py:2 lq_risk", "simlab.py:3 np"
+    ]
+
+
+def scipy_submodule_imports(source: str, name: str = "<module>") -> list:
+    """The imports of a scipy submodule that run when the module is imported:
+    `import scipy.x`, `from scipy import x` and `from scipy.x import y`
+    anywhere outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(
+                    f"{name}:{child.lineno} {alias.name}"
+                    for alias in child.names if alias.name.startswith("scipy.")
+                )
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and (
+                child.module == "scipy" or (child.module or "").startswith("scipy.")
+            ):
+                found.append(f"{name}:{child.lineno} from {child.module} import "
+                             + ", ".join(alias.name for alias in child.names))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_submodule_import(path):
+    assert scipy_submodule_imports(path.read_text(), path.name) == []
+
+
+def test_scipy_submodule_rule_sees_every_form():
+    source = textwrap.dedent(
+        """
+        import scipy
+        import scipy.linalg
+        from scipy import special
+        from scipy.special import ndtri
+        try:
+            import scipy.stats as st
+        except ImportError:
+            pass
+
+        class C:
+            from scipy import optimize
+
+        def f():
+            import scipy.linalg
+            from scipy import special
+            return scipy.linalg, special
+        """
+    )
+    assert scipy_submodule_imports(source) == [
+        "<module>:3 scipy.linalg",
+        "<module>:4 from scipy import special",
+        "<module>:5 from scipy.special import ndtri",
+        "<module>:7 scipy.stats",
+        "<module>:12 from scipy import optimize",
     ]
