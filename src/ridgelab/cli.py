@@ -59,7 +59,6 @@ from .simlab import (
     seq_model_lq_mc,
 )
 from .spectrum import SignalVector, model_from_json, real_array
-from .stats import z_two_sided
 
 
 class _Parser(argparse.ArgumentParser):
@@ -353,9 +352,6 @@ def _cmd_tune(args):
 
 
 def _cmd_ci(args):
-    # The normal quantile loads scipy.special; loading it before the
-    # dataset's arrays exist keeps it from raising the process's peak RSS.
-    z_two_sided(args.alpha)
     data = dataio.dataset_from_json(dataio.load_json(args.data))
     fit = _fit_at(data, args.eta)
     tau = tau_hat(data, args.eta)

@@ -47,7 +47,7 @@ from .riskengine import (
 # unused here; ridgebench/tracer.py wraps this name at this module
 from .riskengine import theoretical_risk  # noqa: F401
 from .rng import as_rng, stream
-from .spectrum import CovarianceModel, SignalVector, model_from_json, sigma_quad
+from .spectrum import CovarianceModel, SignalVector, _dot, model_from_json, sigma_quad
 from .stats import scaled_t10
 
 _DISTS = ("gaussian", "scaled_t10")
@@ -287,7 +287,8 @@ def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
         raise InputError(f"signal radius must be nonnegative, got {radius!r}")
     rng = as_rng(seed, "signal")
     g = rng.standard_normal(n)
-    scale = radius / float(np.linalg.norm(g))
+    # _dot, not np.linalg.norm: a BLAS dot's last bit moves with its thread count
+    scale = radius / math.sqrt(_dot(g, g))
     if mode == "ball_radial":
         scale *= float(rng.random())
     return SignalVector(g * scale)
@@ -303,12 +304,17 @@ def _unit_sampler(dist: str, role: str):
 
 
 def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np.ndarray:
-    """X = Z Sigma^{1/2} with Z entries i.i.d. mean zero, unit variance."""
+    """X = Z Sigma^{1/2} with Z entries i.i.d. mean zero, unit variance.
+
+    X is C-ordered at every shape, since the Gram products round by its
+    layout. apply keeps the layout of the F-ordered Z^T for every model but
+    a rotated Explicit one, so only that one copies.
+    """
     draw = _unit_sampler(dist, "design")
     if model.n != n:
         raise InputError(f"model dimension {model.n} != n = {n}")
     z = draw(as_rng(seed, "design"), (m, n))
-    return model.apply(np.sqrt, z.T).T
+    return np.ascontiguousarray(model.apply(np.sqrt, z.T).T)
 
 
 def sample_noise(dist: str, m: int, sigma_sq: float, seed) -> np.ndarray:

@@ -177,12 +177,16 @@ class SpikedUniform(_SpectralSums):
         return values[0], values[-1]
 
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
-        """fa * b + (ftop - fa) * ones ones^T b / n. A vector's ones part is
-        a broadcast scalar; a matrix's is built in full, so that the sum keeps
-        the memory layout that the BLAS products of the result round by."""
+        """fa * b + (ftop - fa) * ones ones^T b / n, in b's memory layout.
+
+        The ones part is added in place, so the result keeps the layout of
+        fa * b at every size; a fresh sum would reuse that temporary, and
+        its layout, only above numpy's 256 KiB elision threshold.
+        """
         ftop, fa = self._ends(fn)
-        part = (ftop - fa) * (b.sum(axis=0) / self.n)
-        return fa * b + (part if b.ndim == 1 else np.multiply.outer(np.ones(self.n), part))
+        out = fa * b
+        out += (ftop - fa) * (b.sum(axis=0) / self.n)
+        return out
 
     def diag_fn(self, fn) -> np.ndarray:
         ftop, fa = self._ends(fn)

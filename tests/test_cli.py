@@ -771,17 +771,16 @@ def test_python_m_runs_the_cli(tmp_path):
 
 
 def test_theory_csvs_do_not_move_with_the_blas_thread_count(tmp_path):
-    # the spectral sums and signal norms run einsum's own loop, never BLAS,
-    # whose threaded dot splits a 10^5-term sum and moves its last bit with
-    # the thread count; mu0 is explicit because a sphere draw's
-    # normalization is still a BLAS dot (README)
+    # the spectral sums, signal norms and a sphere draw's normalization run
+    # einsum's own loop, never BLAS, whose threaded dot splits a 10^5-term
+    # sum and moves its last bit with the thread count
     rng = np.random.default_rng(5)
     n = 100_000
     lam = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(20.0), n)))[::-1]
     config = write_problem(
         tmp_path,
         model={"kind": "explicit", "eigenvalues": encode_array(lam)},
-        mu0=encode_array(rng.standard_normal(n) / np.sqrt(n)),
+        mu0={"mode": "sphere", "radius": 1.0, "seed": 1},
         eta_grid="0:1.5:7",
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -829,33 +828,56 @@ import contextlib, io, json, sys
 from ridgelab import cli
 
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+    return [m for m in ("scipy.linalg", "scipy.special", "statistics") if m in sys.modules]
 
-problem, data = sys.argv[1:]
+problem, data, fig1, fig2 = sys.argv[1:]
 seen = {"import": loaded()}
 with contextlib.redirect_stdout(io.StringIO()):
     for command, extra in (("fpe", []), ("risk", []), ("lq", ["--eta", "0.5"])):
         assert cli.run([command, "--config", problem, "--out", f"{command}.csv", *extra]) == 0
     seen["theory"] = loaded()
+    assert cli.run(["fit", "--data", data, "--eta", "0.5"]) == 0
+    for method in ("gcv", "cv"):
+        assert cli.run(["tune", "--data", data, "--method", method, "--k", "2",
+                        "--grid", "0.1:1:4", "--out", f"{method}.csv"]) == 0
+    seen["fit_tune"] = loaded()
     assert cli.run(["ci", "--data", data, "--eta", "0.5", "--out", "ci.csv"]) == 0
-seen["ci"] = loaded()
+    seen["ci"] = loaded()
+    for figure, config in (("fig1", fig1), ("fig2", fig2)):
+        assert cli.run(["sim", figure, "--config", config, "--out-dir", figure]) == 0
+        seen[figure] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_commands_load_only_the_scipy_they_call(tmp_path):
-    # a fresh interpreter, since this one has long loaded both submodules
+    # a fresh interpreter, since this one has long loaded both submodules;
+    # both sims draw t(10) designs and noise, and fig2 computes intervals;
+    # statistics, for the normal quantile, loads with the first interval
     data, _ = write_dataset(tmp_path)
+    t10 = {"model": {"kind": "spiked_uniform", "a": 1.99, "b": 0.01},
+           "design_dist": "scaled_t10", "noise_dist": "scaled_t10",
+           "eta_grid": [0.3, 0.6, 0.9], "reps": 2, "seed": 2, "threads": 1}
+    fig1 = tmp_path / "fig1.json"
+    fig1.write_text(json.dumps({"m": 10, "n": 20, **t10}))
+    fig2 = tmp_path / "fig2.json"
+    fig2.write_text(json.dumps({"m": 12, "phi_grid": [0.75], "k": 3, **t10}))
     proc = _fresh_python(
-        _LOADED_SUBMODULES, [str(ROOT / "configs" / "problem.json"), str(data)], tmp_path
+        _LOADED_SUBMODULES,
+        [str(ROOT / "configs" / "problem.json"), str(data), str(fig1), str(fig2)],
+        tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": [], "theory": [], "ci": ["scipy.special"]}
+    assert json.loads(proc.stdout) == {
+        "import": [], "theory": [], "fit_tune": [], "ci": ["statistics"],
+        "fig1": ["statistics"], "fig2": ["statistics"],
+    }
 
 
 def test_fresh_sim_fig1_is_byte_identical_across_thread_counts(tmp_path):
-    # criterion 13 runs where scipy.special is loaded; here each interpreter
-    # loads it on its first t(10) draw, which --threads 2 makes in a worker
+    # criterion 13 runs in a process that has long imported every module;
+    # here each interpreter starts cold and, at --threads 2, makes its
+    # first t(10) draw in a rep-pool worker
     config = tmp_path / "fig1.json"
     config.write_text(json.dumps({
         "m": 20, "n": 40, "model": {"kind": "spiked_uniform", "a": 1.99, "b": 0.01},

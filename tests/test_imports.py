@@ -1,5 +1,6 @@
-"""Every top-level import in src/ridgelab is used by its module, and no
-module imports a scipy submodule at import time.
+"""Every top-level import in src/ridgelab is used by its module, no
+module imports a scipy submodule at import time, and no module refers to
+scipy.special at all.
 
 The one exception to the first rule is a name imported only so that the
 benchmark tracer can wrap it where the module looks it up: the import
@@ -11,6 +12,12 @@ The second rule keeps `import ridgelab` at the cost of the top-level scipy
 package: a module imports `scipy` and looks `scipy.linalg` or
 `scipy.special` up when a function runs, which loads that submodule then
 (tests/test_cli.py checks which submodules each command loads).
+
+The third rule keeps every command off scipy.special, which costs about
+24 MB of resident memory and 0.3 s to load: the package computes its
+normal quantiles and t(10) draws without it (stats.py). A lookup such as
+`scipy.special.ndtri` inside a function would load it with no import
+statement to see, so the rule reads attribute chains too.
 """
 
 import ast
@@ -152,4 +159,68 @@ def test_scipy_submodule_rule_sees_every_form():
         "<module>:5 from scipy.special import ndtri",
         "<module>:7 scipy.stats",
         "<module>:12 from scipy import optimize",
+    ]
+
+
+def scipy_special_references(source: str, name: str = "<module>") -> list:
+    """Every reference to scipy.special, at any depth: `import scipy.special`,
+    `from scipy import special`, `from scipy.special import x` and the
+    attribute `scipy.special` (under any name `import scipy` bound)."""
+    tree = ast.parse(source)
+    scipy_names = {"scipy"} | {
+        alias.asname
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "scipy" and alias.asname
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(
+                (node.lineno, f"import {alias.name}") for alias in node.names
+                if alias.name == "scipy.special" or alias.name.startswith("scipy.special.")
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            (node.module == "scipy" and any(a.name == "special" for a in node.names))
+            or (node.module or "").split(".")[:2] == ["scipy", "special"]
+        ):
+            found.append((node.lineno, f"from {node.module} import "
+                          + ", ".join(alias.name for alias in node.names)))
+        elif (isinstance(node, ast.Attribute) and node.attr == "special"
+              and isinstance(node.value, ast.Name) and node.value.id in scipy_names):
+            found.append((node.lineno, f"{node.value.id}.special"))
+    return [f"{name}:{line} {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_special_reference(path):
+    assert scipy_special_references(path.read_text(), path.name) == []
+
+
+def test_scipy_special_rule_sees_every_form():
+    source = textwrap.dedent(
+        """
+        import scipy
+        import scipy as sp
+        import scipy.special
+        import scipy.special.cython_special as cs
+        from scipy import linalg, special
+        from scipy.special import ndtri
+
+        def f(p):
+            import scipy.linalg
+            from scipy.special._ufuncs import ndtr
+            return scipy.special.ndtri(p) + sp.special.ndtr(p) + scipy.linalg.norm(p)
+
+        g = lambda p: scipy.special.erf(p)
+        """
+    )
+    assert scipy_special_references(source) == [
+        "<module>:4 import scipy.special",
+        "<module>:5 import scipy.special.cython_special",
+        "<module>:6 from scipy import linalg, special",
+        "<module>:7 from scipy.special import ndtri",
+        "<module>:11 from scipy.special._ufuncs import ndtr",
+        "<module>:12 scipy.special",
+        "<module>:12 sp.special",
+        "<module>:14 scipy.special",
     ]

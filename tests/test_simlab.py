@@ -107,6 +107,20 @@ def test_sample_design_t10_unit_variance():
         sample_design("gaussian", 10, 12, Isotropic(1.0, 10), 5)
 
 
+@pytest.mark.parametrize("m, n", [(100, 200), (200, 400)], ids=["160KB", "640KB"])
+def test_sample_design_is_c_ordered_at_every_shape(m, n):
+    # the Gram products round by the design's layout; numpy reuses a sum's
+    # temporary, and so its layout, only above 256 KiB
+    basis = np.linalg.qr(np.random.default_rng(6).standard_normal((n, n)))[0]
+    lam = np.linspace(3.0, 1.0, n)
+    spiked = SpikedUniform(1.99, 0.01, n)
+    for model in (spiked, Isotropic(2.0, n), Explicit(lam), Explicit(lam, basis)):
+        assert sample_design("gaussian", m, n, model, 7).flags.c_contiguous, model.kind
+    # the shipped model keeps the F layout of the transposed draw: no copy
+    z = np.random.default_rng(8).standard_normal((m, n))
+    assert spiked.apply(np.sqrt, z.T).flags.f_contiguous
+
+
 def test_sample_noise_scaling_and_zero():
     xi = sample_noise("gaussian", 100000, 2.5, 6)
     assert float(np.mean(xi * xi)) == pytest.approx(2.5, rel=0.03)

@@ -31,6 +31,22 @@ def test_normal_quantile_round_trip():
         )
 
 
+def test_normal_quantile_matches_scipy_ndtri():
+    # the standard library's AS241 against scipy's inverse, over the whole
+    # double range of the band (0, 1) and both tails
+    ps = np.concatenate([
+        np.logspace(-300, -1, 600),
+        np.linspace(0.01, 0.99, 981),
+        1.0 - np.logspace(-16, -1, 300),
+    ])
+    got = np.array([normal_quantile(float(p)) for p in ps])
+    want = special.ndtri(ps)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # antisymmetric, bit for bit, at levels where 1 - p is exact
+    for p in np.concatenate([np.arange(1, 1024) / 1024, np.random.default_rng(10).random(999)]):
+        assert normal_quantile(float(1.0 - p)) == -normal_quantile(float(p))
+
+
 def test_quantile_validation():
     with pytest.raises(InputError):
         normal_quantile(0.0)
@@ -80,11 +96,12 @@ def test_scaled_t10_matches_scipy_t10():
 
 
 def test_scaled_t10_is_the_chi_square_ratio_of_its_uniforms():
-    # textbook route from the same six uniforms: sqrt(0.8) Z / sqrt(chi2_10 / 10)
-    # with chi2_10 = -2 (log U_1 + ... + log U_5)
-    u = np.random.default_rng(12).random((6, 7, 9))
-    z = special.ndtri(u[0])
-    chi2 = -2.0 * np.log(u[1:]).sum(axis=0)
+    # textbook route from the same seven uniforms: sqrt(0.8) Z / sqrt(chi2_10 / 10)
+    # with the Box-Muller Z = sqrt(-2 log(1 - U_0)) cos(2 pi U_1) and
+    # chi2_10 = -2 (log U_2 + ... + log U_6)
+    u = np.random.default_rng(12).random((7, 7, 9))
+    z = np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * math.pi * u[1])
+    chi2 = -2.0 * np.log(u[2:]).sum(axis=0)
     expected = math.sqrt(0.8) * z / np.sqrt(chi2 / 10.0)
     np.testing.assert_allclose(scaled_t10(_Fixed(u), (7, 9)), expected, rtol=1e-13)
 
@@ -100,16 +117,24 @@ def test_scaled_t10_has_unit_variance():
 
 
 def test_t10_symmetry_and_monotonicity():
-    # U_0 -> 1 - U_0 (exact for U_0 in [0.5, 1)) flips the sign of the draw,
-    # and the draw increases with U_0 at fixed U_1 ... U_5
-    u0 = np.linspace(0.5, 0.95, 10)
-    rest = np.random.default_rng(14).random(5)
+    # U_1 -> U_1 + 1/2 (mod 1, exact for U_1 in [0, 1/2)) flips the sign of
+    # the draw, and at fixed U_1 (cos 2 pi U_1 > 0) and U_2 ... U_6 the draw
+    # increases with U_0, from 0 at U_0 = 0
+    rng = np.random.default_rng(14)
+    u1 = rng.random(10) / 2.0
+    rows = rng.random((7, u1.size))
+    rows[1] = u1
+    shifted = rows.copy()
+    shifted[1] = u1 + 0.5
+    np.testing.assert_allclose(
+        scaled_t10(_Fixed(rows), u1.size), -scaled_t10(_Fixed(shifted), u1.size),
+        rtol=1e-12, atol=1e-12,
+    )
+    u0 = np.linspace(0.0, 0.95, 10)
+    rest = np.random.default_rng(15).random(6)
+    rest[0] = 0.1
     rows = np.vstack([u0, np.repeat(rest[:, None], u0.size, axis=1)])
-    mirrored = rows.copy()
-    mirrored[0] = 1.0 - u0
     up = scaled_t10(_Fixed(rows), u0.size)
-    down = scaled_t10(_Fixed(mirrored), u0.size)
-    np.testing.assert_allclose(up, -down, rtol=1e-13)
     assert up[0] == 0.0
     assert np.all(np.diff(up) > 0)
 
@@ -117,12 +142,13 @@ def test_t10_symmetry_and_monotonicity():
 def test_t10_extreme_uniforms_stay_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        low = scaled_t10(_Fixed(np.zeros((6, 3, 4))), (3, 4))
-        high = scaled_t10(_Fixed(np.full((6, 3, 4), _TOP)), (3, 4))
-    # log(U_1 ... U_5) = -inf gives the draw 0
+        low = scaled_t10(_Fixed(np.zeros((7, 3, 4))), (3, 4))
+        high = scaled_t10(_Fixed(np.full((7, 3, 4), _TOP)), (3, 4))
+    # U_0 = 0 gives Z = 0, and log(U_2 ... U_6) = -inf the draw 0
     assert np.all(low == 0.0)
+    # 1 - U_0 = 2^-53 is the smallest argument of the log
     assert high.shape == (3, 4)
-    assert np.all(np.isfinite(high))
+    assert np.all(np.isfinite(high)) and np.all(high > 0)
 
 
 def test_scaled_t10_shapes():
@@ -138,9 +164,9 @@ def test_one_random_call_per_t10_stream():
     model = SpikedUniform(1.99, 0.01, 12)
     rng = _Counting(17)
     x = sample_design("scaled_t10", 8, 12, model, rng)
-    assert rng.calls == [("random", ((6, 8, 12),))]
+    assert rng.calls == [("random", ((7, 8, 12),))]
     assert x.shape == (8, 12)
     rng = _Counting(18)
     xi = sample_noise("scaled_t10", 8, 2.0, rng)
-    assert rng.calls == [("random", ((6, 8),))]
+    assert rng.calls == [("random", ((7, 8),))]
     assert xi.shape == (8,)
