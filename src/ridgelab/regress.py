@@ -29,6 +29,10 @@ from .spectrum import CovarianceModel, SignalVector, sigma_quad
 from .stats import z_two_sided
 
 _GRAM_COND_LIMIT = 1e12
+# Floats (512 KB) in kfold_objective's stacked P diag(d) for one block of
+# eta, at least one eta per block, so memory does not grow with the grid: a
+# 40-row fold with r = 200 solves 8 eta at once, a 200-row fold with r = 1000 one.
+_KFOLD_BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +353,21 @@ def kfold_folds(m: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
     return folds
 
 
+def _check_folds(folds, m: int) -> list[np.ndarray]:
+    """The folds as arrays once they are at least two nonempty 1-D integer
+    arrays that together partition range(m), as kfold_folds returns them."""
+    if len(folds) < 2:
+        raise InputError(f"k-fold needs at least 2 folds, got {len(folds)}")
+    folds = [np.asarray(fold) for fold in folds]
+    for i, fold in enumerate(folds):
+        if fold.ndim != 1 or fold.size == 0 or fold.dtype.kind not in "iu":
+            raise InputError(f"fold {i} must be a nonempty 1-D integer array")
+    rows = np.sort(np.concatenate(folds))
+    if not np.array_equal(rows, np.arange(m)):
+        raise InputError(f"the folds must partition range({m}), the sample's rows")
+    return folds
+
+
 def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     """Mean over folds of the per-row held-out squared error, per grid point.
 
@@ -360,28 +379,35 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     A = X X^T / n + eta I. eta = 0 on a primal sample is refit fold by fold:
     a training fold with fewer than n rows makes I - H_BB singular there,
     and each training fold's Gram matrix must then be safely invertible.
+    Each fold solves its systems for a block of eta at once, the block's
+    stacked P diag(d) holding at most _KFOLD_BLOCK_FLOATS floats.
     """
     etas = check_eta_grid(grid)
+    folds = _check_folds(folds, data.m)
     sweep = data.sweep
-    refit_zero = etas[0] == 0 and not sweep.dual
+    start = 1 if etas[0] == 0 and not sweep.dual else 0
     # A^{-1} = Q diag(d) Q^T in the dual route, H = P diag(d) P^T / n with
-    # P = X V in the primal one, where d = 1 / (s + eta)
+    # P = X V in the primal one, where d = 1 / (s + eta), one row per eta
     basis = sweep.q if sweep.dual else data.x @ sweep.v
+    r = sweep.s.size
+    d = 1.0 / np.array([sweep.shift(eta) for eta in etas[start:]]).reshape(-1, r)
+    fitted = d * (sweep.c if sweep.dual else sweep.b)
     total = np.zeros_like(etas)
     for fold in folds:
-        p = basis[fold]
-        for i in range(1 if refit_zero else 0, etas.size):
-            d = 1.0 / sweep.shift(etas[i])
-            if sweep.dual:
-                lhs = (p * d) @ p.T
-                rhs = p @ (sweep.c * d)
-            else:
-                lhs = np.eye(len(fold)) - (p * d) @ p.T / data.n
-                rhs = data.y[fold] - p @ (sweep.b * d)
-            err = np.linalg.solve(lhs, rhs)
-            total[i] += float(err @ err) / len(fold)
+        p, size = basis[fold], len(fold)
+        step = max(1, _KFOLD_BLOCK_FLOATS // (size * r))
+        for lo in range(0, len(d), step):
+            blk = slice(lo, lo + step)
+            lhs = ((p * d[blk, None, :]).reshape(-1, r) @ p.T).reshape(-1, size, size)
+            rhs = fitted[blk] @ p.T
+            if not sweep.dual:  # I - H_BB, in place
+                lhs /= -data.n
+                lhs.reshape(len(lhs), -1)[:, :: size + 1] += 1.0
+                rhs = data.y[fold] - rhs
+            err = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+            total[start:][blk] += np.einsum("ij,ij->i", err, err) / size
     objective = total / len(folds)
-    if refit_zero:
+    if start:
         objective[0] = _kfold_refit(data, etas[:1], folds)[0]
     return objective
 

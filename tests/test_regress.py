@@ -1,6 +1,7 @@
 """Data-level estimators: fits, effective-parameter estimates, tuning, intervals."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,32 @@ def test_kfold_objective_matches_refit(m, n, k, grid):
     assert_kfold_matches_refit(data, grid, kfold_folds(m, k, stream(m, n, "fold")))
 
 
+def block_budget(per_block: int, data, folds) -> int:
+    """A _KFOLD_BLOCK_FLOATS giving per_block eta per block on the largest fold."""
+    return per_block * max(len(fold) for fold in folds) * min(data.m, data.n)
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+@pytest.mark.parametrize(
+    "m, n, k, grid",
+    [
+        (40, 90, 4, np.linspace(0.0, 1.5, 16)),  # dual, grid through 0
+        (36, 20, 3, np.linspace(0.05, 1.5, 16)),  # primal
+        (60, 20, 5, np.linspace(0.0, 1.5, 16)),  # primal through 0
+        (37, 90, 4, np.linspace(0.0, 1.5, 16)),  # dual, uneven folds
+        (53, 20, 3, np.linspace(0.05, 1.5, 16)),  # primal, uneven folds
+    ],
+)
+def test_kfold_blocks_match_refit(monkeypatch, m, n, k, grid, per_block):
+    # one eta per block and a ragged last block (16 or 15 eta in blocks of
+    # 7); test_kfold_objective_matches_refit runs the default budget, which
+    # takes the whole grid at these shapes
+    data = toy_dataset(m, n, seed=m + n)
+    folds = kfold_folds(m, k, stream(m, n, "fold"))
+    monkeypatch.setattr(regress, "_KFOLD_BLOCK_FLOATS", block_budget(per_block, data, folds))
+    assert_kfold_matches_refit(data, grid, folds)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     m=st.integers(4, 40),
@@ -481,15 +508,74 @@ def test_kfold_objective_matches_refit(m, n, k, grid):
     k=st.integers(2, 8),
     with_zero=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    per_block=st.integers(1, 9),
 )
-def test_kfold_objective_matches_refit_on_random_shapes(m, n, k, with_zero, seed):
+def test_kfold_objective_matches_refit_on_random_shapes(m, n, k, with_zero, seed, per_block):
     # eta = 0 takes the identity only on a dual sample, which must be
     # invertible; m = n leaves X X^T too close to singular for 1e-12
     with_zero = with_zero and m != n
     data = toy_dataset(m, n, seed=seed)
     grid = np.linspace(0.0 if with_zero else 0.1, 2.0, 8)
     folds = kfold_folds(m, min(k, m), np.random.default_rng(seed))
-    assert_kfold_matches_refit(data, grid, folds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regress, "_KFOLD_BLOCK_FLOATS", block_budget(per_block, data, folds))
+        assert_kfold_matches_refit(data, grid, folds)
+
+
+def test_kfold_memory_is_bounded_by_the_block_budget(monkeypatch):
+    # |B| = 200 and r = 400 take one eta per block; stacking all 61 would
+    # hold 61 * 200 * 400 floats (39 MB) at once
+    data = toy_dataset(400, 800, seed=3)
+    folds = kfold_folds(400, 2, stream(3, 0, "fold"))
+    grid = np.linspace(0.05, 1.5, 61)
+    data.sweep
+
+    def peak_mb() -> float:
+        tracemalloc.start()
+        try:
+            kfold_objective(data, grid, folds)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    assert peak_mb() < 4.0
+    monkeypatch.setattr(regress, "_KFOLD_BLOCK_FLOATS", 2**30)
+    assert peak_mb() > 30.0
+
+
+FOLD_MESSAGE = "the folds must partition range(20), the sample's rows"
+
+
+@pytest.mark.parametrize(
+    "folds, message",
+    [
+        ([np.arange(20), np.array([], dtype=int)], "fold 1 must be a nonempty 1-D integer array"),
+        ([np.arange(10), np.arange(11, 21)], FOLD_MESSAGE),
+        ([np.arange(10.0), np.arange(10.0, 20.0)], "fold 0 must be a nonempty 1-D integer array"),
+        ([np.arange(10), np.r_[np.arange(10, 19), -1]], FOLD_MESSAGE),
+        ([np.arange(12), np.arange(8, 20)], FOLD_MESSAGE),
+        ([], "k-fold needs at least 2 folds, got 0"),
+    ],
+    ids=["empty fold", "index m", "float indices", "index -1", "overlap", "no folds"],
+)
+def test_kfold_objective_refuses_malformed_folds(monkeypatch, folds, message):
+    data = toy_dataset(20, 40)
+    # refused before any solve
+    monkeypatch.setattr(np.linalg, "solve", None)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        kfold_objective(data, [0.1, 0.5], folds)
+
+
+def test_kfold_objective_takes_any_order_of_a_partition():
+    data = toy_dataset(20, 40)
+    folds = kfold_folds(20, 3, stream(0, 0, "fold"))
+    rng = np.random.default_rng(0)
+    shuffled = [rng.permutation(fold) for fold in folds[::-1]]
+    np.testing.assert_allclose(
+        kfold_objective(data, [0.1, 0.5], shuffled),
+        kfold_objective(data, [0.1, 0.5], folds),
+        rtol=1e-12,
+    )
 
 
 def test_kfold_factors_the_sample_once(monkeypatch):
