@@ -175,7 +175,6 @@ def _checked_ridge_fit(data: Dataset, eta: float, mu: np.ndarray) -> RidgeFit:
 def ridgeless_fit(data: Dataset) -> RidgeFit:
     """Minimum-norm interpolator X^T (X X^T)^{-1} Y; needs m < n."""
     x, y, n = data.x, data.y, data.n
-    data.sweep.require_ridgeless()
     mu = data.sweep.mu_hat(0.0)
     resid = y - x @ mu
     if float(np.linalg.norm(resid)) > 1e-8 * float(np.linalg.norm(y)):
@@ -205,8 +204,7 @@ def df_hat(data: Dataset, eta: float) -> float:
     The sweep's spectrum is that of X X^T / n (or X^T X / n), i.e. Sigma_hat's
     nonzero part times m/n, and eta/phi = eta n/m, so the scale cancels.
     """
-    if check_eta(eta) == 0:
-        data.sweep.require_ridgeless()
+    check_eta(eta)
     return float(np.sum(data.sweep.s / data.sweep.shift(eta)))
 
 
@@ -277,23 +275,19 @@ class GramSweep:
     def shift(self, eta: float) -> np.ndarray:
         """s + eta, the spectrum every fit, residual and estimator divides by.
 
-        At eta = 0 that inverts the factored Gram matrix (X X^T in the dual
-        route, X^T X in the primal one), so it raises IllConditioned unless
-        that matrix is safely invertible.
+        At eta = 0 that inverts X X^T, so it raises WrongRegime unless m < n,
+        where the interpolator exists, and IllConditioned unless X X^T is
+        safely invertible.
         """
         if eta == 0:
+            if self.m >= self.n:
+                raise WrongRegime(f"eta = 0 requires m < n, got m={self.m}, n={self.n}")
             cond = self.s[-1] / self.s[0] if self.s[0] > 0 else np.inf
             if cond > _GRAM_COND_LIMIT:
-                gram = "X X^T" if self.dual else "X^T X"
                 raise IllConditioned(
-                    f"{gram} condition {cond:.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
+                    f"X X^T condition {cond:.3e} exceeds {_GRAM_COND_LIMIT:.0e}"
                 )
         return self.s + eta
-
-    def require_ridgeless(self) -> None:
-        """Raise WrongRegime unless m < n, where the eta = 0 interpolator exists."""
-        if self.m >= self.n:
-            raise WrongRegime(f"eta = 0 requires m < n, got m={self.m}, n={self.n}")
 
     def mu_hat(self, eta: float) -> np.ndarray:
         if self.dual:
@@ -307,11 +301,6 @@ class GramSweep:
 
     def tau_hat(self, eta: float) -> float:
         """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
-        if eta == 0:
-            # the interpolator's tau exists only when m < n; past it X X^T is
-            # singular, and tau = 0 would make gamma 0 * inf = NaN, which a
-            # grid search's argmin would select
-            self.require_ridgeless()
         inv_sum = float(np.sum(1.0 / self.shift(eta)))
         if not self.dual:
             if eta < 0:
@@ -376,21 +365,18 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     hat matrix H = X (X^T X / n + eta I)^{-1} X^T / n, the fit to the rows
     outside fold B leaves e_B = (I - H_BB)^{-1} (y_B - X_B mu_hat) on B; in
     the dual route that reads e_B = ((A^{-1})_BB)^{-1} (A^{-1} y)_B with
-    A = X X^T / n + eta I. eta = 0 on a primal sample is refit fold by fold:
-    a training fold with fewer than n rows makes I - H_BB singular there,
-    and each training fold's Gram matrix must then be safely invertible.
-    Each fold solves its systems for a block of eta at once, the block's
-    stacked P diag(d) holding at most _KFOLD_BLOCK_FLOATS floats.
+    A = X X^T / n + eta I. Each fold solves its systems for a block of eta
+    at once, the block's stacked P diag(d) holding at most
+    _KFOLD_BLOCK_FLOATS floats.
     """
     etas = check_eta_grid(grid)
     folds = _check_folds(folds, data.m)
     sweep = data.sweep
-    start = 1 if etas[0] == 0 and not sweep.dual else 0
     # A^{-1} = Q diag(d) Q^T in the dual route, H = P diag(d) P^T / n with
     # P = X V in the primal one, where d = 1 / (s + eta), one row per eta
     basis = sweep.q if sweep.dual else data.x @ sweep.v
     r = sweep.s.size
-    d = 1.0 / np.array([sweep.shift(eta) for eta in etas[start:]]).reshape(-1, r)
+    d = 1.0 / np.array([sweep.shift(eta) for eta in etas]).reshape(-1, r)
     fitted = d * (sweep.c if sweep.dual else sweep.b)
     total = np.zeros_like(etas)
     for fold in folds:
@@ -405,29 +391,7 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
                 lhs.reshape(len(lhs), -1)[:, :: size + 1] += 1.0
                 rhs = data.y[fold] - rhs
             err = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-            total[start:][blk] += np.einsum("ij,ij->i", err, err) / size
-    objective = total / len(folds)
-    if start:
-        objective[0] = _kfold_refit(data, etas[:1], folds)[0]
-    return objective
-
-
-def _kfold_refit(data: Dataset, etas: np.ndarray, folds: list[np.ndarray]) -> np.ndarray:
-    """kfold_objective by one GramSweep per training fold (the reference route).
-
-    At eta = 0 a training fold whose Gram matrix is singular or worse
-    conditioned than _GRAM_COND_LIMIT raises IllConditioned.
-    """
-    total = np.zeros_like(etas)
-    mask = np.ones(data.m, dtype=bool)
-    for fold in folds:
-        mask[:] = True
-        mask[fold] = False
-        sweep = GramSweep(data.x[mask], data.y[mask])
-        x_test, y_test = data.x[fold], data.y[fold]
-        for i, eta in enumerate(etas):
-            err = y_test - x_test @ sweep.mu_hat(float(eta))
-            total[i] += float(err @ err) / len(fold)
+            total[blk] += np.einsum("ij,ij->i", err, err) / size
     return total / len(folds)
 
 

@@ -649,8 +649,9 @@ def test_tune_refuses_singular_gram_at_zero(tmp_path, capsys):
 
 
 def test_tune_cv_refuses_singular_primal_gram_at_zero(tmp_path, capsys):
-    # equal columns on an m > n sample: the eta = 0 refit of each training
-    # fold inverts a singular X^T X
+    # equal columns on an m > n sample make X^T X singular: eta = 0 is
+    # refused by regime, as in every command, and eta > 0 keeps each
+    # held-out system invertible
     rng = np.random.default_rng(0)
     x = rng.standard_normal((60, 20))
     x[:, 1] = x[:, 0]
@@ -663,13 +664,17 @@ def test_tune_cv_refuses_singular_primal_gram_at_zero(tmp_path, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical error: X^T X condition")
+    assert captured.err == "numerical error: eta = 0 requires m < n, got m=60, n=20\n"
     assert not out.exists()
+    argv[argv.index("0:1.5:7")] = "0.25:1.5:6"
+    assert run(argv) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 6 and all(math.isfinite(row[1]) for row in rows)
 
 
 @pytest.mark.parametrize("m, n", [(30, 60), (40, 40), (60, 30)])
 def test_eta_zero_needs_m_below_n_in_every_command(tmp_path, capsys, m, n):
-    # fit, ci and GCV share one rule at eta = 0; k-fold refits each fold
+    # fit, ci, GCV and k-fold share one rule at eta = 0
     data_path, _ = write_dataset(tmp_path, m=m, n=n, seed=3)
     data = ["--data", str(data_path)]
     out = tmp_path / "out" / "o.csv"
@@ -677,6 +682,7 @@ def test_eta_zero_needs_m_below_n_in_every_command(tmp_path, capsys, m, n):
         "fit": ["fit", *data, "--eta", "0"],
         "ci": ["ci", *data, "--eta", "0", "--out", str(out)],
         "gcv": ["tune", *data, "--method", "gcv", "--grid", "0:1.5:7", "--out", str(out)],
+        "cv": ["tune", *data, "--method", "cv", "--grid", "0:1.5:7", "--out", str(out)],
     }
     for name, argv in commands.items():
         code = run(argv)
@@ -687,9 +693,6 @@ def test_eta_zero_needs_m_below_n_in_every_command(tmp_path, capsys, m, n):
         assert code == 2, name
         assert captured.err == f"numerical error: eta = 0 requires m < n, got m={m}, n={n}\n"
         assert captured.out == "" and not out.parent.exists(), name
-    if m > n:
-        cv = ["tune", *data, "--method", "cv", "--grid", "0:1.5:7", "--out", str(out)]
-        assert run(cv) == 0
 
 
 def test_ci_reports_coverage(tmp_path, capsys):

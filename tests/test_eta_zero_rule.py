@@ -1,10 +1,12 @@
 """The eta = 0 rule on a sample lives in one place, GramSweep.shift.
 
 Every fit, residual and estimator in src/ridgelab/regress.py divides by
-the Gram spectrum shifted by eta, and shift refuses eta = 0 on a Gram
-matrix that is not safely invertible. A function that added eta to the
-spectrum itself would skip that check, so this test reads regress.py and
-finds every `s + ...` or `<x>.s + ...` outside GramSweep.shift.
+the Gram spectrum shifted by eta, and shift refuses eta = 0 unless m < n
+and X X^T is safely invertible. A function that added eta to the
+spectrum itself would skip those checks, and one that raised WrongRegime
+itself would be a second owner of the rule, so these tests read
+regress.py and find every `s + ...` or `<x>.s + ...` and every
+`raise WrongRegime` outside GramSweep.shift.
 """
 
 import ast
@@ -19,9 +21,9 @@ def _is_spectrum(node: ast.expr) -> bool:
     )
 
 
-def spectrum_shifts(source: str) -> list:
-    """Qualified names of the functions holding a BinOp(Add) with the
-    spectrum, s or <x>.s, as an operand, once per such BinOp."""
+def _scopes(source: str, matches) -> list:
+    """Qualified names of the functions holding a node that matches, once
+    per such node; "<module>" for one outside every function and class."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -29,17 +31,44 @@ def spectrum_shifts(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}{child.name}.")
                 continue
-            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add):
-                if _is_spectrum(child.left) or _is_spectrum(child.right):
-                    found.append(scope.rstrip(".") or "<module>")
+            if matches(child):
+                found.append(scope.rstrip(".") or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
 
 
+def spectrum_shifts(source: str) -> list:
+    """Where a BinOp(Add) has the spectrum, s or <x>.s, as an operand."""
+    return _scopes(source, lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and (_is_spectrum(node.left) or _is_spectrum(node.right))
+    ))
+
+
+def _names_wrong_regime(exc: ast.expr | None) -> bool:
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return (isinstance(exc, ast.Name) and exc.id == "WrongRegime") or (
+        isinstance(exc, ast.Attribute) and exc.attr == "WrongRegime"
+    )
+
+
+def regime_raises(source: str) -> list:
+    """Where a raise statement raises WrongRegime, bare or called, by name
+    or as <module>.WrongRegime."""
+    return _scopes(source, lambda node: (
+        isinstance(node, ast.Raise) and _names_wrong_regime(node.exc)
+    ))
+
+
 def test_only_gram_sweep_shift_adds_eta_to_the_spectrum():
     assert spectrum_shifts(REGRESS.read_text()) == ["GramSweep.shift"]
+
+
+def test_only_gram_sweep_shift_raises_wrong_regime():
+    assert regime_raises(REGRESS.read_text()) == ["GramSweep.shift"]
 
 
 def test_spectrum_shifts_finds_each_form():
@@ -55,4 +84,24 @@ def test_spectrum_shifts_finds_each_form():
     )
     assert spectrum_shifts(source) == [
         "GramSweep.shift", "GramSweep.tau_hat", "df_hat", "df_hat"
+    ]
+
+
+def test_regime_raises_finds_each_form():
+    source = (
+        "class GramSweep:\n"
+        "    def shift(self, eta):\n"
+        "        if eta == 0:\n"
+        "            raise WrongRegime(f'eta = 0 requires m < n')\n"
+        "    def require_ridgeless(self):\n"
+        "        raise WrongRegime\n"
+        "def kfold_objective(data, grid, folds):\n"
+        "    def refit():\n"
+        "        raise errors.WrongRegime('m >= n') from None\n"
+        "    raise InputError('not a regime error')\n"
+        "if False:\n"
+        "    raise WrongRegime()\n"
+    )
+    assert regime_raises(source) == [
+        "GramSweep.shift", "GramSweep.require_ridgeless", "kfold_objective.refit", "<module>"
     ]
