@@ -41,7 +41,6 @@ from .regress import (
     kfold_select,
     ridgeless_fit,
     sigma_hat_sq,
-    sweep_ridge_fit,
     tau_hat,
 )
 # unused here; ridgebench/tracer.py wraps this name at this module
@@ -310,15 +309,9 @@ def _cmd_lq(args):
     return _out_file(args, header, rows, resolved)
 
 
-def _fit_at(data, eta: float):
-    if eta == 0:
-        return ridgeless_fit(data)
-    return sweep_ridge_fit(data, eta)
-
-
 def _cmd_fit(args):
     data = dataio.dataset_from_json(dataio.load_json(args.data))
-    fit = _fit_at(data, args.eta)
+    fit = ridgeless_fit(data, args.eta)
     tau = tau_hat(data, args.eta)
     gamma = gamma_hat(data, args.eta)
     raw, clamped = sigma_hat_sq(gamma, tau, args.eta, data.phi, fit.mu_hat, data.model)
@@ -353,7 +346,7 @@ def _cmd_tune(args):
 
 def _cmd_ci(args):
     data = dataio.dataset_from_json(dataio.load_json(args.data))
-    fit = _fit_at(data, args.eta)
+    fit = ridgeless_fit(data, args.eta)
     tau = tau_hat(data, args.eta)
     gamma = gamma_hat(data, args.eta)
     report = confidence_intervals(

@@ -15,7 +15,7 @@ Normalization conventions, fixed once here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -153,13 +153,6 @@ def ridge_fit(data: Dataset, eta: float) -> RidgeFit:
     return _checked_ridge_fit(data, eta, mu)
 
 
-def sweep_ridge_fit(data: Dataset, eta: float) -> RidgeFit:
-    """ridge_fit read off the dataset's one factorization (data.sweep)."""
-    if check_eta(eta) == 0:
-        raise InputError(f"sweep_ridge_fit requires eta > 0, got {eta}")
-    return _checked_ridge_fit(data, eta, data.sweep.mu_hat(eta))
-
-
 def _checked_ridge_fit(data: Dataset, eta: float, mu: np.ndarray) -> RidgeFit:
     """RidgeFit of mu once it meets the normal equations within 1e-8 relative."""
     x, n = data.x, data.n
@@ -172,10 +165,17 @@ def _checked_ridge_fit(data: Dataset, eta: float, mu: np.ndarray) -> RidgeFit:
     return RidgeFit(eta=float(eta), mu_hat=mu, r_hat=resid / np.sqrt(n))
 
 
-def ridgeless_fit(data: Dataset) -> RidgeFit:
-    """Minimum-norm interpolator X^T (X X^T)^{-1} Y; needs m < n."""
+def ridgeless_fit(data: Dataset, eta: float = 0.0) -> RidgeFit:
+    """The fit read off the dataset's one factorization (data.sweep).
+
+    At eta = 0 the minimum-norm interpolator X^T (X X^T)^{-1} Y, which
+    needs m < n; at eta > 0 the ridge fit, held to ridge_fit's check of
+    the normal equations.
+    """
+    mu = data.sweep.mu_hat(eta)
+    if eta > 0:
+        return _checked_ridge_fit(data, eta, mu)
     x, y, n = data.x, data.y, data.n
-    mu = data.sweep.mu_hat(0.0)
     resid = y - x @ mu
     if float(np.linalg.norm(resid)) > 1e-8 * float(np.linalg.norm(y)):
         raise IllConditioned("interpolation residual beyond tolerance")
@@ -204,19 +204,16 @@ def df_hat(data: Dataset, eta: float) -> float:
     The sweep's spectrum is that of X X^T / n (or X^T X / n), i.e. Sigma_hat's
     nonzero part times m/n, and eta/phi = eta n/m, so the scale cancels.
     """
-    check_eta(eta)
     return float(np.sum(data.sweep.s / data.sweep.shift(eta)))
 
 
 def tau_hat(data: Dataset, eta: float) -> float:
     """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
-    check_eta(eta)
     return data.sweep.tau_hat(eta)
 
 
 def gamma_hat(data: Dataset, eta: float) -> float:
     """Effective-noise estimator, read off data.sweep (GramSweep.gamma_hat)."""
-    check_eta(eta)
     return data.sweep.gamma_hat(eta)
 
 
@@ -275,11 +272,12 @@ class GramSweep:
     def shift(self, eta: float) -> np.ndarray:
         """s + eta, the spectrum every fit, residual and estimator divides by.
 
-        At eta = 0 that inverts X X^T, so it raises WrongRegime unless m < n,
-        where the interpolator exists, and IllConditioned unless X X^T is
-        safely invertible.
+        It refuses an eta outside 0 or ETA_RANGE (InputError). At eta = 0
+        that inverts X X^T, so it raises WrongRegime unless m < n, where the
+        interpolator exists, and IllConditioned unless X X^T is safely
+        invertible.
         """
-        if eta == 0:
+        if check_eta(eta) == 0:
             if self.m >= self.n:
                 raise WrongRegime(f"eta = 0 requires m < n, got m={self.m}, n={self.n}")
             cond = self.s[-1] / self.s[0] if self.s[0] > 0 else np.inf
@@ -303,8 +301,6 @@ class GramSweep:
         """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
         inv_sum = float(np.sum(1.0 / self.shift(eta)))
         if not self.dual:
-            if eta < 0:
-                raise InputError("tau estimator needs eta > 0 when m > n")
             inv_sum += (self.m - self.n) / eta
         return self.n / inv_sum
 
@@ -439,13 +435,7 @@ def confidence_intervals(
         gamma_hat=float(gamma_val),
     )
     if mu0 is not None:
-        report = CIReport(
-            lower=report.lower,
-            upper=report.upper,
-            alpha=report.alpha,
-            gamma_hat=report.gamma_hat,
-            coverage=coverage(report, mu0),
-        )
+        report = replace(report, coverage=coverage(report, mu0))
     return report
 
 

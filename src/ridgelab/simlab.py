@@ -28,13 +28,9 @@ from .errors import boolean, check_alpha, check_all, check_eta, check_eta_grid, 
 from .errors import check_positive, check_scale, check_size, check_threads, choice, dimension
 from .errors import read_object, real, reals, seed
 from .fixedpoint import ProblemConfig, solve_effective
-from .regress import (
-    Dataset,
-    confidence_intervals,
-    debias,
-    kfold_folds,
-    kfold_objective,
-)
+from .regress import Dataset, confidence_intervals, debias, gcv_select, kfold_select
+# unused here; ridgebench/tracer.py wraps this name at this module
+from .regress import kfold_objective  # noqa: F401
 from .riskengine import (
     TUNABLE_KINDS,
     RiskKind,
@@ -648,20 +644,17 @@ def run_tuning_experiment(config: ExperimentConfig) -> TuningSummary:
             data = _draw_rep(config, model, rep, ctx)
             sweep = data.sweep
             curves = _empirical_curves(data, etas, TUNABLE_KINDS)
-            folds = kfold_folds(
-                config.m, config.k, stream(config.master_seed, rep, "fold", ctx)
-            )
-            sel = {
-                "gcv": int(np.argmin([sweep.gamma_hat(float(e)) for e in etas])),
-                cv_tag: int(np.argmin(kfold_objective(data, etas, folds))),
-            }
-            rec = {}
+            fold_rng = stream(config.master_seed, rep, "fold", ctx)
+            rec = {("eta", "oracle"): eta_star}
             for kind in TUNABLE_KINDS:
                 rec["grid_min", kind.value] = float(curves[kind].min())
-                for meth, idx in sel.items():
-                    rec["risk", meth, kind.value] = curves[kind][idx]
+            for pick in (gcv_select(data, etas), kfold_select(data, etas, config.k, fold_rng)):
+                rec["eta", pick.method] = pick.eta_hat
+                idx = np.searchsorted(etas, pick.eta_hat)
+                for kind in TUNABLE_KINDS:
+                    rec["risk", pick.method, kind.value] = curves[kind][idx]
             for meth in methods:
-                eta_m = eta_star if meth == "oracle" else float(etas[sel[meth]])
+                eta_m = rec["eta", meth]
                 report = confidence_intervals(
                     debias(sweep.mu_hat(eta_m), sweep.tau_hat(eta_m), model),
                     sweep.gamma_hat(eta_m),
@@ -669,7 +662,6 @@ def run_tuning_experiment(config: ExperimentConfig) -> TuningSummary:
                     config.alpha,
                     data.mu0,
                 )
-                rec["eta", meth] = eta_m
                 rec["coverage", meth] = report.coverage
                 rec["ci_len", meth] = float(report.lengths[0])
             return rec

@@ -1800,7 +1800,7 @@ def test_every_config_key_takes_only_its_json_type(where, path, values):
 # go through cli._emit, which checks, writes and prints them.
 ONE_PATH = {
     "fpe": "solve_grid", "risk": "risk_curves", "lq": "solve_effective",
-    "tune": "gcv_select", "ci": "sweep_ridge_fit",
+    "tune": "gcv_select", "ci": "ridgeless_fit",
     "fig1": "run_risk_experiment", "fig2": "run_tuning_experiment",
 }
 SIM_OUTPUTS = {"fig1": ["argmin.csv", "risk_curves.csv"], "fig2": ["coverage.csv", "tuning.csv"]}

@@ -1,12 +1,14 @@
-"""The eta = 0 rule on a sample lives in one place, GramSweep.shift.
+"""The eta rules on a sample live in one place, GramSweep.shift.
 
 Every fit, residual and estimator in src/ridgelab/regress.py divides by
-the Gram spectrum shifted by eta, and shift refuses eta = 0 unless m < n
-and X X^T is safely invertible. A function that added eta to the
-spectrum itself would skip those checks, and one that raised WrongRegime
-itself would be a second owner of the rule, so these tests read
-regress.py and find every `s + ...` or `<x>.s + ...` and every
-`raise WrongRegime` outside GramSweep.shift.
+the Gram spectrum shifted by eta, and shift refuses an eta outside its
+band, and eta = 0 unless m < n and X X^T is safely invertible. A function
+that added eta to the spectrum itself would skip those checks, and one
+that raised WrongRegime or called check_eta itself would be a second
+owner of a rule, so these tests read regress.py and find every `s + ...`
+or `<x>.s + ...`, every `raise WrongRegime` outside GramSweep.shift and
+every check_eta call outside GramSweep.shift and ridge_fit, whose
+Cholesky solve never reads the sweep.
 """
 
 import ast
@@ -63,6 +65,16 @@ def regime_raises(source: str) -> list:
     ))
 
 
+def eta_checks(source: str) -> list:
+    """Where check_eta is called, by name or as <module>.check_eta."""
+    return _scopes(source, lambda node: (
+        isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "check_eta")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "check_eta")
+        )
+    ))
+
+
 def test_only_gram_sweep_shift_adds_eta_to_the_spectrum():
     assert spectrum_shifts(REGRESS.read_text()) == ["GramSweep.shift"]
 
@@ -104,4 +116,28 @@ def test_regime_raises_finds_each_form():
     )
     assert regime_raises(source) == [
         "GramSweep.shift", "GramSweep.require_ridgeless", "kfold_objective.refit", "<module>"
+    ]
+
+
+def test_only_gram_sweep_shift_and_ridge_fit_check_eta():
+    assert eta_checks(REGRESS.read_text()) == ["ridge_fit", "GramSweep.shift"]
+
+
+def test_eta_checks_finds_each_form():
+    source = (
+        "from .errors import check_eta, check_eta_grid\n"
+        "def ridge_fit(data, eta):\n"
+        "    if check_eta(eta) == 0:\n"
+        "        raise InputError('eta > 0')\n"
+        "class GramSweep:\n"
+        "    def shift(self, eta):\n"
+        "        return self.s + check_eta(eta)\n"
+        "def tau_hat(data, eta):\n"
+        "    errors.check_eta(eta, 'eta')\n"
+        "    check_eta_grid([eta])\n"
+        "    return [check_eta(e) for e in (eta,)]\n"
+        "check_eta(0.0)\n"
+    )
+    assert eta_checks(source) == [
+        "ridge_fit", "GramSweep.shift", "tau_hat", "tau_hat", "<module>"
     ]

@@ -228,13 +228,40 @@ def test_every_estimator_at_zero_needs_m_below_n(monkeypatch, m, n):
             estimate()
 
 
+# Calls of (data, eta): GramSweep.shift holds every sweep method, and so
+# every estimator read off data.sweep, to the eta band.
+ETA_CALLS = [
+    tau_hat, gamma_hat, df_hat, ridge_fit, ridgeless_fit,
+    pytest.param(lambda data, eta: data.sweep.shift(eta), id="sweep.shift"),
+    pytest.param(lambda data, eta: data.sweep.mu_hat(eta), id="sweep.mu_hat"),
+    pytest.param(lambda data, eta: data.sweep.resid(eta), id="sweep.resid"),
+    pytest.param(lambda data, eta: data.sweep.tau_hat(eta), id="sweep.tau_hat"),
+    pytest.param(lambda data, eta: data.sweep.gamma_hat(eta), id="sweep.gamma_hat"),
+]
+
+
+@pytest.mark.parametrize("estimator", ETA_CALLS)
 @pytest.mark.parametrize(
-    "estimator", [tau_hat, gamma_hat, df_hat, ridge_fit, regress.sweep_ridge_fit]
+    "eta", [float("nan"), float("inf"), float("-inf"), 1e308, -1.0, 1e-300, "-s_min"]
 )
-@pytest.mark.parametrize("eta", [float("nan"), float("inf"), 1e308, -1.0, 1e-300])
 def test_estimators_refuse_an_eta_out_of_band(estimator, eta):
-    with pytest.raises(InputError, match="eta must be 0 or lie in"):
-        estimator(toy_dataset(8, 12), eta)
+    # on a dual and a primal sample; -s_min would zero a shifted eigenvalue
+    for data in (toy_dataset(8, 12), toy_dataset(12, 8)):
+        value = -float(data.sweep.s.min()) if eta == "-s_min" else eta
+        with pytest.raises(InputError, match="eta must be 0 or lie in"):
+            estimator(data, value)
+
+
+@pytest.mark.parametrize("estimator", ETA_CALLS)
+def test_estimators_accept_an_eta_at_the_band_edges(estimator):
+    # 0 where the interpolator exists (m < n; ridge_fit needs eta > 0), and
+    # both ends of [1e-60, 1e60] on either side of m = n
+    edges = (1e-60, 1e60)
+    dual = edges if estimator is ridge_fit else (0.0,) + edges
+    for data, etas in ((toy_dataset(8, 12), dual), (toy_dataset(12, 8), edges)):
+        for eta in etas:
+            out = estimator(data, eta)
+            assert np.all(np.isfinite(getattr(out, "mu_hat", out))), eta
 
 
 def test_gamma_hat_branches():
@@ -286,21 +313,20 @@ def test_gamma_hat_square_boundary_uses_dual_branch():
 
 
 def test_sweep_ridge_fit_matches_ridge_fit(monkeypatch):
-    # the two routes to one fit: the dataset's eigendecomposition and a
-    # Cholesky solve on the smaller Gram matrix
+    # the two routes to one fit at eta > 0: ridgeless_fit(data, eta) reads
+    # the dataset's eigendecomposition, ridge_fit a Cholesky solve on the
+    # smaller Gram matrix
     for m, n in [(14, 40), (40, 14)]:
         data = toy_dataset(m, n, seed=m + n)
         for eta in (1e-3, 0.5, 4.0):
-            fit, ref = regress.sweep_ridge_fit(data, eta), ridge_fit(data, eta)
+            fit, ref = ridgeless_fit(data, eta), ridge_fit(data, eta)
             assert fit.eta == ref.eta
             np.testing.assert_allclose(fit.mu_hat, ref.mu_hat, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(fit.r_hat, ref.r_hat, rtol=1e-10, atol=1e-12)
-    with pytest.raises(InputError):
-        regress.sweep_ridge_fit(data, 0.0)
     # a solution off the normal equations fails the KKT check
     monkeypatch.setattr(GramSweep, "mu_hat", lambda self, eta: np.ones(self.n))
     with pytest.raises(IllConditioned):
-        regress.sweep_ridge_fit(toy_dataset(14, 40), 0.5)
+        ridgeless_fit(toy_dataset(14, 40), 0.5)
 
 
 def test_gram_sweep_matches_direct_fits():

@@ -40,7 +40,7 @@ from ridgelab import (
     stream,
     trace_functional,
 )
-from ridgelab import simlab
+from ridgelab import regress, simlab
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -662,7 +662,7 @@ def test_empirical_curves_match_standalone_fits(m, n, etas):
 
 def test_tuning_reps_build_one_dataset_that_kfold_reads(monkeypatch):
     built, kfold_data = [], []
-    kfold_objective = simlab.kfold_objective
+    kfold_objective = regress.kfold_objective
 
     class CountedDataset(Dataset):
         def __post_init__(self):
@@ -676,7 +676,8 @@ def test_tuning_reps_build_one_dataset_that_kfold_reads(monkeypatch):
         return kfold_objective(data, grid, folds)
 
     monkeypatch.setattr(simlab, "Dataset", CountedDataset)
-    monkeypatch.setattr(simlab, "kfold_objective", recording_kfold)
+    # kfold_select, which sim fig2 runs, looks kfold_objective up in regress
+    monkeypatch.setattr(regress, "kfold_objective", recording_kfold)
     config = small_config(
         n=None, phi_grid=(0.5, 1.5), etas=(0.0, 0.5, 1.0), reps=3, k=3
     )
