@@ -138,19 +138,27 @@ def expected_dof(model: CovarianceModel, gamma_sq: float, tau: float) -> float:
 
 
 def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
-    """A-priori bracket [lo, hi] containing tau_star.
+    """A-priori bracket [lo, hi] containing tau_star, in O(log blocks).
 
-    lo = (1 - phi + sqrt((1-phi)^2 + 4 H eta)) / (2 H) with H the reciprocal
-    harmonic mean; hi minimizes (sum_{j>k} lambda_j + n eta) / (m - k) over
-    integers 0 <= k <= k_max = min(ceil(m) - 1, n), so m - k > 0 also when
-    the sample count m = phi * n is non-integral. Only the block boundaries
-    of model.pairs() up to k_max are evaluated: across a block of c equal
-    eigenvalues lambda from k = s to s + c the ratio is (C - lambda k)/(m - k),
-    monotone with the sign of C - lambda m >= lambda (s + c - m) + n eta, so
-    its minimum over the block is at a boundary; and if k_max falls inside
-    the block then s + c >= ceil(m) >= m, the ratio is nondecreasing up to
-    k_max and its minimum is at s. H and the per-block sums are cached on
-    the model, so a call costs O(number of distinct eigenvalues).
+    lo is the positive root of H tau^2 - (1 - phi) tau - eta = 0, with H the
+    reciprocal harmonic mean: (1 - phi + sqrt((1-phi)^2 + 4 H eta)) / (2 H),
+    taken in the rationalized form 2 eta / (phi - 1 + sqrt(...)) when
+    phi > 1, where the first form cancels at small eta.
+
+    hi minimizes R(k) = (sum_{j>k} lambda_j + n eta) / (m - k) over integers
+    0 <= k <= k_max = min(ceil(m) - 1, n), so m - k > 0 also when the sample
+    count m = phi * n is non-integral. Across a block of c equal eigenvalues
+    lambda from k = s to s + c the ratio is (C - lambda k)/(m - k), monotone,
+    so its minimum over the block is at a boundary (if k_max falls inside
+    the block, s + c >= m and the ratio is nondecreasing up to k_max). Over
+    the boundaries k_j of model.pairs() up to k_max, with T_j the tail sum
+    at k_j and lambda_j the j-th block's eigenvalue, R(j+1) - R(j) has the
+    sign of g(j) = T_j + n eta - lambda_j (m - k_j), and
+    g(j+1) - g(j) = (lambda_j - lambda_{j+1}) (m - k_{j+1}) >= 0. So R falls
+    while g < 0 and rises after: hi is R at the first boundary with g >= 0,
+    or at the last admissible one, found by bisection. H and the per-block
+    sums are cached on the model, so a call costs O(log(number of distinct
+    eigenvalues)).
     """
     if config.eta == 0 and config.phi >= 1:
         raise NoSolution(
@@ -160,34 +168,40 @@ def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
     model = config.model
     h = harmonic_mean(model)
     one_minus = 1.0 - config.phi
-    lo = (one_minus + math.sqrt(one_minus * one_minus + 4.0 * h * config.eta)) / (2.0 * h)
+    root = math.sqrt(one_minus * one_minus + 4.0 * h * config.eta)
+    if one_minus < 0:
+        lo = 2.0 * config.eta / (root - one_minus)
+    else:
+        lo = (one_minus + root) / (2.0 * h)
 
     n = model.n
     m = config.phi * n
+    shift = n * config.eta
     k_max = min(int(np.ceil(m)) - 1, n)
-    starts = model.block_starts
-    blocks = int(np.searchsorted(starts, k_max, side="right"))
-    hi = float(np.min(
-        (model.tail_sums[:blocks] + n * config.eta) / (m - starts[:blocks])
-    ))
-    return lo, hi
+    starts, tails = model.block_starts, model.tail_sums
+    lam = model.pairs()[0]
+    # bisect boundaries 0 .. blocks - 1 for the first j with g(j) >= 0
+    first, last = 0, int(np.searchsorted(starts, k_max, side="right")) - 1
+    while first < last:
+        j = (first + last) // 2
+        if tails[j] + shift >= lam[j] * (m - starts[j]):
+            last = j
+        else:
+            first = j + 1
+    return lo, float((tails[first] + shift) / (m - starts[first]))
 
 
 def _f_and_slope(config: ProblemConfig, u: float) -> tuple[float, float]:
-    """F(u) and F'(u) for the root problem in u = 1/tau.
+    """F(u) and F'(u) for the root problem in u = 1/tau, from one pass.
 
-    T_{-1,1} = 1 - tau T_{-1,0} exactly, and F is summed from the smaller of
-    the two: near phi = 1 at eta = 0, where T_{-1,1} -> 1, the terms that
-    cancel at the root are then 1 - phi and tau T_{-1,0}, both small, and
-    tau keeps full relative accuracy.
+    resolvent_sums gives T_{-1,1} - phi summed from the smaller of T_{-1,1}
+    and tau T_{-1,0} = 1 - T_{-1,1}, so near phi = 1 at eta = 0, where
+    T_{-1,1} -> 1, tau keeps full relative accuracy; it sums T_{-1,0} only
+    on that branch.
     """
     tau = 1.0 / u
-    t10, t11, t21 = resolvent_sums(config.model, tau)
-    if t11 <= 0.5:
-        f = t11 - config.phi
-    else:
-        f = (1.0 - config.phi) - tau * t10
-    return f + config.eta * u, tau * tau * t21 + config.eta
+    excess, t21 = resolvent_sums(config.model, tau, config.phi)
+    return excess + config.eta * u, tau * tau * t21 + config.eta
 
 
 def solve_tau(config: ProblemConfig, start: EffectiveParams | None = None) -> float:

@@ -8,16 +8,18 @@ of the population covariance: trace functionals
 and weighted squares of the signal's eigen-coordinates. Structured models
 (isotropic, uniform-plus-rank-one) evaluate these analytically from their
 one or two distinct eigenvalues, which keeps tight Monte Carlo loops cheap;
-explicit models iterate the eigenvalue list.
+explicit models iterate their distinct eigenvalues, each run of equal
+eigenvalues merged into one block.
 
 Every ambient-coordinate quantity is a spectral function f(Sigma), and each
 model has one operator pair for it: apply(fn, b) = fn(Sigma) @ b and
-diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's distinct
+diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's
 eigenvalues as an array ([scale] isotropic, [a + b n, a] spiked_uniform,
-[a + b n] at n = 1, the eigenvalues explicit), and fn returns one value per
-entry. Isotropic and explicit models fix their eigenbasis, so fn may
-instead return one value per eigen-position in descending eigenvalue
-order: fn = lambda _: w applies the eigenbasis weight diag(w).
+[a + b n] at n = 1, every eigenvalue, repeated or not, explicit), and fn
+returns one value per entry. Isotropic and explicit models fix their
+eigenbasis, so fn may instead return one value per eigen-position in
+descending eigenvalue order: fn = lambda _: w applies the eigenbasis
+weight diag(w).
 
 All models are immutable after construction and safe to share across
 threads. The only interior mutations are write-once caches: each model's
@@ -62,11 +64,12 @@ def _scale_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _SpectralSums:
     """Eta-independent sums over a model's spectrum, computed once per instance.
 
-    fixedpoint.tau_bounds reads them on every solve, and resolvent_sums and
-    fixed_point_sums read the weighted spectra on every call; caching them
-    on the model ties their lifetime to the model's. block_starts and
-    tail_sums have one entry per distinct eigenvalue of pairs() plus one,
-    the weighted spectra one per distinct eigenvalue.
+    fixedpoint.tau_bounds reads the harmonic mean and bisects block_starts
+    and tail_sums on every solve, O(log blocks) entries per call, and
+    resolvent_sums and fixed_point_sums read the weighted spectra on every
+    call; caching them on the model ties their lifetime to the model's.
+    block_starts and tail_sums have one entry per block of pairs() (one per
+    distinct eigenvalue) plus one, the weighted spectra one per block.
     """
 
     @functools.cached_property
@@ -233,15 +236,30 @@ class Explicit(_SpectralSums):
         return self.eigenvalues.size
 
     @functools.cached_property
-    def _ones(self) -> np.ndarray:
-        return _read_only(np.ones(self.n))
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        lam = self.eigenvalues
+        changes = lam[1:] != lam[:-1]
+        if changes.all():
+            return lam, _read_only(np.ones(self.n))
+        firsts = np.concatenate(([0], np.flatnonzero(changes) + 1))
+        counts = np.diff(firsts, append=self.n).astype(np.float64)
+        return _read_only(lam[firsts]), _read_only(counts)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.eigenvalues, self._ones
+        """Distinct eigenvalues and their multiplicities, computed once.
+
+        When every eigenvalue is distinct these are the eigenvalues
+        themselves and a cached ones array.
+        """
+        return self._pairs
 
     def signal_masses(self, coords: np.ndarray) -> np.ndarray:
         tilde = coords if self.basis is None else self.basis.T @ coords
-        return tilde * tilde
+        masses = tilde * tilde
+        if self.pairs()[0] is self.eigenvalues:
+            return masses
+        # one squared-coordinate sum per block of equal eigenvalues
+        return np.add.reduceat(masses, self.block_starts[:-1].astype(np.intp))
 
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
         w = fn(self.eigenvalues)
@@ -413,19 +431,29 @@ def quad_form(model: CovarianceModel, mu0, tau: float, p: int, q: int) -> float:
     return _power_sum(mu0.masses(model), lam, tau, 2 * p, q)
 
 
-def resolvent_sums(model: CovarianceModel, tau: float) -> tuple[float, float, float]:
-    """(T_{-1,0}(tau), T_{-1,1}(tau), T_{-2,1}(tau)) from one pass over the spectrum.
+def resolvent_sums(model: CovarianceModel, tau: float, phi: float) -> tuple[float, float]:
+    """(T_{-1,1}(tau) - phi, T_{-2,1}(tau)) from one pass over the spectrum.
 
-    The fixed-point solver's Newton step reads exactly these sums.
+    These are what the fixed-point solver's Newton step reads. The
+    difference is summed from the smaller of T_{-1,1} and
+    1 - T_{-1,1} = tau T_{-1,0}: as t11 - phi while T_{-1,1} <= 1/2, else
+    as (1 - phi) - tau T_{-1,0}. Near phi = 1, where T_{-1,1} -> 1 at the
+    root, the terms that cancel are then 1 - phi and tau T_{-1,0}, both
+    small, and the difference keeps full relative accuracy. T_{-1,0} is
+    summed only on that second branch, from r = 1/(lambda + tau) before r
+    is squared for T_{-2,1}.
     """
     lam, counts = model.pairs()
     weighted = model.weighted_spectrum
-    r = _reciprocal_shift(lam, tau)
-    t10 = _dot(counts, r)
-    t11 = _dot(weighted, r)
-    r *= r
     n = model.n
-    return t10 / n, t11 / n, _dot(weighted, r) / n
+    r = _reciprocal_shift(lam, tau)
+    t11 = _dot(weighted, r) / n
+    if t11 <= 0.5:
+        excess = t11 - phi
+    else:
+        excess = (1.0 - phi) - tau * (_dot(counts, r) / n)
+    r *= r
+    return excess, _dot(weighted, r) / n
 
 
 class FixedPointSums(NamedTuple):

@@ -347,7 +347,7 @@ def test_solve_tau_matches_refined_root(case):
     config, starts = case
     cold = solve_tau(config)
     ref = refined_tau(config, cold)
-    t21 = resolvent_sums(config.model, cold)[2]
+    t21 = resolvent_sums(config.model, cold, config.phi)[1]
     kappa = config.phi / (cold * t21 + config.eta / cold)
     for name, start in starts.items():
         tau = solve_tau(config, start=start)
@@ -451,28 +451,42 @@ def test_fused_sums_match_separate_functionals(config):
     assert params.gamma_star_sq == pytest.approx(gamma_sq, rel=1e-13)
 
 
-class MergedExplicit(Explicit):
-    """Explicit with its repeated eigenvalues merged into blocks of pairs()."""
+class UnmergedExplicit(Explicit):
+    """Explicit with every eigenvalue its own block of pairs(), repeated or not."""
 
     def pairs(self):
-        lam, counts = np.unique(self.eigenvalues, return_counts=True)
-        return lam[::-1].copy(), counts[::-1].astype(float)
+        return self.eigenvalues, np.ones(self.n)
+
+    def signal_masses(self, coords):
+        tilde = coords if self.basis is None else self.basis.T @ coords
+        return tilde * tilde
 
 
 @st.composite
 def block_models(draw):
-    """Models whose pairs() have blocks of equal eigenvalues, and explicit ones."""
+    """Models whose pairs() have blocks of equal eigenvalues, and models
+    whose pairs() have every eigenvalue as its own block: unmerged ones,
+    and plateaus of distinct eigenvalues a few ulps apart."""
     n = draw(st.integers(1, 150))
-    kind = draw(st.sampled_from(["isotropic", "spiked_uniform", "explicit", "merged"]))
+    kind = draw(st.sampled_from(["isotropic", "spiked_uniform", "explicit", "unmerged", "plateau"]))
     level = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
     if kind == "isotropic":
         return Isotropic(draw(level), n)
     if kind == "spiked_uniform":
         return SpikedUniform(draw(level), draw(level), n)
     values = draw(st.lists(level, min_size=1, max_size=5))
+    if kind == "plateau":
+        ulps = 1.0 + 2.0**-52 * np.arange(draw(st.integers(1, 40)))
+        return Explicit(np.sort(np.outer(values, ulps).ravel())[::-1][:n])
     lam = np.sort(np.repeat(values, draw(st.integers(1, 40))))[::-1][:n]
-    # explicit: every eigenvalue is its own pair, so every k is a boundary
-    return Explicit(lam) if kind == "explicit" else MergedExplicit(lam)
+    return Explicit(lam) if kind == "explicit" else UnmergedExplicit(lam)
+
+
+def block_problem(model, phi, log_eta, interpolate):
+    eta = 0.0 if interpolate and phi < 1 else 10.0**log_eta
+    return ProblemConfig(
+        phi=phi, eta=eta, sigma_sq=1.0, model=model, mu0=SignalVector(np.ones(model.n))
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -482,15 +496,149 @@ def test_tau_bounds_hi_is_the_minimum_over_every_k(model, phi, log_eta, interpol
     # tau_bounds evaluates block boundaries only, which must give the
     # minimum over every k: blocks of equal eigenvalues leave it no
     # interior minimum
-    eta = 0.0 if interpolate and phi < 1 else 10.0**log_eta
-    config = ProblemConfig(
-        phi=phi, eta=eta, sigma_sq=1.0, model=model, mu0=SignalVector(np.ones(model.n))
-    )
+    config = block_problem(model, phi, log_eta, interpolate)
     n = model.n
     m = phi * n
     lam = [float(v) for v in eigenvalues(model)]
     brute = min(
-        (math.fsum(lam[k:]) + n * eta) / (m - k)
+        (math.fsum(lam[k:]) + n * config.eta) / (m - k)
         for k in range(min(math.ceil(m) - 1, n) + 1)
     )
     assert tau_bounds(config)[1] == pytest.approx(brute, rel=1e-13, abs=0.0)
+
+
+def all_boundary_hi(config: ProblemConfig) -> float:
+    """tau_bounds' hi as the minimum of its ratio over every admissible
+    block boundary of pairs(), the O(blocks) scan the bisection replaced."""
+    model = config.model
+    n = model.n
+    m = config.phi * n
+    k_max = min(int(np.ceil(m)) - 1, n)
+    starts = model.block_starts
+    blocks = int(np.searchsorted(starts, k_max, side="right"))
+    return float(np.min(
+        (model.tail_sums[:blocks] + n * config.eta) / (m - starts[:blocks])
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=block_models(), phi=st.floats(0.01, 5.0), log_eta=st.floats(-6.0, 3.0),
+       interpolate=st.booleans())
+def test_tau_bounds_bisection_matches_the_all_boundary_minimum(model, phi, log_eta, interpolate):
+    # the ratio falls while g(j) < 0 and rises after, so the bisected
+    # boundary is the scan's minimizer up to a tie in the last bit
+    config = block_problem(model, phi, log_eta, interpolate)
+    assert tau_bounds(config)[1] == pytest.approx(all_boundary_hi(config), rel=1e-15, abs=0.0)
+
+
+def distinct_spectrum(n: int, seed: int = 1) -> np.ndarray:
+    """n distinct log-uniform eigenvalues in [0.05, 20], descending."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lam = np.sort(np.exp(rng.uniform(math.log(0.05), math.log(20.0), n)))[::-1]
+    assert np.unique(lam).size == n
+    return lam
+
+
+def test_tau_bounds_hi_is_exact_on_a_large_distinct_spectrum():
+    # 10^5 distinct eigenvalues: the benchmark's grid (phi = 0.5, 161 etas
+    # on [0, 1.5]) bit for bit, and a spread of phi and eta within 1e-15
+    model = Explicit(distinct_spectrum(100_000))
+    mu0 = SignalVector(np.ones(model.n))
+    for eta in np.linspace(0.0, 1.5, 161):
+        config = ProblemConfig(phi=0.5, eta=float(eta), sigma_sq=1.0, model=model, mu0=mu0)
+        assert tau_bounds(config)[1] == all_boundary_hi(config), eta
+    for phi in (0.011, 0.3, 0.999, 1.0, 1.7, 4.99):
+        for eta in (1e-6, 1e-3, 1.0, 1e3):
+            config = ProblemConfig(phi=phi, eta=eta, sigma_sq=1.0, model=model, mu0=mu0)
+            hi = tau_bounds(config)[1]
+            assert hi == pytest.approx(all_boundary_hi(config), rel=1e-15, abs=0.0), (phi, eta)
+
+
+class CountedReads(np.ndarray):
+    """An array view that counts the elements read through indexing."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        out = np.ndarray.__getitem__(self, key)
+        CountedReads.reads += np.size(out)
+        return out
+
+
+class CountedExplicit(Explicit):
+    def pairs(self):
+        lam, counts = super().pairs()
+        return lam.view(CountedReads), counts
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000, 100_000])
+def test_tau_bounds_reads_o_log_blocks_boundaries(n):
+    # three reads (tail sum, block start, eigenvalue) per bisection step
+    # and two for the ratio, where the scan read every admissible boundary
+    model = CountedExplicit(distinct_spectrum(n))
+    for name in ("tail_sums", "block_starts"):
+        model.__dict__[name] = getattr(model, name).view(CountedReads)
+    mu0 = SignalVector(np.ones(n))
+    bound = 3 * math.ceil(math.log2(n + 1)) + 2
+    for phi, eta in ((0.5, 0.0), (0.5, 1.0), (2.0, 1e-3), (4.99, 1e3), (0.01, 1e-6)):
+        config = ProblemConfig(phi=phi, eta=eta, sigma_sq=1.0, model=model, mu0=mu0)
+        CountedReads.reads = 0
+        tau_bounds(config)
+        assert CountedReads.reads <= bound, (phi, eta)
+
+
+@pytest.mark.parametrize("phi", [1.5, 2.0, 10.0])
+def test_tau_bounds_lo_is_a_lower_bound_at_tiny_eta(phi):
+    # lo solves H tau^2 - (1 - phi) tau - eta = 0; on Isotropic(1, n),
+    # H = 1 and tau* = 2 eta / (b + sqrt(b^2 + 4 phi eta)), b = phi - 1 - eta.
+    # The unrationalized root cancels at phi > 1: it put lo 5.6e-6 relative
+    # above tau* at phi = 1.5, eta = 1e-12, and at 0 for eta = 1e-17.
+    # lo - tau* is of order eta relative, so below eta = 1e-8 lo is tau*
+    # to 1e-14
+    model = Isotropic(1.0, 100)
+    mu0 = SignalVector(np.ones(100))
+    for eta in 10.0 ** -np.arange(3.0, 31.0):
+        lo = tau_bounds(ProblemConfig(phi, eta, 1.0, model, mu0))[0]
+        b = phi - 1.0 - eta
+        tau = 2.0 * eta / (b + math.sqrt(b * b + 4.0 * phi * eta))
+        assert 0.0 < lo <= tau, eta
+        if eta <= 1e-8:
+            assert lo == pytest.approx(tau, rel=1e-14, abs=0.0), eta
+        with mpmath.workdps(40):
+            p, e = mpmath.mpf(phi), mpmath.mpf(eta)
+            exact = 2 * e / (p - 1 + mpmath.sqrt((1 - p) ** 2 + 4 * e))
+        assert rel_gap(lo, exact) <= 1e-15, eta
+
+
+def test_merged_explicit_matches_unmerged():
+    # Explicit merges runs of equal eigenvalues into one block of pairs();
+    # every eigenvalue its own block is the unmerged oracle. Both give the
+    # same sums, roots and columns within 1e-13, with a basis or without.
+    rng = np.random.default_rng(3)
+    lam = np.sort(np.repeat([4.0, 2.5, 1.0, 0.3], [1, 30, 50, 39]))[::-1]
+    basis = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))[0]
+    coords = rng.standard_normal(lam.size)
+    for v in (None, basis):
+        merged, unmerged = Explicit(lam, v), UnmergedExplicit(lam, v)
+        np.testing.assert_array_equal(merged.pairs()[0], [4.0, 2.5, 1.0, 0.3])
+        np.testing.assert_array_equal(merged.pairs()[1], [1.0, 30.0, 50.0, 39.0])
+        mu0 = SignalVector(coords)
+        np.testing.assert_allclose(
+            mu0.masses(merged), np.add.reduceat(mu0.masses(unmerged), [0, 1, 31, 81]),
+            rtol=1e-13, atol=0.0,
+        )
+        for tau in (1e-3, 0.7, 40.0):
+            a, b = fixed_point_sums(merged, mu0, tau), fixed_point_sums(unmerged, mu0, tau)
+            for name in a._fields:
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-13), name
+        for phi in (0.4, 1.6):
+            etas = np.linspace(0.0 if phi < 1 else 0.01, 1.5, 31)
+            rows = [
+                solve_grid(ProblemConfig(phi, 0.0 if phi < 1 else 0.01, 0.7, model, mu0), etas)
+                for model in (merged, unmerged)
+            ]
+            columns = [f.name for f in dataclasses.fields(fixedpoint.EffectiveParams)][:-1]
+            for a, b in zip(*rows):
+                for name in columns:
+                    assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-13), name
+

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ridgelab import (
     spiked_uniform,
     trace_functional,
 )
-from ridgelab import errors
+from ridgelab import errors, spectrum
 from ridgelab.spectrum import fixed_point_sums, resolvent_sums
 
 
@@ -133,8 +134,13 @@ def test_spectral_sums_are_cached_on_the_model():
     np.testing.assert_array_equal(model.block_starts, [0.0, 1.0, 2.0, 3.0])
     assert model.tail_sums is model.tail_sums
     assert harmonic_mean(model) == pytest.approx(1.75 / 3.0, rel=1e-15)
-    ones = model.pairs()[1]
+    # every eigenvalue distinct: pairs() are the eigenvalues themselves,
+    # one cached ones array, and the masses the squared coordinates
+    lam, ones = model.pairs()
+    assert lam is model.eigenvalues
     assert ones is model.pairs()[1]
+    np.testing.assert_array_equal(ones, [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(SignalVector([1.0, -2.0, 3.0]).masses(model), [1.0, 4.0, 9.0])
     np.testing.assert_array_equal(model.weighted_spectrum, [4.0, 2.0, 1.0])
     np.testing.assert_array_equal(model.weighted_spectrum_sq, [16.0, 4.0, 1.0])
     assert model.weighted_spectrum is model.weighted_spectrum
@@ -176,15 +182,17 @@ def test_fused_sums_match_exact_sums_on_a_large_spectrum(tau):
     def exact(terms):
         return math.fsum(terms.tolist())
 
-    expected = {
-        "t10": exact(r) / n,
-        "t11": exact(lam * r) / n,
-        "t21": exact(lam * r * r) / n,
-    }
-    got = dict(zip(("t10", "t11", "t21"), resolvent_sums(model, tau)))
+    t10, t11 = exact(r) / n, exact(lam * r) / n
+    # resolvent_sums' T_{-1,1} - phi reads T_{-1,0} on the branch
+    # T_{-1,1} > 1/2. There, at phi = 1 - 0.99 tau T_{-1,0}, the difference
+    # is a hundredth of tau T_{-1,0}, and t11 - phi would lose its digits
+    expected, got = {"t21": exact(lam * r * r) / n}, {}
+    for phi in (0.5, 1.0 - 0.99 * tau * t10):
+        expected[f"excess at {phi}"] = t11 - phi if t11 <= 0.5 else (1.0 - phi) - tau * t10
+        got[f"excess at {phi}"], got["t21"] = resolvent_sums(model, tau, phi)
     sums = fixed_point_sums(model, mu0, tau)
     expected.update(
-        fp_t11=exact(lam * r) / n,
+        fp_t11=t11,
         fp_t21=exact(lam * r * r) / n,
         fp_t31=exact(lam * r * r * r) / n,
         fp_t22=exact(lam * lam * r * r) / n,
@@ -196,6 +204,21 @@ def test_fused_sums_match_exact_sums_on_a_large_spectrum(tau):
     assert set(got) == set(expected)
     for name, value in expected.items():
         assert got[name] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("tau, sums", [(30.0, 2), (1e-3, 3)])
+def test_resolvent_sums_reads_t10_only_where_f_does(tau, sums):
+    # T_{-1,1} is about 0.085 at tau = 30 and 0.997 at tau = 1e-3: one fused
+    # sum each for T_{-1,1} and T_{-2,1}, and T_{-1,0} only above 1/2
+    lam = np.exp(np.linspace(math.log(20.0), math.log(0.05), 1000))
+    model = Explicit(lam)
+    t11 = trace_functional(model, tau, 1, 1)
+    assert (t11 > 0.5) == (sums == 3)
+    with mock.patch.object(spectrum, "_dot", wraps=spectrum._dot) as dots:
+        excess, t21 = resolvent_sums(model, tau, 0.5)
+    assert dots.call_count == sums
+    assert excess == pytest.approx(t11 - 0.5, rel=1e-13, abs=0.0)
+    assert t21 == pytest.approx(trace_functional(model, tau, 2, 1), rel=1e-13, abs=0.0)
 
 
 def test_sigma_quad_matches_dense(rng):
