@@ -156,9 +156,9 @@ def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
     sign of g(j) = T_j + n eta - lambda_j (m - k_j), and
     g(j+1) - g(j) = (lambda_j - lambda_{j+1}) (m - k_{j+1}) >= 0. So R falls
     while g < 0 and rises after: hi is R at the first boundary with g >= 0,
-    or at the last admissible one, found by bisection. H and the per-block
-    sums are cached on the model, so a call costs O(log(number of distinct
-    eigenvalues)).
+    or at the last admissible one, found by bisection. H, the block
+    eigenvalues and the per-block sums are cached on the model, so a call
+    builds no array and costs O(log(number of blocks)).
     """
     if config.eta == 0 and config.phi >= 1:
         raise NoSolution(
@@ -178,8 +178,7 @@ def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
     m = config.phi * n
     shift = n * config.eta
     k_max = min(int(np.ceil(m)) - 1, n)
-    starts, tails = model.block_starts, model.tail_sums
-    lam = model.pairs()[0]
+    lam, starts, tails = model.block_values, model.block_starts, model.tail_sums
     # bisect boundaries 0 .. blocks - 1 for the first j with g(j) >= 0
     first, last = 0, int(np.searchsorted(starts, k_max, side="right")) - 1
     while first < last:

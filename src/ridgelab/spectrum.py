@@ -8,18 +8,16 @@ of the population covariance: trace functionals
 and weighted squares of the signal's eigen-coordinates. Structured models
 (isotropic, uniform-plus-rank-one) evaluate these analytically from their
 one or two distinct eigenvalues, which keeps tight Monte Carlo loops cheap;
-explicit models iterate their distinct eigenvalues, each run of equal
-eigenvalues merged into one block.
+explicit models iterate the eigenvalue list.
 
 Every ambient-coordinate quantity is a spectral function f(Sigma), and each
 model has one operator pair for it: apply(fn, b) = fn(Sigma) @ b and
-diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's
+diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's distinct
 eigenvalues as an array ([scale] isotropic, [a + b n, a] spiked_uniform,
-[a + b n] at n = 1, every eigenvalue, repeated or not, explicit), and fn
-returns one value per entry. Isotropic and explicit models fix their
-eigenbasis, so fn may instead return one value per eigen-position in
-descending eigenvalue order: fn = lambda _: w applies the eigenbasis
-weight diag(w).
+[a + b n] at n = 1, the eigenvalues explicit), and fn returns one value per
+entry. Isotropic and explicit models fix their eigenbasis, so fn may
+instead return one value per eigen-position in descending eigenvalue
+order: fn = lambda _: w applies the eigenbasis weight diag(w).
 
 All models are immutable after construction and safe to share across
 threads. The only interior mutations are write-once caches: each model's
@@ -64,18 +62,23 @@ def _scale_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _SpectralSums:
     """Eta-independent sums over a model's spectrum, computed once per instance.
 
-    fixedpoint.tau_bounds reads the harmonic mean and bisects block_starts
-    and tail_sums on every solve, O(log blocks) entries per call, and
-    resolvent_sums and fixed_point_sums read the weighted spectra on every
-    call; caching them on the model ties their lifetime to the model's.
-    block_starts and tail_sums have one entry per block of pairs() (one per
-    distinct eigenvalue) plus one, the weighted spectra one per block.
+    fixedpoint.tau_bounds reads the harmonic mean and bisects block_values,
+    block_starts and tail_sums on every solve, O(log blocks) entries per
+    call, and resolvent_sums and fixed_point_sums read the weighted spectra
+    on every call; caching them on the model ties their lifetime to the
+    model's. block_starts and tail_sums have one entry per block of pairs()
+    plus one, block_values and the weighted spectra one per block.
     """
 
     @functools.cached_property
     def inv_harmonic_mean(self) -> float:
         """tr(Sigma^{-1}) / n."""
         return trace_functional(self, 0.0, 1, 0)
+
+    @functools.cached_property
+    def block_values(self) -> np.ndarray:
+        """block_values[j] = the eigenvalue of the j-th block of pairs()."""
+        return _read_only(self.pairs()[0])
 
     @functools.cached_property
     def block_starts(self) -> np.ndarray:
@@ -236,30 +239,15 @@ class Explicit(_SpectralSums):
         return self.eigenvalues.size
 
     @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        lam = self.eigenvalues
-        changes = lam[1:] != lam[:-1]
-        if changes.all():
-            return lam, _read_only(np.ones(self.n))
-        firsts = np.concatenate(([0], np.flatnonzero(changes) + 1))
-        counts = np.diff(firsts, append=self.n).astype(np.float64)
-        return _read_only(lam[firsts]), _read_only(counts)
+    def _ones(self) -> np.ndarray:
+        return _read_only(np.ones(self.n))
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct eigenvalues and their multiplicities, computed once.
-
-        When every eigenvalue is distinct these are the eigenvalues
-        themselves and a cached ones array.
-        """
-        return self._pairs
+        return self.eigenvalues, self._ones
 
     def signal_masses(self, coords: np.ndarray) -> np.ndarray:
         tilde = coords if self.basis is None else self.basis.T @ coords
-        masses = tilde * tilde
-        if self.pairs()[0] is self.eigenvalues:
-            return masses
-        # one squared-coordinate sum per block of equal eigenvalues
-        return np.add.reduceat(masses, self.block_starts[:-1].astype(np.intp))
+        return tilde * tilde
 
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
         w = fn(self.eigenvalues)

@@ -451,24 +451,20 @@ def test_fused_sums_match_separate_functionals(config):
     assert params.gamma_star_sq == pytest.approx(gamma_sq, rel=1e-13)
 
 
-class UnmergedExplicit(Explicit):
-    """Explicit with every eigenvalue its own block of pairs(), repeated or not."""
+class MergedExplicit(Explicit):
+    """Explicit with its repeated eigenvalues merged into blocks of pairs()."""
 
     def pairs(self):
-        return self.eigenvalues, np.ones(self.n)
-
-    def signal_masses(self, coords):
-        tilde = coords if self.basis is None else self.basis.T @ coords
-        return tilde * tilde
+        lam, counts = np.unique(self.eigenvalues, return_counts=True)
+        return lam[::-1].copy(), counts[::-1].astype(float)
 
 
 @st.composite
 def block_models(draw):
-    """Models whose pairs() have blocks of equal eigenvalues, and models
-    whose pairs() have every eigenvalue as its own block: unmerged ones,
-    and plateaus of distinct eigenvalues a few ulps apart."""
+    """Models whose pairs() have blocks of equal eigenvalues, and explicit
+    ones, among them plateaus of distinct eigenvalues a few ulps apart."""
     n = draw(st.integers(1, 150))
-    kind = draw(st.sampled_from(["isotropic", "spiked_uniform", "explicit", "unmerged", "plateau"]))
+    kind = draw(st.sampled_from(["isotropic", "spiked_uniform", "explicit", "merged", "plateau"]))
     level = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
     if kind == "isotropic":
         return Isotropic(draw(level), n)
@@ -479,7 +475,8 @@ def block_models(draw):
         ulps = 1.0 + 2.0**-52 * np.arange(draw(st.integers(1, 40)))
         return Explicit(np.sort(np.outer(values, ulps).ravel())[::-1][:n])
     lam = np.sort(np.repeat(values, draw(st.integers(1, 40))))[::-1][:n]
-    return Explicit(lam) if kind == "explicit" else UnmergedExplicit(lam)
+    # explicit: every eigenvalue is its own pair, so every k is a boundary
+    return Explicit(lam) if kind == "explicit" else MergedExplicit(lam)
 
 
 def block_problem(model, phi, log_eta, interpolate):
@@ -565,18 +562,12 @@ class CountedReads(np.ndarray):
         return out
 
 
-class CountedExplicit(Explicit):
-    def pairs(self):
-        lam, counts = super().pairs()
-        return lam.view(CountedReads), counts
-
-
 @pytest.mark.parametrize("n", [1, 10, 1000, 100_000])
 def test_tau_bounds_reads_o_log_blocks_boundaries(n):
     # three reads (tail sum, block start, eigenvalue) per bisection step
     # and two for the ratio, where the scan read every admissible boundary
-    model = CountedExplicit(distinct_spectrum(n))
-    for name in ("tail_sums", "block_starts"):
+    model = Explicit(distinct_spectrum(n))
+    for name in ("block_values", "tail_sums", "block_starts"):
         model.__dict__[name] = getattr(model, name).view(CountedReads)
     mu0 = SignalVector(np.ones(n))
     bound = 3 * math.ceil(math.log2(n + 1)) + 2
@@ -608,37 +599,3 @@ def test_tau_bounds_lo_is_a_lower_bound_at_tiny_eta(phi):
             p, e = mpmath.mpf(phi), mpmath.mpf(eta)
             exact = 2 * e / (p - 1 + mpmath.sqrt((1 - p) ** 2 + 4 * e))
         assert rel_gap(lo, exact) <= 1e-15, eta
-
-
-def test_merged_explicit_matches_unmerged():
-    # Explicit merges runs of equal eigenvalues into one block of pairs();
-    # every eigenvalue its own block is the unmerged oracle. Both give the
-    # same sums, roots and columns within 1e-13, with a basis or without.
-    rng = np.random.default_rng(3)
-    lam = np.sort(np.repeat([4.0, 2.5, 1.0, 0.3], [1, 30, 50, 39]))[::-1]
-    basis = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))[0]
-    coords = rng.standard_normal(lam.size)
-    for v in (None, basis):
-        merged, unmerged = Explicit(lam, v), UnmergedExplicit(lam, v)
-        np.testing.assert_array_equal(merged.pairs()[0], [4.0, 2.5, 1.0, 0.3])
-        np.testing.assert_array_equal(merged.pairs()[1], [1.0, 30.0, 50.0, 39.0])
-        mu0 = SignalVector(coords)
-        np.testing.assert_allclose(
-            mu0.masses(merged), np.add.reduceat(mu0.masses(unmerged), [0, 1, 31, 81]),
-            rtol=1e-13, atol=0.0,
-        )
-        for tau in (1e-3, 0.7, 40.0):
-            a, b = fixed_point_sums(merged, mu0, tau), fixed_point_sums(unmerged, mu0, tau)
-            for name in a._fields:
-                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-13), name
-        for phi in (0.4, 1.6):
-            etas = np.linspace(0.0 if phi < 1 else 0.01, 1.5, 31)
-            rows = [
-                solve_grid(ProblemConfig(phi, 0.0 if phi < 1 else 0.01, 0.7, model, mu0), etas)
-                for model in (merged, unmerged)
-            ]
-            columns = [f.name for f in dataclasses.fields(fixedpoint.EffectiveParams)][:-1]
-            for a, b in zip(*rows):
-                for name in columns:
-                    assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-13), name
-

@@ -132,25 +132,24 @@ def test_spectral_sums_are_cached_on_the_model():
     model = Explicit(np.array([4.0, 2.0, 1.0]))
     np.testing.assert_array_equal(model.tail_sums, [7.0, 3.0, 1.0, 0.0])
     np.testing.assert_array_equal(model.block_starts, [0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(model.block_values, [4.0, 2.0, 1.0])
     assert model.tail_sums is model.tail_sums
+    assert model.block_values is model.block_values
     assert harmonic_mean(model) == pytest.approx(1.75 / 3.0, rel=1e-15)
-    # every eigenvalue distinct: pairs() are the eigenvalues themselves,
-    # one cached ones array, and the masses the squared coordinates
-    lam, ones = model.pairs()
-    assert lam is model.eigenvalues
+    ones = model.pairs()[1]
     assert ones is model.pairs()[1]
-    np.testing.assert_array_equal(ones, [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(SignalVector([1.0, -2.0, 3.0]).masses(model), [1.0, 4.0, 9.0])
     np.testing.assert_array_equal(model.weighted_spectrum, [4.0, 2.0, 1.0])
     np.testing.assert_array_equal(model.weighted_spectrum_sq, [16.0, 4.0, 1.0])
     assert model.weighted_spectrum is model.weighted_spectrum
-    for arr in (model.tail_sums, model.block_starts, ones, model.weighted_spectrum,
-                model.weighted_spectrum_sq):
+    for arr in (model.tail_sums, model.block_starts, model.block_values, ones,
+                model.weighted_spectrum, model.weighted_spectrum_sq):
         assert not arr.flags.writeable
     # one entry per distinct eigenvalue of pairs() plus one: spike 2.5, bulk 1 x 2
     spiked = SpikedUniform(1.0, 0.5, 3)
     np.testing.assert_array_equal(spiked.tail_sums, [4.5, 2.0, 0.0])
     np.testing.assert_array_equal(spiked.block_starts, [0.0, 1.0, 3.0])
+    np.testing.assert_array_equal(spiked.block_values, [2.5, 1.0])
+    assert spiked.block_values is spiked.block_values
     np.testing.assert_array_equal(spiked.weighted_spectrum, [2.5, 2.0])
     np.testing.assert_array_equal(spiked.weighted_spectrum_sq, [6.25, 2.0])
     big = Isotropic(1.0, 10**6)
