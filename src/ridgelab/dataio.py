@@ -74,29 +74,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], seed=None) 
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> tuple[list[str], list[list]]:
-    """Read a CSV written by write_csv; numeric cells come back as floats."""
-    with open(path, "r", newline="") as fh:
-        raw = [line.rstrip("\n") for line in fh if not line.startswith("#")]
-    raw = [line for line in raw if line != ""]
-    if not raw:
-        raise InputError(f"{path} has no header row")
-    header = raw[0].split(",")
-    rows = []
-    for line in raw[1:]:
-        cells = []
-        for tok in line.split(","):
-            if tok == "":
-                cells.append(None)
-                continue
-            try:
-                cells.append(float(tok))
-            except ValueError:
-                cells.append(tok)
-        rows.append(cells)
-    return header, rows
-
-
 def encode_array(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype="<f8")
     return {

@@ -62,10 +62,6 @@ class InputError(RidgelabError):
     """Invalid argument values or mismatched dimensions."""
 
 
-class MissingGroundTruth(InputError):
-    """Ground-truth signal required but absent from the dataset."""
-
-
 class BothZero(InputError):
     """Noise and signal are both zero, so SNR-based quantities are undefined."""
 

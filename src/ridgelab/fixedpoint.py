@@ -48,7 +48,6 @@ from .spectrum import (
     FixedPointSums,
     SignalVector,
     fixed_point_sums,
-    harmonic_mean,
     quad_form,
     resolvent_sums,
     trace_functional,
@@ -166,7 +165,7 @@ def tau_bounds(config: ProblemConfig) -> tuple[float, float]:
             "only in the overparametrized regime m < n"
         )
     model = config.model
-    h = harmonic_mean(model)
+    h = model.inv_harmonic_mean
     one_minus = 1.0 - config.phi
     root = math.sqrt(one_minus * one_minus + 4.0 * h * config.eta)
     if one_minus < 0:
@@ -292,6 +291,7 @@ def stieltjes_at(
 
     m = 1/tau, m' = phi tau'/tau^2, m'' = -phi^2 (tau'' tau - 2 tau'^2)/tau^3.
     """
+    check_phi(phi, "phi")
     check_positive(tau_star, "tau_star")
     m_val = 1.0 / tau_star
     m_prime = phi * tau_prime / (tau_star * tau_star)

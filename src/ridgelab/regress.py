@@ -1,6 +1,6 @@
 """Data-level ridge(less) regression.
 
-Fits, empirical risks, the (tau, gamma, sigma^2) estimators, GCV and
+Fits, the (tau, gamma, sigma^2) estimators, GCV and
 k-fold cross-validation tuning, debiasing and coordinatewise confidence
 intervals.
 
@@ -21,11 +21,11 @@ from functools import cached_property
 import numpy as np
 import scipy  # ridge_fit, the one user of scipy.linalg, loads it on first call
 
-from .errors import IllConditioned, InputError, MissingGroundTruth, WrongRegime
-from .errors import check_alpha, check_eta, check_eta_grid, check_positive, check_scale
-from .riskengine import RiskKind
+from .errors import IllConditioned, InputError, WrongRegime, check_alpha, check_eta
+from .errors import check_eta_grid, check_phi, check_positive, check_scale, check_size, coerce
+from .errors import integer
 from .rng import as_rng
-from .spectrum import CovarianceModel, SignalVector, sigma_quad
+from .spectrum import CovarianceModel, SignalVector
 from .stats import z_two_sided
 
 _GRAM_COND_LIMIT = 1e12
@@ -182,22 +182,6 @@ def ridgeless_fit(data: Dataset, eta: float = 0.0) -> RidgeFit:
     return RidgeFit(eta=0.0, mu_hat=mu, r_hat=resid / np.sqrt(n))
 
 
-def empirical_risk(kind: RiskKind, fit: RidgeFit, data: Dataset) -> float:
-    if kind == RiskKind.RES:
-        return float(fit.r_hat @ fit.r_hat)
-    if data.mu0 is None:
-        raise MissingGroundTruth(f"risk kind {kind.value!r} needs mu0")
-    diff = fit.mu_hat - data.mu0.coords
-    if kind == RiskKind.EST:
-        return float(diff @ diff)
-    if kind == RiskKind.PRED:
-        return sigma_quad(data.model, diff)
-    if kind == RiskKind.INS:
-        xd = data.x @ diff
-        return float(xd @ xd) / data.n
-    raise InputError(f"unknown risk kind {kind!r}")
-
-
 def df_hat(data: Dataset, eta: float) -> float:
     """tr((Sigma_hat + (eta/phi) I)^{-1} Sigma_hat) with Sigma_hat = X^T X / m.
 
@@ -230,6 +214,9 @@ def sigma_hat_sq(
     raw = gamma^2 (1 - phi + 2 eta / tau) - tau^2 ||Sigma^{-1/2} mu_hat||^2;
     finite-sample fluctuations can push raw below zero, hence the clamp.
     """
+    check_positive(gamma_val, "gamma", zero=True)
+    check_positive(tau_val, "tau")
+    check_phi(phi, "phi")
     whitened = float(mu_hat @ model.apply(lambda lam: 1.0 / lam, mu_hat))
     raw = gamma_val * gamma_val * (1.0 - phi + 2.0 * eta / tau_val) - (
         tau_val * tau_val * whitened
@@ -393,6 +380,7 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
 
 def kfold_select(data: Dataset, grid, k: int, seed) -> TuningResult:
     """k-fold cross-validation; seed may be an int or a Generator."""
+    k = check_size(coerce(integer, k, "k"), "k", least=2)
     folds = kfold_folds(data.m, k, as_rng(seed, "fold"))
     etas = check_eta_grid(grid)
     objective = kfold_objective(data, etas, folds)
@@ -417,8 +405,7 @@ def confidence_intervals(
 ) -> CIReport:
     """Coordinatewise intervals mu^dR_j +- gamma (Sigma^{-1})_{jj}^{1/2} z_{alpha/2}/sqrt(n)."""
     check_alpha(alpha)
-    if not gamma_val >= 0:
-        raise InputError(f"gamma must be nonnegative, got {gamma_val}")
+    check_positive(gamma_val, "gamma", zero=True)
     n = model.n
     if mu_debiased.shape != (n,):
         raise InputError("debiased estimate has wrong dimension")

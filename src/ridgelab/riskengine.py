@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SCALE_RANGE, BothZero, InputError, NumericalError, check_all, check_positive
-from .errors import coerce
+from .errors import check_phi, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -191,8 +191,9 @@ def opt_risks(
     OPT^pred = phi tau/eta - 1, OPT^est = (1-phi)/eta + 1/tau,
     OPT^ins = phi - eta/tau, all at eta = eta_star.
     """
-    if not eta_star > 0:
-        raise InputError("opt_risks requires eta_star > 0")
+    check_phi(phi, "phi")
+    check_positive(eta_star, "eta_star")
+    check_positive(tau_at_eta_star, "tau_at_eta_star")
     pred = phi * tau_at_eta_star / eta_star - 1.0
     est = (1.0 - phi) / eta_star + 1.0 / tau_at_eta_star
     ins = phi - eta_star / tau_at_eta_star
@@ -243,7 +244,7 @@ def check_lq_weight(a, model: CovarianceModel) -> np.ndarray | None:
     if a.ndim == 1 and np.any(a < 0):
         raise InputError("eigenbasis weights must be nonnegative")
     if a.ndim == 1 and isinstance(model, SpikedUniform):
-        bulk = a[min(1, n - 1)]
+        bulk = a[1]
         if np.any(np.abs(a[1:] - bulk) > 1e-12 * max(1.0, bulk)):
             raise InputError(
                 "eigenbasis weight must be constant on the spiked_uniform bulk block, "

@@ -14,10 +14,11 @@ Every ambient-coordinate quantity is a spectral function f(Sigma), and each
 model has one operator pair for it: apply(fn, b) = fn(Sigma) @ b and
 diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's distinct
 eigenvalues as an array ([scale] isotropic, [a + b n, a] spiked_uniform,
-[a + b n] at n = 1, the eigenvalues explicit), and fn returns one value per
-entry. Isotropic and explicit models fix their eigenbasis, so fn may
-instead return one value per eigen-position in descending eigenvalue
-order: fn = lambda _: w applies the eigenbasis weight diag(w).
+the eigenvalues explicit), and fn returns one value per entry; apply
+refuses a b whose first dimension is not the model's n. Isotropic and
+explicit models fix their eigenbasis, so fn may instead return one value
+per eigen-position in descending eigenvalue order: fn = lambda _: w
+applies the eigenbasis weight diag(w).
 
 All models are immutable after construction and safe to share across
 threads. The only interior mutations are write-once caches: each model's
@@ -37,8 +38,6 @@ import numpy as np
 from .errors import SPECTRUM_RANGE, InputError, check_all, check_spectrum, choice, coerce
 from .errors import check_positive, check_size, dimension, read_object, real, reals
 
-_DENSE_GUARD = 20000
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -52,6 +51,12 @@ def _dot(w: np.ndarray, v: np.ndarray) -> float:
     threads, and its last bit then moves with the BLAS thread count.
     """
     return float(np.einsum("i,i->", w, v))
+
+
+def _check_rows(b: np.ndarray, n: int) -> None:
+    """Refuse an apply operand whose first dimension is not the model's n."""
+    if b.shape[:1] != (n,):
+        raise InputError(f"apply needs an operand with {n} rows, got shape {b.shape}")
 
 
 def _scale_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,6 +133,7 @@ class Isotropic(_SpectralSums):
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
         """fn(Sigma) @ b for b of shape (n,) or (n, k)."""
+        _check_rows(b, self.n)
         return _scale_rows(fn(np.array([self.scale])), b)
 
     def diag_fn(self, fn) -> np.ndarray:
@@ -140,10 +146,10 @@ class Isotropic(_SpectralSums):
 
 @dataclass(frozen=True)
 class SpikedUniform(_SpectralSums):
-    """Sigma = a * I_n + b * ones ones^T, b > 0.
+    """Sigma = a * I_n + b * ones ones^T, b > 0 and n >= 2.
 
     Eigenvalues: a + b*n with eigenvector ones/sqrt(n), and a with
-    multiplicity n - 1. Use spiked_uniform() if b may degenerate to zero.
+    multiplicity n - 1. Use spiked_uniform() if b may be zero or n one.
     """
 
     a: float
@@ -159,28 +165,26 @@ class SpikedUniform(_SpectralSums):
         if self.b == 0:
             raise InputError("b must be positive (use spiked_uniform() for b == 0)")
         check_size(self.n, f"'n' of {self.kind} model")
+        if self.n == 1:
+            raise InputError("n must be at least 2 (use spiked_uniform() for n == 1)")
 
     @property
     def top(self) -> float:
         return self.a + self.b * self.n
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.n == 1:
-            return np.array([self.top]), np.array([1.0])
         return np.array([self.top, self.a]), np.array([1.0, float(self.n - 1)])
 
     def signal_masses(self, coords: np.ndarray) -> np.ndarray:
         total = _dot(coords, coords)
         spike = float(coords.sum()) ** 2 / self.n
-        if self.n == 1:
-            return np.array([total])
         # rounding can push the bulk mass a hair below zero
         return np.array([spike, max(total - spike, 0.0)])
 
     def _ends(self, fn) -> tuple[float, float]:
-        """fn(top), fn(a) from one call on the distinct eigenvalues (fn(top) twice at n = 1)."""
-        values = fn(np.array([self.top, self.a] if self.n > 1 else [self.top])).tolist()
-        return values[0], values[-1]
+        """fn(top), fn(a) from one call on the distinct eigenvalues."""
+        ftop, fa = fn(np.array([self.top, self.a])).tolist()
+        return ftop, fa
 
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
         """fa * b + (ftop - fa) * ones ones^T b / n, in b's memory layout.
@@ -189,6 +193,7 @@ class SpikedUniform(_SpectralSums):
         fa * b at every size; a fresh sum would reuse that temporary, and
         its layout, only above numpy's 256 KiB elision threshold.
         """
+        _check_rows(b, self.n)
         ftop, fa = self._ends(fn)
         out = fa * b
         out += (ftop - fa) * (b.sum(axis=0) / self.n)
@@ -250,6 +255,7 @@ class Explicit(_SpectralSums):
         return tilde * tilde
 
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
+        _check_rows(b, self.n)
         w = fn(self.eigenvalues)
         if self.basis is None:
             return _scale_rows(w, b)
@@ -270,9 +276,12 @@ CovarianceModel = Union[Isotropic, SpikedUniform, Explicit]
 
 
 def spiked_uniform(a: float, b: float, n: int) -> CovarianceModel:
-    """Factory that normalizes the degenerate b == 0 case to Isotropic."""
-    if b == 0:
-        return Isotropic(check_spectrum(a, "'a' of spiked_uniform model"), n)
+    """Sigma = a I_n + b ones ones^T as SpikedUniform, or as Isotropic where
+    it is a multiple of I_n: at b == 0 (scale a) and at n == 1 (scale a + b)."""
+    if b == 0 or n == 1:
+        check_spectrum(a, "'a' of spiked_uniform model")
+        check_spectrum(b, "'b' of spiked_uniform model", zero=True)
+        return Isotropic(a + b, n)
     return SpikedUniform(a, b, n)
 
 
@@ -372,12 +381,6 @@ def _validate_pq(p: int, q: int) -> None:
         raise InputError(f"orders must be nonnegative, got p={p}, q={q}")
 
 
-def eigenvalues(model: CovarianceModel) -> np.ndarray:
-    """Full descending eigenvalue list, structured kinds expanded analytically."""
-    lam, counts = model.pairs()
-    return np.repeat(lam, counts.astype(np.int64))
-
-
 def _reciprocal_shift(lam: np.ndarray, tau: float) -> np.ndarray:
     """r = 1/(lam + tau), computed in one fresh buffer."""
     r = lam + tau
@@ -402,11 +405,6 @@ def trace_functional(model: CovarianceModel, tau: float, p: int, q: int) -> floa
     check_positive(tau, "tau", zero=True)
     lam, counts = model.pairs()
     return _power_sum(counts, lam, tau, p, q) / model.n
-
-
-def harmonic_mean(model: CovarianceModel) -> float:
-    """tr(Sigma^{-1}) / n, the reciprocal harmonic mean of the spectrum."""
-    return model.inv_harmonic_mean
 
 
 def quad_form(model: CovarianceModel, mu0, tau: float, p: int, q: int) -> float:
@@ -493,15 +491,3 @@ def sigma_quad(model: CovarianceModel, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     return float(v @ model.apply(lambda lam: lam, v))
 
-
-def materialize(model: CovarianceModel):
-    """Dense (Sigma, Sigma^{1/2}, Sigma^{-1/2}). Guarded to n <= 20000."""
-    if model.n > _DENSE_GUARD:
-        raise InputError(
-            f"refusing to materialize n={model.n} > {_DENSE_GUARD} dense matrices"
-        )
-    eye = np.eye(model.n)
-    sigma = model.apply(lambda lam: lam, eye)
-    root = model.apply(np.sqrt, eye)
-    inv_root = model.apply(lambda lam: 1.0 / np.sqrt(lam), eye)
-    return sigma, root, inv_root

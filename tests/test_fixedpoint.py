@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import iso_problem, random_problem
+from oracles import eigenvalues
 from ridgelab import errors, fixedpoint
 from ridgelab import (
     Explicit,
@@ -21,13 +22,13 @@ from ridgelab import (
     ProblemConfig,
     SignalVector,
     SpikedUniform,
-    eigenvalues,
     expected_dof,
     expected_err,
     solve_effective,
     solve_grid,
     solve_tau,
     quad_form,
+    spiked_uniform,
     tau_bounds,
     trace_functional,
 )
@@ -469,7 +470,7 @@ def block_models(draw):
     if kind == "isotropic":
         return Isotropic(draw(level), n)
     if kind == "spiked_uniform":
-        return SpikedUniform(draw(level), draw(level), n)
+        return spiked_uniform(draw(level), draw(level), n)
     values = draw(st.lists(level, min_size=1, max_size=5))
     if kind == "plateau":
         ulps = 1.0 + 2.0**-52 * np.arange(draw(st.integers(1, 40)))

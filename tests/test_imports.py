@@ -1,6 +1,7 @@
 """Every top-level import in src/ridgelab is used by its module, no
-module imports a scipy submodule at import time, and no module refers to
-scipy.special at all.
+module imports a scipy submodule at import time, no module refers to
+scipy.special at all, and the modules import each other along the stated
+layers of LAYERS, with no cycle.
 
 The one exception to the first rule is a name imported only so that the
 benchmark tracer can wrap it where the module looks it up: the import
@@ -224,3 +225,113 @@ def test_scipy_special_rule_sees_every_form():
         "<module>:12 sp.special",
         "<module>:14 scipy.special",
     ]
+
+
+# module -> the ridgelab modules its module-level `from .x import` lines
+# name. The data side (regress) reads no theory engine (fixedpoint,
+# riskengine) and no front end (simlab, cli).
+LAYERS = {
+    "_version": set(),
+    "errors": set(),
+    "rng": {"errors"},
+    "stats": {"errors"},
+    "spectrum": {"errors"},
+    "fixedpoint": {"errors", "spectrum"},
+    "riskengine": {"errors", "fixedpoint", "spectrum"},
+    "regress": {"errors", "rng", "spectrum", "stats"},
+    "dataio": {"_version", "errors", "regress", "spectrum"},
+    "simlab": {"dataio", "errors", "fixedpoint", "regress", "riskengine", "rng", "spectrum",
+               "stats"},
+    "cli": {"_version", "dataio", "errors", "fixedpoint", "regress", "riskengine", "simlab",
+            "spectrum"},
+    "__main__": {"cli"},
+    "__init__": {"_version", "errors", "fixedpoint", "regress", "riskengine", "rng", "simlab",
+                 "spectrum"},
+}
+# (module, module it imports) for each import inside a function: spectrum's
+# real_array reads dataio's array payloads, and dataio imports spectrum
+FUNCTION_LEVEL = {("spectrum", "dataio")}
+
+
+def package_imports(source: str) -> tuple[set, set]:
+    """The ridgelab modules a module names in `from .x import` and
+    `from . import x`: those outside any function body, and those inside one."""
+    outside, inside = set(), set()
+
+    def visit(node, found):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                found |= ({child.module.split(".")[0]} if child.module
+                          else {alias.name for alias in child.names})
+            in_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, inside if in_function else found)
+
+    visit(ast.parse(source), outside)
+    return outside, inside
+
+
+def import_cycle(graph: dict) -> list:
+    """A cycle [a, b, ..., a] of graph {node: nodes it points to}, or []."""
+    done, path = set(), []
+
+    def walk(node) -> list:
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return []
+        path.append(node)
+        for target in sorted(graph.get(node, ())):
+            found = walk(target)
+            if found:
+                return found
+        path.pop()
+        done.add(node)
+        return []
+
+    for node in sorted(graph):
+        found = walk(node)
+        if found:
+            return found
+    return []
+
+
+def package_graph() -> tuple[dict, set]:
+    graph, function_level = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        outside, inside = package_imports(path.read_text())
+        graph[path.stem] = outside
+        function_level |= {(path.stem, target) for target in inside}
+    return graph, function_level
+
+
+def test_modules_import_along_the_stated_layers():
+    graph, function_level = package_graph()
+    assert graph == LAYERS
+    assert function_level == FUNCTION_LEVEL
+
+
+def test_data_side_imports_no_theory_engine_and_no_front_end():
+    graph, _ = package_graph()
+    assert graph["regress"].isdisjoint({"riskengine", "fixedpoint", "simlab", "cli"})
+
+
+def test_no_module_level_import_cycle():
+    graph, _ = package_graph()
+    assert import_cycle(graph) == []
+
+
+def test_layer_rules_see_cycles_and_function_level_imports():
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) == []
+    source = textwrap.dedent(
+        """
+        from . import dataio
+        from .errors import InputError
+        from .spectrum.sub import x
+
+        def f():
+            from .regress import Dataset
+            return Dataset
+        """
+    )
+    assert package_imports(source) == ({"dataio", "errors", "spectrum"}, {"regress"})

@@ -33,6 +33,7 @@ from ridgelab import (
     risk_derivative,
     rmt_risk,
     solve_effective,
+    spiked_uniform,
     theoretical_risk,
     trace_functional,
 )
@@ -379,7 +380,7 @@ def theory_problems(draw):
     if kind == "isotropic":
         model = Isotropic(draw(level), n)
     elif kind == "spiked_uniform":
-        model = SpikedUniform(draw(level), draw(level), n)
+        model = spiked_uniform(draw(level), draw(level), n)
     else:
         log_cond = draw(st.floats(0.0, 8.0))
         lam = np.sort(draw(level) * 10.0 ** (log_cond * rng.uniform(0.0, 1.0, n)))

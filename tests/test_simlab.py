@@ -17,14 +17,11 @@ from ridgelab import (
     RiskKind,
     SignalVector,
     SpikedUniform,
-    build_model,
     confidence_intervals,
     distributional_check,
-    empirical_risk,
     lq_gamma_diag,
     lq_risk,
     quad_form,
-    residual_law_sample,
     ridge_fit,
     ridgeless_fit,
     risk_curves,
@@ -37,10 +34,13 @@ from ridgelab import (
     seq_model_lq_mc,
     seq_model_sample,
     solve_effective,
+    spiked_uniform,
     stream,
     trace_functional,
 )
+from oracles import empirical_risk
 from ridgelab import regress, simlab
+from ridgelab.simlab import build_model
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -179,35 +179,10 @@ def test_seq_model_estimation_error_mean():
     assert float(np.mean(errs)) == pytest.approx(expected, rel=0.02)
 
 
-def test_residual_law_norm():
-    phi, eta = 0.5, 0.8
-    config = ProblemConfig(
-        phi=phi,
-        eta=eta,
-        sigma_sq=1.0,
-        model=Isotropic(1.0, 4),
-        mu0=SignalVector(np.array([1.0, 0.0, 0.0, 0.0])),
-    )
-    params = solve_effective(config)
-    m = 60
-    vals = []
-    for rep in range(3000):
-        xi = sample_noise("gaussian", m, 1.0, stream(12, rep, "noise"))
-        r = residual_law_sample(
-            phi, params.tau_star, params.gamma_star_sq, 1.0, eta, xi,
-            stream(12, rep, "seq"),
-        )
-        vals.append(float(r @ r))
-    res_theory = eta * eta * params.gamma_star_sq / params.tau_star**2
-    assert float(np.mean(vals)) == pytest.approx(res_theory, rel=0.05)
-
-    zero = residual_law_sample(phi, 1.0, 5.0, 1.0, 0.0, np.ones(m), 0)
-    np.testing.assert_array_equal(zero, np.zeros(m))
-
-
 def test_spiked_weight_paths_at_n_1():
-    # the (spike, bulk) weight pair reads its spike entry when n = 1
-    model = SpikedUniform(2.0, 0.5, 1)
+    # at n = 1 the factory's model is Isotropic(a + b), whose weight is its one entry
+    model = spiked_uniform(2.0, 0.5, 1)
+    assert model == Isotropic(2.5, 1)
     mu0 = SignalVector([1.0])
     params = solve_effective(
         ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
@@ -628,8 +603,6 @@ def test_distributional_check_self_test_is_pure_noise():
         sd = np.asarray(res.seq_se[name]) * np.sqrt(200)
         se_diff = sd * np.sqrt(1.0 / 10 + 1.0 / 200)
         assert np.all(np.asarray(res.table[name]) <= 3.0 * se_diff)
-    with pytest.raises(InputError):
-        distributional_check(config, test_fns=("l1_scaled", "mystery"))
     with pytest.raises(InputError):
         distributional_check(config, data_side="both")
 

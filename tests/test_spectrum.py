@@ -15,18 +15,18 @@ from ridgelab import (
     ProblemConfig,
     SignalVector,
     SpikedUniform,
-    eigenvalues,
-    harmonic_mean,
-    materialize,
+    debias,
     model_from_json,
     quad_form,
-    sigma_quad,
+    seq_model_lq_mc,
+    seq_model_sample,
     solve_effective,
     spiked_uniform,
     trace_functional,
 )
 from ridgelab import errors, spectrum
-from ridgelab.spectrum import fixed_point_sums, resolvent_sums
+from oracles import eigenvalues, materialize
+from ridgelab.spectrum import fixed_point_sums, resolvent_sums, sigma_quad
 
 
 def random_psd_model(rng: np.random.Generator, n: int = 50) -> Explicit:
@@ -55,11 +55,11 @@ def test_spiked_trace_example():
 
 
 def test_harmonic_mean_examples():
-    assert harmonic_mean(SpikedUniform(1.0, 0.5, 2)) == pytest.approx(0.75, rel=1e-15)
-    assert harmonic_mean(Explicit(np.array([4.0, 2.0]))) == pytest.approx(
+    assert SpikedUniform(1.0, 0.5, 2).inv_harmonic_mean == pytest.approx(0.75, rel=1e-15)
+    assert Explicit(np.array([4.0, 2.0])).inv_harmonic_mean == pytest.approx(
         0.375, rel=1e-15
     )
-    assert harmonic_mean(Isotropic(2.0, 9)) == pytest.approx(0.5, rel=1e-15)
+    assert Isotropic(2.0, 9).inv_harmonic_mean == pytest.approx(0.5, rel=1e-15)
 
 
 def test_trace_complement_identity(rng):
@@ -135,7 +135,7 @@ def test_spectral_sums_are_cached_on_the_model():
     np.testing.assert_array_equal(model.block_values, [4.0, 2.0, 1.0])
     assert model.tail_sums is model.tail_sums
     assert model.block_values is model.block_values
-    assert harmonic_mean(model) == pytest.approx(1.75 / 3.0, rel=1e-15)
+    assert model.inv_harmonic_mean == pytest.approx(1.75 / 3.0, rel=1e-15)
     ones = model.pairs()[1]
     assert ones is model.pairs()[1]
     np.testing.assert_array_equal(model.weighted_spectrum, [4.0, 2.0, 1.0])
@@ -253,7 +253,7 @@ OPERATOR_MODELS = pytest.mark.parametrize(
     [
         Isotropic(1.3, 16),
         SpikedUniform(2.0, 0.1, 16),
-        SpikedUniform(2.0, 0.1, 1),
+        spiked_uniform(2.0, 0.1, 1),
         Explicit(np.linspace(3.0, 0.5, 16)),
         random_psd_model(np.random.default_rng(3), 16),
     ],
@@ -301,15 +301,40 @@ def test_operators_call_fn_once_on_the_distinct_eigenvalues(model):
 
 
 def test_spiked_operators_at_n_1_read_fn_at_the_one_eigenvalue(rng):
-    # a is no eigenvalue at n = 1; fa + (ftop - fa) used to round off
-    # ftop, in 18 of these 2000 draws
+    # a is no eigenvalue at n = 1: the factory's model there is Isotropic(a + b)
     for a, b in rng.uniform(0.01, 5.0, (2000, 2)):
-        model = SpikedUniform(a, b, 1)
-        root = math.sqrt(model.top)
+        model = spiked_uniform(a, b, 1)
+        assert model == Isotropic(a + b, 1)
+        root = math.sqrt(a + b)
         assert model.diag_fn(np.sqrt)[0] == root
         assert model.apply(np.sqrt, np.ones(1))[0] == root
     # an fn singular at a is not evaluated there (a RuntimeWarning is an error)
-    assert SpikedUniform(2.0, 0.5, 1).diag_fn(lambda lam: 1.0 / (lam - 2.0))[0] == 2.0
+    assert spiked_uniform(2.0, 0.5, 1).diag_fn(lambda lam: 1.0 / (lam - 2.0))[0] == 2.0
+    with pytest.raises(InputError, match=r"use spiked_uniform\(\) for n == 1"):
+        SpikedUniform(2.0, 0.5, 1)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Isotropic(1.0, 4), SpikedUniform(1.0, 0.5, 4), Explicit(np.linspace(3.0, 0.5, 4)),
+     random_psd_model(np.random.default_rng(5), 4)],
+    ids=["isotropic", "spiked", "explicit", "explicit basis"],
+)
+def test_every_path_to_apply_refuses_an_operand_of_another_dimension(model):
+    # these used to return a wrong answer on the structured models and
+    # raise numpy's broadcast ValueError on explicit ones
+    short = np.ones(model.n - 1)
+    calls = [
+        lambda: model.apply(np.sqrt, short),
+        lambda: model.apply(np.sqrt, np.ones((model.n - 1, 2))),
+        lambda: sigma_quad(model, short),
+        lambda: debias(short, 0.5, model),
+        lambda: seq_model_sample(model, SignalVector(short), 1.0, 1.0, 0),
+        lambda: seq_model_lq_mc(2.0, None, model, SignalVector(short), 1.0, 1.0, 100, 0),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=r"operand with 4 rows, got shape \(3,"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -440,11 +465,6 @@ def test_model_json_rejects_unknown_and_extra_keys():
         model_from_json({"kind": "explicit", "n": 3, "eigenvalues": [2.0, 1.0]})
     with pytest.raises(InputError):
         model_from_json({"scale": 1.0, "n": 3})
-
-
-def test_materialize_guard():
-    with pytest.raises(InputError):
-        materialize(Isotropic(1.0, 20001))
 
 
 def test_signal_vector_validation():
