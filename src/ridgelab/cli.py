@@ -314,7 +314,7 @@ def _cmd_fit(args):
     fit = ridgeless_fit(data, args.eta)
     tau = tau_hat(data, args.eta)
     gamma = gamma_hat(data, args.eta)
-    raw, clamped = sigma_hat_sq(gamma, tau, args.eta, data.phi, fit.mu_hat, data.model)
+    raw, clamped = sigma_hat_sq(data, args.eta)
     return _Result(report={
         "m": data.m,
         "n": data.n,

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDenominator, InputError, NonConvergence, NoSolution
-from .errors import check_eta, check_phi, check_positive, check_scale
+from .errors import check_eta, check_phi, check_positive, check_range, check_scale
 from .spectrum import (
     CovarianceModel,
     FixedPointSums,
@@ -116,6 +116,7 @@ def expected_err(model: CovarianceModel, mu0, gamma_sq: float, tau: float) -> fl
 
     tau^2 ||(Sigma+tau I)^{-1} Sigma^{1/2} mu0||^2 + gamma^2 T_{-2,2}(tau).
     """
+    check_scale(gamma_sq, "gamma_sq")
     check_positive(tau, "tau")
     signal = quad_form(model, mu0, tau, 1, 1)
     return bias_variance(gamma_sq, tau, signal, trace_functional(model, tau, 2, 2))
@@ -132,6 +133,7 @@ def bias_variance(gamma_sq: float, tau: float, signal: float, trace: float) -> f
 
 def expected_dof(model: CovarianceModel, gamma_sq: float, tau: float) -> float:
     """gamma^2 T_{-1,1}(tau), the effective degrees-of-freedom functional."""
+    check_scale(gamma_sq, "gamma_sq")
     check_positive(tau, "tau")
     return gamma_sq * trace_functional(model, tau, 1, 1)
 
@@ -290,9 +292,12 @@ def stieltjes_at(
     """Companion Stieltjes transform and derivatives at z = -eta/phi.
 
     m = 1/tau, m' = phi tau'/tau^2, m'' = -phi^2 (tau'' tau - 2 tau'^2)/tau^3.
+    tau' > 0 and tau'' <= 0 at every solve.
     """
     check_phi(phi, "phi")
     check_positive(tau_star, "tau_star")
+    check_positive(tau_prime, "tau_prime")
+    check_range(tau_second, "tau_second", -math.inf, 0.0, ends="(]")
     m_val = 1.0 / tau_star
     m_prime = phi * tau_prime / (tau_star * tau_star)
     m_second = (

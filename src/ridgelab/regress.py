@@ -22,7 +22,7 @@ import numpy as np
 import scipy  # ridge_fit, the one user of scipy.linalg, loads it on first call
 
 from .errors import IllConditioned, InputError, WrongRegime, check_alpha, check_eta
-from .errors import check_eta_grid, check_phi, check_positive, check_scale, check_size, coerce
+from .errors import check_eta_grid, check_positive, check_scale, check_size, coerce
 from .errors import integer
 from .rng import as_rng
 from .spectrum import CovarianceModel, SignalVector
@@ -201,24 +201,17 @@ def gamma_hat(data: Dataset, eta: float) -> float:
     return data.sweep.gamma_hat(eta)
 
 
-def sigma_hat_sq(
-    gamma_val: float,
-    tau_val: float,
-    eta: float,
-    phi: float,
-    mu_hat: np.ndarray,
-    model: CovarianceModel,
-) -> tuple[float, float]:
-    """(raw, clamped) noise-level estimate.
+def sigma_hat_sq(data: Dataset, eta: float) -> tuple[float, float]:
+    """(raw, clamped) noise-level estimate, read off data.sweep.
 
-    raw = gamma^2 (1 - phi + 2 eta / tau) - tau^2 ||Sigma^{-1/2} mu_hat||^2;
+    raw = gamma^2 (1 - phi + 2 eta / tau) - tau^2 ||Sigma^{-1/2} mu_hat||^2
+    with mu_hat, tau and gamma the sweep's fit, tau_hat and gamma_hat at eta;
     finite-sample fluctuations can push raw below zero, hence the clamp.
     """
-    check_positive(gamma_val, "gamma", zero=True)
-    check_positive(tau_val, "tau")
-    check_phi(phi, "phi")
-    whitened = float(mu_hat @ model.apply(lambda lam: 1.0 / lam, mu_hat))
-    raw = gamma_val * gamma_val * (1.0 - phi + 2.0 * eta / tau_val) - (
+    sweep = data.sweep
+    mu_hat, tau_val, gamma_val = sweep.mu_hat(eta), sweep.tau_hat(eta), sweep.gamma_hat(eta)
+    whitened = float(mu_hat @ data.model.apply(lambda lam: 1.0 / lam, mu_hat))
+    raw = gamma_val * gamma_val * (1.0 - data.phi + 2.0 * eta / tau_val) - (
         tau_val * tau_val * whitened
     )
     return raw, max(raw, 0.0)

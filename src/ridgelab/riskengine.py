@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SCALE_RANGE, BothZero, InputError, NumericalError, check_all, check_positive
-from .errors import check_phi, coerce
+from .errors import check_phi, check_scale, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -85,6 +85,8 @@ def theoretical_risk(
     EST = tau^2 ||(Sigma+tau I)^{-1} mu0||^2 + gamma^2 T_{-2,1}, RES =
     eta^2 gamma^2 / tau^2 and INS = RES + sigma_sq (phi - 2 eta/tau).
     """
+    check_scale(sigma_sq, "sigma_sq")
+    check_phi(phi, "phi")
     tau = params.tau_star
     gamma_sq = params.gamma_star_sq
     eta = params.eta
@@ -114,6 +116,9 @@ def rmt_risk(
         core = phi ||mu0||^2 m - (eta ||mu0||^2 - sigma_sq) m',
     which equals phi gamma^2 m^2 at the fixed point.
     """
+    check_scale(sigma_sq, "sigma_sq")
+    check_scale(mu_norm_sq, "mu_norm_sq")
+    check_phi(phi, "phi")
     m_val, m_prime = params.m_val, params.m_prime
     eta = params.eta
     s0 = mu_norm_sq
@@ -162,6 +167,8 @@ def risk_derivative(
     Vanishes exactly at eta = sigma_sq/||mu0||^2 and carries that sign, so
     the three tunable risks share one minimizer.
     """
+    check_scale(sigma_sq, "sigma_sq")
+    check_scale(mu_norm_sq, "mu_norm_sq")
     factor = derivative_factor(kind, params)
     return (params.eta * mu_norm_sq - sigma_sq) * factor
 
@@ -269,12 +276,15 @@ def lq_gamma_diag(
         Gamma = A (Sigma+tau I)^{-1} (gamma~^2 Sigma + tau^2 ||mu0||^2 I)
                   (Sigma+tau I)^{-1} A,
 
-    for a weight A that check_lq_weight accepts.
+    for a weight A that check_lq_weight accepts and a mu_norm >= 0 whose
+    square lies in SCALE_RANGE.
     """
     a = check_lq_weight(a, model)
+    # a Python float's square overflows to inf, which the band refuses, with no numpy warning
+    mu_norm = float(check_positive(mu_norm, "mu_norm", zero=True))
+    s0 = check_scale(mu_norm * mu_norm, "squared mu_norm")
     tau = params.tau_star
     gt_sq = params.gamma_tilde_sq
-    s0 = mu_norm * mu_norm
 
     def middle(lam):
         return (gt_sq * lam + tau * tau * s0) / (lam + tau) ** 2

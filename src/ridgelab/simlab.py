@@ -238,14 +238,12 @@ class TuningSummary:
 
 @dataclass(frozen=True, eq=False)
 class ArgminResult:
-    """Per-signal grid minimizers eta_hat of the empirical risks and their
-    deviations eta_hat - eta_star, keyed by kind value, one per kept rep."""
+    """Per-signal grid minimizers eta_hat of the empirical risks, keyed by
+    kind value, one per kept rep."""
 
     etas: np.ndarray
     eta_star: float
     eta_hat: dict
-    deviations: dict
-    quartiles: dict
     rep_indices: tuple[int, ...]
     master_seed: int
     failed: tuple[int, ...]
@@ -253,13 +251,18 @@ class ArgminResult:
 
 @dataclass(frozen=True, eq=False)
 class DistCheckResult:
-    """Discrepancies between data-level statistics and sequence-model means."""
+    """Discrepancies between data-level statistics and sequence-model means.
+
+    Dicts are keyed by statistic name. noise_floor is the table that fresh
+    sequence-model draws in place of the data fits give: its scale is the
+    Monte Carlo noise of the check itself.
+    """
 
     etas: np.ndarray
-    stat_names: tuple[str, ...]
     table: dict
     per_rep_sup: dict
     seq_se: dict
+    noise_floor: dict
     failed: tuple[int, ...]
 
 
@@ -323,22 +326,26 @@ def sample_noise(dist: str, m: int, sigma_sq: float, seed) -> np.ndarray:
     return np.sqrt(sigma_sq) * draw(as_rng(seed, "noise"), m)
 
 
+def _seq_step(
+    model: CovarianceModel, root_mu0: np.ndarray, gamma: float, tau: float, g: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """y = Sigma^{1/2} mu0 + gamma g / sqrt(n) and its ridge estimate
+    (Sigma + tau I)^{-1} Sigma^{1/2} y, given root_mu0 = Sigma^{1/2} mu0 and
+    a standard normal draw g, which is not read at gamma = 0."""
+    y = root_mu0 + gamma * g / np.sqrt(model.n) if gamma != 0 else root_mu0
+    return y, model.apply(lambda lam: np.sqrt(lam) / (lam + tau), y)
+
+
 def seq_model_sample(
     model: CovarianceModel, mu0: SignalVector, gamma: float, tau: float, seed
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sequence-model observation and its ridge estimate.
-
-    y = Sigma^{1/2} mu0 + gamma g / sqrt(n),
-    mu_hat = (Sigma + tau I)^{-1} Sigma^{1/2} y. No draw happens at gamma = 0.
-    """
+    """Sequence-model observation and its ridge estimate (_seq_step), g
+    drawn from seed's "seq" stream. No draw happens at gamma = 0."""
     check_positive(gamma, "gamma", zero=True)
     check_positive(tau, "tau")
-    y = model.apply(np.sqrt, mu0.coords)
-    if gamma != 0:
-        rng = as_rng(seed, "seq")
-        y = y + gamma * rng.standard_normal(model.n) / np.sqrt(model.n)
-    mu_hat = model.apply(lambda lam: np.sqrt(lam) / (lam + tau), y)
-    return y, mu_hat
+    root_mu0 = model.apply(np.sqrt, mu0.coords)
+    g = as_rng(seed, "seq").standard_normal(model.n) if gamma != 0 else None
+    return _seq_step(model, root_mu0, gamma, tau, g)
 
 
 def _apply_weight(a, model: CovarianceModel, v: np.ndarray) -> np.ndarray:
@@ -372,9 +379,13 @@ def seq_model_lq_mc(
     check_mc_reps(reps)
     check_positive(q, "q")
     a = check_lq_weight(a, model)
+    check_positive(gamma, "gamma", zero=True)
+    check_positive(tau, "tau")
+    root_mu0 = model.apply(np.sqrt, mu0.coords)
     vals = np.empty(reps)
     for rep in range(reps):
-        _, mu_hat = seq_model_sample(model, mu0, gamma, tau, stream(seed, rep, "seq"))
+        g = stream(seed, rep, "seq").standard_normal(model.n) if gamma != 0 else None
+        _, mu_hat = _seq_step(model, root_mu0, gamma, tau, g)
         diff = np.abs(_apply_weight(a, model, mu_hat - mu0.coords))
         g = float(diff.max(initial=0.0)) or 1.0  # d = 0 has norm 0 at any g
         try:
@@ -539,18 +550,10 @@ def run_argmin_experiment(config: ExperimentConfig) -> ArgminResult:
 
     results, failed = _map_reps(reps, config.threads, worker)
     curves = _stack(res for _, res in results)
-    eta_hat = {kind.value: etas[np.argmin(curves[kind], axis=1)] for kind in TUNABLE_KINDS}
-    deviations = {name: hat - eta_star for name, hat in eta_hat.items()}
-    quartiles = {
-        name: tuple(np.percentile(dev, [25.0, 50.0, 75.0]))
-        for name, dev in deviations.items()
-    }
     return ArgminResult(
         etas=etas,
         eta_star=eta_star,
-        eta_hat=eta_hat,
-        deviations=deviations,
-        quartiles=quartiles,
+        eta_hat={kind.value: etas[np.argmin(curves[kind], axis=1)] for kind in TUNABLE_KINDS},
         rep_indices=tuple(rep for rep, _ in results),
         master_seed=config.master_seed,
         failed=failed,
@@ -684,76 +687,65 @@ def run_tuning_experiment(config: ExperimentConfig) -> TuningSummary:
     )
 
 
-_STAT_BUILDERS = {
-    "l1_scaled": lambda mu0, n: (lambda v: float(np.abs(v - mu0).sum()) / np.sqrt(n)),
-    "l2_dist": lambda mu0, n: (lambda v: float(np.linalg.norm(v - mu0))),
-    "proj_first": lambda mu0, n: (lambda v: float(v[0])),
-    "proj_mean": lambda mu0, n: (lambda v: float(v.sum()) / np.sqrt(n)),
-}
-
-
-def distributional_check(
-    config: ExperimentConfig, data_side: str = "data", seq_reps: int = 400
-) -> DistCheckResult:
-    """Compare data-level statistics against sequence-model Monte Carlo means.
-
-    For each eta: the sequence model at (gamma_star, tau_star) is sampled
-    seq_reps times to estimate E g(mu_hat_seq) for each of the four
-    1-Lipschitz statistics g of _STAT_BUILDERS; each data replication
-    contributes g(mu_hat_eta). data_side="seq" swaps the data fits for fresh
-    sequence-model draws, turning the check into a pure-noise self test.
-    """
-    model, etas = _fixed_shape(config, "distributional check")
-    if data_side not in ("data", "seq"):
-        raise InputError("data_side must be 'data' or 'seq'")
-    check_size(seq_reps, "seq_reps", least=2)
-    names = tuple(_STAT_BUILDERS)
-    base = _shared_problem(config, model, 0)
-    mu0 = base.mu0
-    stats = {name: _STAT_BUILDERS[name](mu0.coords, model.n) for name in names}
-    params = solve_grid(base, etas)
-
-    def stat_rows(estimates) -> dict:
-        vals = {name: np.empty(etas.size) for name in names}
-        for i, mu_hat in enumerate(estimates):
-            for name in names:
-                vals[name][i] = stats[name](mu_hat)
-        return vals
-
-    def seq_stats(rep_index: int) -> dict:
-        # a fresh stream per eta redraws the same g: common random numbers
-        return stat_rows(
-            seq_model_sample(model, mu0, np.sqrt(p.gamma_star_sq), p.tau_star,
-                             stream(config.master_seed, rep_index, "seq"))[1]
-            for p in params
-        )
-
-    bank = _stack(seq_stats(s) for s in range(seq_reps))
-    seq_mean = {name: bank[name].mean(axis=0) for name in names}
-    seq_se = {
-        name: bank[name].std(axis=0, ddof=1) / np.sqrt(seq_reps) for name in names
+def _dist_stats(fits: np.ndarray, mu0: np.ndarray) -> dict:
+    """The four 1-Lipschitz statistics of each row of a (K, n) block of fits,
+    as length-K arrays. l2_dist is an einsum row sum, never BLAS, so its last
+    bit does not move with the BLAS thread count."""
+    diff = fits - mu0
+    root_n = np.sqrt(fits.shape[1])
+    return {
+        "l1_scaled": np.abs(diff).sum(axis=1) / root_n,
+        "l2_dist": np.sqrt(np.einsum("kj,kj->k", diff, diff)),
+        "proj_first": fits[:, 0],
+        "proj_mean": fits.sum(axis=1) / root_n,
     }
 
+
+def distributional_check(config: ExperimentConfig, seq_reps: int = 400) -> DistCheckResult:
+    """Compare data-level statistics against sequence-model Monte Carlo means.
+
+    For each eta, seq_reps draws of the sequence model at (gamma_star,
+    tau_star) estimate E g(mu_hat_seq) for each of the four statistics g of
+    _dist_stats; each data replication contributes g(mu_hat_eta). Bank
+    draw s reads one g from its (s, "seq") stream at every eta, so the
+    etas share their random numbers. config.reps further draws, bank
+    indices seq_reps onward, stand in for the data fits to give the noise
+    floor.
+    """
+    model, etas = _fixed_shape(config, "distributional check")
+    check_size(seq_reps, "seq_reps", least=2)
+    base = _shared_problem(config, model, 0)
+    mu0, params = base.mu0, solve_grid(base, etas)
+    root_mu0 = model.apply(np.sqrt, mu0.coords)
+
+    def seq_stats(s: int) -> dict:
+        g = stream(config.master_seed, s, "seq").standard_normal(model.n)
+        fits = [_seq_step(model, root_mu0, np.sqrt(p.gamma_star_sq), p.tau_star, g)[1]
+                for p in params]
+        return _dist_stats(np.array(fits), mu0.coords)
+
+    def gap(vals: dict, mean: dict) -> dict:
+        return {name: np.abs(vals[name].mean(axis=0) - mean[name]) for name in mean}
+
+    bank = _stack(seq_stats(s) for s in range(seq_reps))
+    seq_mean = {name: vals.mean(axis=0) for name, vals in bank.items()}
+    seq_se = {name: vals.std(axis=0, ddof=1) / np.sqrt(seq_reps) for name, vals in bank.items()}
+    floor = _stack(seq_stats(seq_reps + rep) for rep in range(config.reps))
+
     def worker(rep: int) -> dict:
-        if data_side == "seq":
-            return seq_stats(seq_reps + rep)
         sweep = _draw_rep(config, model, rep, 0, mu0).sweep
-        return stat_rows(sweep.mu_hat(float(eta)) for eta in etas)
+        return _dist_stats(np.array([sweep.mu_hat(float(eta)) for eta in etas]), mu0.coords)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
     data_vals = _stack(res for _, res in results)
-    table = {
-        name: np.abs(data_vals[name].mean(axis=0) - seq_mean[name]) for name in names
-    }
-    per_rep_sup = {
-        name: np.max(np.abs(data_vals[name] - seq_mean[name][None, :]), axis=1)
-        for name in names
-    }
     return DistCheckResult(
         etas=etas,
-        stat_names=names,
-        table=table,
-        per_rep_sup=per_rep_sup,
+        table=gap(data_vals, seq_mean),
+        per_rep_sup={
+            name: np.max(np.abs(vals - seq_mean[name][None, :]), axis=1)
+            for name, vals in data_vals.items()
+        },
         seq_se=seq_se,
+        noise_floor=gap(floor, seq_mean),
         failed=failed,
     )

@@ -1,18 +1,23 @@
 """Every library argument with a band refuses NaN, and ±inf where its band
 excludes them, with an InputError that names the argument."""
 
+import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ridgelab import Dataset, ExperimentConfig, InputError, Isotropic, SignalVector, SpikedUniform
+import ridgelab
+from ridgelab import Dataset, ExperimentConfig, InputError, Isotropic, ProblemConfig, RiskKind
+from ridgelab import SignalVector, SpikedUniform, solve_effective, spiked_uniform
 from ridgelab.dataio import parse_grid
 from ridgelab.errors import UsageError
 from ridgelab.fixedpoint import expected_dof, expected_err, stieltjes_at
 from ridgelab.regress import confidence_intervals, debias, kfold_select, sigma_hat_sq
-from ridgelab.riskengine import gaussian_abs_moment, lq_risk, opt_risks, optimal_eta
+from ridgelab.riskengine import gaussian_abs_moment, lq_gamma_diag, lq_risk, opt_risks
+from ridgelab.riskengine import optimal_eta, risk_derivative, rmt_risk, theoretical_risk
 from ridgelab.simlab import sample_noise, sample_signal, seq_model_lq_mc, seq_model_sample
 from ridgelab.spectrum import quad_form, trace_functional
 from ridgelab.stats import z_two_sided
@@ -22,6 +27,8 @@ NAN, INF = math.nan, math.inf
 MODEL = Isotropic(1.0, 4)
 MU0 = SignalVector([1.0, 0.0, 0.0, 0.0])
 DATA = Dataset(np.random.default_rng(0).standard_normal((6, 4)), np.ones(6), MODEL)
+PROBLEM = dict(phi=0.5, eta=0.5, sigma_sq=1.0, model=MODEL, mu0=MU0)
+PARAMS = solve_effective(ProblemConfig(**PROBLEM))
 
 
 def experiment(**fields):
@@ -47,17 +54,56 @@ BANDS = {
     "expected_dof tau": (lambda v: expected_dof(MODEL, 1.0, v), "tau", (NAN, INF, -INF)),
     "stieltjes_at tau_star": (lambda v: stieltjes_at(0.5, v, 1.0, 0.0), "tau_star",
                               (NAN, INF, -INF)),
-    "stieltjes_at phi": (lambda v: stieltjes_at(v, 1.0, 1.0, 1.0), "phi", (NAN, INF, -INF)),
+    "stieltjes_at phi": (lambda v: stieltjes_at(v, 1.0, 1.0, -1.0), "phi", (NAN, INF, -INF)),
+    "stieltjes_at tau_prime": (lambda v: stieltjes_at(0.5, 1.0, v, -1.0), "tau_prime",
+                               (NAN, INF, -INF, 0.0)),
+    # tau'' <= 0 at every solve
+    "stieltjes_at tau_second": (lambda v: stieltjes_at(0.5, 1.0, 1.0, v), "tau_second",
+                                (NAN, INF, -INF, 1.0)),
+    "expected_err gamma_sq": (lambda v: expected_err(MODEL, MU0, v, 1.0), "gamma_sq",
+                              (NAN, INF, -INF, -1.0)),
+    "expected_dof gamma_sq": (lambda v: expected_dof(MODEL, v, 1.0), "gamma_sq",
+                              (NAN, INF, -INF, -1.0)),
+    "theoretical_risk sigma_sq": (lambda v: theoretical_risk(RiskKind.INS, PARAMS, v, 0.5),
+                                  "sigma_sq", (NAN, INF, -INF)),
+    "theoretical_risk phi": (lambda v: theoretical_risk(RiskKind.INS, PARAMS, 1.0, v), "phi",
+                             (NAN, INF, -INF, -1.0)),
+    "rmt_risk sigma_sq": (lambda v: rmt_risk(RiskKind.PRED, PARAMS, v, 1.0, 0.5), "sigma_sq",
+                          (NAN, INF, -INF)),
+    "rmt_risk mu_norm_sq": (lambda v: rmt_risk(RiskKind.PRED, PARAMS, 1.0, v, 0.5),
+                            "mu_norm_sq", (NAN, INF, -INF)),
+    "rmt_risk phi": (lambda v: rmt_risk(RiskKind.EST, PARAMS, 1.0, 1.0, v), "phi",
+                     (NAN, INF, -INF, 0.0)),
+    "risk_derivative sigma_sq": (lambda v: risk_derivative(RiskKind.PRED, PARAMS, v, 1.0),
+                                 "sigma_sq", (NAN, INF, -INF)),
+    "risk_derivative mu_norm_sq": (lambda v: risk_derivative(RiskKind.PRED, PARAMS, 1.0, v),
+                                   "mu_norm_sq", (NAN, INF, -INF)),
+    # mu_norm = -1 used to pass as +1, through its square
+    "lq_gamma_diag mu_norm": (lambda v: lq_gamma_diag(None, MODEL, PARAMS, v), "mu_norm",
+                              (NAN, INF, -INF, -1.0, 1e31)),
+    "ProblemConfig phi": (lambda v: ProblemConfig(**{**PROBLEM, "phi": v}), "'phi'",
+                          (NAN, INF, -INF)),
+    "ProblemConfig eta": (lambda v: ProblemConfig(**{**PROBLEM, "eta": v}), "'eta'",
+                          (NAN, INF, -INF)),
+    "ProblemConfig sigma_sq": (lambda v: ProblemConfig(**{**PROBLEM, "sigma_sq": v}),
+                               "'sigma_sq'", (NAN, INF, -INF)),
+    "ExperimentConfig sigma_sq": (lambda v: experiment(sigma_sq=v), "'sigma_sq'",
+                                  (NAN, INF, -INF)),
+    "Isotropic scale": (lambda v: Isotropic(v, 4), "'scale' of isotropic model",
+                        (NAN, INF, -INF)),
+    "SpikedUniform a": (lambda v: SpikedUniform(v, 1.0, 4), "'a' of spiked_uniform model",
+                        (NAN, INF, -INF)),
+    "SpikedUniform b": (lambda v: SpikedUniform(1.0, v, 4), "'b' of spiked_uniform model",
+                        (NAN, INF, -INF)),
+    "spiked_uniform a": (lambda v: spiked_uniform(v, 1.0, 4), "'a' of spiked_uniform model",
+                         (NAN, INF, -INF)),
+    "spiked_uniform b": (lambda v: spiked_uniform(1.0, v, 4), "'b' of spiked_uniform model",
+                         (NAN, INF, -INF)),
     "opt_risks phi": (lambda v: opt_risks(v, 1.0, 1.0), "phi", (NAN, INF, -INF)),
     "opt_risks eta_star": (lambda v: opt_risks(0.5, v, 1.0), "eta_star", (NAN, INF, -INF)),
     "opt_risks tau_at_eta_star": (lambda v: opt_risks(0.5, 1.0, v), "tau_at_eta_star",
                                   (NAN, INF, -INF)),
-    "sigma_hat_sq gamma": (lambda v: sigma_hat_sq(v, 1.0, 0.5, 0.5, np.ones(4), MODEL),
-                           "gamma", (NAN, INF, -INF)),
-    "sigma_hat_sq tau": (lambda v: sigma_hat_sq(1.0, v, 0.5, 0.5, np.ones(4), MODEL), "tau",
-                         (NAN, INF, -INF)),
-    "sigma_hat_sq phi": (lambda v: sigma_hat_sq(1.0, 1.0, 0.5, v, np.ones(4), MODEL), "phi",
-                         (NAN, INF, -INF)),
+    "sigma_hat_sq eta": (lambda v: sigma_hat_sq(DATA, v), "eta", (NAN, INF, -INF)),
     "confidence_intervals gamma": (
         lambda v: confidence_intervals(np.zeros(4), v, MODEL, 0.05), "gamma", (NAN, INF, -INF)),
     "seq_model_sample gamma": (lambda v: seq_model_sample(MODEL, MU0, v, 1.0, 0), "gamma",
@@ -68,6 +114,9 @@ BANDS = {
     "debias tau": (lambda v: debias(np.ones(4), v, MODEL), "tau", (NAN, INF, -INF)),
     "seq_model_sample tau": (lambda v: seq_model_sample(MODEL, MU0, 1.0, v, 0), "tau",
                              (NAN, INF, -INF)),
+    "seq_model_lq_mc tau": (
+        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, v, 100, 0), "tau",
+        (NAN, INF, -INF)),
     "trace_functional tau": (lambda v: trace_functional(MODEL, v, 1, 1), "tau", (NAN, INF, -INF)),
     "quad_form tau": (lambda v: quad_form(MODEL, MU0, v, 1, 1), "tau", (NAN, INF, -INF)),
     "ExperimentConfig m": (lambda v: experiment(m=v), "'m'", (NAN, INF, -INF)),
@@ -110,6 +159,46 @@ def test_band_edges_stay_accepted():
     assert seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, 100, 0)[1] > 0.0
     assert experiment(k=2, reps=1, argmin_reps=1, m=1).k == 2
     assert Isotropic(1.0, 10**12).n == 10**12
+
+
+# exported result types: the library builds them, no caller passes their fields
+RESULT_TYPES = {"ArgminResult", "CIReport", "DistCheckResult", "EffectiveParams", "RidgeFit",
+                "RiskCurve", "RiskSummary", "TuningResult", "TuningSummary"}
+# float arguments whose band a test outside BANDS holds: argument -> that test
+BANDED_ELSEWHERE = {
+    **{f"{name} eta": "test_regress::test_estimators_refuse_an_eta_out_of_band"
+       for name in ("tau_hat", "gamma_hat", "df_hat", "ridge_fit", "ridgeless_fit")},
+    # its error names it "gamma", as its row here does
+    "confidence_intervals gamma_val": "test_bands::test_every_band_refuses_nan_naming_the_argument",
+    # +inf is refused through the squared radius, under another name
+    "ExperimentConfig signal_radius": "test_simlab::test_experiment_config_validation",
+    "sample_signal radius": "test_simlab::test_sample_signal_radius_is_nonnegative",
+}
+
+
+def _float_arguments() -> list[str]:
+    """'<name> <argument>' for each float-annotated argument of an exported
+    callable, result types and error types aside."""
+    out = []
+    for name in ridgelab.__all__:
+        obj = getattr(ridgelab, name)
+        if not callable(obj) or name in RESULT_TYPES or (
+                isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        for arg, par in inspect.signature(obj).parameters.items():
+            if par.annotation in (float, "float"):
+                out.append(f"{name} {arg}")
+    return out
+
+
+def test_every_float_argument_has_a_band_test():
+    arguments = _float_arguments()
+    missing = [arg for arg in arguments if arg not in BANDS and arg not in BANDED_ELSEWHERE]
+    assert not missing, f"float arguments with no band test: {missing}"
+    assert set(BANDED_ELSEWHERE) <= set(arguments), "stale BANDED_ELSEWHERE entries"
+    for test in set(BANDED_ELSEWHERE.values()):
+        module, func = test.split("::")
+        assert f"def {func}(" in (Path(__file__).parent / f"{module}.py").read_text(), test
 
 
 @pytest.mark.parametrize("spec", ["0:1:0", "0:1:-3"])

@@ -401,13 +401,20 @@ def test_dual_and_primal_sweeps_match_a_dense_solve(dual, short, extra, seed, lo
 
 
 def test_sigma_hat_sq_formula_and_clamp():
-    model = Isotropic(4.0, 1)
-    raw, clamped = sigma_hat_sq(2.0, 1.0, 0.5, 0.5, np.array([1.0]), model)
-    assert raw == pytest.approx(4.0 * 1.5 - 0.25, rel=1e-14)
-    assert clamped == raw
-    raw, clamped = sigma_hat_sq(0.1, 1.0, 0.0, 0.9, np.array([1.0]), model)
-    assert raw < 0.0
-    assert clamped == 0.0
+    # the formula on the sweep's own pieces, whitened by a dense Sigma^{-1}
+    model = SpikedUniform(1.5, 0.2, 8)
+    sigma_inv = np.linalg.inv(1.5 * np.eye(8) + 0.2 * np.ones((8, 8)))
+    for seed, eta, negative in ((0, 0.0, False), (0, 0.5, False), (5, 0.0, True)):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((5, 8))
+        data = Dataset(x, x @ rng.standard_normal(8) * 0.3, model)
+        sweep = data.sweep
+        mu_hat, tau, gamma = sweep.mu_hat(eta), sweep.tau_hat(eta), sweep.gamma_hat(eta)
+        want = gamma**2 * (1.0 - 5 / 8 + 2.0 * eta / tau) - tau**2 * (mu_hat @ sigma_inv @ mu_hat)
+        raw, clamped = sigma_hat_sq(data, eta)
+        assert raw == pytest.approx(want, rel=1e-10, abs=1e-14)
+        assert bool(raw < 0.0) is negative
+        assert clamped == max(raw, 0.0)
 
 
 def test_gcv_select_flat_objective_takes_smallest_eta():
@@ -847,10 +854,7 @@ def test_sigma_hat_sq_mc_consistency():
         x = sample_design("gaussian", m, n, model, stream(seed, rep, "design"))
         xi = sample_noise("gaussian", m, 1.0, stream(seed, rep, "noise"))
         data = Dataset(x=x, y=x @ mu0.coords + xi, model=model, mu0=mu0, xi=xi)
-        fit = ridgeless_fit(data)
-        tau = tau_hat(data, 0.0)
-        gamma = gamma_hat(data, 0.0)
-        raw, _ = sigma_hat_sq(gamma, tau, 0.0, data.phi, fit.mu_hat, model)
+        raw, _ = sigma_hat_sq(data, 0.0)
         raws.append(raw)
     assert float(np.mean(raws)) == pytest.approx(1.0, abs=0.1)
 

@@ -34,6 +34,7 @@ from ridgelab import (
     seq_model_lq_mc,
     seq_model_sample,
     solve_effective,
+    solve_grid,
     spiked_uniform,
     stream,
     trace_functional,
@@ -470,11 +471,10 @@ def test_run_argmin_experiment_noiseless_is_degenerate():
     assert out.eta_star == 0.0
     assert out.rep_indices == (0, 1, 2, 3)
     for kind in ("pred", "est", "ins"):
-        np.testing.assert_array_equal(out.deviations[kind], 0.0)
-        assert out.quartiles[kind][0] == 0.0
+        np.testing.assert_array_equal(out.eta_hat[kind] - out.eta_star, 0.0)
     again = run_argmin_experiment(config)
     for kind in ("pred", "est", "ins"):
-        np.testing.assert_array_equal(out.deviations[kind], again.deviations[kind])
+        np.testing.assert_array_equal(out.eta_hat[kind], again.eta_hat[kind])
 
 
 def test_run_argmin_experiment_reports_grid_points():
@@ -485,7 +485,7 @@ def test_run_argmin_experiment_reports_grid_points():
     for kind in ("pred", "est", "ins"):
         assert out.eta_hat[kind].shape == (10,)
         assert set(out.eta_hat[kind].tolist()) <= set(config.etas)
-        np.testing.assert_array_equal(out.deviations[kind], out.eta_hat[kind] - 0.3)
+        np.testing.assert_array_equal(out.eta_hat[kind] - out.eta_star, out.eta_hat[kind] - 0.3)
 
 
 def test_experiment_config_validation():
@@ -598,13 +598,58 @@ def test_build_model_fills_dimension():
 
 def test_distributional_check_self_test_is_pure_noise():
     config = small_config(etas=(0.3, 0.9), reps=10)
-    res = distributional_check(config, data_side="seq", seq_reps=200)
-    for name in res.stat_names:
+    res = distributional_check(config, seq_reps=200)
+    assert set(res.noise_floor) == set(res.table) == {
+        "l1_scaled", "l2_dist", "proj_first", "proj_mean"}
+    for name in res.table:
         sd = np.asarray(res.seq_se[name]) * np.sqrt(200)
         se_diff = sd * np.sqrt(1.0 / 10 + 1.0 / 200)
-        assert np.all(np.asarray(res.table[name]) <= 3.0 * se_diff)
-    with pytest.raises(InputError):
-        distributional_check(config, data_side="both")
+        assert np.all(np.asarray(res.noise_floor[name]) <= 3.0 * se_diff)
+
+
+def _dist_check_config() -> ExperimentConfig:
+    return small_config(m=12, n=24, model_spec={"kind": "spiked_uniform", "a": 1.5, "b": 0.2},
+                        etas=(0.0, 0.4, 1.2), reps=3)
+
+
+def test_distributional_check_bank_is_the_sequence_model_at_every_eta(monkeypatch):
+    # one g per bank rep, reused at every eta: each fit is the one
+    # seq_model_sample draws from that rep's own stream, so the etas share
+    # their random numbers
+    config = _dist_check_config()
+    model, etas = build_model(config.model_spec, config.n), np.asarray(config.etas)
+    mu0 = sample_signal("sphere", config.n, stream(config.master_seed, 0, "signal"))
+    base = ProblemConfig(phi=config.m / config.n, eta=0.0, sigma_sq=1.0, model=model, mu0=mu0)
+    params = solve_grid(base, etas)
+    fits = []
+    real_stats = simlab._dist_stats
+
+    def record(block, center):
+        fits.append(block)
+        return real_stats(block, center)
+
+    monkeypatch.setattr(simlab, "_dist_stats", record)
+    distributional_check(config, seq_reps=5)
+    # the 5 bank reps, then the 3 noise-floor draws, then the 3 data reps
+    assert len(fits) == 5 + 3 + 3
+    for s, block in enumerate(fits[:8]):
+        for k, p in enumerate(params):
+            want = seq_model_sample(model, mu0, np.sqrt(p.gamma_star_sq), p.tau_star,
+                                    stream(config.master_seed, s, "seq"))[1]
+            assert np.array_equal(block[k], want), (s, k)
+
+
+def test_distributional_check_draws_one_seq_stream_per_bank_rep(monkeypatch):
+    roles = []
+    real_stream = simlab.stream
+
+    def counted(seed, rep, role, ctx=0):
+        roles.append(role)
+        return real_stream(seed, rep, role, ctx)
+
+    monkeypatch.setattr(simlab, "stream", counted)
+    distributional_check(_dist_check_config(), seq_reps=7)
+    assert roles.count("seq") == 7 + 3
 
 
 @pytest.mark.parametrize(
