@@ -45,12 +45,14 @@ from ridgelab.dataio import dataset_to_json  # noqa: E402
 EXPECTED = HERE / "expected"
 MANIFEST = HERE / "manifest.json"
 DATA = HERE / "data.json"
+DATA_PRIMAL = HERE / "data_primal.json"
 # file name under in/ -> its source
 INPUTS = {
     "problem.json": ROOT / "configs" / "problem.json",
     "fig1.json": HERE / "fig1.json",
     "fig2.json": HERE / "fig2.json",
     "data.json": DATA,
+    "data_primal.json": DATA_PRIMAL,
 }
 # case name -> argv; each case writes into its own directory
 CASES = {
@@ -64,6 +66,10 @@ CASES = {
                  "--grid", "0:2:21", "--out", "tune_gcv/tune.csv"],
     "tune_cv": ["tune", "--data", "in/data.json", "--method", "cv", "--k", "4",
                 "--grid", "0.05:2:21", "--seed", "3", "--out", "tune_cv/tune.csv"],
+    "tune_gcv_primal": ["tune", "--data", "in/data_primal.json", "--method", "gcv",
+                        "--grid", "0.05:2:21", "--out", "tune_gcv_primal/tune.csv"],
+    "tune_cv_primal": ["tune", "--data", "in/data_primal.json", "--method", "cv", "--k", "5",
+                       "--grid", "0.05:2:21", "--seed", "3", "--out", "tune_cv_primal/tune.csv"],
     "sim_fig1": ["sim", "fig1", "--config", "in/fig1.json", "--out-dir", "sim_fig1",
                  "--threads", "1"],
     "sim_fig2": ["sim", "fig2", "--config", "in/fig2.json", "--out-dir", "sim_fig2",
@@ -72,8 +78,9 @@ CASES = {
 
 
 def make_dataset(m: int = 30, n: int = 50, seed: int = 36) -> Dataset:
-    """A seeded overparametrized sample with ||mu0|| = 2 and its ground truth,
-    on a spiked model; both tuning methods select inside their grids."""
+    """A seeded m x n sample with ||mu0|| = 2 and its ground truth, on a
+    spiked model: overparametrized (m < n) at the defaults, where the tuning
+    cases read the dual route, and 50 x 30 for the primal one."""
     rng = np.random.default_rng(seed)
     model = spiked_uniform(1.5, 0.05, n)
     x = model.apply(np.sqrt, rng.standard_normal((n, m))).T
@@ -122,6 +129,7 @@ def main() -> None:
         run_cases(args.out)
         return
     DATA.write_text(json.dumps(dataset_to_json(make_dataset())) + "\n")
+    DATA_PRIMAL.write_text(json.dumps(dataset_to_json(make_dataset(50, 30, 38))) + "\n")
     run_cases(EXPECTED)
     manifest = {
         "cases": {case: " ".join(["ridgelab", *argv]) for case, argv in CASES.items()},
