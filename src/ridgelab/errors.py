@@ -222,10 +222,15 @@ def read_object(obj, table: dict, what: str, nested: bool = False) -> dict:
 
 def check_range(value: float, name: str, lo: float, hi: float, zero=False, ends="[]") -> float:
     """value when it lies between lo and hi, or value == 0 with zero set;
-    ends holds the brackets, "(" or ")" leaving that end out. NaN lies in none."""
-    above = lo <= value if ends[0] == "[" else lo < value
-    below = value <= hi if ends[1] == "]" else value < hi
-    if not (above and below or (zero and value == 0.0)):
+    ends holds the brackets, "(" or ")" leaving that end out. NaN lies in none,
+    and an array of several values or a non-number is refused as not one real."""
+    try:
+        above = lo <= value if ends[0] == "[" else lo < value
+        below = value <= hi if ends[1] == "]" else value < hi
+        inside = above and below or (zero and value == 0.0)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be one real number, got {value!r:.40}") from None
+    if not inside:
         zero_or = "be 0 or " if zero else ""
         raise InputError(
             f"{name} must {zero_or}lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}"
@@ -271,8 +276,15 @@ def check_positive(value: float, name: str, zero: bool = False) -> float:
     return check_range(value, name, *POSITIVE_RANGE, zero=zero, ends="()")
 
 
+def _check_integer(value, name: str) -> None:
+    """Refuse a count that is not an int or numpy integer: a bool, 2.5 and 3.0 alike."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r:.40}")
+
+
 def check_mc_reps(reps: int, name: str = "reps", zero: bool = False) -> int:
-    """reps when it lies in MC_REPS_RANGE (or is 0, with zero set)."""
+    """reps when it is an integer in MC_REPS_RANGE (or 0, with zero set)."""
+    _check_integer(reps, name)
     return check_range(reps, name, *MC_REPS_RANGE, zero=zero)
 
 
@@ -282,7 +294,9 @@ def check_threads(threads: int, name: str = "threads") -> int:
 
 
 def check_size(size: int, name: str, least: int = 1) -> int:
-    """size when it is at least least, and finite: a count of dimensions, samples or folds."""
+    """size when it is an integer of at least least: a count of dimensions,
+    samples, folds or draws, or with least=0 an index or a seed."""
+    _check_integer(size, name)
     return check_range(size, name, least, math.inf, ends="[)")
 
 

@@ -22,8 +22,7 @@ import numpy as np
 import scipy  # ridge_fit, the one user of scipy.linalg, loads it on first call
 
 from .errors import IllConditioned, InputError, WrongRegime, check_alpha, check_eta
-from .errors import check_eta_grid, check_positive, check_scale, check_size, coerce
-from .errors import integer
+from .errors import check_eta_grid, check_positive, check_scale, check_size
 from .rng import as_rng
 from .spectrum import CovarianceModel, SignalVector
 from .stats import z_two_sided
@@ -116,8 +115,11 @@ class TuningResult:
 
     etas: np.ndarray
     objective: np.ndarray
-    eta_hat: float
     method: str
+
+    @property
+    def eta_hat(self) -> float:
+        return float(self.etas[np.argmin(self.objective)])
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def ridgeless_fit(data: Dataset, eta: float = 0.0) -> RidgeFit:
     needs m < n; at eta > 0 the ridge fit, held to ridge_fit's check of
     the normal equations.
     """
-    mu = data.sweep.mu_hat(eta)
+    mu = data.sweep.mu_hat(_one_eta(eta, "ridgeless_fit"))
     if eta > 0:
         return _checked_ridge_fit(data, eta, mu)
     x, y, n = data.x, data.y, data.n
@@ -182,21 +184,28 @@ def ridgeless_fit(data: Dataset, eta: float = 0.0) -> RidgeFit:
     return RidgeFit(eta=0.0, mu_hat=mu, r_hat=resid / np.sqrt(n))
 
 
-def df_hat(data: Dataset, eta: float) -> float:
+def _one_eta(eta, caller: str):
+    """eta, unless it is an array: caller reads one eta, not a grid."""
+    if isinstance(eta, np.ndarray):
+        raise InputError(f"{caller} takes one eta, got an eta array of shape {eta.shape}")
+    return eta
+
+
+def df_hat(data: Dataset, eta: float | np.ndarray) -> float | np.ndarray:
     """tr((Sigma_hat + (eta/phi) I)^{-1} Sigma_hat) with Sigma_hat = X^T X / m.
 
     The sweep's spectrum is that of X X^T / n (or X^T X / n), i.e. Sigma_hat's
     nonzero part times m/n, and eta/phi = eta n/m, so the scale cancels.
     """
-    return float(np.sum(data.sweep.s / data.sweep.shift(eta)))
+    return np.sum(data.sweep.s / data.sweep.shift(eta), axis=-1)
 
 
-def tau_hat(data: Dataset, eta: float) -> float:
-    """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
+def tau_hat(data: Dataset, eta: float | np.ndarray) -> float | np.ndarray:
+    """Reciprocal of tr((X X^T + eta n I_m)^{-1}), at an eta or along a grid."""
     return data.sweep.tau_hat(eta)
 
 
-def gamma_hat(data: Dataset, eta: float) -> float:
+def gamma_hat(data: Dataset, eta: float | np.ndarray) -> float | np.ndarray:
     """Effective-noise estimator, read off data.sweep (GramSweep.gamma_hat)."""
     return data.sweep.gamma_hat(eta)
 
@@ -208,7 +217,7 @@ def sigma_hat_sq(data: Dataset, eta: float) -> tuple[float, float]:
     with mu_hat, tau and gamma the sweep's fit, tau_hat and gamma_hat at eta;
     finite-sample fluctuations can push raw below zero, hence the clamp.
     """
-    sweep = data.sweep
+    sweep, eta = data.sweep, _one_eta(eta, "sigma_hat_sq")
     mu_hat, tau_val, gamma_val = sweep.mu_hat(eta), sweep.tau_hat(eta), sweep.gamma_hat(eta)
     whitened = float(mu_hat @ data.model.apply(lambda lam: 1.0 / lam, mu_hat))
     raw = gamma_val * gamma_val * (1.0 - data.phi + 2.0 * eta / tau_val) - (
@@ -243,21 +252,23 @@ class GramSweep:
             raise IllConditioned(f"eigendecomposition of {name} / n failed: {exc}") from exc
         self.s = np.clip(s, 0.0, None)
         if self.dual:
-            self.q = basis
+            self.q, self.qt = basis, basis.T  # Q^T, the right factor of each fit and residual
             self.c = basis.T @ y
         else:
             self.v = basis
             self.b = basis.T @ (x.T @ y) / self.n
 
-    def shift(self, eta: float) -> np.ndarray:
+    def shift(self, eta: float | np.ndarray) -> np.ndarray:
         """s + eta, the spectrum every fit, residual and estimator divides by.
 
-        It refuses an eta outside 0 or ETA_RANGE (InputError). At eta = 0
-        that inverts X X^T, so it raises WrongRegime unless m < n, where the
-        interpolator exists, and IllConditioned unless X X^T is safely
-        invertible.
+        A grid (ascending 1-D ndarray) of K etas gives a (K, r) block, one row per eta,
+        that the methods below multiply by a basis from the right as a float's vector. It
+        refuses an eta outside 0 or ETA_RANGE (InputError); at eta = 0, in a grid only first,
+        WrongRegime unless m < n and IllConditioned unless X X^T is safely invertible.
         """
-        if check_eta(eta) == 0:
+        grid = isinstance(eta, np.ndarray)
+        eta = check_eta_grid(eta, "eta")[:, None] if grid else eta
+        if (eta[0, 0] if grid else check_eta(eta)) == 0:
             if self.m >= self.n:
                 raise WrongRegime(f"eta = 0 requires m < n, got m={self.m}, n={self.n}")
             cond = self.s[-1] / self.s[0] if self.s[0] > 0 else np.inf
@@ -267,45 +278,44 @@ class GramSweep:
                 )
         return self.s + eta
 
-    def mu_hat(self, eta: float) -> np.ndarray:
+    def mu_hat(self, eta: float | np.ndarray) -> np.ndarray:
         if self.dual:
-            return self.x.T @ (self.q @ (self.c / self.shift(eta))) / self.n
-        return self.v @ (self.b / self.shift(eta))
+            return self.c / self.shift(eta) @ self.qt @ self.x / self.n
+        return self.b / self.shift(eta) @ self.v.T
 
-    def resid(self, eta: float) -> np.ndarray:
-        if self.dual:
-            return self.q @ (self.c * (eta / self.shift(eta)))
-        return self.y - self.x @ self.mu_hat(eta)
+    def resid(self, eta: float | np.ndarray) -> np.ndarray:
+        if not self.dual:
+            return self.y - self.mu_hat(eta) @ self.x.T
+        d = self.shift(eta)
+        return self.c * ((eta[:, None] if isinstance(eta, np.ndarray) else eta) / d) @ self.qt
 
-    def tau_hat(self, eta: float) -> float:
+    def tau_hat(self, eta: float | np.ndarray) -> float | np.ndarray:
         """Reciprocal of tr((X X^T + eta n I_m)^{-1})."""
-        inv_sum = float(np.sum(1.0 / self.shift(eta)))
+        inv_sum = np.sum(1.0 / self.shift(eta), axis=-1)
         if not self.dual:
             inv_sum += (self.m - self.n) / eta
         return self.n / inv_sum
 
-    def gamma_hat(self, eta: float) -> float:
+    def gamma_hat(self, eta: float | np.ndarray) -> float | np.ndarray:
         """(tau_hat/sqrt(n)) ||(X X^T/n + eta I)^{-1} Y||: ||Q^T Y / (S + eta)||
         in the dual route, down to eta = 0; ||resid|| / eta in the primal one."""
-        t = self.tau_hat(eta)
-        if self.dual:
-            return t / np.sqrt(self.n) * float(np.linalg.norm(self.c / self.shift(eta)))
-        return t / np.sqrt(self.n) * float(np.linalg.norm(self.resid(eta))) / eta
+        v = self.c / self.shift(eta) if self.dual else self.resid(eta)
+        # each row's own dot product: np.linalg.norm's bits, which einsum's are not
+        norm = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+        t = self.tau_hat(eta) / np.sqrt(self.n) * norm
+        return t if self.dual else t / eta
 
 
 def gcv_select(data: Dataset, grid) -> TuningResult:
     """Pick eta minimizing the estimated effective noise gamma_hat(eta)."""
     etas = check_eta_grid(grid)
-    objective = np.array([data.sweep.gamma_hat(float(e)) for e in etas])
-    idx = int(np.argmin(objective))
-    return TuningResult(
-        etas=etas, objective=objective, eta_hat=float(etas[idx]), method="gcv"
-    )
+    return TuningResult(etas=etas, objective=data.sweep.gamma_hat(etas), method="gcv")
 
 
 def kfold_folds(m: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Seeded shuffle, then contiguous blocks; remainder goes to the first folds."""
-    if not 2 <= k <= m:
+    check_size(m, "m")
+    if not 2 <= check_size(k, "k", least=2) <= m:
         raise InputError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
     perm = rng.permutation(m)
     base, extra = divmod(m, k)
@@ -352,7 +362,7 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
     # P = X V in the primal one, where d = 1 / (s + eta), one row per eta
     basis = sweep.q if sweep.dual else data.x @ sweep.v
     r = sweep.s.size
-    d = 1.0 / np.array([sweep.shift(eta) for eta in etas]).reshape(-1, r)
+    d = 1.0 / sweep.shift(etas)
     fitted = d * (sweep.c if sweep.dual else sweep.b)
     total = np.zeros_like(etas)
     for fold in folds:
@@ -373,14 +383,9 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
 
 def kfold_select(data: Dataset, grid, k: int, seed) -> TuningResult:
     """k-fold cross-validation; seed may be an int or a Generator."""
-    k = check_size(coerce(integer, k, "k"), "k", least=2)
     folds = kfold_folds(data.m, k, as_rng(seed, "fold"))
     etas = check_eta_grid(grid)
-    objective = kfold_objective(data, etas, folds)
-    idx = int(np.argmin(objective))
-    return TuningResult(
-        etas=etas, objective=objective, eta_hat=float(etas[idx]), method=f"cv{k}"
-    )
+    return TuningResult(etas=etas, objective=kfold_objective(data, etas, folds), method=f"cv{k}")
 
 
 def debias(mu_hat: np.ndarray, tau: float, model: CovarianceModel) -> np.ndarray:

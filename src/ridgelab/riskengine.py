@@ -13,21 +13,22 @@ Conventions used throughout:
     and so are the spectral sums at tau_star (params.sums): evaluating a
     risk after the solve makes no new pass over the spectrum;
   * solve_grid is the one walk along an eta grid, and risk_curves reads
-    every risk kind off it.
+    every risk kind off it, each formula called once on the grid's params
+    stacked into one EffectiveParams of arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import SCALE_RANGE, BothZero, InputError, NumericalError, check_all, check_positive
-from .errors import check_phi, check_scale, coerce
+from .errors import check_phi, check_scale, check_size, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
-from .spectrum import CovarianceModel, SpikedUniform
+from .spectrum import CovarianceModel, FixedPointSums, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
 from .spectrum import quad_form, trace_functional  # noqa: F401
 
@@ -78,7 +79,7 @@ class RiskCurve:
 
 def theoretical_risk(
     kind: RiskKind, params: EffectiveParams, sigma_sq: float, phi: float
-) -> float:
+) -> float | np.ndarray:
     """Deterministic risk from the effective pair (tau, gamma).
 
     PRED = tau^2 ||(Sigma+tau I)^{-1} Sigma^{1/2} mu0||^2 + gamma^2 T_{-2,2},
@@ -109,7 +110,7 @@ def rmt_risk(
     sigma_sq: float,
     mu_norm_sq: float,
     phi: float,
-) -> float:
+) -> float | np.ndarray:
     """Stieltjes-transform representation of the asymptotic risk.
 
     All four kinds share the combination
@@ -136,7 +137,7 @@ def rmt_risk(
     raise InputError(f"unknown risk kind {kind!r}")
 
 
-def derivative_factor(kind: RiskKind, params: EffectiveParams) -> float:
+def derivative_factor(kind: RiskKind, params: EffectiveParams) -> float | np.ndarray:
     """Positive factor M^#(eta) multiplying (eta ||mu0||^2 - sigma_sq).
 
     The aspect ratio is recovered from the stored Stieltjes derivative,
@@ -153,15 +154,16 @@ def derivative_factor(kind: RiskKind, params: EffectiveParams) -> float:
         return 2.0 * tau_p * tau_p * (sums.t31 + tau_p * sums.t21 * sums.t32)
     if kind == RiskKind.INS:
         eta = params.eta
+        # float_power is libm pow, as a float's ** is; numpy's ** on an array may round apart
         return (2.0 * tau_p * tau_p / (tau * tau)) * (
-            eta * eta * tau_p * sums.t32 + tau**3 * sums.t21 * sums.t21
+            eta * eta * tau_p * sums.t32 + np.float_power(tau, 3) * sums.t21 * sums.t21
         )
     raise InputError(f"no derivative factor for risk kind {kind!r}")
 
 
 def risk_derivative(
     kind: RiskKind, params: EffectiveParams, sigma_sq: float, mu_norm_sq: float
-) -> float:
+) -> float | np.ndarray:
     """d/d eta of the RMT risk: (eta ||mu0||^2 - sigma_sq) M^#(eta).
 
     Vanishes exactly at eta = sigma_sq/||mu0||^2 and carries that sign, so
@@ -311,6 +313,7 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
     the sum while the risk itself is finite.
     """
     check_positive(q, "q")
+    check_size(n, "n")
     diag_gamma = np.asarray(diag_gamma, dtype=float)
     if not np.all(diag_gamma >= 0):
         raise InputError("diag(Gamma) entries must be nonnegative")
@@ -332,19 +335,27 @@ def solve_grid(config: ProblemConfig, etas) -> list[EffectiveParams]:
     return params
 
 
+def _stacked(params: list[EffectiveParams]) -> EffectiveParams:
+    """The params of a grid as one EffectiveParams whose fields, and whose
+    sums' fields, are arrays over the grid."""
+    names = [field.name for field in fields(EffectiveParams) if field.name != "sums"]
+    return EffectiveParams(
+        **{name: np.array([getattr(p, name) for p in params]) for name in names},
+        sums=FixedPointSums(*map(np.array, zip(*(p.sums for p in params)))),
+    )
+
+
 def risk_curves(config: ProblemConfig, kinds, etas) -> dict[RiskKind, RiskCurve]:
     """One solve_grid pass along an ascending grid, one RiskCurve per kind."""
     etas = np.asarray(etas, dtype=float)
-    params = solve_grid(config, etas)
+    grid = _stacked(solve_grid(config, etas))
     sigma_sq, s0, phi = config.sigma_sq, config.mu0.norm_sq, config.phi
     curves = {}
     for kind in map(RiskKind, kinds):
-        theo = [theoretical_risk(kind, p, sigma_sq, phi) for p in params]
-        rmt = [rmt_risk(kind, p, sigma_sq, s0, phi) for p in params]
-        deriv = None
-        if kind in TUNABLE_KINDS:
-            deriv = np.array([risk_derivative(kind, p, sigma_sq, s0) for p in params])
-        curves[kind] = RiskCurve(etas, kind, np.array(theo), np.array(rmt), deriv)
+        theo = theoretical_risk(kind, grid, sigma_sq, phi)
+        rmt = rmt_risk(kind, grid, sigma_sq, s0, phi)
+        deriv = risk_derivative(kind, grid, sigma_sq, s0) if kind in TUNABLE_KINDS else None
+        curves[kind] = RiskCurve(etas, kind, theo, rmt, deriv)
     return curves
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import InputError
+from .errors import InputError, check_size
 
 # Role tags, fixed for the lifetime of the on-disk format.
 ROLES = {"design": 0, "noise": 1, "signal": 2, "fold": 3, "seq": 4}
@@ -25,8 +25,8 @@ def stream(master_seed: int, rep: int, role: str, ctx: int = 0) -> Generator:
     """
     if role not in ROLES:
         raise InputError(f"unknown stream role {role!r}; known: {sorted(ROLES)}")
-    if rep < 0 or ctx < 0:
-        raise InputError("rep and ctx must be nonnegative")
+    for value, name in ((master_seed, "master_seed"), (rep, "rep"), (ctx, "ctx")):
+        check_size(value, name, least=0)
     ss = SeedSequence(entropy=int(master_seed), spawn_key=(ctx, rep, ROLES[role]))
     return Generator(Philox(ss))
 

@@ -310,7 +310,8 @@ def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np
     a rotated Explicit one, so only that one copies.
     """
     draw = _unit_sampler(dist, "design")
-    if model.n != n:
+    check_size(m, "m")
+    if check_size(n, "n") != model.n:
         raise InputError(f"model dimension {model.n} != n = {n}")
     z = draw(as_rng(seed, "design"), (m, n))
     return np.ascontiguousarray(model.apply(np.sqrt, z.T).T)
@@ -319,6 +320,7 @@ def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np
 def sample_noise(dist: str, m: int, sigma_sq: float, seed) -> np.ndarray:
     """sigma * xi0 with unit-variance xi0; exactly zero (no draws) at sigma_sq = 0."""
     draw = _unit_sampler(dist, "noise")
+    check_size(m, "m")
     if not sigma_sq >= 0:
         raise InputError("sigma_sq must be nonnegative")
     if sigma_sq == 0:
@@ -377,6 +379,7 @@ def seq_model_lq_mc(
     lq_risk, so a large q cannot underflow.
     """
     check_mc_reps(reps)
+    check_size(seed, "seed", least=0)
     check_positive(q, "q")
     a = check_lq_weight(a, model)
     check_positive(gamma, "gamma", zero=True)
@@ -734,7 +737,7 @@ def distributional_check(config: ExperimentConfig, seq_reps: int = 400) -> DistC
 
     def worker(rep: int) -> dict:
         sweep = _draw_rep(config, model, rep, 0, mu0).sweep
-        return _dist_stats(np.array([sweep.mu_hat(float(eta)) for eta in etas]), mu0.coords)
+        return _dist_stats(sweep.mu_hat(etas), mu0.coords)
 
     results, failed = _map_reps(config.reps, config.threads, worker)
     data_vals = _stack(res for _, res in results)

@@ -278,7 +278,7 @@ CovarianceModel = Union[Isotropic, SpikedUniform, Explicit]
 def spiked_uniform(a: float, b: float, n: int) -> CovarianceModel:
     """Sigma = a I_n + b ones ones^T as SpikedUniform, or as Isotropic where
     it is a multiple of I_n: at b == 0 (scale a) and at n == 1 (scale a + b)."""
-    if b == 0 or n == 1:
+    if b == 0 or check_size(n, "'n' of spiked_uniform model") == 1:
         check_spectrum(a, "'a' of spiked_uniform model")
         check_spectrum(b, "'b' of spiked_uniform model", zero=True)
         return Isotropic(a + b, n)
@@ -375,10 +375,10 @@ class SignalVector:
 
 
 def _validate_pq(p: int, q: int) -> None:
+    check_size(p, "p", least=0)
+    check_size(q, "q", least=0)
     if p == 0 and q == 0:
         raise InputError("degenerate request p = 0, q = 0")
-    if p < 0 or q < 0:
-        raise InputError(f"orders must be nonnegative, got p={p}, q={q}")
 
 
 def _reciprocal_shift(lam: np.ndarray, tau: float) -> np.ndarray:

@@ -15,10 +15,13 @@ from ridgelab import SignalVector, SpikedUniform, solve_effective, spiked_unifor
 from ridgelab.dataio import parse_grid
 from ridgelab.errors import UsageError
 from ridgelab.fixedpoint import expected_dof, expected_err, stieltjes_at
-from ridgelab.regress import confidence_intervals, debias, kfold_select, sigma_hat_sq
+from ridgelab.regress import confidence_intervals, debias, kfold_folds, kfold_select
+from ridgelab.regress import sigma_hat_sq
+from ridgelab.rng import stream
 from ridgelab.riskengine import gaussian_abs_moment, lq_gamma_diag, lq_risk, opt_risks
 from ridgelab.riskengine import optimal_eta, risk_derivative, rmt_risk, theoretical_risk
-from ridgelab.simlab import sample_noise, sample_signal, seq_model_lq_mc, seq_model_sample
+from ridgelab.simlab import distributional_check, sample_design, sample_noise, sample_signal
+from ridgelab.simlab import seq_model_lq_mc, seq_model_sample
 from ridgelab.spectrum import quad_form, trace_functional
 from ridgelab.stats import z_two_sided
 
@@ -176,9 +179,9 @@ BANDED_ELSEWHERE = {
 }
 
 
-def _float_arguments() -> list[str]:
-    """'<name> <argument>' for each float-annotated argument of an exported
-    callable, result types and error types aside."""
+def _arguments(*annotations) -> list[str]:
+    """'<name> <argument>' for each argument of an exported callable annotated
+    as one of annotations, result types and error types aside."""
     out = []
     for name in ridgelab.__all__:
         obj = getattr(ridgelab, name)
@@ -186,9 +189,14 @@ def _float_arguments() -> list[str]:
                 isinstance(obj, type) and issubclass(obj, Exception)):
             continue
         for arg, par in inspect.signature(obj).parameters.items():
-            if par.annotation in (float, "float"):
+            if par.annotation in annotations:
                 out.append(f"{name} {arg}")
     return out
+
+
+def _float_arguments() -> list[str]:
+    """The float arguments, an eta that may also be a grid of them included."""
+    return _arguments(float, "float", "float | np.ndarray")
 
 
 def test_every_float_argument_has_a_band_test():
@@ -205,3 +213,77 @@ def test_every_float_argument_has_a_band_test():
 def test_grid_count_band_is_a_usage_error(spec):
     with pytest.raises(UsageError, match=re.escape("grid count must lie in [1, inf)")):
         parse_grid(spec)
+
+
+# count argument -> (a call that passes it value, the name the error gives it,
+# the values refused: a bool, non-integral floats, and an integral float
+# where the argument is no JSON field, whose cast takes 3.0 as 3)
+COUNTS = {
+    "ExperimentConfig m": (lambda v: experiment(m=v), "'m'", (True, 2.5)),
+    "ExperimentConfig reps": (lambda v: experiment(reps=v), "'reps'", (True, 2.5)),
+    "ExperimentConfig k": (lambda v: experiment(k=v), "'k'", (True, 2.5)),
+    "ExperimentConfig master_seed": (lambda v: experiment(master_seed=v), "'seed'", (True, 2.5)),
+    "ExperimentConfig threads": (lambda v: experiment(threads=v), "'threads'", (True, 2.5)),
+    "Isotropic n": (lambda v: Isotropic(1.0, v), "'n' of isotropic model", (True, 2.5, 3.0)),
+    "SpikedUniform n": (lambda v: SpikedUniform(1.0, 0.1, v), "'n' of spiked_uniform model",
+                        (True, 2.5, 3.0)),
+    "spiked_uniform n": (lambda v: spiked_uniform(1.0, 0.1, v), "'n' of spiked_uniform model",
+                         (True, 2.5, 3.0)),
+    "distributional_check seq_reps": (
+        lambda v: distributional_check(experiment(n=16, reps=1), seq_reps=v), "seq_reps",
+        (True, 2.5, 3.0)),
+    "kfold_folds m": (lambda v: kfold_folds(v, 2, np.random.default_rng(0)), "m",
+                      (True, 10.5, 10.0)),
+    "kfold_folds k": (lambda v: kfold_folds(10, v, np.random.default_rng(0)), "k",
+                      (True, 2.5, 3.0)),
+    "kfold_select k": (lambda v: kfold_select(DATA, [0.5, 1.0], v, 0), "k", (True, 2.5, 3.0)),
+    # 0 raised a raw ZeroDivisionError, -4 a math domain error
+    "lq_risk n": (lambda v: lq_risk(2.0, np.ones(4), v), "n", (True, 2.5, 4.0, 0, -4)),
+    "quad_form p": (lambda v: quad_form(MODEL, MU0, 1.0, v, 1), "p", (True, 1.5, 1.0, -1)),
+    "quad_form q": (lambda v: quad_form(MODEL, MU0, 1.0, 1, v), "q", (True, 1.5, 1.0, -1)),
+    "trace_functional p": (lambda v: trace_functional(MODEL, 0.5, v, 1), "p",
+                           (True, 1.5, 1.0, -1)),
+    "trace_functional q": (lambda v: trace_functional(MODEL, 0.5, 1, v), "q",
+                           (True, 2.5, 1.0, -1)),
+    # m = 0 returned an empty array, m = -1 raised a raw ValueError
+    "sample_design m": (lambda v: sample_design("gaussian", v, 4, MODEL, 0), "m",
+                        (True, 2.5, 3.0, 0, -1)),
+    "sample_design n": (lambda v: sample_design("gaussian", 3, v, MODEL, 0), "n",
+                        (True, 4.5, 4.0)),
+    "sample_noise m": (lambda v: sample_noise("gaussian", v, 1.0, 0), "m",
+                       (True, 2.5, 3.0, 0, -1)),
+    "sample_signal n": (lambda v: sample_signal("sphere", v, 0), "dimension", (True, 2.5, 3.0)),
+    "seq_model_lq_mc reps": (
+        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, v, 0), "reps",
+        (True, 150.5, 150.0)),
+    "seq_model_lq_mc seed": (
+        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, 100, v), "seed",
+        (True, 2.5, 3.0, -1)),
+    "stream master_seed": (lambda v: stream(v, 0, "seq"), "master_seed", (True, 2.5, 3.0, -1)),
+    "stream rep": (lambda v: stream(0, v, "seq"), "rep", (True, 1.5, 1.0, -1)),
+    "stream ctx": (lambda v: stream(0, 0, "seq", v), "ctx", (True, 1.5, 1.0, -1)),
+}
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [(argument, value) for argument, (_, _, values) in COUNTS.items() for value in values],
+)
+def test_every_count_refuses_a_non_integer_naming_the_argument(argument, value):
+    call, name, _ = COUNTS[argument]
+    with pytest.raises(InputError, match=re.escape(name)):
+        call(value)
+
+
+def test_counts_accept_an_int_and_a_numpy_integer():
+    assert lq_risk(2.0, np.ones(4), np.int64(4)) == lq_risk(2.0, np.ones(4), 4)
+    assert Isotropic(1.0, np.int32(4)).n == 4
+    assert len(kfold_folds(np.int64(10), np.int64(3), np.random.default_rng(0))) == 3
+    assert sample_noise("gaussian", 3, 1.0, 0).shape == (3,)
+    assert stream(np.uint64(2**63), 0, "seq").random() == stream(2**63, 0, "seq").random()
+
+
+def test_every_int_argument_has_a_count_test():
+    missing = [arg for arg in _arguments(int, "int") if arg not in COUNTS]
+    assert not missing, f"int arguments with no count test: {missing}"
+    assert set(COUNTS) <= set(_arguments(int, "int")), "stale COUNTS entries"

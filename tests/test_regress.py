@@ -886,3 +886,160 @@ def test_tuning_selects_near_optimal_risk():
         ok_cv += int(risk_at(sel_cv) <= risks.min() + slack)
     assert ok_gcv >= 16, f"gcv near-optimal in {ok_gcv}/20 reps"
     assert ok_cv >= 16, f"cv5 near-optimal in {ok_cv}/20 reps"
+
+
+# The sweep's formulas at one eta as they read before they took a grid.
+def _one_mu_hat(w, eta):
+    if w.dual:
+        return w.x.T @ (w.q @ (w.c / (w.s + eta))) / w.n
+    return w.v @ (w.b / (w.s + eta))
+
+
+def _one_resid(w, eta):
+    if w.dual:
+        return w.q @ (w.c * (eta / (w.s + eta)))
+    return w.y - w.x @ _one_mu_hat(w, eta)
+
+
+def _one_tau_hat(w, eta):
+    inv_sum = float(np.sum(1.0 / (w.s + eta)))
+    if not w.dual:
+        inv_sum += (w.m - w.n) / eta
+    return w.n / inv_sum
+
+
+def _one_gamma_hat(w, eta):
+    t = _one_tau_hat(w, eta)
+    if w.dual:
+        return t / np.sqrt(w.n) * float(np.linalg.norm(w.c / (w.s + eta)))
+    return t / np.sqrt(w.n) * float(np.linalg.norm(_one_resid(w, eta))) / eta
+
+
+ONE_ETA = {
+    "shift": lambda w, eta: w.s + eta,
+    "mu_hat": _one_mu_hat,
+    "resid": _one_resid,
+    "tau_hat": _one_tau_hat,
+    "gamma_hat": _one_gamma_hat,
+}
+# a dual, a square and a primal sample, each with a grid; eta = 0 only where m < n
+GRID_SAMPLES = [
+    pytest.param(20, 40, np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 30))), id="dual"),
+    pytest.param(30, 30, np.geomspace(0.05, 20.0, 31), id="square"),
+    pytest.param(40, 20, np.geomspace(1e-3, 20.0, 31), id="primal"),
+]
+
+
+@pytest.mark.parametrize("m, n, grid", GRID_SAMPLES)
+def test_sweep_float_calls_are_the_per_eta_formulas(m, n, grid):
+    data = toy_dataset(m, n, seed=m + n)
+    sweep = data.sweep
+    for eta in grid:
+        eta = float(eta)
+        for name, formula in ONE_ETA.items():
+            assert np.array_equal(getattr(sweep, name)(eta), formula(sweep, eta)), (name, eta)
+        assert df_hat(data, eta) == float(np.sum(sweep.s / (sweep.s + eta)))
+
+
+@pytest.mark.parametrize("m, n, grid", GRID_SAMPLES)
+def test_sweep_on_a_grid_is_its_float_calls_row_by_row(monkeypatch, m, n, grid):
+    data = toy_dataset(m, n, seed=m + n)
+    sweep = data.sweep
+    # exact where each row is its own elementwise formula or dot product; the
+    # block products (one matrix product for all K etas) round apart
+    exact = {"shift", "tau_hat"} | ({"gamma_hat"} if sweep.dual else set())
+    for name in ONE_ETA:
+        block = getattr(sweep, name)(grid)
+        rows = np.array([getattr(sweep, name)(float(eta)) for eta in grid])
+        assert block.shape == rows.shape == (len(grid), *np.shape(rows[0])), name
+        if name in exact:
+            assert np.array_equal(block, rows), name
+        else:
+            for got, want in zip(block, rows):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+    for estimator in (df_hat, tau_hat, gamma_hat):
+        rows = np.array([estimator(data, float(eta)) for eta in grid])
+        if estimator is gamma_hat and not sweep.dual:
+            np.testing.assert_allclose(estimator(data, grid), rows, rtol=1e-14, atol=0)
+        else:
+            assert np.array_equal(estimator(data, grid), rows), estimator.__name__
+    # k-fold's d = 1 / shift(grid) is the block it stacked from per-eta shifts
+    folds = kfold_folds(m, 4, stream(m, 0, "fold"))
+    objective = kfold_objective(data, grid, folds)
+    one_shift = GramSweep.shift
+
+    def stacked_shift(self, eta):
+        if isinstance(eta, np.ndarray):
+            return np.array([one_shift(self, float(e)) for e in eta]).reshape(-1, self.s.size)
+        return one_shift(self, eta)
+
+    monkeypatch.setattr(GramSweep, "shift", stacked_shift)
+    assert np.array_equal(kfold_objective(data, grid, folds), objective)
+
+
+GRID_CALLS = [
+    pytest.param(lambda data, eta: data.sweep.shift(eta), id="sweep.shift"),
+    pytest.param(lambda data, eta: data.sweep.mu_hat(eta), id="sweep.mu_hat"),
+    pytest.param(lambda data, eta: data.sweep.resid(eta), id="sweep.resid"),
+    pytest.param(lambda data, eta: data.sweep.tau_hat(eta), id="sweep.tau_hat"),
+    pytest.param(lambda data, eta: data.sweep.gamma_hat(eta), id="sweep.gamma_hat"),
+    pytest.param(df_hat, id="df_hat"),
+    pytest.param(tau_hat, id="tau_hat"),
+    pytest.param(gamma_hat, id="gamma_hat"),
+]
+
+
+@pytest.mark.parametrize("estimator", GRID_CALLS)
+def test_a_grid_raises_what_its_bad_eta_raises_alone(estimator):
+    dual, square, primal = toy_dataset(8, 12), toy_dataset(10, 10), toy_dataset(12, 8)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6, 12))
+    x[1] = x[0]  # X X^T is singular
+    singular = Dataset(x=x, y=rng.standard_normal(6), model=Isotropic(1.0, 12))
+    cases = [(data, bad, InputError) for data in (dual, primal) for bad in (np.nan, -0.1)]
+    cases += [(square, 0.0, WrongRegime), (primal, 0.0, WrongRegime),
+              (singular, 0.0, IllConditioned)]
+    for data, bad, error in cases:
+        with pytest.raises(error) as alone:
+            estimator(data, bad)
+        # an ascending grid holding the bad eta: 0 and -0.1 can only come first
+        grid = np.array([0.25, bad, 0.5]) if np.isnan(bad) else np.array([bad, 0.5])
+        with pytest.raises(error) as in_grid:
+            estimator(data, grid)
+        if error is not InputError:  # the same message; a band error names the grid
+            assert str(in_grid.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("fit", [ridgeless_fit, ridge_fit, sigma_hat_sq])
+def test_scalar_estimators_refuse_an_eta_array(fit):
+    # they used to raise a raw ValueError (the truth value of an array)
+    for data in (toy_dataset(8, 12), toy_dataset(12, 8)):
+        with pytest.raises(InputError, match="eta"):
+            fit(data, np.array([0.5, 1.0]))
+
+
+def test_tuning_result_eta_hat_is_the_smallest_minimizer():
+    result = regress.TuningResult(
+        etas=np.array([0.1, 0.2, 0.3, 0.4]), objective=np.array([2.0, 1.0, 3.0, 1.0]),
+        method="gcv",
+    )
+    assert result.eta_hat == 0.2
+    with pytest.raises(TypeError):
+        regress.TuningResult(etas=result.etas, objective=result.objective, eta_hat=0.2,
+                             method="gcv")
+
+
+def test_gcv_select_reads_gamma_hat_once_for_the_whole_grid(monkeypatch):
+    calls = []
+    gamma = GramSweep.gamma_hat
+
+    def counted(self, eta):
+        calls.append(np.shape(eta))
+        return gamma(self, eta)
+
+    monkeypatch.setattr(GramSweep, "gamma_hat", counted)
+    for m, n in [(20, 40), (40, 20)]:
+        calls.clear()
+        result = gcv_select(toy_dataset(m, n), np.linspace(0.1, 2.0, 12))
+        assert calls == [(12,)]
+        assert result.objective.shape == (12,)

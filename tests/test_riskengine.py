@@ -435,3 +435,39 @@ def test_risks_from_solved_sums_match_separate_functionals(config):
         assert derivative_factor(kind, params) == pytest.approx(
             want, rel=1e-13, abs=0.0
         ), kind
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_stacked_risk_formulas_are_the_per_params_calls(seed):
+    # each formula on the grid's params stacked into arrays gives, bit for
+    # bit, the values of one call per solve, at every kind
+    config = random_problem(np.random.default_rng(seed), n=30)
+    etas = np.geomspace(0.01, 20.0, 41)
+    params = riskengine.solve_grid(config, etas)
+    grid = riskengine._stacked(params)
+    sigma_sq, s0, phi = config.sigma_sq, config.mu0.norm_sq, config.phi
+    for kind in KINDS:
+        calls = [(theoretical_risk, (sigma_sq, phi)), (rmt_risk, (sigma_sq, s0, phi))]
+        if kind in riskengine.TUNABLE_KINDS:
+            calls.append((risk_derivative, (sigma_sq, s0)))
+        for formula, args in calls:
+            stacked = formula(kind, grid, *args)
+            one = np.array([formula(kind, p, *args) for p in params])
+            assert np.array_equal(stacked, one), (kind, formula.__name__)
+
+
+def test_risk_curves_call_each_formula_once_per_kind(monkeypatch):
+    calls = []
+    for name in ("theoretical_risk", "rmt_risk", "risk_derivative"):
+        def counted(kind, *args, _name=name, _formula=getattr(riskengine, name)):
+            calls.append((_name, kind))
+            return _formula(kind, *args)
+
+        monkeypatch.setattr(riskengine, name, counted)
+    config = random_problem(np.random.default_rng(4), n=30)
+    curves = risk_curves(config, KINDS, np.linspace(0.1, 1.5, 161))
+    assert sorted(calls) == sorted(
+        [("theoretical_risk", kind) for kind in KINDS] + [("rmt_risk", kind) for kind in KINDS]
+        + [("risk_derivative", kind) for kind in riskengine.TUNABLE_KINDS]
+    )
+    assert all(curve.theoretical.shape == (161,) for curve in curves.values())
