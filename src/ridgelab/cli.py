@@ -284,7 +284,7 @@ def _cmd_lq(args):
     config, _ = _problem_from_json(cfg_obj, flags)
     config = config.with_eta(args.eta)
     params = solve_effective(config)
-    diag = lq_gamma_diag(None, config.model, params, config.mu0.norm)
+    diag = lq_gamma_diag(None, config.model, params)
     rows = []
     header = ["q", "risk"]
     if args.mc_reps:

@@ -300,12 +300,18 @@ def check_size(size: int, name: str, least: int = 1) -> int:
     return check_range(size, name, least, math.inf, ends="[)")
 
 
+def _grid_array(grid, name: str = "eta grid") -> np.ndarray:
+    """grid, a list of reals or a real ndarray, as a nonempty 1-D float array."""
+    etas = coerce(reals, grid, name)
+    if etas.ndim != 1 or etas.size == 0:
+        raise InputError(f"{name} must be a nonempty 1-D list of etas")
+    return etas
+
+
 def check_eta_grid(grid, name: str = "eta grid") -> np.ndarray:
     """grid as a nonempty, 1-D, strictly ascending float array of etas that
     check_eta accepts; the error names the first bad value."""
-    etas = np.asarray(grid, dtype=float)
-    if etas.ndim != 1 or etas.size == 0:
-        raise InputError(f"{name} must be a nonempty 1-D list of etas")
+    etas = _grid_array(grid, name)
     check_all(etas, name, *ETA_RANGE, zero=True)
     steps = np.diff(etas) <= 0
     if steps.any():

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDenominator, InputError, NonConvergence, NoSolution
-from .errors import check_eta, check_phi, check_positive, check_range, check_scale
+from .errors import check_eta, check_phi, check_positive, check_scale
 from .spectrum import (
     CovarianceModel,
     FixedPointSums,
@@ -93,10 +93,12 @@ class ProblemConfig:
 class EffectiveParams:
     """Solved effective quantities at one regularization level.
 
-    m_val, m_prime, m_second are the companion Stieltjes transform and its
-    first two derivatives at z = -eta/phi; m_val * tau_star = 1. sums holds
-    the spectral sums at tau_star the solve gathered, from which every risk
-    formula is read without another pass over the spectrum.
+    phi, sigma_sq and mu_norm_sq = ||mu0||^2 are those of the problem solved,
+    so every risk formula reads the problem from here. sums holds the
+    spectral sums at tau_star the solve gathered, from which every risk
+    formula is read without another pass over the spectrum. The properties
+    are closed forms of the fields, so they hold the same on the params of a
+    grid stacked into arrays.
     """
 
     eta: float
@@ -104,11 +106,37 @@ class EffectiveParams:
     gamma_star_sq: float
     tau_prime: float
     tau_second: float
-    gamma_tilde_sq: float
-    m_val: float
-    m_prime: float
-    m_second: float
+    phi: float
+    sigma_sq: float
+    mu_norm_sq: float
     sums: FixedPointSums
+
+    @property
+    def m_val(self) -> float:
+        """The companion Stieltjes transform at z = -eta/phi: m = 1/tau."""
+        return 1.0 / self.tau_star
+
+    @property
+    def m_prime(self) -> float:
+        """m' = phi tau'/tau^2."""
+        return self.phi * self.tau_prime / (self.tau_star * self.tau_star)
+
+    @property
+    def m_second(self) -> float:
+        """m'' = -phi^2 (tau'' tau - 2 tau'^2)/tau^3."""
+        tau, tau_p, phi = self.tau_star, self.tau_prime, self.phi
+        # float_power is libm pow, as a float's ** is; numpy's ** on an array may round apart
+        return -phi * phi * (self.tau_second * tau - 2.0 * tau_p * tau_p) / np.float_power(tau, 3)
+
+    @property
+    def gamma_tilde_sq(self) -> float:
+        """sigma_sq tau' + ||mu0||^2 (tau - eta tau').
+
+        Equals gamma_star^2 exactly for isotropic covariances; elsewhere it is
+        the signal-averaged surrogate entering the l_q risk weights.
+        """
+        tau_p = self.tau_prime
+        return self.sigma_sq * tau_p + self.mu_norm_sq * (self.tau_star - self.eta * tau_p)
 
 
 def expected_err(model: CovarianceModel, mu0, gamma_sq: float, tau: float) -> float:
@@ -275,40 +303,6 @@ def _derivatives(eta: float, tau: float, sums: FixedPointSums) -> tuple[float, f
     return tau_prime, tau_second
 
 
-def gamma_tilde_sq(
-    sigma_sq: float, mu_norm_sq: float, eta: float, tau_star: float, tau_prime: float
-) -> float:
-    """sigma_sq * tau' + ||mu0||^2 (tau - eta tau').
-
-    Equals gamma_star^2 exactly for isotropic covariances; elsewhere it is
-    the signal-averaged surrogate entering the l_q risk weights.
-    """
-    return sigma_sq * tau_prime + mu_norm_sq * (tau_star - eta * tau_prime)
-
-
-def stieltjes_at(
-    phi: float, tau_star: float, tau_prime: float, tau_second: float
-) -> tuple[float, float, float]:
-    """Companion Stieltjes transform and derivatives at z = -eta/phi.
-
-    m = 1/tau, m' = phi tau'/tau^2, m'' = -phi^2 (tau'' tau - 2 tau'^2)/tau^3.
-    tau' > 0 and tau'' <= 0 at every solve.
-    """
-    check_phi(phi, "phi")
-    check_positive(tau_star, "tau_star")
-    check_positive(tau_prime, "tau_prime")
-    check_range(tau_second, "tau_second", -math.inf, 0.0, ends="(]")
-    m_val = 1.0 / tau_star
-    m_prime = phi * tau_prime / (tau_star * tau_star)
-    m_second = (
-        -phi
-        * phi
-        * (tau_second * tau_star - 2.0 * tau_prime * tau_prime)
-        / tau_star**3
-    )
-    return m_val, m_prime, m_second
-
-
 def solve_effective(
     config: ProblemConfig, start: EffectiveParams | None = None
 ) -> EffectiveParams:
@@ -321,8 +315,6 @@ def solve_effective(
     sums = fixed_point_sums(config.model, config.mu0, tau)
     gamma_sq = _gamma_sq(config, tau, sums)
     tau_p, tau_s = _derivatives(config.eta, tau, sums)
-    gt_sq = gamma_tilde_sq(config.sigma_sq, config.mu0.norm_sq, config.eta, tau, tau_p)
-    m_val, m_prime, m_second = stieltjes_at(config.phi, tau, tau_p, tau_s)
 
     scale = max(1.0, config.phi * gamma_sq)
     # expected_err and expected_dof at the root, read from the same sums
@@ -342,9 +334,8 @@ def solve_effective(
         gamma_star_sq=gamma_sq,
         tau_prime=tau_p,
         tau_second=tau_s,
-        gamma_tilde_sq=gt_sq,
-        m_val=m_val,
-        m_prime=m_prime,
-        m_second=m_second,
+        phi=config.phi,
+        sigma_sq=config.sigma_sq,
+        mu_norm_sq=config.mu0.norm_sq,
         sums=sums,
     )

@@ -9,9 +9,10 @@ coincide exactly for isotropic covariances and agree to o(1) generally.
 Conventions used throughout:
   * signal strength is carried as the pair (sigma_sq, mu_norm_sq), never
     as their ratio, so the noiseless case is exact;
-  * eta is read from the solved EffectiveParams rather than passed twice,
-    and so are the spectral sums at tau_star (params.sums): evaluating a
-    risk after the solve makes no new pass over the spectrum;
+  * eta, phi, sigma_sq and mu_norm_sq are read from the solved
+    EffectiveParams rather than passed twice, and so are the spectral sums
+    at tau_star (params.sums): evaluating a risk after the solve makes no
+    new pass over the spectrum;
   * solve_grid is the one walk along an eta grid, and risk_curves reads
     every risk kind off it, each formula called once on the grid's params
     stacked into one EffectiveParams of arrays.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import SCALE_RANGE, BothZero, InputError, NumericalError, check_all, check_positive
-from .errors import check_phi, check_scale, check_size, coerce
+from .errors import _grid_array, check_eta_grid, check_phi, check_size, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, FixedPointSums, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -48,7 +49,7 @@ TUNABLE_KINDS = (RiskKind.PRED, RiskKind.EST, RiskKind.INS)
 
 @dataclass(frozen=True)
 class RiskCurve:
-    """Risk values along an ascending eta grid.
+    """Risk values along an ascending eta grid (risk_curves checks it).
 
     derivative is None for the residual kind, which has no derivative
     factor representation.
@@ -61,8 +62,6 @@ class RiskCurve:
     derivative: np.ndarray | None
 
     def __post_init__(self):
-        if np.any(np.diff(self.etas) <= 0):
-            raise InputError("eta grid must be strictly ascending")
         cols = [self.theoretical, self.rmt]
         if self.derivative is not None:
             cols.append(self.derivative)
@@ -77,17 +76,13 @@ class RiskCurve:
                 )
 
 
-def theoretical_risk(
-    kind: RiskKind, params: EffectiveParams, sigma_sq: float, phi: float
-) -> float | np.ndarray:
+def theoretical_risk(kind: RiskKind, params: EffectiveParams) -> float | np.ndarray:
     """Deterministic risk from the effective pair (tau, gamma).
 
     PRED = tau^2 ||(Sigma+tau I)^{-1} Sigma^{1/2} mu0||^2 + gamma^2 T_{-2,2},
     EST = tau^2 ||(Sigma+tau I)^{-1} mu0||^2 + gamma^2 T_{-2,1}, RES =
     eta^2 gamma^2 / tau^2 and INS = RES + sigma_sq (phi - 2 eta/tau).
     """
-    check_scale(sigma_sq, "sigma_sq")
-    check_phi(phi, "phi")
     tau = params.tau_star
     gamma_sq = params.gamma_star_sq
     eta = params.eta
@@ -100,29 +95,19 @@ def theoretical_risk(
     if kind == RiskKind.RES:
         return res
     if kind == RiskKind.INS:
-        return res + sigma_sq * (phi - 2.0 * eta / tau)
+        return res + params.sigma_sq * (params.phi - 2.0 * eta / tau)
     raise InputError(f"unknown risk kind {kind!r}")
 
 
-def rmt_risk(
-    kind: RiskKind,
-    params: EffectiveParams,
-    sigma_sq: float,
-    mu_norm_sq: float,
-    phi: float,
-) -> float | np.ndarray:
+def rmt_risk(kind: RiskKind, params: EffectiveParams) -> float | np.ndarray:
     """Stieltjes-transform representation of the asymptotic risk.
 
     All four kinds share the combination
         core = phi ||mu0||^2 m - (eta ||mu0||^2 - sigma_sq) m',
     which equals phi gamma^2 m^2 at the fixed point.
     """
-    check_scale(sigma_sq, "sigma_sq")
-    check_scale(mu_norm_sq, "mu_norm_sq")
-    check_phi(phi, "phi")
     m_val, m_prime = params.m_val, params.m_prime
-    eta = params.eta
-    s0 = mu_norm_sq
+    eta, phi, sigma_sq, s0 = params.eta, params.phi, params.sigma_sq, params.mu_norm_sq
     core = phi * s0 * m_val - (eta * s0 - sigma_sq) * m_prime
     if kind == RiskKind.PRED:
         return core / (m_val * m_val) - sigma_sq
@@ -140,16 +125,13 @@ def rmt_risk(
 def derivative_factor(kind: RiskKind, params: EffectiveParams) -> float | np.ndarray:
     """Positive factor M^#(eta) multiplying (eta ||mu0||^2 - sigma_sq).
 
-    The aspect ratio is recovered from the stored Stieltjes derivative,
-    phi = m' tau^2 / tau', exact up to rounding. The residual kind has no
-    such factor and is rejected.
+    The residual kind has no such factor and is rejected.
     """
     tau = params.tau_star
     tau_p = params.tau_prime
     sums = params.sums
     if kind == RiskKind.PRED:
-        phi = params.m_prime * tau * tau / tau_p
-        return phi * (-params.tau_second)
+        return params.phi * (-params.tau_second)
     if kind == RiskKind.EST:
         return 2.0 * tau_p * tau_p * (sums.t31 + tau_p * sums.t21 * sums.t32)
     if kind == RiskKind.INS:
@@ -161,18 +143,14 @@ def derivative_factor(kind: RiskKind, params: EffectiveParams) -> float | np.nda
     raise InputError(f"no derivative factor for risk kind {kind!r}")
 
 
-def risk_derivative(
-    kind: RiskKind, params: EffectiveParams, sigma_sq: float, mu_norm_sq: float
-) -> float | np.ndarray:
+def risk_derivative(kind: RiskKind, params: EffectiveParams) -> float | np.ndarray:
     """d/d eta of the RMT risk: (eta ||mu0||^2 - sigma_sq) M^#(eta).
 
     Vanishes exactly at eta = sigma_sq/||mu0||^2 and carries that sign, so
     the three tunable risks share one minimizer.
     """
-    check_scale(sigma_sq, "sigma_sq")
-    check_scale(mu_norm_sq, "mu_norm_sq")
     factor = derivative_factor(kind, params)
-    return (params.eta * mu_norm_sq - sigma_sq) * factor
+    return (params.eta * params.mu_norm_sq - params.sigma_sq) * factor
 
 
 def optimal_eta(sigma_sq: float, mu_norm_sq: float) -> float:
@@ -270,21 +248,16 @@ def check_lq_weight(a, model: CovarianceModel) -> np.ndarray | None:
     return a
 
 
-def lq_gamma_diag(
-    a, model: CovarianceModel, params: EffectiveParams, mu_norm: float
-) -> np.ndarray:
+def lq_gamma_diag(a, model: CovarianceModel, params: EffectiveParams) -> np.ndarray:
     """Diagonal, in ambient coordinates, of the l_q second-moment matrix
 
         Gamma = A (Sigma+tau I)^{-1} (gamma~^2 Sigma + tau^2 ||mu0||^2 I)
                   (Sigma+tau I)^{-1} A,
 
-    for a weight A that check_lq_weight accepts and a mu_norm >= 0 whose
-    square lies in SCALE_RANGE.
+    for a weight A that check_lq_weight accepts, at the params solved on model.
     """
     a = check_lq_weight(a, model)
-    # a Python float's square overflows to inf, which the band refuses, with no numpy warning
-    mu_norm = float(check_positive(mu_norm, "mu_norm", zero=True))
-    s0 = check_scale(mu_norm * mu_norm, "squared mu_norm")
+    s0 = params.mu_norm_sq
     tau = params.tau_star
     gt_sq = params.gamma_tilde_sq
 
@@ -328,9 +301,10 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
 
 
 def solve_grid(config: ProblemConfig, etas) -> list[EffectiveParams]:
-    """solve_effective across an eta grid, each solve warm-started from the last."""
+    """solve_effective across a 1-D eta grid, in either order, each solve
+    warm-started from the last."""
     params: list[EffectiveParams] = []
-    for eta in np.asarray(etas, float):
+    for eta in _grid_array(etas):
         params.append(solve_effective(config.with_eta(eta), params[-1] if params else None))
     return params
 
@@ -347,14 +321,13 @@ def _stacked(params: list[EffectiveParams]) -> EffectiveParams:
 
 def risk_curves(config: ProblemConfig, kinds, etas) -> dict[RiskKind, RiskCurve]:
     """One solve_grid pass along an ascending grid, one RiskCurve per kind."""
-    etas = np.asarray(etas, dtype=float)
+    etas = check_eta_grid(etas)
     grid = _stacked(solve_grid(config, etas))
-    sigma_sq, s0, phi = config.sigma_sq, config.mu0.norm_sq, config.phi
     curves = {}
     for kind in map(RiskKind, kinds):
-        theo = theoretical_risk(kind, grid, sigma_sq, phi)
-        rmt = rmt_risk(kind, grid, sigma_sq, s0, phi)
-        deriv = risk_derivative(kind, grid, sigma_sq, s0) if kind in TUNABLE_KINDS else None
+        theo = theoretical_risk(kind, grid)
+        rmt = rmt_risk(kind, grid)
+        deriv = risk_derivative(kind, grid) if kind in TUNABLE_KINDS else None
         curves[kind] = RiskCurve(etas, kind, theo, rmt, deriv)
     return curves
 

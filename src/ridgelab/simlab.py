@@ -615,10 +615,7 @@ def run_tuning_experiment(config: ExperimentConfig) -> TuningSummary:
             confidence_intervals(np.zeros(n), gamma_star, model, config.alpha).lengths[0]
         )
         oracle_risk.append({
-            kind.value: rmt_risk(
-                kind, params_star, config.sigma_sq, config.signal_norm_sq, phi
-            )
-            for kind in TUNABLE_KINDS
+            kind.value: rmt_risk(kind, params_star) for kind in TUNABLE_KINDS
         })
 
         def worker(rep: int, model=model, etas=etas, ctx=pi) -> dict:

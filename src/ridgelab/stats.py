@@ -1,11 +1,11 @@
-"""Scalar distribution utilities: normal CDF/quantile and t(10) draws.
+"""Scalar distribution utilities: normal quantiles and t(10) draws.
 
 Normal quantiles come from the standard library's
 `statistics.NormalDist.inv_cdf` (Wichura's algorithm AS241; within 1e-15
 relative of scipy's `ndtri` over the whole band, tests/test_stats.py),
-not from table lookups or CDF searches.
-`normal_cdf` is computed independently through `math.erf`, so the round
-trip between the two is a real check. The module uses no scipy, so no
+not from table lookups or CDF searches; the tests check the round trip
+against a normal CDF computed independently through `math.erf`
+(tests/oracles.py). The module uses no scipy, so no
 command loads `scipy.special` (tests/test_imports.py refuses any
 reference to it in the package). `statistics` is imported where the
 quantile is computed, so the commands that compute none (`fpe`, `risk`,
@@ -36,13 +36,6 @@ import math
 import numpy as np
 
 from .errors import check_alpha
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erf."""
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 def normal_quantile(p: float) -> float:

@@ -151,19 +151,14 @@ def test_criterion_03_rmt_equals_theoretical_on_isotropic():
 
 def test_criterion_04_derivative_structure():
     base = iso_problem(eta=0.0, n=24)
-    s0 = base.mu0.norm_sq
     h = 1e-5
     for eta in (0.25, 0.6, 1.2):
         p = solve_effective(base.with_eta(eta))
         for kind in (RiskKind.PRED, RiskKind.EST, RiskKind.INS):
-            lo = rmt_risk(
-                kind, solve_effective(base.with_eta(eta - h)), 1.0, s0, base.phi
-            )
-            hi = rmt_risk(
-                kind, solve_effective(base.with_eta(eta + h)), 1.0, s0, base.phi
-            )
+            lo = rmt_risk(kind, solve_effective(base.with_eta(eta - h)))
+            hi = rmt_risk(kind, solve_effective(base.with_eta(eta + h)))
             fd = (hi - lo) / (2.0 * h)
-            exact = risk_derivative(kind, p, 1.0, s0)
+            exact = risk_derivative(kind, p)
             assert exact == pytest.approx(fd, rel=1e-4)
 
     # the common stationary point sits at eta = sigma^2 / ||mu0||^2
@@ -171,7 +166,7 @@ def test_criterion_04_derivative_structure():
         cfg = iso_problem(eta=sigma_sq / radius**2, sigma_sq=sigma_sq, radius=radius)
         p = solve_effective(cfg)
         for kind in (RiskKind.PRED, RiskKind.EST, RiskKind.INS):
-            deriv = risk_derivative(kind, p, sigma_sq, cfg.mu0.norm_sq)
+            deriv = risk_derivative(kind, p)
             assert deriv == pytest.approx(0.0, abs=1e-12)
 
     etas = np.asarray(GRID161)
@@ -215,7 +210,7 @@ def test_criterion_06_lq_cross_oracle():
         phi=0.5, eta=0.5, sigma_sq=1.0, model=Isotropic(1.0, n), mu0=mu0
     )
     params = solve_effective(base)
-    diag = lq_gamma_diag(None, base.model, params, mu0.norm)
+    diag = lq_gamma_diag(None, base.model, params)
     gamma = float(np.sqrt(params.gamma_tilde_sq))
     for q in (1.0, 2.0, 4.0):
         closed = lq_risk(q, diag, n)

@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 
 import ridgelab
-from ridgelab import Dataset, ExperimentConfig, InputError, Isotropic, ProblemConfig, RiskKind
-from ridgelab import SignalVector, SpikedUniform, solve_effective, spiked_uniform
+from ridgelab import Dataset, ExperimentConfig, InputError, Isotropic, ProblemConfig
+from ridgelab import SignalVector, SpikedUniform, spiked_uniform
 from ridgelab.dataio import parse_grid
 from ridgelab.errors import UsageError
-from ridgelab.fixedpoint import expected_dof, expected_err, stieltjes_at
+from ridgelab.fixedpoint import expected_dof, expected_err
 from ridgelab.regress import confidence_intervals, debias, kfold_folds, kfold_select
 from ridgelab.regress import sigma_hat_sq
 from ridgelab.rng import stream
-from ridgelab.riskengine import gaussian_abs_moment, lq_gamma_diag, lq_risk, opt_risks
-from ridgelab.riskengine import optimal_eta, risk_derivative, rmt_risk, theoretical_risk
+from ridgelab.riskengine import gaussian_abs_moment, lq_risk, opt_risks, optimal_eta
 from ridgelab.simlab import distributional_check, sample_design, sample_noise, sample_signal
 from ridgelab.simlab import seq_model_lq_mc, seq_model_sample
 from ridgelab.spectrum import quad_form, trace_functional
@@ -31,7 +30,6 @@ MODEL = Isotropic(1.0, 4)
 MU0 = SignalVector([1.0, 0.0, 0.0, 0.0])
 DATA = Dataset(np.random.default_rng(0).standard_normal((6, 4)), np.ones(6), MODEL)
 PROBLEM = dict(phi=0.5, eta=0.5, sigma_sq=1.0, model=MODEL, mu0=MU0)
-PARAMS = solve_effective(ProblemConfig(**PROBLEM))
 
 
 def experiment(**fields):
@@ -55,35 +53,10 @@ BANDS = {
         (NAN, INF, -INF)),
     "expected_err tau": (lambda v: expected_err(MODEL, MU0, 1.0, v), "tau", (NAN, INF, -INF)),
     "expected_dof tau": (lambda v: expected_dof(MODEL, 1.0, v), "tau", (NAN, INF, -INF)),
-    "stieltjes_at tau_star": (lambda v: stieltjes_at(0.5, v, 1.0, 0.0), "tau_star",
-                              (NAN, INF, -INF)),
-    "stieltjes_at phi": (lambda v: stieltjes_at(v, 1.0, 1.0, -1.0), "phi", (NAN, INF, -INF)),
-    "stieltjes_at tau_prime": (lambda v: stieltjes_at(0.5, 1.0, v, -1.0), "tau_prime",
-                               (NAN, INF, -INF, 0.0)),
-    # tau'' <= 0 at every solve
-    "stieltjes_at tau_second": (lambda v: stieltjes_at(0.5, 1.0, 1.0, v), "tau_second",
-                                (NAN, INF, -INF, 1.0)),
     "expected_err gamma_sq": (lambda v: expected_err(MODEL, MU0, v, 1.0), "gamma_sq",
                               (NAN, INF, -INF, -1.0)),
     "expected_dof gamma_sq": (lambda v: expected_dof(MODEL, v, 1.0), "gamma_sq",
                               (NAN, INF, -INF, -1.0)),
-    "theoretical_risk sigma_sq": (lambda v: theoretical_risk(RiskKind.INS, PARAMS, v, 0.5),
-                                  "sigma_sq", (NAN, INF, -INF)),
-    "theoretical_risk phi": (lambda v: theoretical_risk(RiskKind.INS, PARAMS, 1.0, v), "phi",
-                             (NAN, INF, -INF, -1.0)),
-    "rmt_risk sigma_sq": (lambda v: rmt_risk(RiskKind.PRED, PARAMS, v, 1.0, 0.5), "sigma_sq",
-                          (NAN, INF, -INF)),
-    "rmt_risk mu_norm_sq": (lambda v: rmt_risk(RiskKind.PRED, PARAMS, 1.0, v, 0.5),
-                            "mu_norm_sq", (NAN, INF, -INF)),
-    "rmt_risk phi": (lambda v: rmt_risk(RiskKind.EST, PARAMS, 1.0, 1.0, v), "phi",
-                     (NAN, INF, -INF, 0.0)),
-    "risk_derivative sigma_sq": (lambda v: risk_derivative(RiskKind.PRED, PARAMS, v, 1.0),
-                                 "sigma_sq", (NAN, INF, -INF)),
-    "risk_derivative mu_norm_sq": (lambda v: risk_derivative(RiskKind.PRED, PARAMS, 1.0, v),
-                                   "mu_norm_sq", (NAN, INF, -INF)),
-    # mu_norm = -1 used to pass as +1, through its square
-    "lq_gamma_diag mu_norm": (lambda v: lq_gamma_diag(None, MODEL, PARAMS, v), "mu_norm",
-                              (NAN, INF, -INF, -1.0, 1e31)),
     "ProblemConfig phi": (lambda v: ProblemConfig(**{**PROBLEM, "phi": v}), "'phi'",
                           (NAN, INF, -INF)),
     "ProblemConfig eta": (lambda v: ProblemConfig(**{**PROBLEM, "eta": v}), "'eta'",

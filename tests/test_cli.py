@@ -268,7 +268,7 @@ def test_risk_csv_schema(tmp_path):
     base = reference_problem()
     for row in rows:
         p = solve_effective(base.with_eta(row[0]))
-        expected = theoretical_risk(RiskKind(row[1]), p, 1.0, 0.5)
+        expected = theoretical_risk(RiskKind(row[1]), p)
         assert row[2] == expected
     # the residual risk has no eta-derivative column entry
     assert rows[1][4] is None and rows[0][4] is not None
@@ -360,7 +360,7 @@ def test_lq_closed_form_and_mc_columns(tmp_path):
     assert header == ["q", "risk"]
     base = reference_problem(eta=0.5)
     params = solve_effective(base)
-    diag = lq_gamma_diag(None, base.model, params, 1.0)
+    diag = lq_gamma_diag(None, base.model, params)
     assert rows[0] == [2.0, lq_risk(2.0, diag, 16)]
 
     out2 = tmp_path / "lq_mc.csv"

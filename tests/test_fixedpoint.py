@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import iso_problem, random_problem
 from oracles import eigenvalues
-from ridgelab import errors, fixedpoint
+from ridgelab import cli, errors, fixedpoint
 from ridgelab import (
     Explicit,
     InputError,
@@ -183,11 +183,20 @@ def test_warm_started_grid_takes_fewer_passes():
         cold = [solve_effective(config.with_eta(eta)) for eta in etas]
     assert passes.call_count > 5 * etas.size
     descending = solve_grid(config, etas[::-1])[::-1]
-    columns = [f.name for f in dataclasses.fields(fixedpoint.EffectiveParams)][:-1]
     for w, c, d in zip(warm, cold, descending):
-        for name in columns:
+        for name in cli._FPE_COLUMNS.values():
             assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-13), name
             assert getattr(d, name) == pytest.approx(getattr(w, name), rel=1e-14), name
+
+
+def test_solve_effective_stores_the_problem(rng):
+    # the risk formulas read phi, sigma_sq and ||mu0||^2 off the params, so
+    # the solve stores the config's own values, bit for bit
+    for config in (iso_problem(eta=0.3, radius=0.7), random_problem(rng), random_problem(rng)):
+        params = solve_effective(config)
+        stored = (params.phi, params.sigma_sq, params.mu_norm_sq)
+        given = (config.phi, config.sigma_sq, config.mu0.norm_sq)
+        assert np.array(stored).tobytes() == np.array(given).tobytes()
 
 
 def test_gamma_tilde_equals_gamma_star_isotropic():

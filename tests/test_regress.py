@@ -12,6 +12,7 @@ from ridgelab import regress
 from ridgelab import (
     CIReport,
     Dataset,
+    ExperimentConfig,
     GramSweep,
     IllConditioned,
     InputError,
@@ -38,6 +39,7 @@ from ridgelab import (
     stream,
     tau_hat,
 )
+from ridgelab.errors import check_eta_grid
 from ridgelab.simlab import build_model
 from ridgelab.spectrum import sigma_quad
 from oracles import empirical_risk
@@ -463,6 +465,39 @@ def test_grid_validation():
                 select()
     with pytest.raises(InputError, match="eta grid must be strictly ascending"):
         kfold_select(data, [0.5, 0.1], 3, 0)
+
+
+# a grid entry of another type -> the type its error names
+NON_REAL_GRIDS = [(["a"], "str"), ([1 + 2j], "complex"), ([None], "NoneType"),
+                  ([True, 2.0], "bool")]
+
+
+@pytest.mark.parametrize("grid, kind", NON_REAL_GRIDS, ids=[k for _, k in NON_REAL_GRIDS])
+def test_an_eta_grid_entry_that_is_no_real_is_an_input_error(grid, kind):
+    # "a" raised a raw ValueError, 1+2j a raw TypeError, None was reported as
+    # "got nan" and True passed as 1.0
+    data = toy_dataset(8, 12)
+    folds = kfold_folds(data.m, 3, stream(0, 0, "fold"))
+    message = f"malformed eta grid: expected a list of real numbers, got an entry of type {kind}"
+    for select in (
+        lambda: check_eta_grid(grid),
+        lambda: gcv_select(data, grid),
+        lambda: kfold_select(data, grid, 3, 0),
+        lambda: kfold_objective(data, grid, folds),
+    ):
+        with pytest.raises(InputError) as exc:
+            select()
+        assert str(exc.value) == message
+    with pytest.raises(InputError, match="malformed 'eta_grid': expected a list"):
+        ExperimentConfig(m=8, n=16, model_spec={"kind": "isotropic", "scale": 1.0},
+                         etas=tuple(grid))
+
+
+def test_an_eta_grid_of_reals_passes_unchanged():
+    want = np.array([0.0, 0.5, 2.0])
+    for grid in ([0.0, 0.5, 2.0], (0.0, 0.5, 2.0), [0, 0.5, 2], want):
+        etas = check_eta_grid(grid)
+        assert etas.dtype == float and np.array_equal(etas, want), grid
 
 
 def test_kfold_folds_properties():

@@ -1,6 +1,8 @@
 """Risk formulae: trace representation vs Stieltjes representation, l_q norms."""
 
+import inspect
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ridgelab
 from conftest import iso_problem, random_problem
+from oracles import risks_from_scalars
 from ridgelab import riskengine
 from ridgelab import (
     BothZero,
@@ -56,8 +60,8 @@ def risks_at(config, eta):
     out = {}
     for kind in KINDS:
         out[kind] = (
-            theoretical_risk(kind, params, config.sigma_sq, config.phi),
-            rmt_risk(kind, params, config.sigma_sq, config.mu0.norm_sq, config.phi),
+            theoretical_risk(kind, params),
+            rmt_risk(kind, params),
         )
     return params, out
 
@@ -108,42 +112,25 @@ def test_risk_derivative_at_interpolation():
     config = iso_problem(eta=0.0)
     params = solve_effective(config)
     # (eta s0 - sigma^2) M = (0 - 1) * 8
-    assert risk_derivative(RiskKind.PRED, params, 1.0, 1.0) == pytest.approx(
-        -8.0, rel=1e-9
-    )
+    assert risk_derivative(RiskKind.PRED, params) == pytest.approx(-8.0, rel=1e-9)
 
 
 def test_risk_derivative_vanishes_at_noise_to_signal_ratio():
     config = iso_problem(eta=1.0)
     params = solve_effective(config)
     for kind in (RiskKind.PRED, RiskKind.EST, RiskKind.INS):
-        assert risk_derivative(kind, params, 1.0, 1.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert risk_derivative(kind, params) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_risk_derivative_matches_finite_differences(rng):
     h = 1e-5
     for config in [iso_problem(), random_problem(rng)]:
-        s0 = config.mu0.norm_sq
         for eta in (0.4, 1.2):
             params = solve_effective(config.with_eta(eta))
             for kind in (RiskKind.PRED, RiskKind.EST, RiskKind.INS):
-                lo = rmt_risk(
-                    kind,
-                    solve_effective(config.with_eta(eta - h)),
-                    config.sigma_sq,
-                    s0,
-                    config.phi,
-                )
-                hi = rmt_risk(
-                    kind,
-                    solve_effective(config.with_eta(eta + h)),
-                    config.sigma_sq,
-                    s0,
-                    config.phi,
-                )
-                deriv = risk_derivative(kind, params, config.sigma_sq, s0)
+                lo = rmt_risk(kind, solve_effective(config.with_eta(eta - h)))
+                hi = rmt_risk(kind, solve_effective(config.with_eta(eta + h)))
+                deriv = risk_derivative(kind, params)
                 assert deriv == pytest.approx((hi - lo) / (2.0 * h), rel=1e-4)
 
 
@@ -265,7 +252,7 @@ def test_lq_risk_stays_finite_where_the_plain_sum_overflows():
 def test_lq_gamma_diag_isotropic_baseline():
     config = iso_problem(eta=0.0)
     params = solve_effective(config)
-    diag = lq_gamma_diag(None, config.model, params, config.mu0.norm)
+    diag = lq_gamma_diag(None, config.model, params)
     np.testing.assert_allclose(diag, 1.5, rtol=1e-11)
 
 
@@ -290,11 +277,11 @@ def test_lq_gamma_diag_weight_paths_agree(rng):
             phi=base.phi, eta=0.5, sigma_sq=1.0, model=model, mu0=base.mu0
         )
         params = solve_effective(config)
-        eigen_path = lq_gamma_diag(weight, model, params, config.mu0.norm)
-        dense_path = lq_gamma_diag(dense, model, params, config.mu0.norm)
+        eigen_path = lq_gamma_diag(weight, model, params)
+        dense_path = lq_gamma_diag(dense, model, params)
         np.testing.assert_allclose(dense_path, eigen_path, rtol=1e-10, atol=1e-13)
-        identity_path = lq_gamma_diag(None, model, params, config.mu0.norm)
-        via_ones = lq_gamma_diag(np.ones(n), model, params, config.mu0.norm)
+        identity_path = lq_gamma_diag(None, model, params)
+        via_ones = lq_gamma_diag(np.ones(n), model, params)
         np.testing.assert_allclose(via_ones, identity_path, rtol=1e-12)
 
 
@@ -306,7 +293,7 @@ def test_dense_weight_symmetry_tolerance_is_absolute():
     a = 2.0 * np.eye(3)
     a[0, 1], a[1, 0] = 1.0, 1.000005
     with pytest.raises(InputError) as exc:
-        lq_gamma_diag(a, config.model, params, 1.0)
+        lq_gamma_diag(a, config.model, params)
     assert str(exc.value) == "dense weight matrix must be symmetric"
 
 
@@ -314,23 +301,23 @@ def test_lq_gamma_diag_rejects_bad_weights():
     config = iso_problem(n=4)
     params = solve_effective(config)
     with pytest.raises(InputError):
-        lq_gamma_diag(np.array([1.0, -1.0, 0.0, 0.0]), config.model, params, 1.0)
+        lq_gamma_diag(np.array([1.0, -1.0, 0.0, 0.0]), config.model, params)
     with pytest.raises(InputError):
-        lq_gamma_diag(np.ones(3), config.model, params, 1.0)
+        lq_gamma_diag(np.ones(3), config.model, params)
     skew = np.eye(4)
     skew[0, 1] = 0.5
     with pytest.raises(InputError):
-        lq_gamma_diag(skew, config.model, params, 1.0)
+        lq_gamma_diag(skew, config.model, params)
     neg = -np.eye(4)
     with pytest.raises(InputError):
-        lq_gamma_diag(neg, config.model, params, 1.0)
+        lq_gamma_diag(neg, config.model, params)
 
 
 def test_lq_dense_guard():
     config = iso_problem(n=5001)
     params = solve_effective(config)
     with pytest.raises(InputError):
-        lq_gamma_diag(np.eye(2), config.model, params, 1.0)
+        lq_gamma_diag(np.eye(2), config.model, params)
 
 
 def test_risk_curve_structure():
@@ -358,6 +345,32 @@ def test_risk_curve_is_its_kind_of_risk_curves(kind):
         assert curve.kind == one.kind
         for column in ("etas", "theoretical", "rmt", "derivative"):
             np.testing.assert_array_equal(getattr(curve, column), getattr(one, column))
+
+
+@pytest.mark.parametrize("etas, message", [
+    ([], "eta grid must be a nonempty 1-D list of etas"),
+    ([1.0, 0.5], "eta grid must be strictly ascending; eta grid has 0.5 after 1.0"),
+    ([0.5, 0.5], "eta grid must be strictly ascending; eta grid has 0.5 after 0.5"),
+], ids=["empty", "descending", "repeated"])
+def test_risk_curves_check_the_grid_before_any_solve(monkeypatch, etas, message):
+    # [] raised a raw TypeError, and a descending or repeated grid was solved
+    # in full before RiskCurve refused it
+    monkeypatch.setattr(riskengine, "solve_effective", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(InputError) as exc:
+        risk_curves(iso_problem(), KINDS, etas)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("etas, message", [
+    ([[0.5, 1.0]], "eta grid must be a nonempty 1-D list of etas"),
+    (["a"], "malformed eta grid: expected a list of real numbers, got an entry of type str"),
+], ids=["2-D", "str"])
+def test_solve_grid_refuses_a_grid_that_is_not_1d_reals(monkeypatch, etas, message):
+    # a 2-D grid raised a raw TypeError, ["a"] a raw ValueError
+    monkeypatch.setattr(riskengine, "solve_effective", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(InputError) as exc:
+        riskengine.solve_grid(iso_problem(), etas)
+    assert str(exc.value) == message
 
 
 def test_risk_curve_with_a_nan_cell_is_a_numerical_error():
@@ -429,7 +442,7 @@ def test_risks_from_solved_sums_match_separate_functionals(config):
         * (eta * eta * tau_p * tf(3, 2) + tau**3 * tf(2, 1) ** 2),
     }
     for kind, want in risks.items():
-        got = theoretical_risk(kind, params, config.sigma_sq, phi)
+        got = theoretical_risk(kind, params)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), kind
     for kind, want in factors.items():
         assert derivative_factor(kind, params) == pytest.approx(
@@ -439,21 +452,70 @@ def test_risks_from_solved_sums_match_separate_functionals(config):
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_stacked_risk_formulas_are_the_per_params_calls(seed):
-    # each formula on the grid's params stacked into arrays gives, bit for
-    # bit, the values of one call per solve, at every kind
+    # each formula, and each property derived from the stored fields, on the
+    # grid's params stacked into arrays gives, bit for bit, the values of one
+    # call per solve, at every kind
     config = random_problem(np.random.default_rng(seed), n=30)
     etas = np.geomspace(0.01, 20.0, 41)
     params = riskengine.solve_grid(config, etas)
     grid = riskengine._stacked(params)
-    sigma_sq, s0, phi = config.sigma_sq, config.mu0.norm_sq, config.phi
     for kind in KINDS:
-        calls = [(theoretical_risk, (sigma_sq, phi)), (rmt_risk, (sigma_sq, s0, phi))]
+        formulas = [theoretical_risk, rmt_risk]
         if kind in riskengine.TUNABLE_KINDS:
-            calls.append((risk_derivative, (sigma_sq, s0)))
-        for formula, args in calls:
-            stacked = formula(kind, grid, *args)
-            one = np.array([formula(kind, p, *args) for p in params])
+            formulas.append(risk_derivative)
+        for formula in formulas:
+            stacked = formula(kind, grid)
+            one = np.array([formula(kind, p) for p in params])
             assert np.array_equal(stacked, one), (kind, formula.__name__)
+    for name in ("m_val", "m_prime", "m_second", "gamma_tilde_sq"):
+        one = np.array([getattr(p, name) for p in params])
+        assert np.array_equal(getattr(grid, name), one), name
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_formulas_read_the_problem_from_the_params(seed):
+    # each formula equals the same closed form fed the problem's scalars
+    # beside the params: bit for bit, but for the PRED derivative, whose phi
+    # was recovered as m' tau^2 / tau' and is now the problem's own
+    config = random_problem(np.random.default_rng(seed), n=30)
+    for eta in (0.05, 0.7, 3.0):
+        params = solve_effective(config.with_eta(eta))
+        for kind in KINDS:
+            theo, rmt, deriv = risks_from_scalars(
+                kind, params, config.sigma_sq, config.mu0.norm_sq, config.phi
+            )
+            assert theoretical_risk(kind, params) == theo, kind
+            assert rmt_risk(kind, params) == rmt, kind
+            if kind == RiskKind.PRED:
+                assert risk_derivative(kind, params) == pytest.approx(deriv, rel=1e-15, abs=0)
+            elif kind != RiskKind.RES:
+                assert risk_derivative(kind, params) == deriv, kind
+
+
+def test_lq_gamma_diag_reads_the_norm_from_the_params():
+    config = iso_problem(eta=0.5, radius=0.6)
+    params = solve_effective(config)
+    tau, s0 = params.tau_star, config.mu0.norm_sq
+    # isotropic at scale 1: (gamma~^2 + tau^2 ||mu0||^2) / (1 + tau)^2 on each coordinate
+    want = (params.gamma_tilde_sq + tau * tau * s0) / (1.0 + tau) ** 2
+    np.testing.assert_allclose(lq_gamma_diag(None, config.model, params), want, rtol=1e-15)
+
+
+def test_no_formula_takes_the_problem_beside_its_params():
+    # phi, sigma_sq and ||mu0|| are read off EffectiveParams, so no exported
+    # callable that takes one can be handed a second, mismatched copy
+    readers = set()
+    for name in ridgelab.__all__:
+        obj = getattr(ridgelab, name)
+        if not callable(obj) or isinstance(obj, type):
+            continue
+        parameters = inspect.signature(obj).parameters
+        if any("EffectiveParams" in str(par.annotation) for par in parameters.values()):
+            readers.add(name)
+            copies = {"phi", "sigma_sq", "mu_norm_sq", "mu_norm"} & set(parameters)
+            assert not copies, (name, copies)
+    assert {"theoretical_risk", "rmt_risk", "risk_derivative", "derivative_factor",
+            "lq_gamma_diag"} <= readers
 
 
 def test_risk_curves_call_each_formula_once_per_kind(monkeypatch):

@@ -8,10 +8,11 @@ import pytest
 import scipy.stats
 from scipy import special
 
+from oracles import normal_cdf
 from ridgelab.errors import InputError
 from ridgelab.simlab import sample_design, sample_noise
 from ridgelab.spectrum import SpikedUniform
-from ridgelab.stats import normal_cdf, normal_quantile, scaled_t10, z_two_sided
+from ridgelab.stats import normal_quantile, scaled_t10, z_two_sided
 
 _TOP = 1.0 - 2.0**-53  # the largest output of Generator.random
 
