@@ -284,13 +284,13 @@ def _cmd_lq(args):
     config, _ = _problem_from_json(cfg_obj, flags)
     config = config.with_eta(args.eta)
     params = solve_effective(config)
-    diag = lq_gamma_diag(None, config.model, params)
+    diag = lq_gamma_diag(None, params)
     rows = []
     header = ["q", "risk"]
     if args.mc_reps:
         header += ["mc_mean", "mc_stderr"]
     for q in args.q:
-        row = [q, lq_risk(q, diag, config.model.n)]
+        row = [q, lq_risk(q, diag)]
         if args.mc_reps:
             mean, se = seq_model_lq_mc(
                 q,

@@ -47,6 +47,8 @@ from .spectrum import (
     CovarianceModel,
     FixedPointSums,
     SignalVector,
+    as_signal,
+    check_model,
     fixed_point_sums,
     quad_form,
     resolvent_sums,
@@ -76,6 +78,8 @@ class ProblemConfig:
     mu0: SignalVector
 
     def __post_init__(self):
+        check_model(self.model, "'model'")
+        object.__setattr__(self, "mu0", as_signal(self.mu0))
         check_scale(self.mu0.norm_sq, "squared norm of 'mu0'")
         check_phi(self.phi, "'phi'")
         check_eta(self.eta, "'eta'")
@@ -93,7 +97,7 @@ class ProblemConfig:
 class EffectiveParams:
     """Solved effective quantities at one regularization level.
 
-    phi, sigma_sq and mu_norm_sq = ||mu0||^2 are those of the problem solved,
+    phi, sigma_sq, mu_norm_sq = ||mu0||^2 and model are the solved problem's,
     so every risk formula reads the problem from here. sums holds the
     spectral sums at tau_star the solve gathered, from which every risk
     formula is read without another pass over the spectrum. The properties
@@ -109,6 +113,7 @@ class EffectiveParams:
     phi: float
     sigma_sq: float
     mu_norm_sq: float
+    model: CovarianceModel
     sums: FixedPointSums
 
     @property
@@ -337,5 +342,6 @@ def solve_effective(
         phi=config.phi,
         sigma_sq=config.sigma_sq,
         mu_norm_sq=config.mu0.norm_sq,
+        model=config.model,
         sums=sums,
     )

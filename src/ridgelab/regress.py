@@ -24,7 +24,7 @@ import scipy  # ridge_fit, the one user of scipy.linalg, loads it on first call
 from .errors import IllConditioned, InputError, WrongRegime, check_alpha, check_eta
 from .errors import check_eta_grid, check_positive, check_scale, check_size
 from .rng import as_rng
-from .spectrum import CovarianceModel, SignalVector
+from .spectrum import CovarianceModel, SignalVector, as_signal, check_model
 from .stats import z_two_sided
 
 _GRAM_COND_LIMIT = 1e12
@@ -56,7 +56,7 @@ class Dataset:
             raise InputError(f"design must be a nonempty matrix, got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise InputError(f"response shape {y.shape} != ({x.shape[0]},)")
-        if x.shape[1] != self.model.n:
+        if x.shape[1] != check_model(self.model, "'model'").n:
             raise InputError(
                 f"design has {x.shape[1]} columns, model dimension is {self.model.n}"
             )
@@ -65,6 +65,7 @@ class Dataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if self.mu0 is not None:
+            object.__setattr__(self, "mu0", as_signal(self.mu0))
             if self.mu0.n != x.shape[1]:
                 raise InputError("ground-truth signal has wrong dimension")
             check_scale(self.mu0.norm_sq, "squared norm of 'mu0'")
@@ -405,8 +406,8 @@ def confidence_intervals(
     check_alpha(alpha)
     check_positive(gamma_val, "gamma", zero=True)
     n = model.n
-    if mu_debiased.shape != (n,):
-        raise InputError("debiased estimate has wrong dimension")
+    if not isinstance(mu_debiased, np.ndarray) or mu_debiased.shape != (n,):
+        raise InputError(f"debiased estimate must be an array of shape ({n},)")
     half = (
         gamma_val
         * np.sqrt(model.diag_fn(lambda lam: 1.0 / lam))
@@ -426,7 +427,7 @@ def confidence_intervals(
 
 def coverage(report: CIReport, mu0: SignalVector) -> float:
     """Fraction of coordinates whose truth lands inside its interval."""
-    v = mu0.coords
+    v = as_signal(mu0).coords
     if v.shape != report.lower.shape:
         raise InputError("signal dimension does not match the intervals")
     inside = (report.lower <= v) & (v <= report.upper)

@@ -9,7 +9,7 @@ coincide exactly for isotropic covariances and agree to o(1) generally.
 Conventions used throughout:
   * signal strength is carried as the pair (sigma_sq, mu_norm_sq), never
     as their ratio, so the noiseless case is exact;
-  * eta, phi, sigma_sq and mu_norm_sq are read from the solved
+  * eta, phi, sigma_sq, mu_norm_sq and the model are read from the solved
     EffectiveParams rather than passed twice, and so are the spectral sums
     at tau_star (params.sums): evaluating a risk after the solve makes no
     new pass over the spectrum;
@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import SCALE_RANGE, BothZero, InputError, NumericalError, check_all, check_positive
-from .errors import _grid_array, check_eta_grid, check_phi, check_size, coerce
+from .errors import _grid_array, check_eta_grid, check_phi, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, FixedPointSums, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -66,8 +66,6 @@ class RiskCurve:
         if self.derivative is not None:
             cols.append(self.derivative)
         for name, col in zip(("theoretical", "rmt", "derivative"), cols):
-            if col.shape != self.etas.shape:
-                raise InputError("risk curve columns must share the grid length")
             bad = np.flatnonzero(~np.isfinite(col))
             if bad.size:
                 raise NumericalError(
@@ -248,14 +246,15 @@ def check_lq_weight(a, model: CovarianceModel) -> np.ndarray | None:
     return a
 
 
-def lq_gamma_diag(a, model: CovarianceModel, params: EffectiveParams) -> np.ndarray:
+def lq_gamma_diag(a, params: EffectiveParams) -> np.ndarray:
     """Diagonal, in ambient coordinates, of the l_q second-moment matrix
 
         Gamma = A (Sigma+tau I)^{-1} (gamma~^2 Sigma + tau^2 ||mu0||^2 I)
                   (Sigma+tau I)^{-1} A,
 
-    for a weight A that check_lq_weight accepts, at the params solved on model.
+    for a weight A that check_lq_weight accepts on params.model.
     """
+    model = params.model
     a = check_lq_weight(a, model)
     s0 = params.mu_norm_sq
     tau = params.tau_star
@@ -272,8 +271,8 @@ def lq_gamma_diag(a, model: CovarianceModel, params: EffectiveParams) -> np.ndar
     return np.einsum("kj,kj->j", a, ma)
 
 
-def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
-    """n^{-1/2} (sum_j Gamma_jj^{q/2})^{1/q} M_q.
+def lq_risk(q: float, diag_gamma: np.ndarray) -> float:
+    """n^{-1/2} (sum_j Gamma_jj^{q/2})^{1/q} M_q, n the diagonal's length.
 
     This is (E ||d||_q^q)^{1/q} with each coordinate d_j ~ N(0, Gamma_jj / n),
     the law of the error as n grows at fixed q. It matches the mean norm
@@ -286,8 +285,9 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
     the sum while the risk itself is finite.
     """
     check_positive(q, "q")
-    check_size(n, "n")
-    diag_gamma = np.asarray(diag_gamma, dtype=float)
+    diag_gamma = coerce(lambda v: np.asarray(v, dtype=float), diag_gamma, "diag(Gamma)")
+    if diag_gamma.ndim != 1 or diag_gamma.size == 0:
+        raise InputError(f"diag(Gamma) must be nonempty and 1-D, got shape {diag_gamma.shape}")
     if not np.all(diag_gamma >= 0):
         raise InputError("diag(Gamma) entries must be nonnegative")
     g = float(diag_gamma.max(initial=0.0))
@@ -295,7 +295,8 @@ def lq_risk(q: float, diag_gamma: np.ndarray, n: int) -> float:
         return 0.0
     total = float(np.sum((diag_gamma / g) ** (q / 2.0)))
     try:
-        return math.sqrt(g) * total ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
+        return (math.sqrt(g) * total ** (1.0 / q) * gaussian_abs_moment(q)
+                / math.sqrt(diag_gamma.size))
     except OverflowError:  # a tiny q takes the risk past the float range
         return math.inf
 
@@ -311,10 +312,11 @@ def solve_grid(config: ProblemConfig, etas) -> list[EffectiveParams]:
 
 def _stacked(params: list[EffectiveParams]) -> EffectiveParams:
     """The params of a grid as one EffectiveParams whose fields, and whose
-    sums' fields, are arrays over the grid."""
-    names = [field.name for field in fields(EffectiveParams) if field.name != "sums"]
+    sums' fields, are arrays over the grid; the grid's one model is passed through."""
+    names = [f.name for f in fields(EffectiveParams) if f.name not in ("model", "sums")]
     return EffectiveParams(
         **{name: np.array([getattr(p, name) for p in params]) for name in names},
+        model=params[0].model,
         sums=FixedPointSums(*map(np.array, zip(*(p.sums for p in params)))),
     )
 

@@ -43,7 +43,8 @@ from .riskengine import (
 # unused here; ridgebench/tracer.py wraps this name at this module
 from .riskengine import theoretical_risk  # noqa: F401
 from .rng import as_rng, stream
-from .spectrum import CovarianceModel, SignalVector, _dot, model_from_json, sigma_quad
+from .spectrum import CovarianceModel, SignalVector, _dot, as_signal, check_model
+from .spectrum import model_from_json, sigma_quad
 from .stats import scaled_t10
 
 _DISTS = ("gaussian", "scaled_t10")
@@ -311,7 +312,7 @@ def sample_design(dist: str, m: int, n: int, model: CovarianceModel, seed) -> np
     """
     draw = _unit_sampler(dist, "design")
     check_size(m, "m")
-    if check_size(n, "n") != model.n:
+    if check_size(n, "n") != check_model(model, "model").n:
         raise InputError(f"model dimension {model.n} != n = {n}")
     z = draw(as_rng(seed, "design"), (m, n))
     return np.ascontiguousarray(model.apply(np.sqrt, z.T).T)
@@ -345,7 +346,7 @@ def seq_model_sample(
     drawn from seed's "seq" stream. No draw happens at gamma = 0."""
     check_positive(gamma, "gamma", zero=True)
     check_positive(tau, "tau")
-    root_mu0 = model.apply(np.sqrt, mu0.coords)
+    root_mu0 = model.apply(np.sqrt, as_signal(mu0).coords)
     g = as_rng(seed, "seq").standard_normal(model.n) if gamma != 0 else None
     return _seq_step(model, root_mu0, gamma, tau, g)
 
@@ -384,6 +385,7 @@ def seq_model_lq_mc(
     a = check_lq_weight(a, model)
     check_positive(gamma, "gamma", zero=True)
     check_positive(tau, "tau")
+    mu0 = as_signal(mu0)
     root_mu0 = model.apply(np.sqrt, mu0.coords)
     vals = np.empty(reps)
     for rep in range(reps):

@@ -15,7 +15,7 @@ model has one operator pair for it: apply(fn, b) = fn(Sigma) @ b and
 diag_fn(fn) = diag(fn(Sigma)). Each calls fn once, on the model's distinct
 eigenvalues as an array ([scale] isotropic, [a + b n, a] spiked_uniform,
 the eigenvalues explicit), and fn returns one value per entry; apply
-refuses a b whose first dimension is not the model's n. Isotropic and
+refuses a b that is not an ndarray with the model's n rows. Isotropic and
 explicit models fix their eigenbasis, so fn may instead return one value
 per eigen-position in descending eigenvalue order: fn = lambda _: w
 applies the eigenbasis weight diag(w).
@@ -54,7 +54,9 @@ def _dot(w: np.ndarray, v: np.ndarray) -> float:
 
 
 def _check_rows(b: np.ndarray, n: int) -> None:
-    """Refuse an apply operand whose first dimension is not the model's n."""
+    """Refuse an apply operand that is not an ndarray with the model's n rows."""
+    if not isinstance(b, np.ndarray):
+        raise InputError(f"apply needs an ndarray operand, got {type(b).__name__}")
     if b.shape[:1] != (n,):
         raise InputError(f"apply needs an operand with {n} rows, got shape {b.shape}")
 
@@ -275,6 +277,13 @@ class Explicit(_SpectralSums):
 CovarianceModel = Union[Isotropic, SpikedUniform, Explicit]
 
 
+def check_model(model, name: str) -> CovarianceModel:
+    """Refuse a model that is not one of CovarianceModel's types (or a subclass)."""
+    if not isinstance(model, (Isotropic, SpikedUniform, Explicit)):
+        raise InputError(f"{name} must be a covariance model, got {type(model).__name__}")
+    return model
+
+
 def spiked_uniform(a: float, b: float, n: int) -> CovarianceModel:
     """Sigma = a I_n + b ones ones^T as SpikedUniform, or as Isotropic where
     it is a multiple of I_n: at b == 0 (scale a) and at n == 1 (scale a + b)."""
@@ -374,6 +383,11 @@ class SignalVector:
         self.masses(model)
 
 
+def as_signal(mu0) -> SignalVector:
+    """mu0 as is if it is a SignalVector, else SignalVector(mu0), which refuses a bad one."""
+    return mu0 if isinstance(mu0, SignalVector) else SignalVector(mu0)
+
+
 def _validate_pq(p: int, q: int) -> None:
     check_size(p, "p", least=0)
     check_size(q, "q", least=0)
@@ -411,10 +425,8 @@ def quad_form(model: CovarianceModel, mu0, tau: float, p: int, q: int) -> float:
     """||(Sigma + tau I)^{-p} Sigma^{q/2} mu0||^2 via eigen-coordinates."""
     _validate_pq(p, q)
     check_positive(tau, "tau", zero=True)
-    if not isinstance(mu0, SignalVector):
-        mu0 = SignalVector(mu0)
     lam, _ = model.pairs()
-    return _power_sum(mu0.masses(model), lam, tau, 2 * p, q)
+    return _power_sum(as_signal(mu0).masses(model), lam, tau, 2 * p, q)
 
 
 def resolvent_sums(model: CovarianceModel, tau: float, phi: float) -> tuple[float, float]:

@@ -210,15 +210,15 @@ def test_criterion_06_lq_cross_oracle():
         phi=0.5, eta=0.5, sigma_sq=1.0, model=Isotropic(1.0, n), mu0=mu0
     )
     params = solve_effective(base)
-    diag = lq_gamma_diag(None, base.model, params)
+    diag = lq_gamma_diag(None, params)
     gamma = float(np.sqrt(params.gamma_tilde_sq))
     for q in (1.0, 2.0, 4.0):
-        closed = lq_risk(q, diag, n)
+        closed = lq_risk(q, diag)
         mc_mean, _ = seq_model_lq_mc(
             q, None, base.model, mu0, gamma, params.tau_star, reps=2000, seed=5
         )
         assert mc_mean == pytest.approx(closed, rel=0.05)
-    assert lq_risk(2.0, diag, n) == pytest.approx(
+    assert lq_risk(2.0, diag) == pytest.approx(
         float(np.sqrt(np.mean(diag))), abs=1e-12
     )
     assert time.perf_counter() - t0 <= 30.0

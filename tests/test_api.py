@@ -1,11 +1,14 @@
 """The package exports what the README's API table lists, and nothing else.
 
 The table is the one under "## Package layout" in README.md: one row per
-exported name, its first cell the name in backticks.
+exported name, its first cell the name in backticks. The distribution that
+pyproject.toml builds is named ridgelab and takes its version from the package.
 """
 
 import re
 from pathlib import Path
+
+import pytest
 
 import ridgelab
 
@@ -37,3 +40,13 @@ def test_api_table_reads_rows_of_its_section_only():
         "| `a` | `m` | one |\n| `b_c` | `m` | two |\n\nprose `d`\n\n## Next\n\n| `late` | y |\n"
     )
     assert api_table(text) == ["a", "b_c"]
+
+
+def test_pyproject_names_the_package_and_reads_its_version():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    project = meta["project"]
+    assert project["name"] == "ridgelab"
+    assert "version" not in project and project["dynamic"] == ["version"]
+    version = meta["tool"]["setuptools"]["dynamic"]["version"]
+    assert version == {"attr": "ridgelab._version.__version__"}

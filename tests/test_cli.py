@@ -360,8 +360,8 @@ def test_lq_closed_form_and_mc_columns(tmp_path):
     assert header == ["q", "risk"]
     base = reference_problem(eta=0.5)
     params = solve_effective(base)
-    diag = lq_gamma_diag(None, base.model, params)
-    assert rows[0] == [2.0, lq_risk(2.0, diag, 16)]
+    diag = lq_gamma_diag(None, params)
+    assert rows[0] == [2.0, lq_risk(2.0, diag)]
 
     out2 = tmp_path / "lq_mc.csv"
     assert run(
@@ -1091,7 +1091,7 @@ def test_lq_at_large_noise_writes_finite_cells(tmp_path):
 def test_non_finite_lq_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatch):
     config = write_problem(tmp_path)
     out = tmp_path / "lq.csv"
-    monkeypatch.setattr(cli, "lq_risk", lambda q, diag, n: math.inf if q > 2 else 1.0)
+    monkeypatch.setattr(cli, "lq_risk", lambda q, diag: math.inf if q > 2 else 1.0)
     code = run(["lq", "--config", str(config), "--eta", "0.5", "--q", "1,4",
                 "--out", str(out)])
     assert code == 2
@@ -1125,11 +1125,11 @@ def test_lq_at_a_tiny_q_exits_2_with_no_output(tmp_path, capsys, mc_reps):
         "numerical error: lq.csv column 'risk' is not finite at q = 1e-300\n"
     )
     assert not out.exists()
-    assert lq_risk(1e-300, np.array([1.0, 0.5]), 2) == math.inf
+    assert lq_risk(1e-300, np.array([1.0, 0.5])) == math.inf
     # one coordinate has no sum to blow up: the risk is sqrt(0.5) M_q, and
     # M_q tends to sqrt(2) exp(psi(1/2) / 2) as q -> 0
     limit = math.sqrt(0.5) * math.sqrt(2.0) * math.exp(float(mpmath.digamma(0.5)) / 2.0)
-    assert lq_risk(1e-300, np.array([0.5]), 1) == pytest.approx(limit, rel=1e-14)
+    assert lq_risk(1e-300, np.array([0.5])) == pytest.approx(limit, rel=1e-14)
 
 
 def write_fig1_config(tmp_path, **overrides):

@@ -211,16 +211,16 @@ def test_gaussian_abs_moment_matches_mpmath_from_tiny_to_large_q():
 
 def test_lq_risk_values():
     diag = np.array([1.0, 1.0])
-    assert lq_risk(4.0, diag, 2) == pytest.approx(1.1066819197003216, abs=1e-13)
-    assert lq_risk(4.0, diag, 2) == pytest.approx(1.5**0.25, rel=1e-14)
+    assert lq_risk(4.0, diag) == pytest.approx(1.1066819197003216, abs=1e-13)
+    assert lq_risk(4.0, diag) == pytest.approx(1.5**0.25, rel=1e-14)
     # q = 2 collapses to the root-mean diagonal
     rng = np.random.default_rng(3)
     d = rng.uniform(0.1, 2.0, 9)
-    assert lq_risk(2.0, d, 9) == pytest.approx(math.sqrt(d.mean()), rel=1e-12)
+    assert lq_risk(2.0, d) == pytest.approx(math.sqrt(d.mean()), rel=1e-12)
     with pytest.raises(InputError):
-        lq_risk(0.0, diag, 2)
+        lq_risk(0.0, diag)
     with pytest.raises(InputError):
-        lq_risk(2.0, np.array([1.0, -0.1]), 2)
+        lq_risk(2.0, np.array([1.0, -0.1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,24 +235,24 @@ def test_lq_risk_scaled_sum_matches_the_plain_sum(q, n, scale, seed):
     # cannot overflow and the two forms agree to rounding
     d = scale * np.random.default_rng(seed).uniform(0.05, 2.0, n)
     plain = float(np.sum(d ** (q / 2.0))) ** (1.0 / q) * gaussian_abs_moment(q) / math.sqrt(n)
-    assert lq_risk(q, d, n) == pytest.approx(plain, rel=1e-14)
+    assert lq_risk(q, d) == pytest.approx(plain, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("error")
 def test_lq_risk_stays_finite_where_the_plain_sum_overflows():
     d = np.array([1e60, 0.5e60, 0.0])
-    value = lq_risk(40.0, d, 3)
+    value = lq_risk(40.0, d)
     assert math.isfinite(value)
     # the largest entry dominates: sqrt(1e60) (1 + 0.5^20)^{1/40} M_40 / sqrt(3)
     expected = 1e30 * (1.0 + 0.5**20) ** (1.0 / 40.0) * gaussian_abs_moment(40.0) / math.sqrt(3)
     assert value == pytest.approx(expected, rel=1e-14)
-    assert lq_risk(3.0, np.zeros(4), 4) == 0.0
+    assert lq_risk(3.0, np.zeros(4)) == 0.0
 
 
 def test_lq_gamma_diag_isotropic_baseline():
     config = iso_problem(eta=0.0)
     params = solve_effective(config)
-    diag = lq_gamma_diag(None, config.model, params)
+    diag = lq_gamma_diag(None, params)
     np.testing.assert_allclose(diag, 1.5, rtol=1e-11)
 
 
@@ -277,11 +277,11 @@ def test_lq_gamma_diag_weight_paths_agree(rng):
             phi=base.phi, eta=0.5, sigma_sq=1.0, model=model, mu0=base.mu0
         )
         params = solve_effective(config)
-        eigen_path = lq_gamma_diag(weight, model, params)
-        dense_path = lq_gamma_diag(dense, model, params)
+        eigen_path = lq_gamma_diag(weight, params)
+        dense_path = lq_gamma_diag(dense, params)
         np.testing.assert_allclose(dense_path, eigen_path, rtol=1e-10, atol=1e-13)
-        identity_path = lq_gamma_diag(None, model, params)
-        via_ones = lq_gamma_diag(np.ones(n), model, params)
+        identity_path = lq_gamma_diag(None, params)
+        via_ones = lq_gamma_diag(np.ones(n), params)
         np.testing.assert_allclose(via_ones, identity_path, rtol=1e-12)
 
 
@@ -293,7 +293,7 @@ def test_dense_weight_symmetry_tolerance_is_absolute():
     a = 2.0 * np.eye(3)
     a[0, 1], a[1, 0] = 1.0, 1.000005
     with pytest.raises(InputError) as exc:
-        lq_gamma_diag(a, config.model, params)
+        lq_gamma_diag(a, params)
     assert str(exc.value) == "dense weight matrix must be symmetric"
 
 
@@ -301,23 +301,23 @@ def test_lq_gamma_diag_rejects_bad_weights():
     config = iso_problem(n=4)
     params = solve_effective(config)
     with pytest.raises(InputError):
-        lq_gamma_diag(np.array([1.0, -1.0, 0.0, 0.0]), config.model, params)
+        lq_gamma_diag(np.array([1.0, -1.0, 0.0, 0.0]), params)
     with pytest.raises(InputError):
-        lq_gamma_diag(np.ones(3), config.model, params)
+        lq_gamma_diag(np.ones(3), params)
     skew = np.eye(4)
     skew[0, 1] = 0.5
     with pytest.raises(InputError):
-        lq_gamma_diag(skew, config.model, params)
+        lq_gamma_diag(skew, params)
     neg = -np.eye(4)
     with pytest.raises(InputError):
-        lq_gamma_diag(neg, config.model, params)
+        lq_gamma_diag(neg, params)
 
 
 def test_lq_dense_guard():
     config = iso_problem(n=5001)
     params = solve_effective(config)
     with pytest.raises(InputError):
-        lq_gamma_diag(np.eye(2), config.model, params)
+        lq_gamma_diag(np.eye(2), params)
 
 
 def test_risk_curve_structure():
@@ -470,6 +470,9 @@ def test_stacked_risk_formulas_are_the_per_params_calls(seed):
     for name in ("m_val", "m_prime", "m_second", "gamma_tilde_sq"):
         one = np.array([getattr(p, name) for p in params])
         assert np.array_equal(getattr(grid, name), one), name
+    # the model is the problem's own object, on each solve and on the stack
+    assert solve_effective(config).model is config.model
+    assert grid.model is config.model and all(p.model is config.model for p in params)
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -498,12 +501,12 @@ def test_lq_gamma_diag_reads_the_norm_from_the_params():
     tau, s0 = params.tau_star, config.mu0.norm_sq
     # isotropic at scale 1: (gamma~^2 + tau^2 ||mu0||^2) / (1 + tau)^2 on each coordinate
     want = (params.gamma_tilde_sq + tau * tau * s0) / (1.0 + tau) ** 2
-    np.testing.assert_allclose(lq_gamma_diag(None, config.model, params), want, rtol=1e-15)
+    np.testing.assert_allclose(lq_gamma_diag(None, params), want, rtol=1e-15)
 
 
 def test_no_formula_takes_the_problem_beside_its_params():
-    # phi, sigma_sq and ||mu0|| are read off EffectiveParams, so no exported
-    # callable that takes one can be handed a second, mismatched copy
+    # phi, sigma_sq, ||mu0|| and the model are read off EffectiveParams, so no
+    # exported callable that takes one can be handed a second, mismatched copy
     readers = set()
     for name in ridgelab.__all__:
         obj = getattr(ridgelab, name)
@@ -512,10 +515,22 @@ def test_no_formula_takes_the_problem_beside_its_params():
         parameters = inspect.signature(obj).parameters
         if any("EffectiveParams" in str(par.annotation) for par in parameters.values()):
             readers.add(name)
-            copies = {"phi", "sigma_sq", "mu_norm_sq", "mu_norm"} & set(parameters)
+            copies = {"phi", "sigma_sq", "mu_norm_sq", "mu_norm", "model"} & set(parameters)
             assert not copies, (name, copies)
     assert {"theoretical_risk", "rmt_risk", "risk_derivative", "derivative_factor",
             "lq_gamma_diag"} <= readers
+    # lq_risk reads n as the length of its diagonal
+    assert list(inspect.signature(lq_risk).parameters) == ["q", "diag_gamma"]
+
+
+def test_lq_risk_refuses_a_diagonal_that_is_not_a_nonempty_vector():
+    # a 2-D diagonal read 1.0 and an empty one 0.0, with no error
+    for diag in (np.ones((2, 2)), np.ones((1, 4)), np.array([]), 1.0):
+        with pytest.raises(InputError, match=r"diag\(Gamma\) must be nonempty and 1-D"):
+            lq_risk(2.0, diag)
+    # a non-number raised numpy's raw ValueError
+    with pytest.raises(InputError, match=r"malformed diag\(Gamma\)"):
+        lq_risk(2.0, ["a", "b"])
 
 
 def test_risk_curves_call_each_formula_once_per_kind(monkeypatch):

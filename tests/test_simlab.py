@@ -189,8 +189,8 @@ def test_spiked_weight_paths_at_n_1():
         ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
     )
     weight = np.array([2.0])
-    plain = lq_gamma_diag(None, model, params)
-    assert lq_gamma_diag(weight, model, params)[0] == 4.0 * plain[0]
+    plain = lq_gamma_diag(None, params)
+    assert lq_gamma_diag(weight, params)[0] == 4.0 * plain[0]
     gamma, tau = float(np.sqrt(params.gamma_tilde_sq)), params.tau_star
     unweighted = seq_model_lq_mc(2.0, None, model, mu0, gamma, tau, reps=100, seed=3)
     weighted = seq_model_lq_mc(2.0, weight, model, mu0, gamma, tau, reps=100, seed=3)
@@ -298,7 +298,7 @@ def test_lq_weights_have_one_check(model, case, monkeypatch):
     )
     a = _bad_weight(case, model.n)
     with pytest.raises(InputError) as closed_form:
-        lq_gamma_diag(a, model, params)
+        lq_gamma_diag(a, params)
 
     def no_draw(*args):
         raise AssertionError("a stream was drawn before the weight was checked")
@@ -353,12 +353,12 @@ def test_lq_weight_band_edge_is_finite(model):
         ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
     )
     for a in (np.full(model.n, edge), np.eye(model.n) * edge):
-        diag = lq_gamma_diag(a, model, params)
-        assert np.isfinite(diag).all() and math.isfinite(lq_risk(2.0, diag, model.n))
+        diag = lq_gamma_diag(a, params)
+        assert np.isfinite(diag).all() and math.isfinite(lq_risk(2.0, diag))
         mean, se = seq_model_lq_mc(2.0, a, model, mu0, 1.0, params.tau_star, reps=100, seed=0)
         assert math.isfinite(mean) and math.isfinite(se)
         with pytest.raises(InputError, match="squared weight entries"):
-            lq_gamma_diag(a * (1.0 + 2.0**-52), model, params)
+            lq_gamma_diag(a * (1.0 + 2.0**-52), params)
 
 
 def test_map_reps_runs_at_most_one_worker_per_rep(monkeypatch):

@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 
 from ridgelab import (
+    Dataset,
     Explicit,
     InputError,
     Isotropic,
     ProblemConfig,
     SignalVector,
     SpikedUniform,
+    confidence_intervals,
+    coverage,
     debias,
     model_from_json,
     quad_form,
+    sample_design,
     seq_model_lq_mc,
     seq_model_sample,
     solve_effective,
@@ -312,6 +316,42 @@ def test_spiked_operators_at_n_1_read_fn_at_the_one_eigenvalue(rng):
     assert spiked_uniform(2.0, 0.5, 1).diag_fn(lambda lam: 1.0 / (lam - 2.0))[0] == 2.0
     with pytest.raises(InputError, match=r"use spiked_uniform\(\) for n == 1"):
         SpikedUniform(2.0, 0.5, 1)
+
+
+MODEL4 = Isotropic(1.0, 4)
+E1 = [1.0, 0.0, 0.0, 0.0]
+X4 = np.random.default_rng(0).standard_normal((3, 4))
+# each call raised a raw AttributeError on an argument of the wrong type; the
+# ones whose name ends in mu0 take the signal as their argument
+WRONG_TYPE = {
+    "Isotropic.apply operand": lambda _: MODEL4.apply(np.sqrt, E1),
+    "SpikedUniform.apply operand": lambda _: SpikedUniform(1.0, 0.5, 4).apply(np.sqrt, E1),
+    "debias mu_hat": lambda _: debias(E1, 1.0, MODEL4),
+    "confidence_intervals mu_debiased": lambda _: confidence_intervals(E1, 1.0, MODEL4, 0.05),
+    "ProblemConfig model": lambda _: ProblemConfig(0.5, 0.5, 1.0, None, SignalVector(E1)),
+    "Dataset model None": lambda _: Dataset(X4, X4 @ E1, None),
+    "Dataset model dict": lambda _: Dataset(X4, X4 @ E1, {"kind": "isotropic"}),
+    "sample_design model": lambda _: sample_design("gaussian", 2, 4, None, 0),
+    "coverage mu0": lambda mu0: coverage(
+        confidence_intervals(np.zeros(4), 1.0, MODEL4, 0.05), mu0),
+    "seq_model_sample mu0": lambda mu0: seq_model_sample(MODEL4, mu0, 1.0, 1.0, 0),
+    "seq_model_lq_mc mu0": lambda mu0: seq_model_lq_mc(2.0, None, MODEL4, mu0, 1.0, 1.0, 100, 0),
+    "ProblemConfig mu0": lambda mu0: solve_effective(
+        ProblemConfig(0.5, 0.5, 1.0, MODEL4, mu0)).gamma_star_sq,
+    "Dataset mu0": lambda mu0: Dataset(X4, X4 @ E1, MODEL4, mu0).mu0.norm_sq,
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPE)
+def test_an_argument_of_the_wrong_type_is_refused_or_cast(case):
+    # a model or array argument of the wrong type is an InputError; a mu0
+    # given as a list reads as the SignalVector of that list
+    call = WRONG_TYPE[case]
+    if case.endswith("mu0"):
+        np.testing.assert_equal(call(list(E1)), call(SignalVector(E1)))
+    else:
+        with pytest.raises(InputError):
+            call(None)
 
 
 @pytest.mark.parametrize(
