@@ -252,10 +252,8 @@ def _cmd_fpe(args):
     cfg_obj = dataio.load_json(args.config)
     config, cfg_grid = _problem_from_json(cfg_obj)
     etas = _resolve_grid(args.eta_grid, cfg_grid)
-    rows = [
-        [getattr(p, field) for field in _FPE_COLUMNS.values()]
-        for p in solve_grid(config, etas)
-    ]
+    params = solve_grid(config, etas)
+    rows = list(zip(*(getattr(params, field) for field in _FPE_COLUMNS.values())))
     resolved = _resolved_problem(cfg_obj, config)
     resolved["eta_grid"] = [float(e) for e in etas]
     return _out_file(args, list(_FPE_COLUMNS), rows, resolved)
@@ -292,17 +290,7 @@ def _cmd_lq(args):
     for q in args.q:
         row = [q, lq_risk(q, diag)]
         if args.mc_reps:
-            mean, se = seq_model_lq_mc(
-                q,
-                None,
-                config.model,
-                config.mu0,
-                np.sqrt(params.gamma_tilde_sq),
-                params.tau_star,
-                args.mc_reps,
-                args.seed,
-            )
-            row += [mean, se]
+            row += seq_model_lq_mc(q, None, params, args.mc_reps, args.seed)
         rows.append(tuple(row))
     resolved = _resolved_problem(cfg_obj, config)
     resolved.update(flags, eta=args.eta)

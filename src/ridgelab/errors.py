@@ -261,6 +261,20 @@ def check_scale(value: float, name: str) -> float:
     return check_range(value, name, *SCALE_RANGE)
 
 
+def check_radius(radius: float, name: str, zero: bool = False) -> float:
+    """radius when it is positive (or 0, with zero set) and radius * radius,
+    the squared norm of the named signal, lies in SCALE_RANGE."""
+    try:
+        inside = radius > 0 or zero and radius == 0
+    except TypeError:
+        raise InputError(f"{name} radius must be one real number, got {radius!r:.40}") from None
+    if not inside:
+        sign = "nonnegative" if zero else "positive"
+        raise InputError(f"{name} radius must be {sign}, got {radius!r}")
+    check_scale(radius * radius, f"squared norm of {name!r}")
+    return radius
+
+
 def check_phi(value: float, name: str) -> float:
     """value when it lies in PHI_RANGE."""
     return check_range(value, name, *PHI_RANGE)

@@ -97,12 +97,13 @@ class ProblemConfig:
 class EffectiveParams:
     """Solved effective quantities at one regularization level.
 
-    phi, sigma_sq, mu_norm_sq = ||mu0||^2 and model are the solved problem's,
-    so every risk formula reads the problem from here. sums holds the
-    spectral sums at tau_star the solve gathered, from which every risk
-    formula is read without another pass over the spectrum. The properties
-    are closed forms of the fields, so they hold the same on the params of a
-    grid stacked into arrays.
+    phi, sigma_sq, model and mu0 are the solved problem's, so a params holds
+    every ProblemConfig field and every risk formula reads the problem from
+    here. sums holds the spectral sums at tau_star the solve gathered, from
+    which every risk formula is read without another pass over the spectrum.
+    The properties are closed forms of the fields, so they hold the same on
+    the params of a grid, whose fields other than model and mu0 are arrays
+    (riskengine.solve_grid).
     """
 
     eta: float
@@ -112,9 +113,14 @@ class EffectiveParams:
     tau_second: float
     phi: float
     sigma_sq: float
-    mu_norm_sq: float
     model: CovarianceModel
+    mu0: SignalVector
     sums: FixedPointSums
+
+    @property
+    def mu_norm_sq(self) -> float:
+        """||mu0||^2."""
+        return self.mu0.norm_sq
 
     @property
     def m_val(self) -> float:
@@ -149,6 +155,7 @@ def expected_err(model: CovarianceModel, mu0, gamma_sq: float, tau: float) -> fl
 
     tau^2 ||(Sigma+tau I)^{-1} Sigma^{1/2} mu0||^2 + gamma^2 T_{-2,2}(tau).
     """
+    check_model(model, "model")
     check_scale(gamma_sq, "gamma_sq")
     check_positive(tau, "tau")
     signal = quad_form(model, mu0, tau, 1, 1)
@@ -166,6 +173,7 @@ def bias_variance(gamma_sq: float, tau: float, signal: float, trace: float) -> f
 
 def expected_dof(model: CovarianceModel, gamma_sq: float, tau: float) -> float:
     """gamma^2 T_{-1,1}(tau), the effective degrees-of-freedom functional."""
+    check_model(model, "model")
     check_scale(gamma_sq, "gamma_sq")
     check_positive(tau, "tau")
     return gamma_sq * trace_functional(model, tau, 1, 1)
@@ -341,7 +349,7 @@ def solve_effective(
         tau_second=tau_s,
         phi=config.phi,
         sigma_sq=config.sigma_sq,
-        mu_norm_sq=config.mu0.norm_sq,
         model=config.model,
+        mu0=config.mu0,
         sums=sums,
     )

@@ -313,12 +313,15 @@ def gcv_select(data: Dataset, grid) -> TuningResult:
     return TuningResult(etas=etas, objective=data.sweep.gamma_hat(etas), method="gcv")
 
 
-def kfold_folds(m: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Seeded shuffle, then contiguous blocks; remainder goes to the first folds."""
+def kfold_folds(m: int, k: int, rng) -> list[np.ndarray]:
+    """Seeded shuffle, then contiguous blocks; remainder goes to the first folds.
+
+    rng is a Generator or a seed, cast by rng.as_rng to its "fold" stream.
+    """
     check_size(m, "m")
     if not 2 <= check_size(k, "k", least=2) <= m:
         raise InputError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
-    perm = rng.permutation(m)
+    perm = as_rng(rng, "fold").permutation(m)
     base, extra = divmod(m, k)
     folds = []
     start = 0
@@ -384,13 +387,14 @@ def kfold_objective(data: Dataset, grid, folds: list[np.ndarray]) -> np.ndarray:
 
 def kfold_select(data: Dataset, grid, k: int, seed) -> TuningResult:
     """k-fold cross-validation; seed may be an int or a Generator."""
-    folds = kfold_folds(data.m, k, as_rng(seed, "fold"))
+    folds = kfold_folds(data.m, k, seed)
     etas = check_eta_grid(grid)
     return TuningResult(etas=etas, objective=kfold_objective(data, etas, folds), method=f"cv{k}")
 
 
 def debias(mu_hat: np.ndarray, tau: float, model: CovarianceModel) -> np.ndarray:
     """(Sigma + tau I) Sigma^{-1} mu_hat; tau may be tau_star or tau_hat."""
+    check_model(model, "model")
     check_positive(tau, "tau")
     return model.apply(lambda lam: (lam + tau) / lam, mu_hat)
 
@@ -403,6 +407,7 @@ def confidence_intervals(
     mu0: SignalVector | None = None,
 ) -> CIReport:
     """Coordinatewise intervals mu^dR_j +- gamma (Sigma^{-1})_{jj}^{1/2} z_{alpha/2}/sqrt(n)."""
+    check_model(model, "model")
     check_alpha(alpha)
     check_positive(gamma_val, "gamma", zero=True)
     n = model.n
@@ -427,6 +432,8 @@ def confidence_intervals(
 
 def coverage(report: CIReport, mu0: SignalVector) -> float:
     """Fraction of coordinates whose truth lands inside its interval."""
+    if not isinstance(report, CIReport):
+        raise InputError(f"report must be a CIReport, got {type(report).__name__}")
     v = as_signal(mu0).coords
     if v.shape != report.lower.shape:
         raise InputError("signal dimension does not match the intervals")

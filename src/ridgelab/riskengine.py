@@ -13,9 +13,9 @@ Conventions used throughout:
     EffectiveParams rather than passed twice, and so are the spectral sums
     at tau_star (params.sums): evaluating a risk after the solve makes no
     new pass over the spectrum;
-  * solve_grid is the one walk along an eta grid, and risk_curves reads
-    every risk kind off it, each formula called once on the grid's params
-    stacked into one EffectiveParams of arrays.
+  * solve_grid is the one walk along an eta grid and returns one
+    EffectiveParams of arrays over it; risk_curves reads every risk kind off
+    that, each formula called once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import SCALE_RANGE, BothZero, InputError, NumericalError, check_all, check_positive
-from .errors import _grid_array, check_eta_grid, check_phi, coerce
+from .errors import _grid_array, check_eta_grid, coerce
 from .fixedpoint import EffectiveParams, ProblemConfig, bias_variance, solve_effective
 from .spectrum import CovarianceModel, FixedPointSums, SpikedUniform
 # unused here; ridgebench/tracer.py wraps these names at this module
@@ -168,21 +168,20 @@ def optimal_eta(sigma_sq: float, mu_norm_sq: float) -> float:
     return sigma_sq / mu_norm_sq
 
 
-def opt_risks(
-    phi: float, eta_star: float, tau_at_eta_star: float
-) -> tuple[float, float, float]:
-    """Optimally tuned prediction, estimation and in-sample risks.
+def opt_risks(config: ProblemConfig) -> tuple[float, float, float]:
+    """Optimally tuned prediction, estimation and in-sample risks of config's
+    problem, read off one solve at eta = optimal_eta(sigma_sq, ||mu0||^2):
 
     OPT^pred = phi tau/eta - 1, OPT^est = (1-phi)/eta + 1/tau,
-    OPT^ins = phi - eta/tau, all at eta = eta_star.
+    OPT^ins = phi - eta/tau, tau = tau_star at that eta. The forms divide by
+    eta, so sigma_sq = 0 (eta = 0) and mu0 = 0 (eta = inf) are refused.
     """
-    check_phi(phi, "phi")
-    check_positive(eta_star, "eta_star")
-    check_positive(tau_at_eta_star, "tau_at_eta_star")
-    pred = phi * tau_at_eta_star / eta_star - 1.0
-    est = (1.0 - phi) / eta_star + 1.0 / tau_at_eta_star
-    ins = phi - eta_star / tau_at_eta_star
-    return pred, est, ins
+    eta = check_positive(
+        optimal_eta(config.sigma_sq, config.mu0.norm_sq), "eta* = sigma_sq / ||mu0||^2"
+    )
+    params = solve_effective(config.with_eta(eta))
+    phi, tau = params.phi, params.tau_star
+    return phi * tau / eta - 1.0, (1.0 - phi) / eta + 1.0 / tau, phi - eta / tau
 
 
 # Taylor coefficients psi_k / (2^(k+1) (k+1)!) of (lgamma(1/2 + q/2) - lgamma(1/2)) / q,
@@ -301,22 +300,19 @@ def lq_risk(q: float, diag_gamma: np.ndarray) -> float:
         return math.inf
 
 
-def solve_grid(config: ProblemConfig, etas) -> list[EffectiveParams]:
+def solve_grid(config: ProblemConfig, etas) -> EffectiveParams:
     """solve_effective across a 1-D eta grid, in either order, each solve
-    warm-started from the last."""
+    warm-started from the last, as one EffectiveParams whose fields and whose
+    sums' fields are arrays over the grid in walk order; the problem's model
+    and mu0 are passed through."""
     params: list[EffectiveParams] = []
     for eta in _grid_array(etas):
         params.append(solve_effective(config.with_eta(eta), params[-1] if params else None))
-    return params
-
-
-def _stacked(params: list[EffectiveParams]) -> EffectiveParams:
-    """The params of a grid as one EffectiveParams whose fields, and whose
-    sums' fields, are arrays over the grid; the grid's one model is passed through."""
-    names = [f.name for f in fields(EffectiveParams) if f.name not in ("model", "sums")]
+    names = [f.name for f in fields(EffectiveParams) if f.name not in ("model", "mu0", "sums")]
     return EffectiveParams(
         **{name: np.array([getattr(p, name) for p in params]) for name in names},
-        model=params[0].model,
+        model=config.model,
+        mu0=config.mu0,
         sums=FixedPointSums(*map(np.array, zip(*(p.sums for p in params)))),
     )
 
@@ -324,7 +320,7 @@ def _stacked(params: list[EffectiveParams]) -> EffectiveParams:
 def risk_curves(config: ProblemConfig, kinds, etas) -> dict[RiskKind, RiskCurve]:
     """One solve_grid pass along an ascending grid, one RiskCurve per kind."""
     etas = check_eta_grid(etas)
-    grid = _stacked(solve_grid(config, etas))
+    grid = solve_grid(config, etas)
     curves = {}
     for kind in map(RiskKind, kinds):
         theo = theoretical_risk(kind, grid)

@@ -25,9 +25,9 @@ import numpy as np
 from .dataio import eta_grid
 from .errors import PHI_RANGE, IllConditioned, InputError, NonConvergence, WrongRegime
 from .errors import boolean, check_alpha, check_all, check_eta, check_eta_grid, check_mc_reps
-from .errors import check_positive, check_scale, check_size, check_threads, choice, dimension
-from .errors import read_object, real, reals, seed
-from .fixedpoint import ProblemConfig, solve_effective
+from .errors import check_positive, check_radius, check_scale, check_size, check_threads, choice
+from .errors import dimension, read_object, real, reals, seed
+from .fixedpoint import EffectiveParams, ProblemConfig, solve_effective
 from .regress import Dataset, confidence_intervals, debias, gcv_select, kfold_select
 # unused here; ridgebench/tracer.py wraps this name at this module
 from .regress import kfold_objective  # noqa: F401
@@ -136,9 +136,7 @@ class ExperimentConfig:
         check_size(self.m, "'m'")
         if (self.n is None) == (self.phi_grid is None):
             raise InputError("exactly one of n and phi_grid must be given")
-        if not self.signal_radius > 0:
-            raise InputError("signal radius must be positive")
-        check_scale(self.signal_norm_sq, "squared norm of 'signal'")
+        check_radius(self.signal_radius, "signal")
         check_scale(self.sigma_sq, "'sigma_sq'")
         check_eta(self.eta_star, "eta* = sigma_sq / radius^2")
         check_size(self.reps, "'reps'")
@@ -283,8 +281,7 @@ def sample_signal(mode: str, n: int, seed, radius: float = 1.0) -> SignalVector:
     if mode not in SIGNAL_MODES:
         raise InputError(f"signal mode must be one of {SIGNAL_MODES}")
     check_size(n, "dimension")
-    if not radius >= 0:
-        raise InputError(f"signal radius must be nonnegative, got {radius!r}")
+    check_radius(radius, "signal", zero=True)
     rng = as_rng(seed, "signal")
     g = rng.standard_normal(n)
     # _dot, not np.linalg.norm: a BLAS dot's last bit moves with its thread count
@@ -322,9 +319,7 @@ def sample_noise(dist: str, m: int, sigma_sq: float, seed) -> np.ndarray:
     """sigma * xi0 with unit-variance xi0; exactly zero (no draws) at sigma_sq = 0."""
     draw = _unit_sampler(dist, "noise")
     check_size(m, "m")
-    if not sigma_sq >= 0:
-        raise InputError("sigma_sq must be nonnegative")
-    if sigma_sq == 0:
+    if check_scale(sigma_sq, "sigma_sq") == 0:
         return np.zeros(m)
     return np.sqrt(sigma_sq) * draw(as_rng(seed, "noise"), m)
 
@@ -344,6 +339,7 @@ def seq_model_sample(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequence-model observation and its ridge estimate (_seq_step), g
     drawn from seed's "seq" stream. No draw happens at gamma = 0."""
+    check_model(model, "model")
     check_positive(gamma, "gamma", zero=True)
     check_positive(tau, "tau")
     root_mu0 = model.apply(np.sqrt, as_signal(mu0).coords)
@@ -360,32 +356,26 @@ def _apply_weight(a, model: CovarianceModel, v: np.ndarray) -> np.ndarray:
 
 
 def seq_model_lq_mc(
-    q: float,
-    a,
-    model: CovarianceModel,
-    mu0: SignalVector,
-    gamma: float,
-    tau: float,
-    reps: int,
-    seed: int,
+    q: float, a, params: EffectiveParams, reps: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of ||A(mu_hat^seq - mu0)||_q.
+    """Monte Carlo mean and standard error of ||A(mu_hat^seq - mu0)||_q, the
+    twin of lq_risk(q, lq_gamma_diag(a, params)).
 
-    The closed-form counterpart lq_risk averages the bias over signal
-    directions, so mu0 should be a typical sphere draw (or any vector with
-    spread-out eigen-coordinates) for the two to agree beyond q = 2. It is
-    also the n -> infinity limit at fixed q, so the two agree only while q
-    is small against log n (see lq_risk). The weight a is checked by
-    check_lq_weight. Each norm is summed scaled by g = max_j |d_j|, as in
-    lq_risk, so a large q cannot underflow.
+    The sequence model is the solved problem's: its model and mu0, at
+    gamma~ = sqrt(params.gamma_tilde_sq) and params.tau_star. The closed form
+    averages the bias over signal directions, so mu0 should be a typical
+    sphere draw (or any vector with spread-out eigen-coordinates) for the two
+    to agree beyond q = 2. It is also the n -> infinity limit at fixed q, so
+    the two agree only while q is small against log n (see lq_risk). The
+    weight a is checked by check_lq_weight. Each norm is summed scaled by
+    g = max_j |d_j|, as in lq_risk, so a large q cannot underflow.
     """
     check_mc_reps(reps)
     check_size(seed, "seed", least=0)
     check_positive(q, "q")
+    model, mu0, tau = params.model, params.mu0, params.tau_star
     a = check_lq_weight(a, model)
-    check_positive(gamma, "gamma", zero=True)
-    check_positive(tau, "tau")
-    mu0 = as_signal(mu0)
+    gamma = np.sqrt(params.gamma_tilde_sq)
     root_mu0 = model.apply(np.sqrt, mu0.coords)
     vals = np.empty(reps)
     for rep in range(reps):
@@ -480,7 +470,6 @@ def _shared_problem(
 ) -> ProblemConfig:
     """The eta = 0 theory problem at phi = m/n around the shared rep-0 signal."""
     mu0 = _draw_signal(config, model.n, 0, ctx)
-    mu0.precompute(model)
     return ProblemConfig(
         phi=config.m / model.n, eta=0.0, sigma_sq=config.sigma_sq, model=model, mu0=mu0
     )
@@ -716,14 +705,14 @@ def distributional_check(config: ExperimentConfig, seq_reps: int = 400) -> DistC
     """
     model, etas = _fixed_shape(config, "distributional check")
     check_size(seq_reps, "seq_reps", least=2)
-    base = _shared_problem(config, model, 0)
-    mu0, params = base.mu0, solve_grid(base, etas)
+    params = solve_grid(_shared_problem(config, model, 0), etas)
+    mu0, gammas = params.mu0, np.sqrt(params.gamma_star_sq)
     root_mu0 = model.apply(np.sqrt, mu0.coords)
 
     def seq_stats(s: int) -> dict:
         g = stream(config.master_seed, s, "seq").standard_normal(model.n)
-        fits = [_seq_step(model, root_mu0, np.sqrt(p.gamma_star_sq), p.tau_star, g)[1]
-                for p in params]
+        fits = [_seq_step(model, root_mu0, gamma, tau, g)[1]
+                for gamma, tau in zip(gammas, params.tau_star)]
         return _dist_stats(np.array(fits), mu0.coords)
 
     def gap(vals: dict, mean: dict) -> dict:

@@ -21,10 +21,9 @@ per eigen-position in descending eigenvalue order: fn = lambda _: w
 applies the eigenbasis weight diag(w).
 
 All models are immutable after construction and safe to share across
-threads. The only interior mutations are write-once caches: each model's
-eta-independent spectral sums (_SpectralSums), filled on first use, and the
-signal vector's eigen-coordinate cache, which should be warmed with
-precompute() before sharing a SignalVector between workers.
+threads. The only interior mutations are write-once caches, filled on first
+use: each model's eta-independent spectral sums (_SpectralSums), and a
+signal vector's norm and eigen-coordinate masses.
 """
 
 from __future__ import annotations
@@ -334,8 +333,7 @@ def model_from_json(obj: dict) -> CovarianceModel:
 class SignalVector:
     """Signal vector with cached norm and per-model eigen-coordinate masses.
 
-    Instances are immutable; the mass cache is filled on first use and may be
-    warmed with precompute() before sharing across threads.
+    Instances are immutable; the norm and mass caches are filled on first use.
     """
 
     __slots__ = ("coords", "_norm_sq", "_masses")
@@ -379,9 +377,6 @@ class SignalVector:
         self._masses[id(model)] = (model, masses)
         return masses
 
-    def precompute(self, model: CovarianceModel) -> None:
-        self.masses(model)
-
 
 def as_signal(mu0) -> SignalVector:
     """mu0 as is if it is a SignalVector, else SignalVector(mu0), which refuses a bad one."""
@@ -415,6 +410,7 @@ def _power_sum(weights, lam: np.ndarray, tau: float, p: int, q: int) -> float:
 
 def trace_functional(model: CovarianceModel, tau: float, p: int, q: int) -> float:
     """T_{-p,q}(tau) = n^{-1} tr((Sigma + tau I)^{-p} Sigma^q)."""
+    check_model(model, "model")
     _validate_pq(p, q)
     check_positive(tau, "tau", zero=True)
     lam, counts = model.pairs()
@@ -423,6 +419,7 @@ def trace_functional(model: CovarianceModel, tau: float, p: int, q: int) -> floa
 
 def quad_form(model: CovarianceModel, mu0, tau: float, p: int, q: int) -> float:
     """||(Sigma + tau I)^{-p} Sigma^{q/2} mu0||^2 via eigen-coordinates."""
+    check_model(model, "model")
     _validate_pq(p, q)
     check_positive(tau, "tau", zero=True)
     lam, _ = model.pairs()

@@ -35,7 +35,6 @@ from ridgelab import (
     sample_signal,
     seq_model_lq_mc,
     solve_effective,
-    solve_tau,
     stream,
     tau_bounds,
     trace_functional,
@@ -179,7 +178,7 @@ def test_criterion_04_derivative_structure():
 
 def test_criterion_05_optimal_risk_identities():
     cfg = iso_problem(eta=1.0)
-    pred, est, ins = opt_risks(0.5, 1.0, solve_tau(cfg))
+    pred, est, ins = opt_risks(cfg)
     root = math.sqrt(17.0)
     assert pred == pytest.approx((root - 1.0) / 4.0, abs=1e-10)
     assert est == pytest.approx((root - 1.0) / 4.0, abs=1e-10)
@@ -195,7 +194,7 @@ def test_criterion_05_optimal_risk_identities():
             model=Isotropic(1.0, 4),
             mu0=cfg.mu0,
         )
-        values.append(opt_risks(float(phi), 1.0, solve_tau(cfg_phi)))
+        values.append(opt_risks(cfg_phi))
     arr = np.array(values)
     assert np.all(np.diff(arr[:, 0]) < 0)  # pred falls as samples accumulate
     assert np.all(np.diff(arr[:, 1]) < 0)
@@ -211,12 +210,9 @@ def test_criterion_06_lq_cross_oracle():
     )
     params = solve_effective(base)
     diag = lq_gamma_diag(None, params)
-    gamma = float(np.sqrt(params.gamma_tilde_sq))
     for q in (1.0, 2.0, 4.0):
         closed = lq_risk(q, diag)
-        mc_mean, _ = seq_model_lq_mc(
-            q, None, base.model, mu0, gamma, params.tau_star, reps=2000, seed=5
-        )
+        mc_mean, _ = seq_model_lq_mc(q, None, params, reps=2000, seed=5)
         assert mc_mean == pytest.approx(closed, rel=0.05)
     assert lq_risk(2.0, diag) == pytest.approx(
         float(np.sqrt(np.mean(diag))), abs=1e-12

@@ -14,11 +14,11 @@ from ridgelab import Dataset, ExperimentConfig, InputError, Isotropic, ProblemCo
 from ridgelab import SignalVector, SpikedUniform, spiked_uniform
 from ridgelab.dataio import parse_grid
 from ridgelab.errors import UsageError
-from ridgelab.fixedpoint import expected_dof, expected_err
+from ridgelab.fixedpoint import expected_dof, expected_err, solve_effective
 from ridgelab.regress import confidence_intervals, debias, kfold_folds, kfold_select
 from ridgelab.regress import sigma_hat_sq
 from ridgelab.rng import stream
-from ridgelab.riskengine import gaussian_abs_moment, lq_risk, opt_risks, optimal_eta
+from ridgelab.riskengine import gaussian_abs_moment, lq_risk, optimal_eta
 from ridgelab.simlab import distributional_check, sample_design, sample_noise, sample_signal
 from ridgelab.simlab import seq_model_lq_mc, seq_model_sample
 from ridgelab.spectrum import quad_form, trace_functional
@@ -30,6 +30,7 @@ MODEL = Isotropic(1.0, 4)
 MU0 = SignalVector([1.0, 0.0, 0.0, 0.0])
 DATA = Dataset(np.random.default_rng(0).standard_normal((6, 4)), np.ones(6), MODEL)
 PROBLEM = dict(phi=0.5, eta=0.5, sigma_sq=1.0, model=MODEL, mu0=MU0)
+PARAMS = solve_effective(ProblemConfig(**PROBLEM))
 
 
 def experiment(**fields):
@@ -47,10 +48,9 @@ BANDS = {
     "gaussian_abs_moment q": (gaussian_abs_moment, "q", (NAN, INF, -INF)),
     "lq_risk q": (lambda v: lq_risk(v, np.ones(4)), "q", (NAN, INF, -INF)),
     "seq_model_lq_mc q": (
-        lambda v: seq_model_lq_mc(v, None, MODEL, MU0, 1.0, 1.0, 100, 0), "q", (NAN, INF, -INF)),
+        lambda v: seq_model_lq_mc(v, None, PARAMS, 100, 0), "q", (NAN, INF, -INF)),
     "seq_model_lq_mc reps": (
-        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, v, 0), "reps",
-        (NAN, INF, -INF)),
+        lambda v: seq_model_lq_mc(2.0, None, PARAMS, v, 0), "reps", (NAN, INF, -INF)),
     "expected_err tau": (lambda v: expected_err(MODEL, MU0, 1.0, v), "tau", (NAN, INF, -INF)),
     "expected_dof tau": (lambda v: expected_dof(MODEL, 1.0, v), "tau", (NAN, INF, -INF)),
     "expected_err gamma_sq": (lambda v: expected_err(MODEL, MU0, v, 1.0), "gamma_sq",
@@ -75,24 +75,14 @@ BANDS = {
                          (NAN, INF, -INF)),
     "spiked_uniform b": (lambda v: spiked_uniform(1.0, v, 4), "'b' of spiked_uniform model",
                          (NAN, INF, -INF)),
-    "opt_risks phi": (lambda v: opt_risks(v, 1.0, 1.0), "phi", (NAN, INF, -INF)),
-    "opt_risks eta_star": (lambda v: opt_risks(0.5, v, 1.0), "eta_star", (NAN, INF, -INF)),
-    "opt_risks tau_at_eta_star": (lambda v: opt_risks(0.5, 1.0, v), "tau_at_eta_star",
-                                  (NAN, INF, -INF)),
     "sigma_hat_sq eta": (lambda v: sigma_hat_sq(DATA, v), "eta", (NAN, INF, -INF)),
     "confidence_intervals gamma": (
         lambda v: confidence_intervals(np.zeros(4), v, MODEL, 0.05), "gamma", (NAN, INF, -INF)),
     "seq_model_sample gamma": (lambda v: seq_model_sample(MODEL, MU0, v, 1.0, 0), "gamma",
                                (NAN, INF, -INF)),
-    "seq_model_lq_mc gamma": (
-        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, v, 1.0, 100, 0), "gamma",
-        (NAN, INF, -INF)),
     "debias tau": (lambda v: debias(np.ones(4), v, MODEL), "tau", (NAN, INF, -INF)),
     "seq_model_sample tau": (lambda v: seq_model_sample(MODEL, MU0, 1.0, v, 0), "tau",
                              (NAN, INF, -INF)),
-    "seq_model_lq_mc tau": (
-        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, v, 100, 0), "tau",
-        (NAN, INF, -INF)),
     "trace_functional tau": (lambda v: trace_functional(MODEL, v, 1, 1), "tau", (NAN, INF, -INF)),
     "quad_form tau": (lambda v: quad_form(MODEL, MU0, v, 1, 1), "tau", (NAN, INF, -INF)),
     "ExperimentConfig m": (lambda v: experiment(m=v), "'m'", (NAN, INF, -INF)),
@@ -103,14 +93,16 @@ BANDS = {
     "kfold_select k": (lambda v: kfold_select(DATA, [0.5, 1.0], v, 0), "k",
                        (NAN, INF, -INF, 2.5)),
     "sample_signal n": (lambda v: sample_signal("sphere", v, 0), "dimension", (NAN, INF, -INF)),
+    "sample_signal radius": (lambda v: sample_signal("sphere", 4, 0, v), "signal",
+                             (NAN, INF, -INF)),
+    "sample_noise sigma_sq": (lambda v: sample_noise("gaussian", 4, v, 0), "sigma_sq",
+                              (NAN, INF, -INF)),
     "Isotropic n": (lambda v: Isotropic(1.0, v), "'n' of isotropic model", (NAN, INF, -INF)),
     "SpikedUniform n": (lambda v: SpikedUniform(1.0, 1.0, v), "'n' of spiked_uniform model",
                         (NAN, INF, -INF)),
     # bands with no upper end: +inf stays accepted
     "optimal_eta sigma_sq": (lambda v: optimal_eta(v, 1.0), "sigma_sq", (NAN, -INF)),
     "optimal_eta mu_norm_sq": (lambda v: optimal_eta(1.0, v), "mu_norm_sq", (NAN, -INF)),
-    "sample_noise sigma_sq": (lambda v: sample_noise("gaussian", 4, v, 0), "sigma_sq",
-                              (NAN, -INF)),
     "lq_risk diag_gamma": (lambda v: lq_risk(2.0, np.array([1.0, v])), "diag(Gamma)",
                            (NAN, -INF)),
 }
@@ -131,8 +123,8 @@ def test_band_edges_stay_accepted():
     # the bands moved into errors.py
     assert trace_functional(MODEL, 0.0, 1, 1) == 1.0 and quad_form(MODEL, MU0, 0.0, 1, 1) == 1.0
     assert math.isfinite(z_two_sided(1e-10)) and math.isfinite(gaussian_abs_moment(1e-300))
-    assert optimal_eta(INF, 1.0) == INF and opt_risks(0.5, 1e300, 2e300)[0] == 0.0
-    assert seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, 100, 0)[1] > 0.0
+    assert optimal_eta(INF, 1.0) == INF
+    assert seq_model_lq_mc(2.0, None, PARAMS, 100, 0)[1] > 0.0
     assert experiment(k=2, reps=1, argmin_reps=1, m=1).k == 2
     assert Isotropic(1.0, 10**12).n == 10**12
 
@@ -148,7 +140,6 @@ BANDED_ELSEWHERE = {
     "confidence_intervals gamma_val": "test_bands::test_every_band_refuses_nan_naming_the_argument",
     # +inf is refused through the squared radius, under another name
     "ExperimentConfig signal_radius": "test_simlab::test_experiment_config_validation",
-    "sample_signal radius": "test_simlab::test_sample_signal_radius_is_nonnegative",
 }
 
 
@@ -225,11 +216,9 @@ COUNTS = {
                        (True, 2.5, 3.0, 0, -1)),
     "sample_signal n": (lambda v: sample_signal("sphere", v, 0), "dimension", (True, 2.5, 3.0)),
     "seq_model_lq_mc reps": (
-        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, v, 0), "reps",
-        (True, 150.5, 150.0)),
+        lambda v: seq_model_lq_mc(2.0, None, PARAMS, v, 0), "reps", (True, 150.5, 150.0)),
     "seq_model_lq_mc seed": (
-        lambda v: seq_model_lq_mc(2.0, None, MODEL, MU0, 1.0, 1.0, 100, v), "seed",
-        (True, 2.5, 3.0, -1)),
+        lambda v: seq_model_lq_mc(2.0, None, PARAMS, 100, v), "seed", (True, 2.5, 3.0, -1)),
     "stream master_seed": (lambda v: stream(v, 0, "seq"), "master_seed", (True, 2.5, 3.0, -1)),
     "stream rep": (lambda v: stream(0, v, "seq"), "rep", (True, 1.5, 1.0, -1)),
     "stream ctx": (lambda v: stream(0, 0, "seq", v), "ctx", (True, 1.5, 1.0, -1)),

@@ -1868,8 +1868,9 @@ def test_non_finite_fpe_cell_exits_2_with_no_output(tmp_path, capsys, monkeypatc
 
     def broken(*args, **kwargs):
         params = solve_grid(*args, **kwargs)
-        params[1] = dataclasses.replace(params[1], tau_prime=math.nan)
-        return params
+        tau_prime = params.tau_prime.copy()
+        tau_prime[1] = math.nan
+        return dataclasses.replace(params, tau_prime=tau_prime)
 
     monkeypatch.setattr(cli, "solve_grid", broken)
     out = tmp_path / "new" / "fpe.csv"

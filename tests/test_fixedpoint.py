@@ -150,21 +150,20 @@ def test_derivatives_match_finite_differences(rng):
 
 def test_tau_monotone_concave_in_eta():
     etas = np.linspace(0.0, 2.0, 21)
-    rows = solve_grid(iso_problem(), etas)
-    taus = np.array([p.tau_star for p in rows])
-    assert np.all(np.diff(taus) > 0)
-    assert all(p.tau_prime > 0 for p in rows)
-    assert all(p.tau_second < 0 for p in rows)
+    grid = solve_grid(iso_problem(), etas)
+    assert np.all(np.diff(grid.tau_star) > 0)
+    assert np.all(grid.tau_prime > 0)
+    assert np.all(grid.tau_second < 0)
 
 
 def test_grid_matches_pointwise_solves():
     config = iso_problem(sigma_sq=0.5)
     etas = [0.0, 0.25, 1.0]
     grid = solve_grid(config, etas)
-    for eta, row in zip(etas, grid):
+    for i, eta in enumerate(etas):
         single = solve_effective(config.with_eta(eta))
-        assert row.tau_star == pytest.approx(single.tau_star, rel=1e-14)
-        assert row.gamma_star_sq == pytest.approx(single.gamma_star_sq, rel=1e-14)
+        assert grid.tau_star[i] == pytest.approx(single.tau_star, rel=1e-14)
+        assert grid.gamma_star_sq[i] == pytest.approx(single.gamma_star_sq, rel=1e-14)
 
 
 def test_warm_started_grid_takes_fewer_passes():
@@ -182,21 +181,23 @@ def test_warm_started_grid_takes_fewer_passes():
     with mock.patch.object(fixedpoint, "resolvent_sums", wraps=resolvent_sums) as passes:
         cold = [solve_effective(config.with_eta(eta)) for eta in etas]
     assert passes.call_count > 5 * etas.size
-    descending = solve_grid(config, etas[::-1])[::-1]
-    for w, c, d in zip(warm, cold, descending):
-        for name in cli._FPE_COLUMNS.values():
-            assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-13), name
-            assert getattr(d, name) == pytest.approx(getattr(w, name), rel=1e-14), name
+    descending = solve_grid(config, etas[::-1])
+    for name in cli._FPE_COLUMNS.values():
+        w, d = getattr(warm, name), getattr(descending, name)[::-1]
+        for i, c in enumerate(cold):
+            assert w[i] == pytest.approx(getattr(c, name), rel=1e-13), name
+            assert d[i] == pytest.approx(w[i], rel=1e-14), name
 
 
 def test_solve_effective_stores_the_problem(rng):
     # the risk formulas read phi, sigma_sq and ||mu0||^2 off the params, so
-    # the solve stores the config's own values, bit for bit
+    # the solve stores the config's own values, bit for bit, and its signal
     for config in (iso_problem(eta=0.3, radius=0.7), random_problem(rng), random_problem(rng)):
         params = solve_effective(config)
         stored = (params.phi, params.sigma_sq, params.mu_norm_sq)
         given = (config.phi, config.sigma_sq, config.mu0.norm_sq)
         assert np.array(stored).tobytes() == np.array(given).tobytes()
+        assert params.mu0 is config.mu0
 
 
 def test_gamma_tilde_equals_gamma_star_isotropic():

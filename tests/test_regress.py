@@ -514,6 +514,19 @@ def test_kfold_folds_properties():
         kfold_folds(10, 11, rng)
 
 
+def test_kfold_folds_take_a_seed_as_kfold_select_does():
+    # an int seed raised a raw AttributeError; it reads its "fold" stream,
+    # the folds kfold_select draws for the same seed
+    data = toy_dataset(10, 6, seed=8)
+    folds = kfold_folds(10, 2, 3)
+    for a, b in zip(folds, kfold_folds(10, 2, stream(3, 0, "fold"))):
+        np.testing.assert_array_equal(a, b)
+    grid = [0.2, 0.6]
+    np.testing.assert_array_equal(
+        kfold_select(data, grid, 2, 3).objective, kfold_objective(data, grid, folds)
+    )
+
+
 def test_kfold_leave_one_out_smoke():
     data = toy_dataset(4, 6, seed=8)
     result = kfold_select(data, [0.2, 0.6, 1.1], k=4, seed=5)

@@ -145,22 +145,36 @@ def test_optimal_eta_cases():
 
 
 def test_opt_risks_closed_forms():
-    tau = (3.0 + math.sqrt(17.0)) / 2.0
-    pred, est, ins = opt_risks(0.5, 1.0, tau)
+    # the problem's own eta is not read: opt_risks solves at eta* = 1
+    pred, est, ins = opt_risks(iso_problem(eta=0.25))
     assert pred == pytest.approx(OPT_PRED, abs=1e-12)
     assert est == pytest.approx(OPT_PRED, abs=1e-12)
     assert ins == pytest.approx(OPT_INS, abs=1e-12)
     # OPT^ins (OPT^pred + 1) = phi OPT^pred
     assert ins * (pred + 1.0) == pytest.approx(0.5 * pred, abs=1e-12)
-    with pytest.raises(InputError):
-        opt_risks(0.5, 0.0, tau)
+    # eta* = 0 (no noise) and eta* = inf (no signal) have no closed form
+    for config in (iso_problem(sigma_sq=0.0), iso_problem(radius=0.0)):
+        with pytest.raises(InputError, match=r"eta\* = sigma_sq / \|\|mu0\|\|\^2 must lie in"):
+            opt_risks(config)
+    with pytest.raises(BothZero):
+        opt_risks(iso_problem(sigma_sq=0.0, radius=0.0))
+
+
+def test_opt_risks_read_one_solve_at_eta_star():
+    # the closed forms at the problem's own tau*(eta*), bit for bit: the
+    # hand-copied tau of another eta can no longer be passed
+    config = random_problem(np.random.default_rng(7))
+    eta = optimal_eta(config.sigma_sq, config.mu0.norm_sq)
+    params = solve_effective(config.with_eta(eta))
+    tau, phi = params.tau_star, config.phi
+    assert opt_risks(config) == (phi * tau / eta - 1.0, (1.0 - phi) / eta + 1.0 / tau,
+                                 phi - eta / tau)
 
 
 def test_opt_identity_random_phi():
     for phi in np.linspace(0.2, 0.9, 8):
         config = iso_problem(phi=float(phi), eta=1.0)
-        tau = solve_effective(config).tau_star
-        pred, est, ins = opt_risks(float(phi), 1.0, tau)
+        pred, est, ins = opt_risks(config)
         assert ins * (pred + 1.0) == pytest.approx(phi * pred, abs=1e-12)
         # optimally tuned risks match the curves evaluated at eta*
         _, out = risks_at(config, 1.0)
@@ -450,15 +464,23 @@ def test_risks_from_solved_sums_match_separate_functionals(config):
         ), kind
 
 
+def _walk(config, etas) -> list:
+    """The warm-started chain of solve_effective calls along etas, by hand."""
+    walk = []
+    for eta in etas:
+        walk.append(solve_effective(config.with_eta(eta), walk[-1] if walk else None))
+    return walk
+
+
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_stacked_risk_formulas_are_the_per_params_calls(seed):
-    # each formula, and each property derived from the stored fields, on the
-    # grid's params stacked into arrays gives, bit for bit, the values of one
+    # each formula, and each property derived from the stored fields, on
+    # solve_grid's params of arrays gives, bit for bit, the values of one
     # call per solve, at every kind
     config = random_problem(np.random.default_rng(seed), n=30)
     etas = np.geomspace(0.01, 20.0, 41)
-    params = riskengine.solve_grid(config, etas)
-    grid = riskengine._stacked(params)
+    params = _walk(config, etas)
+    grid = riskengine.solve_grid(config, etas)
     for kind in KINDS:
         formulas = [theoretical_risk, rmt_risk]
         if kind in riskengine.TUNABLE_KINDS:
@@ -470,9 +492,29 @@ def test_stacked_risk_formulas_are_the_per_params_calls(seed):
     for name in ("m_val", "m_prime", "m_second", "gamma_tilde_sq"):
         one = np.array([getattr(p, name) for p in params])
         assert np.array_equal(getattr(grid, name), one), name
-    # the model is the problem's own object, on each solve and on the stack
+    # the model and mu0 are the problem's own objects, on each solve and on the grid
     assert solve_effective(config).model is config.model
-    assert grid.model is config.model and all(p.model is config.model for p in params)
+    for p in [grid, *params]:
+        assert p.model is config.model and p.mu0 is config.mu0
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_solve_grid_columns_are_a_hand_walked_chain(order):
+    # every field and every sum of solve_grid's result is, bit for bit and
+    # in walk order, the column of one warm-started solve_effective per eta
+    config = random_problem(np.random.default_rng(8), n=30)
+    etas = np.linspace(0.05, 2.0, 17)
+    etas = etas if order == "ascending" else etas[::-1]
+    walk = _walk(config, etas)
+    grid = riskengine.solve_grid(config, etas)
+    for name in ("eta", "tau_star", "gamma_star_sq", "tau_prime", "tau_second", "phi",
+                 "sigma_sq"):
+        column = np.array([getattr(p, name) for p in walk])
+        assert getattr(grid, name).tobytes() == column.tobytes(), name
+    for name in grid.sums._fields:
+        column = np.array([getattr(p.sums, name) for p in walk])
+        assert getattr(grid.sums, name).tobytes() == column.tobytes(), name
+    assert grid.mu_norm_sq == config.mu0.norm_sq
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -505,8 +547,9 @@ def test_lq_gamma_diag_reads_the_norm_from_the_params():
 
 
 def test_no_formula_takes_the_problem_beside_its_params():
-    # phi, sigma_sq, ||mu0|| and the model are read off EffectiveParams, so no
-    # exported callable that takes one can be handed a second, mismatched copy
+    # the problem and the solved gamma and tau are read off EffectiveParams,
+    # so no exported callable that takes one can be handed a second,
+    # mismatched copy
     readers = set()
     for name in ridgelab.__all__:
         obj = getattr(ridgelab, name)
@@ -515,10 +558,13 @@ def test_no_formula_takes_the_problem_beside_its_params():
         parameters = inspect.signature(obj).parameters
         if any("EffectiveParams" in str(par.annotation) for par in parameters.values()):
             readers.add(name)
-            copies = {"phi", "sigma_sq", "mu_norm_sq", "mu_norm", "model"} & set(parameters)
+            copies = {"phi", "sigma_sq", "mu_norm_sq", "mu_norm", "model", "mu0", "gamma",
+                      "tau"} & set(parameters)
             assert not copies, (name, copies)
     assert {"theoretical_risk", "rmt_risk", "risk_derivative", "derivative_factor",
-            "lq_gamma_diag"} <= readers
+            "lq_gamma_diag", "seq_model_lq_mc"} <= readers
+    # opt_risks solves at eta* itself, from the problem alone
+    assert list(inspect.signature(opt_risks).parameters) == ["config"]
     # lq_risk reads n as the length of its diagonal
     assert list(inspect.signature(lq_risk).parameters) == ["q", "diag_gamma"]
 

@@ -1,5 +1,6 @@
 """Simulation harness: samplers, sequence-model laws, experiment determinism."""
 
+import dataclasses
 import math
 import re
 
@@ -80,6 +81,13 @@ def test_sample_signal_radius_is_nonnegative():
         for radius in (-1.0, math.nan):
             with pytest.raises(InputError, match="signal radius must be nonnegative"):
                 sample_signal(mode, 8, 1, radius=radius)
+        # a radius that is no number raised a raw TypeError
+        with pytest.raises(InputError, match="signal radius must be one real number"):
+            sample_signal(mode, 8, 1, radius="1")
+        # a radius whose square overflows returned a signal of norm_sq inf
+        with pytest.raises(InputError, match=re.escape(
+                "squared norm of 'signal' must lie in [0, 1e+60], got inf")):
+            sample_signal(mode, 3, 0, 1e200)
 
 
 def test_sample_signal_ball_radial_norm_distribution():
@@ -129,6 +137,10 @@ def test_sample_noise_scaling_and_zero():
     np.testing.assert_array_equal(zero, np.zeros(50))
     with pytest.raises(InputError):
         sample_noise("gaussian", 10, -1.0, 6)
+    # sigma_sq = inf returned -inf noise, 1e300 noise of about 1e150
+    for sigma_sq in (math.inf, 1e300):
+        with pytest.raises(InputError, match=r"sigma_sq must lie in \[0, 1e\+60\]"):
+            sample_noise("gaussian", 3, sigma_sq, 0)
 
 
 def test_stream_role_separation():
@@ -191,21 +203,27 @@ def test_spiked_weight_paths_at_n_1():
     weight = np.array([2.0])
     plain = lq_gamma_diag(None, params)
     assert lq_gamma_diag(weight, params)[0] == 4.0 * plain[0]
-    gamma, tau = float(np.sqrt(params.gamma_tilde_sq)), params.tau_star
-    unweighted = seq_model_lq_mc(2.0, None, model, mu0, gamma, tau, reps=100, seed=3)
-    weighted = seq_model_lq_mc(2.0, weight, model, mu0, gamma, tau, reps=100, seed=3)
+    unweighted = seq_model_lq_mc(2.0, None, params, reps=100, seed=3)
+    weighted = seq_model_lq_mc(2.0, weight, params, reps=100, seed=3)
     assert weighted == (2.0 * unweighted[0], 2.0 * unweighted[1])
 
 
 def test_seq_model_lq_mc_deterministic_at_zero_gamma():
     model = Isotropic(1.0, 30)
     mu0 = sample_signal("sphere", 30, 5)
-    mean, se = seq_model_lq_mc(2.0, None, model, mu0, 0.0, 1.0, reps=100, seed=1)
+    params = solve_effective(
+        ProblemConfig(phi=0.5, eta=0.5, sigma_sq=0.0, model=model, mu0=mu0)
+    )
+    # not a solve: at eta = tau = tau' = 1 and sigma_sq = 0,
+    # gamma~^2 = sigma_sq tau' + ||mu0||^2 (tau - eta tau') is 0
+    params = dataclasses.replace(params, eta=1.0, tau_star=1.0, tau_prime=1.0)
+    assert params.gamma_tilde_sq == 0.0
+    mean, se = seq_model_lq_mc(2.0, None, params, reps=100, seed=1)
     # gamma = 0 collapses to the deterministic bias norm ||mu0/2 - mu0||
     assert mean == pytest.approx(0.5 * mu0.norm, rel=1e-12)
     assert se == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(InputError):
-        seq_model_lq_mc(2.0, None, model, mu0, 1.0, 1.0, reps=50, seed=1)
+        seq_model_lq_mc(2.0, None, params, reps=50, seed=1)
 
 
 def _lq_mc_norms(q, model, mu0, gamma, tau, reps, seed, norm):
@@ -223,7 +241,7 @@ def _lq_mc_problem():
     params = solve_effective(
         ProblemConfig(phi=0.5, eta=0.5, sigma_sq=1.0, model=model, mu0=mu0)
     )
-    return model, mu0, float(np.sqrt(params.gamma_tilde_sq)), params.tau_star
+    return params, float(np.sqrt(params.gamma_tilde_sq)), params.tau_star
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 4.0, 8.0])
@@ -231,9 +249,9 @@ def test_seq_model_lq_mc_scaled_sum_matches_the_plain_sum(q):
     # each rep's norm is summed scaled by max |d|; on ordinary inputs the
     # plain power sum cannot underflow and the two agree to rounding (the
     # lq --mc-reps cells on configs/problem.json moved by at most 6.8e-16)
-    model, mu0, gamma, tau = _lq_mc_problem()
-    mean, se = seq_model_lq_mc(q, None, model, mu0, gamma, tau, reps=100, seed=5)
-    plain = _lq_mc_norms(q, model, mu0, gamma, tau, 100, 5,
+    params, gamma, tau = _lq_mc_problem()
+    mean, se = seq_model_lq_mc(q, None, params, reps=100, seed=5)
+    plain = _lq_mc_norms(q, params.model, params.mu0, gamma, tau, 100, 5,
                          lambda d, q: float(np.sum(d**q)) ** (1.0 / q))
     assert mean == pytest.approx(float(np.mean(plain)), rel=2e-15)
     assert se == pytest.approx(float(np.std(plain, ddof=1) / 10.0), rel=2e-13)
@@ -244,8 +262,9 @@ def test_seq_model_lq_mc_at_large_q_does_not_underflow():
     # the plain sum of |d_j|^1000 underflows to 0 and used to report a mean
     # and standard error of exactly 0; max |d| <= ||d||_q <= n^(1/q) max |d|
     q = 1000.0
-    model, mu0, gamma, tau = _lq_mc_problem()
-    mean, se = seq_model_lq_mc(q, None, model, mu0, gamma, tau, reps=100, seed=5)
+    params, gamma, tau = _lq_mc_problem()
+    model, mu0 = params.model, params.mu0
+    mean, se = seq_model_lq_mc(q, None, params, reps=100, seed=5)
     peak = _lq_mc_norms(q, model, mu0, gamma, tau, 100, 5, lambda d, q: float(d.max()))
     assert float(peak.mean()) <= mean <= 400.0 ** (1.0 / q) * float(peak.mean())
     assert se > 0.0
@@ -305,7 +324,7 @@ def test_lq_weights_have_one_check(model, case, monkeypatch):
 
     monkeypatch.setattr(simlab, "stream", no_draw)
     with pytest.raises(InputError) as monte_carlo:
-        seq_model_lq_mc(2.0, a, model, mu0, 1.0, params.tau_star, reps=100, seed=0)
+        seq_model_lq_mc(2.0, a, params, reps=100, seed=0)
     assert str(monte_carlo.value) == str(closed_form.value)
     assert "weight" in str(closed_form.value)
     if case.startswith("huge"):
@@ -336,8 +355,8 @@ def test_lq_mc_eigenbasis_weight_is_its_dense_matrix(model):
     else:
         dense = np.diag(w)
     for q in (1.0, 2.0, 5.0):
-        via_vector = seq_model_lq_mc(q, w, model, mu0, 1.0, params.tau_star, reps=100, seed=3)
-        via_dense = seq_model_lq_mc(q, dense, model, mu0, 1.0, params.tau_star, reps=100, seed=3)
+        via_vector = seq_model_lq_mc(q, w, params, reps=100, seed=3)
+        via_dense = seq_model_lq_mc(q, dense, params, reps=100, seed=3)
         np.testing.assert_allclose(via_vector, via_dense, rtol=1e-12, atol=0.0)
 
 
@@ -355,7 +374,7 @@ def test_lq_weight_band_edge_is_finite(model):
     for a in (np.full(model.n, edge), np.eye(model.n) * edge):
         diag = lq_gamma_diag(a, params)
         assert np.isfinite(diag).all() and math.isfinite(lq_risk(2.0, diag))
-        mean, se = seq_model_lq_mc(2.0, a, model, mu0, 1.0, params.tau_star, reps=100, seed=0)
+        mean, se = seq_model_lq_mc(2.0, a, params, reps=100, seed=0)
         assert math.isfinite(mean) and math.isfinite(se)
         with pytest.raises(InputError, match="squared weight entries"):
             lq_gamma_diag(a * (1.0 + 2.0**-52), params)
@@ -633,8 +652,8 @@ def test_distributional_check_bank_is_the_sequence_model_at_every_eta(monkeypatc
     # the 5 bank reps, then the 3 noise-floor draws, then the 3 data reps
     assert len(fits) == 5 + 3 + 3
     for s, block in enumerate(fits[:8]):
-        for k, p in enumerate(params):
-            want = seq_model_sample(model, mu0, np.sqrt(p.gamma_star_sq), p.tau_star,
+        for k, (gamma_sq, tau) in enumerate(zip(params.gamma_star_sq, params.tau_star)):
+            want = seq_model_sample(model, mu0, np.sqrt(gamma_sq), tau,
                                     stream(config.master_seed, s, "seq"))[1]
             assert np.array_equal(block[k], want), (s, k)
 

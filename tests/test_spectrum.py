@@ -22,13 +22,13 @@ from ridgelab import (
     model_from_json,
     quad_form,
     sample_design,
-    seq_model_lq_mc,
     seq_model_sample,
     solve_effective,
     spiked_uniform,
     trace_functional,
 )
 from ridgelab import errors, spectrum
+from ridgelab.fixedpoint import expected_dof, expected_err
 from oracles import eigenvalues, materialize
 from ridgelab.spectrum import fixed_point_sums, resolvent_sums, sigma_quad
 
@@ -332,10 +332,17 @@ WRONG_TYPE = {
     "Dataset model None": lambda _: Dataset(X4, X4 @ E1, None),
     "Dataset model dict": lambda _: Dataset(X4, X4 @ E1, {"kind": "isotropic"}),
     "sample_design model": lambda _: sample_design("gaussian", 2, 4, None, 0),
+    "debias model": lambda _: debias(np.ones(4), 1.0, None),
+    "confidence_intervals model": lambda _: confidence_intervals(np.ones(4), 1.0, None, 0.05),
+    "seq_model_sample model": lambda _: seq_model_sample(None, SignalVector(E1), 1.0, 1.0, 0),
+    "trace_functional model": lambda _: trace_functional(None, 1.0, 1, 1),
+    "quad_form model": lambda _: quad_form(None, SignalVector(E1), 1.0, 1, 1),
+    "expected_err model": lambda _: expected_err(None, SignalVector(E1), 1.0, 1.0),
+    "expected_dof model": lambda _: expected_dof(None, 1.0, 1.0),
+    "coverage report": lambda _: coverage(None, SignalVector(E1)),
     "coverage mu0": lambda mu0: coverage(
         confidence_intervals(np.zeros(4), 1.0, MODEL4, 0.05), mu0),
     "seq_model_sample mu0": lambda mu0: seq_model_sample(MODEL4, mu0, 1.0, 1.0, 0),
-    "seq_model_lq_mc mu0": lambda mu0: seq_model_lq_mc(2.0, None, MODEL4, mu0, 1.0, 1.0, 100, 0),
     "ProblemConfig mu0": lambda mu0: solve_effective(
         ProblemConfig(0.5, 0.5, 1.0, MODEL4, mu0)).gamma_star_sq,
     "Dataset mu0": lambda mu0: Dataset(X4, X4 @ E1, MODEL4, mu0).mu0.norm_sq,
@@ -370,7 +377,6 @@ def test_every_path_to_apply_refuses_an_operand_of_another_dimension(model):
         lambda: sigma_quad(model, short),
         lambda: debias(short, 0.5, model),
         lambda: seq_model_sample(model, SignalVector(short), 1.0, 1.0, 0),
-        lambda: seq_model_lq_mc(2.0, None, model, SignalVector(short), 1.0, 1.0, 100, 0),
     ]
     for call in calls:
         with pytest.raises(InputError, match=r"operand with 4 rows, got shape \(3,"):
